@@ -16,14 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .engine import RunTrace, SolverConfig, run, x_update, y_update
-from .problem import (
-    GridProduct,
-    LinearPiece,
-    PiecewiseLinearPiece,
-    ProblemSpec,
-    QuadraticPiece,
-    evaluate_constraints,
-)
+from .problem import ProblemSpec, evaluate_constraints, squared_norm_bound
 
 __all__ = [
     "BoundSet",
@@ -51,6 +44,18 @@ __all__ = [
 # Refined minimal directional decay below this rate marks a flat optimal
 # face, i.e. a possibly non-unique multiplier.
 NONUNIQUE_DECAY_TOL = 5e-4
+
+# Multiplier estimation: largest accepted probe residual, the grid ascent's
+# final spacing, the share of a tail-average run that is averaged, and the
+# number of random residual probes.
+_RESIDUAL_THRESHOLD = 1e-2
+_RESOLUTION_TARGET = 1e-4
+_TAIL_FRACTION = 0.2
+_PROBE_COUNT = 256
+
+# Sharpness estimation: probe distance from the estimate and ray count.
+_SHARPNESS_DISTANCE = 0.1
+_SHARPNESS_PROBES = 256
 
 
 class EstimationError(RuntimeError):
@@ -86,40 +91,6 @@ def dual_subgradient(spec: ProblemSpec, w, z) -> np.ndarray:
     return np.concatenate([g, x_star - y_star])
 
 
-def _batch_y_minimizers(spec: ProblemSpec):
-    mins = []
-    for piece, lo, hi in zip(spec.objective.pieces, spec.box.lower, spec.box.upper):
-        lo = float(lo)
-        hi = float(hi)
-        if isinstance(piece, LinearPiece) or (
-                isinstance(piece, QuadraticPiece) and piece.curvature == 0.0):
-            s = piece.slope
-
-            def fn(c, s=s, lo=lo, hi=hi):
-                return np.where(s + c >= 0.0, lo, hi)
-        elif isinstance(piece, QuadraticPiece):
-            a, s = piece.curvature, piece.slope
-
-            def fn(c, a=a, s=s, lo=lo, hi=hi):
-                return np.clip(-(s + c) / (2.0 * a), lo, hi)
-        elif isinstance(piece, PiecewiseLinearPiece):
-            bps = np.array(piece.breakpoints)
-            ss = np.array(piece.slopes)
-
-            def fn(c, bps=bps, ss=ss, lo=lo, hi=hi):
-                if len(bps) == 0:
-                    return np.where(ss[0] + c >= 0.0, lo, hi)
-                k = np.searchsorted(ss, -c, side="left")
-                cand = bps[np.clip(k - 1, 0, len(bps) - 1)]
-                cand = np.where(k == 0, lo, cand)
-                cand = np.where(k >= len(ss), hi, cand)
-                return np.clip(cand, lo, hi)
-        else:
-            raise ValueError(f"unsupported piece {type(piece).__name__}")
-        mins.append(fn)
-    return mins
-
-
 def dual_function_batch(spec: ProblemSpec, lam: np.ndarray):
     """Dual values and minimizers for a whole (n, J+I) batch of multipliers."""
     lam = np.atleast_2d(np.asarray(lam, dtype=float))
@@ -132,20 +103,13 @@ def dual_function_batch(spec: ProblemSpec, lam: np.ndarray):
     if W.size and np.min(W) < 0.0:
         raise ValueError("w components must be nonnegative")
 
-    ds = spec.decision_set
-    if isinstance(ds, GridProduct):
-        vlo = np.array([vs[0] for vs in ds.values])
-        vhi = np.array([vs[-1] for vs in ds.values])
-        X = np.where(Z >= 0.0, vlo, vhi)
-    else:
-        scores = Z @ ds.points.T
-        X = ds.points[np.argmin(scores, axis=1)]
-
+    X = spec.decision_set.linear_argmin(Z)
     A, b = spec.constraint_matrix()
     C = W @ A - Z
     Y = np.empty_like(Z)
-    for i, fn in enumerate(_batch_y_minimizers(spec)):
-        Y[:, i] = fn(C[:, i])
+    for i, (piece, lo, hi) in enumerate(zip(spec.objective.pieces, spec.box.lower,
+                                            spec.box.upper)):
+        Y[:, i] = piece.argmin_shifted_batch(C[:, i], float(lo), float(hi))
     G = Y @ A.T + b
     D = spec.objective.values(Y) + np.sum(W * G, axis=1) + np.sum(Z * (X - Y), axis=1)
     return D, X, Y
@@ -160,9 +124,7 @@ class BoundSet:
     """Structural constants plus the convergence-region geometry they imply.
 
     b_poly/radius_poly need the polyhedral decay rate l_poly; b_smooth and
-    radius_smooth need the quadratic decay rate l_smooth.  s_smooth bounds the
-    neighborhood where the quadratic decay is assumed to hold (infinity when
-    unknown).
+    radius_smooth need the quadratic decay rate l_smooth.
     """
 
     m: float
@@ -170,7 +132,6 @@ class BoundSet:
     v: float
     l_poly: Optional[float] = None
     l_smooth: Optional[float] = None
-    s_smooth: Optional[float] = None
     b_poly: Optional[float] = None
     b_smooth: Optional[float] = None
     radius_poly: Optional[float] = None
@@ -235,25 +196,10 @@ def _project_dual(lam: np.ndarray, j_dim: int) -> np.ndarray:
     return out
 
 
-def _max_abs_objective(spec: ProblemSpec) -> float:
-    total = 0.0
-    for piece, lo, hi in zip(spec.objective.pieces, spec.box.lower, spec.box.upper):
-        cands = [piece.value(lo), piece.value(hi)]
-        if isinstance(piece, QuadraticPiece) and piece.curvature > 0.0:
-            vtx = -piece.slope / (2.0 * piece.curvature)
-            if lo <= vtx <= hi:
-                cands.append(piece.value(vtx))
-        if isinstance(piece, PiecewiseLinearPiece):
-            cands.extend(piece.value(b) for b in piece.breakpoints if lo <= b <= hi)
-        total += max(abs(v) for v in cands)
-    return total
-
-
 def default_search_region(spec: ProblemSpec) -> float:
-    """Heuristic max-norm bound for the dual search (overridable)."""
-    from .problem import squared_norm_bound
-
-    return 10.0 * (squared_norm_bound(spec) + _max_abs_objective(spec))
+    """Heuristic max-norm bound for the dual search."""
+    bound = spec.objective.max_abs_value(spec.box.lower, spec.box.upper)
+    return 10.0 * (squared_norm_bound(spec) + bound)
 
 
 def _axis_grid(center, half, points, j_dim):
@@ -269,13 +215,11 @@ def _axis_grid(center, half, points, j_dim):
     return np.column_stack([g.ravel() for g in grids])
 
 
-def _grid_dual_max(spec: ProblemSpec, region: float, points_per_dim: Optional[int],
-                   resolution_target: float, center_shift: float = 0.0):
+def _grid_dual_max(spec: ProblemSpec, region: float, center_shift: float = 0.0):
     J = spec.constraint_count
     I = spec.dimension
     dims = J + I
-    if points_per_dim is None:
-        points_per_dim = 9 if dims <= 4 else (7 if dims == 5 else 5)
+    points_per_dim = 9 if dims <= 4 else (7 if dims == 5 else 5)
     center = np.concatenate([np.full(J, region / 2.0), np.zeros(I)])
     center += center_shift * region * np.cos(np.arange(1, dims + 1))
     center[:J] = np.maximum(0.0, center[:J])
@@ -293,7 +237,7 @@ def _grid_dual_max(spec: ProblemSpec, region: float, points_per_dim: Optional[in
         spacing = 2.0 * half / (points_per_dim - 1)
         center = best_lam.copy()
         half = 1.5 * spacing
-        if np.max(spacing) <= resolution_target:
+        if np.max(spacing) <= _RESOLUTION_TARGET:
             break
     return best_lam, best_d
 
@@ -345,8 +289,7 @@ def _flat_direction_candidates(spec: ProblemSpec, lam_hat: np.ndarray,
 
 def minimal_decay_rate(spec: ProblemSpec, lam_hat: np.ndarray, j_dim: int,
                        distance: float = 0.1, n_probes: int = 2048,
-                       seed: int = 0, refine: bool = True,
-                       extra_directions=None) -> float:
+                       seed: int = 0, extra_directions=None) -> float:
     """Smallest probed decrease of the dual per unit distance from lam_hat.
 
     Random ray probes at the given distance, augmented with subgradient
@@ -379,8 +322,6 @@ def minimal_decay_rate(spec: ProblemSpec, lam_hat: np.ndarray, j_dim: int,
     decays = decay_of(dirs)
     order = np.argsort(decays)
     best = float(decays[order[0]])
-    if not refine:
-        return best
     for start in order[:4]:
         u0 = dirs[start]
         val = float(decays[start])
@@ -409,8 +350,7 @@ def minimal_decay_rate(spec: ProblemSpec, lam_hat: np.ndarray, j_dim: int,
 
 
 def estimate_sharpness(spec: ProblemSpec, estimate: "MultiplierEstimate",
-                       geometry: str, distance: float = 0.1,
-                       n_probes: int = 256, seed: int = 0) -> float:
+                       geometry: str, seed: int = 0) -> float:
     """Decay-rate estimate feeding the region geometry.
 
     Polyhedral geometry uses (d(lam_hat) - d(probe)) / distance, smooth uses
@@ -418,11 +358,12 @@ def estimate_sharpness(spec: ProblemSpec, estimate: "MultiplierEstimate",
     the region formulas stay defined.
     """
     rate = minimal_decay_rate(spec, estimate.lam, estimate.j_dim,
-                              distance=distance, n_probes=n_probes, seed=seed)
+                              distance=_SHARPNESS_DISTANCE, n_probes=_SHARPNESS_PROBES,
+                              seed=seed)
     if geometry == "polyhedral":
         return max(rate, 1e-9)
     if geometry == "smooth":
-        return max(rate / distance, 1e-9)
+        return max(rate / _SHARPNESS_DISTANCE, 1e-9)
     raise ValueError(f"unknown geometry {geometry!r}")
 
 
@@ -430,25 +371,18 @@ def estimate_multiplier(spec: ProblemSpec, method: str = "grid-dual-max", *,
                         v: float = 100.0,
                         lambda_star=None,
                         seed: int = 0,
-                        residual_threshold: float = 1e-2,
-                        region: Optional[float] = None,
-                        points_per_dim: Optional[int] = None,
-                        resolution_target: float = 1e-4,
-                        tail_horizon: int = 1_000_000,
-                        tail_fraction: float = 0.2,
-                        probe_count: int = 256) -> MultiplierEstimate:
+                        tail_horizon: int = 1_000_000) -> MultiplierEstimate:
     """Estimate the dual maximizer.
 
     analytic takes a user-supplied multiplier; tail-average runs the engine
     with a 10x larger V and averages the dual trajectory over its final
     stretch; grid-dual-max runs a coarse-to-fine grid ascent of the dual over
     a bounded region.  The residual reports the largest probed dual value
-    above the estimate (clipped at zero) and must stay below
-    residual_threshold.
+    above the estimate (clipped at zero) and must stay below 1e-2.
     """
     J = spec.constraint_count
     I = spec.dimension
-    reg = region if region is not None else default_search_region(spec)
+    reg = default_search_region(spec)
     extra_probes = None
 
     if method == "analytic":
@@ -461,21 +395,21 @@ def estimate_multiplier(spec: ProblemSpec, method: str = "grid-dual-max", *,
         cfg = SolverConfig(v=10.0 * v, horizon=tail_horizon, restart_base=None)
         trace = run(spec, cfg)
         rows = trace.lambda_rows()
-        start = int((1.0 - tail_fraction) * len(rows))
+        start = int((1.0 - _TAIL_FRACTION) * len(rows))
         lam_hat = _project_dual(rows[start:].mean(axis=0), J)
         stride = max(1, (len(rows) - start) // 512)
         extra_probes = rows[start::stride]
     elif method == "grid-dual-max":
-        lam_hat, _ = _grid_dual_max(spec, reg, points_per_dim, resolution_target)
+        lam_hat, _ = _grid_dual_max(spec, reg)
     else:
         raise ValueError(f"unknown estimation method {method!r}")
 
-    residual, d_value = _residual_probes(spec, lam_hat, reg, probe_count, seed,
+    residual, d_value = _residual_probes(spec, lam_hat, reg, _PROBE_COUNT, seed,
                                          extra=extra_probes)
-    if residual > residual_threshold:
+    if residual > _RESIDUAL_THRESHOLD:
         raise EstimationError(
             f"{method} estimate has residual {residual:.3g} above threshold "
-            f"{residual_threshold:.3g}")
+            f"{_RESIDUAL_THRESHOLD:.3g}")
 
     # A flat optimal face means the maximizer is not unique.  Candidate flat
     # directions come from the decay probes themselves and, for the grid
@@ -484,10 +418,9 @@ def estimate_multiplier(spec: ProblemSpec, method: str = "grid-dual-max", *,
     # Faces shorter than the probe distances can go undetected.
     extra_dirs = []
     if method == "grid-dual-max":
-        alt, _ = _grid_dual_max(spec, reg, points_per_dim, resolution_target,
-                                center_shift=0.31)
+        alt, _ = _grid_dual_max(spec, reg, center_shift=0.31)
         gap = float(np.linalg.norm(alt - lam_hat))
-        if gap > 10.0 * resolution_target:
+        if gap > 10.0 * _RESOLUTION_TARGET:
             extra_dirs.append((alt - lam_hat) / gap)
     decay = min(minimal_decay_rate(spec, lam_hat, J, distance=rho, seed=seed,
                                    n_probes=512, extra_directions=extra_dirs)

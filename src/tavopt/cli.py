@@ -14,22 +14,22 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
 from . import analysis
-from .engine import (NumericError, RunTrace, SolverConfig, format_trace_float,
-                     run, write_trace_csv)
+from .engine import (NumericError, SolverConfig, format_trace_float, run,
+                     staggered_average, write_trace_csv)
 from .oracle import solve_reference, solve_reference_lp
 from .problem import (
+    PIECE_KINDS,
     AffineConstraint,
     ExplicitPoints,
     ExtendedBox,
     GridProduct,
     LinearPiece,
-    PiecewiseLinearPiece,
     ProblemSpec,
     QuadraticPiece,
     SeparableConvexObjective,
@@ -67,31 +67,18 @@ class ParseError(ValueError):
 # Problem config (JSON)
 # ---------------------------------------------------------------------------
 
-_PIECE_KEYS = {
-    "linear": {"kind", "slope"},
-    "quadratic": {"kind", "curvature", "slope"},
-    "piecewise_linear": {"kind", "breakpoints", "slopes"},
-}
-
-
 def _parse_piece(raw, where: str):
     if not isinstance(raw, dict) or "kind" not in raw:
         raise ParseError(where, "piece must be an object with a 'kind'")
     kind = raw["kind"]
-    allowed = _PIECE_KEYS.get(kind)
-    if allowed is None:
+    cls = PIECE_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
         raise ParseError(f"{where}.kind", f"unknown piece kind {kind!r}")
-    extra = set(raw) - allowed
+    extra = set(raw) - {"kind"} - {f.name for f in fields(cls)}
     if extra:
         raise ParseError(f"{where}.{sorted(extra)[0]}", "unknown key")
     try:
-        if kind == "linear":
-            return LinearPiece(slope=float(raw.get("slope", 0.0)))
-        if kind == "quadratic":
-            return QuadraticPiece(curvature=float(raw.get("curvature", 0.0)),
-                                  slope=float(raw.get("slope", 0.0)))
-        return PiecewiseLinearPiece(breakpoints=tuple(raw.get("breakpoints", ())),
-                                    slopes=tuple(raw["slopes"]))
+        return cls.from_json(raw)
     except (ValueError, KeyError, TypeError) as exc:
         raise ParseError(where, str(exc)) from exc
 
@@ -121,7 +108,7 @@ def parse_problem_config(text: str) -> ProblemSpec:
             raise ParseError(key, "missing required key")
 
     dim = raw["dimension"]
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ParseError("dimension", "must be a positive integer")
 
     ds_raw = raw["decision_set"]
@@ -144,6 +131,8 @@ def parse_problem_config(text: str) -> ProblemSpec:
 
     if "box" in raw:
         box_raw = raw["box"]
+        if not isinstance(box_raw, dict):
+            raise ParseError("box", "must be an object")
         extra = set(box_raw) - {"lower", "upper"}
         if extra:
             raise ParseError(f"box.{sorted(extra)[0]}", "unknown key")
@@ -162,8 +151,11 @@ def parse_problem_config(text: str) -> ProblemSpec:
         raise ParseError("objective", f"needs exactly {dim} pieces")
     pieces = tuple(_parse_piece(p, f"objective[{i}]") for i, p in enumerate(pieces_raw))
 
+    constraints_raw = raw.get("constraints", [])
+    if not isinstance(constraints_raw, list):
+        raise ParseError("constraints", "must be a list")
     constraints = []
-    for j, c_raw in enumerate(raw.get("constraints", [])):
+    for j, c_raw in enumerate(constraints_raw):
         where = f"constraints[{j}]"
         if not isinstance(c_raw, dict):
             raise ParseError(where, "must be an object")
@@ -177,11 +169,14 @@ def parse_problem_config(text: str) -> ProblemSpec:
             coeffs = np.asarray(c_raw["coeffs"], dtype=float)
             offset = float(c_raw.get("offset", 0.0))
             if sense == ">=":
-                constraints.append(AffineConstraint(coeffs=-coeffs, offset=offset))
+                constraint = AffineConstraint(coeffs=-coeffs, offset=offset)
             else:
-                constraints.append(AffineConstraint(coeffs=coeffs, offset=-offset))
+                constraint = AffineConstraint(coeffs=coeffs, offset=-offset)
         except (ValueError, KeyError, TypeError) as exc:
             raise ParseError(where, str(exc)) from exc
+        if constraint.coeffs.shape[0] != dim:
+            raise ParseError(where, f"has {constraint.coeffs.shape[0]} coeffs, expected {dim}")
+        constraints.append(constraint)
 
     try:
         return ProblemSpec(decision_set=decision, box=box,
@@ -191,26 +186,13 @@ def parse_problem_config(text: str) -> ProblemSpec:
         raise ParseError("decision_set", str(exc)) from exc
 
 
-def _piece_dict(piece) -> dict:
-    if isinstance(piece, LinearPiece):
-        return {"kind": "linear", "slope": piece.slope}
-    if isinstance(piece, QuadraticPiece):
-        return {"kind": "quadratic", "curvature": piece.curvature, "slope": piece.slope}
-    return {"kind": "piecewise_linear", "breakpoints": list(piece.breakpoints),
-            "slopes": list(piece.slopes)}
-
-
 def serialize_problem_config(spec: ProblemSpec) -> str:
     """Canonical JSON for a spec; parsing it reproduces the spec exactly."""
-    if isinstance(spec.decision_set, GridProduct):
-        ds = {"grid": [list(v) for v in spec.decision_set.values]}
-    else:
-        ds = {"points": spec.decision_set.points.tolist()}
     doc = {
         "dimension": spec.dimension,
-        "decision_set": ds,
+        "decision_set": spec.decision_set.to_json(),
         "box": {"lower": spec.box.lower.tolist(), "upper": spec.box.upper.tolist()},
-        "objective": [_piece_dict(p) for p in spec.objective.pieces],
+        "objective": [p.to_json() for p in spec.objective.pieces],
         "constraints": [
             {"coeffs": g.coeffs.tolist(), "offset": -g.offset, "sense": "<="}
             for g in spec.constraints
@@ -290,6 +272,8 @@ class ExperimentConfig:
             raise ValueError("sweep mode needs at least two V values")
         if not self.v_list or any(v < 1.0 for v in self.v_list):
             raise ValueError("V values must be >= 1")
+        if len(set(self.v_list)) != len(self.v_list):
+            raise ValueError("V values must be distinct")
         if self.log_every < 1:
             raise ValueError("log_every must be >= 1")
 
@@ -449,10 +433,6 @@ def _bounds_for(geometry: str, m: float, c: float, v: float, l_hat: float):
     return analysis.BoundSet(m=m, c=c, v=v, l_smooth=l_hat)
 
 
-def _window_average(csum: np.ndarray, start: int, end: int) -> np.ndarray:
-    return (csum[end] - csum[start]) / (end - start)
-
-
 def _do_reproduce(cfg: ExperimentConfig) -> int:
     figures = [cfg.figure] if cfg.figure else sorted(FIGURE_SETUPS)
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -461,7 +441,7 @@ def _do_reproduce(cfg: ExperimentConfig) -> int:
     for fig in figures:
         objective, extra, geometry, fixed_start = FIGURE_SETUPS[fig]
         spec = reference_instance(objective, extra)
-        trace = run(spec, SolverConfig(v=v, horizon=cfg.horizon, restart_base=2))
+        trace = run(spec, SolverConfig(v=v, horizon=cfg.horizon))
         grid_oracle = solve_reference(spec, cfg.oracle_resolution)
         f_opt = grid_oracle.f_opt
         lp_line = None
@@ -479,7 +459,6 @@ def _do_reproduce(cfg: ExperimentConfig) -> int:
         detected = report.t_hit if report.t_hit is not None else 0
 
         A, b = spec.constraint_matrix()
-        csum = np.vstack([np.zeros(spec.dimension), np.cumsum(trace.x, axis=0)])
         marks = [1 << k for k in range(cfg.horizon.bit_length()) if (1 << k) <= cfg.horizon]
         if marks[-1] != cfg.horizon:
             marks.append(cfg.horizon)
@@ -492,17 +471,18 @@ def _do_reproduce(cfg: ExperimentConfig) -> int:
                   + ["f_staggered_detected"] + [f"g_{j + 1}_staggered_detected" for j in range(len(b))])
         rows = [",".join(header)]
         for t in marks:
-            cells = [str(t)] + [format_trace_float(u) for u in stats(_window_average(csum, 0, t))]
+            cells = [str(t)] + [format_trace_float(u) for u in stats(trace.xbar[t - 1])]
             for start in (fixed_start, detected):
                 if t > start:
-                    cells += [format_trace_float(u) for u in stats(_window_average(csum, start, t))]
+                    window = staggered_average(trace, start, t - start)
+                    cells += [format_trace_float(u) for u in stats(window)]
                 else:
                     cells += ["nan"] * (1 + len(b))
             rows.append(",".join(cells))
         fig_csv = os.path.join(cfg.out_dir, f"figure{fig}.csv")
         _write_lines(fig_csv, rows)
 
-        final_plain = _window_average(csum, 0, cfg.horizon)
+        final_plain = trace.xbar[-1]
         f_final = spec.objective.value(final_plain)
         g_final = A @ final_plain + b
         ok = abs(f_final - f_opt) <= 0.02 and (len(g_final) == 0 or np.max(g_final) <= 0.02)
@@ -540,65 +520,53 @@ def _do_reproduce(cfg: ExperimentConfig) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+def _v_list(text: str) -> tuple:
+    return tuple(float(tok) for tok in text.split(",") if tok)
+
+
+# Flag -> argparse settings.  No flag declares a default: a flag left out
+# stays out of the namespace, and the ExperimentConfig default applies.
+_FLAGS = {
+    "--problem": dict(dest="problem_path", required=True, help="problem config JSON"),
+    "--out": dict(dest="out_dir", required=True, help="output directory"),
+    "--V": dict(dest="v_list", type=_v_list, help="V value (comma-separated list for sweep)"),
+    "--horizon": dict(type=int),
+    "--restart-base": dict(type=int),
+    "--seed": dict(type=int),
+    "--log-every": dict(type=int, help="write every k-th trace row"),
+    "--eps-anchor": dict(type=float),
+    "--v-anchor": dict(type=float),
+    "--oracle-resolution": dict(type=float),
+    "--method": dict(choices=["grid-dual-max", "tail-average"]),
+    "--geometry": dict(choices=["polyhedral", "smooth", "both"]),
+    "--figure": dict(type=int, choices=sorted(FIGURE_SETUPS)),
+}
+
+# mode -> (help, the flags it reads)
+_MODES = {
+    "solve": ("one run, trace CSV + summary",
+              ("--problem", "--out", "--V", "--horizon", "--restart-base", "--log-every")),
+    "sweep": ("iterations-to-accuracy over a V list",
+              ("--problem", "--out", "--V", "--horizon", "--restart-base", "--eps-anchor",
+               "--v-anchor", "--oracle-resolution")),
+    "diagnose": ("multiplier estimate and certificates",
+                 ("--problem", "--out", "--V", "--horizon", "--restart-base", "--seed",
+                  "--method", "--geometry")),
+    "reproduce": ("bundled demo instances, per-figure CSVs",
+                  ("--out", "--V", "--horizon", "--seed", "--figure", "--oracle-resolution")),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tavopt",
         description="Time-average optimization solver and diagnostics")
     sub = parser.add_subparsers(dest="mode", required=True)
-
-    def common(p, needs_problem: bool):
-        if needs_problem:
-            p.add_argument("--problem", required=True, help="problem config JSON")
-        p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--V", default="100",
-                       help="V value (comma-separated list for sweep)")
-        p.add_argument("--horizon", type=int, default=200_000)
-        p.add_argument("--restart-base", type=int, default=2)
-        p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("solve", help="one run, trace CSV + summary")
-    common(p, True)
-    p.add_argument("--log-every", type=int, default=1,
-                   help="write every k-th trace row")
-
-    p = sub.add_parser("sweep", help="iterations-to-accuracy over a V list")
-    common(p, True)
-    p.add_argument("--eps-anchor", type=float, default=0.01)
-    p.add_argument("--v-anchor", type=float, default=100.0)
-    p.add_argument("--oracle-resolution", type=float, default=0.01)
-
-    p = sub.add_parser("diagnose", help="multiplier estimate and certificates")
-    common(p, True)
-    p.add_argument("--method", default="grid-dual-max",
-                   choices=["grid-dual-max", "tail-average"])
-    p.add_argument("--geometry", default="both",
-                   choices=["polyhedral", "smooth", "both"])
-
-    p = sub.add_parser("reproduce", help="bundled demo instances, per-figure CSVs")
-    common(p, False)
-    p.add_argument("--figure", type=int, choices=sorted(FIGURE_SETUPS))
-    p.add_argument("--oracle-resolution", type=float, default=0.01)
+    for mode, (help_text, flags) in _MODES.items():
+        p = sub.add_parser(mode, help=help_text, argument_default=argparse.SUPPRESS)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
-
-
-def _config_from_args(args) -> ExperimentConfig:
-    v_list = tuple(float(tok) for tok in str(args.V).split(",") if tok)
-    return ExperimentConfig(
-        mode=args.mode,
-        out_dir=args.out,
-        problem_path=getattr(args, "problem", None),
-        v_list=v_list,
-        horizon=args.horizon,
-        restart_base=args.restart_base,
-        seed=args.seed,
-        figure=getattr(args, "figure", None),
-        method=getattr(args, "method", "grid-dual-max"),
-        geometry=getattr(args, "geometry", "both"),
-        oracle_resolution=getattr(args, "oracle_resolution", 0.01),
-        eps_anchor=getattr(args, "eps_anchor", 0.01),
-        v_anchor=getattr(args, "v_anchor", 100.0),
-        log_every=getattr(args, "log_every", 1),
-    )
 
 
 def run_cli(argv) -> int:
@@ -609,7 +577,7 @@ def run_cli(argv) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
     try:
-        cfg = _config_from_args(args)
+        cfg = ExperimentConfig(**vars(args))
         if cfg.mode == "solve":
             return _do_solve(cfg)
         if cfg.mode == "sweep":

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import math
@@ -31,7 +32,6 @@ __all__ = [
     "run",
     "staggered_average",
     "write_trace_csv",
-    "TRACE_FLOAT_FORMAT",
 ]
 
 
@@ -58,7 +58,6 @@ class SolverConfig:
     initial_w: Optional[tuple] = None
     initial_z: Optional[tuple] = None
     restart_base: Optional[int] = 2
-    y_update_tolerance: float = 0.0
     record_every: int = 1
 
     def __post_init__(self):
@@ -119,12 +118,11 @@ def x_update(spec: ProblemSpec, z) -> np.ndarray:
     return spec.decision_set.linear_argmin(z)
 
 
-def y_update(spec: ProblemSpec, w, z, tol: float = 0.0) -> np.ndarray:
+def y_update(spec: ProblemSpec, w, z) -> np.ndarray:
     """Box point minimizing f(y) + w . g(y) - z . y.
 
     With affine constraints and a separable objective the problem decouples
-    per coordinate and is solved in closed form; tol is reserved for a future
-    generic scalar search and is currently unused.
+    per coordinate and is solved in closed form.
     """
     w = np.asarray(w, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -161,7 +159,8 @@ class RunTrace:
     variables before the step, the dual function value, the running averages
     over iterations 0..ts[k] inclusive, and the staggered-frame average.
     w_final/z_final hold the dual variables after the last step, which close
-    the telescoping identities at T = horizon.
+    the telescoping identities at T = horizon.  The frame of each row
+    (frame_id, frame_start) follows from ts and restart_times.
     """
 
     ts: np.ndarray
@@ -172,8 +171,6 @@ class RunTrace:
     d: np.ndarray
     xbar: np.ndarray
     ybar: np.ndarray
-    frame_id: np.ndarray
-    frame_start: np.ndarray
     xbar_frame: np.ndarray
     w_final: np.ndarray
     z_final: np.ndarray
@@ -195,6 +192,17 @@ class RunTrace:
     @property
     def lambda_final(self) -> np.ndarray:
         return np.concatenate([self.w_final, self.z_final])
+
+    @cached_property
+    def frame_id(self) -> np.ndarray:
+        """Restarts up to and including each logged iteration."""
+        return np.searchsorted(self.restart_times, self.ts, side="right")
+
+    @cached_property
+    def frame_start(self) -> np.ndarray:
+        """First iteration of the staggered frame of each logged row."""
+        starts = np.concatenate([np.zeros(1, dtype=np.int64), self.restart_times])
+        return starts[self.frame_id]
 
 
 def run(spec: ProblemSpec, config: SolverConfig) -> RunTrace:
@@ -238,9 +246,7 @@ def run(spec: ProblemSpec, config: SolverConfig) -> RunTrace:
     cy = [0.0] * I
     sfx = [0.0] * I
     cfx = [0.0] * I
-    frame_start = 0
     frame_len = 0
-    frame_id = 0
     base = config.restart_base
     next_restart = 1 if base is not None else -1
     restart_times = []
@@ -253,8 +259,6 @@ def run(spec: ProblemSpec, config: SolverConfig) -> RunTrace:
     cols_xbar = [array("d") for _ in range(I)]
     cols_ybar = [array("d") for _ in range(I)]
     cols_fx = [array("d") for _ in range(I)]
-    col_fid = array("q")
-    col_fstart = array("q")
     col_ts = array("q")
 
     record_every = config.record_every
@@ -265,8 +269,6 @@ def run(spec: ProblemSpec, config: SolverConfig) -> RunTrace:
     for t in range(T):
         if t == next_restart:
             restart_times.append(t)
-            frame_id += 1
-            frame_start = t
             frame_len = 0
             for i in range(I):
                 sfx[i] = 0.0
@@ -331,8 +333,6 @@ def run(spec: ProblemSpec, config: SolverConfig) -> RunTrace:
             for j in range(J):
                 cols_w[j].append(w[j])
             col_d.append(dval)
-            col_fid.append(frame_id)
-            col_fstart.append(frame_start)
 
         for j in range(J):
             wj = w[j] + g[j] / V
@@ -354,8 +354,6 @@ def run(spec: ProblemSpec, config: SolverConfig) -> RunTrace:
         d=np.frombuffer(col_d, dtype=float),
         xbar=to_matrix(cols_xbar, I),
         ybar=to_matrix(cols_ybar, I),
-        frame_id=np.frombuffer(col_fid, dtype=np.int64),
-        frame_start=np.frombuffer(col_fstart, dtype=np.int64),
         xbar_frame=to_matrix(cols_fx, I),
         w_final=np.array(w, dtype=float),
         z_final=np.array(z, dtype=float),
@@ -398,9 +396,6 @@ def format_trace_float(value) -> str:
     return repr(float(value))
 
 
-TRACE_FLOAT_FORMAT = format_trace_float
-
-
 def write_trace_csv(trace: RunTrace, path, rows=None) -> None:
     """Write logged rows as CSV.
 
@@ -425,7 +420,7 @@ def write_trace_csv(trace: RunTrace, path, rows=None) -> None:
         + ["frame_id"]
         + [f"xbar_frame_{i + 1}" for i in range(I)]
     )
-    fmt = TRACE_FLOAT_FORMAT
+    fmt = format_trace_float
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for k in idx:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -20,6 +20,7 @@ __all__ = [
     "LinearPiece",
     "QuadraticPiece",
     "PiecewiseLinearPiece",
+    "PIECE_KINDS",
     "SeparableConvexObjective",
     "GridProduct",
     "ExplicitPoints",
@@ -56,10 +57,18 @@ def _as_float_vector(values, name: str) -> np.ndarray:
 # Objective pieces
 # ---------------------------------------------------------------------------
 
+# Every piece kind offers the same closed forms: argmin_shifted(c, lo, hi),
+# the minimizer of piece(y) + c*y over [lo, hi], which the engine calls per
+# step; argmin_shifted_batch, the same minimizer for an array of c values,
+# equal element by element; max_abs_value(lo, hi), a bound on |piece| over
+# [lo, hi]; and its JSON form, {"kind": kind, <fields>}.  A new kind is one
+# class here plus its entry in PIECE_KINDS.
+
 @dataclass(frozen=True)
 class LinearPiece:
     """Scalar piece s*y."""
 
+    kind: ClassVar[str] = "linear"
     slope: float
 
     def __post_init__(self):
@@ -79,11 +88,25 @@ class LinearPiece:
         """Minimizer of s*y + c*y over [lo, hi]; ties go to the lower end."""
         return lo if self.slope + c >= 0.0 else hi
 
+    def argmin_shifted_batch(self, c: np.ndarray, lo: float, hi: float) -> np.ndarray:
+        return np.where(self.slope + c >= 0.0, lo, hi)
+
+    def max_abs_value(self, lo: float, hi: float) -> float:
+        return max(abs(self.value(lo)), abs(self.value(hi)))
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind, "slope": self.slope}
+
+    @classmethod
+    def from_json(cls, raw: dict) -> "LinearPiece":
+        return cls(slope=float(raw.get("slope", 0.0)))
+
 
 @dataclass(frozen=True)
 class QuadraticPiece:
     """Scalar piece a*y**2 + s*y with a >= 0."""
 
+    kind: ClassVar[str] = "quadratic"
     curvature: float
     slope: float
 
@@ -114,6 +137,27 @@ class QuadraticPiece:
             return hi
         return vertex
 
+    def argmin_shifted_batch(self, c: np.ndarray, lo: float, hi: float) -> np.ndarray:
+        if self.curvature == 0.0:
+            return np.where(self.slope + c >= 0.0, lo, hi)
+        return np.clip(-(self.slope + c) / (2.0 * self.curvature), lo, hi)
+
+    def max_abs_value(self, lo: float, hi: float) -> float:
+        cands = [self.value(lo), self.value(hi)]
+        if self.curvature > 0.0:
+            vertex = -self.slope / (2.0 * self.curvature)
+            if lo <= vertex <= hi:
+                cands.append(self.value(vertex))
+        return max(abs(v) for v in cands)
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind, "curvature": self.curvature, "slope": self.slope}
+
+    @classmethod
+    def from_json(cls, raw: dict) -> "QuadraticPiece":
+        return cls(curvature=float(raw.get("curvature", 0.0)),
+                   slope=float(raw.get("slope", 0.0)))
+
 
 @dataclass(frozen=True)
 class PiecewiseLinearPiece:
@@ -125,6 +169,7 @@ class PiecewiseLinearPiece:
     piece is anchored at value 0 at y = 0.
     """
 
+    kind: ClassVar[str] = "piecewise_linear"
     breakpoints: tuple
     slopes: tuple
 
@@ -199,6 +244,34 @@ class PiecewiseLinearPiece:
                 return b
         return hi
 
+    def argmin_shifted_batch(self, c: np.ndarray, lo: float, hi: float) -> np.ndarray:
+        bps = np.array(self.breakpoints)
+        ss = np.array(self.slopes)
+        if len(bps) == 0:
+            return np.where(ss[0] + c >= 0.0, lo, hi)
+        # k is the first segment whose shifted slope is nonnegative
+        k = np.searchsorted(ss, -c, side="left")
+        cand = bps[np.clip(k - 1, 0, len(bps) - 1)]
+        cand = np.where(k == 0, lo, cand)
+        cand = np.where(k >= len(ss), hi, cand)
+        return np.clip(cand, lo, hi)
+
+    def max_abs_value(self, lo: float, hi: float) -> float:
+        cands = [self.value(lo), self.value(hi)]
+        cands.extend(self.value(b) for b in self.breakpoints if lo <= b <= hi)
+        return max(abs(v) for v in cands)
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind, "breakpoints": list(self.breakpoints),
+                "slopes": list(self.slopes)}
+
+    @classmethod
+    def from_json(cls, raw: dict) -> "PiecewiseLinearPiece":
+        return cls(breakpoints=tuple(raw.get("breakpoints", ())), slopes=tuple(raw["slopes"]))
+
+
+PIECE_KINDS = {cls.kind: cls for cls in (LinearPiece, QuadraticPiece, PiecewiseLinearPiece)}
+
 
 @dataclass(frozen=True)
 class SeparableConvexObjective:
@@ -211,7 +284,7 @@ class SeparableConvexObjective:
         if not self.pieces:
             raise ValueError("objective needs at least one piece")
         for p in self.pieces:
-            if not isinstance(p, (LinearPiece, QuadraticPiece, PiecewiseLinearPiece)):
+            if not isinstance(p, tuple(PIECE_KINDS.values())):
                 raise ValueError(f"unsupported objective piece {type(p).__name__}")
 
     @property
@@ -233,6 +306,11 @@ class SeparableConvexObjective:
         """Supremum of the gradient norm over the box (coordinates decouple)."""
         return math.sqrt(sum(p.max_abs_derivative(lo, hi) ** 2
                              for p, lo, hi in zip(self.pieces, lower, upper)))
+
+    def max_abs_value(self, lower: np.ndarray, upper: np.ndarray) -> float:
+        """Upper bound on |objective| over the box: the sum of the piece bounds."""
+        return sum(p.max_abs_value(float(lo), float(hi))
+                   for p, lo, hi in zip(self.pieces, lower, upper))
 
 
 # ---------------------------------------------------------------------------
@@ -269,19 +347,16 @@ class GridProduct:
 
     def hull_vertices(self) -> np.ndarray:
         """Vertices of the convex hull (corners of the per-coordinate extremes)."""
-        lo, hi = self.hull_bounds()
-        if self.dimension > 16:
-            raise ValueError("hull vertex enumeration limited to dimension <= 16")
-        corners = itertools.product(*[(l, h) if l != h else (l,)
-                                      for l, h in zip(lo, hi)])
-        return np.array(list(corners), dtype=float)
+        return ExtendedBox(*self.hull_bounds()).vertices()
 
     def linear_argmin(self, weights) -> np.ndarray:
-        """Point of the set minimizing weights . x; ties pick the smallest value."""
-        out = np.empty(self.dimension)
-        for i, vs in enumerate(self.values):
-            out[i] = vs[0] if weights[i] >= 0.0 else vs[-1]
-        return out
+        """Point of the set minimizing weights . x, for one weight vector or
+        for each row of an (n, dimension) batch; ties pick the smallest value."""
+        lo, hi = self.hull_bounds()
+        return np.where(np.asarray(weights, dtype=float) >= 0.0, lo, hi)
+
+    def to_json(self) -> dict:
+        return {"grid": [list(vs) for vs in self.values]}
 
     def iter_points(self):
         for combo in itertools.product(*self.values):
@@ -318,10 +393,15 @@ class ExplicitPoints:
         return self.points
 
     def linear_argmin(self, weights) -> np.ndarray:
-        scores = self.points @ np.asarray(weights, dtype=float)
+        """Point of the set minimizing weights . x, for one weight vector or
+        for each row of an (n, dimension) batch."""
+        scores = np.asarray(weights, dtype=float) @ self.points.T
         # points are stored lexicographically sorted, so the first minimum
         # is the lexicographically smallest tie
-        return self.points[int(np.argmin(scores))].copy()
+        return self.points[np.argmin(scores, axis=-1)].copy()
+
+    def to_json(self) -> dict:
+        return {"points": self.points.tolist()}
 
     def iter_points(self):
         for p in self.points:
@@ -358,7 +438,7 @@ class ExtendedBox:
 
     def vertices(self) -> np.ndarray:
         if self.dimension > 16:
-            raise ValueError("box vertex enumeration limited to dimension <= 16")
+            raise ValueError("vertex enumeration limited to dimension <= 16")
         corners = itertools.product(*[(l, h) if l != h else (l,)
                                       for l, h in zip(self.lower, self.upper)])
         return np.array(list(corners), dtype=float)

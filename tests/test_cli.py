@@ -95,6 +95,12 @@ def test_roundtrip_with_points_box_and_pwl():
         0, {"coeffs": [0, 0], "offset": 0.0, "sense": "<="}), "constraints[0]"),
     (lambda d: d.update(decision_set={"grid": [[0, 1]]}), "decision_set"),
     (lambda d: d.update(decision_set={}), "decision_set"),
+    (lambda d: d.update(constraints=5), "constraints"),
+    (lambda d: d.update(box=5), "box"),
+    (lambda d: d["objective"].__setitem__(1, {"kind": [1]}), "objective[1].kind"),
+    (lambda d: d.update(dimension=True), "dimension"),
+    (lambda d: d["constraints"].__setitem__(
+        1, {"coeffs": [1, 2, 3], "offset": 0.0, "sense": "<="}), "constraints[1]"),
 ])
 def test_parse_errors_name_the_field(mutate, field):
     doc = json.loads(DEMO_CONFIG)
@@ -206,6 +212,27 @@ def test_exit_codes_for_bad_inputs(tmp_path):
     assert run_cli(["--help"]) == 0
     assert run_cli(["sweep", "--problem", str(bad), "--out", str(tmp_path / "o"),
                     "--V", "25"]) == 1  # sweep needs at least two V values
+    doc = json.loads(DEMO_CONFIG)
+    doc["constraints"] = 5
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text(json.dumps(doc))
+    assert run_cli(["solve", "--problem", str(malformed), "--out", str(tmp_path / "o")]) == 1
+    good = tmp_path / "good.json"
+    good.write_text(DEMO_CONFIG)
+    assert run_cli(["sweep", "--problem", str(good), "--out", str(tmp_path / "o"),
+                    "--V", "100,100", "--horizon", "64"]) == 1  # V values must differ
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--seed", "1"],
+    ["sweep", "--V", "25,50", "--seed", "1"],
+    ["reproduce", "--figure", "2", "--restart-base", "3"],
+])
+def test_flags_a_mode_does_not_read_are_rejected(argv, problem_file, tmp_path):
+    if argv[0] != "reproduce":
+        argv = argv + ["--problem", problem_file]
+    assert run_cli(argv + ["--out", str(tmp_path / "o"), "--horizon", "64"]) == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_exit_code_numeric_failure(tmp_path):

@@ -258,6 +258,10 @@ def test_frame_averages_follow_restart_schedule():
     assert trace.frame_id[0] == 0
     assert trace.frame_id[1] == 1
     assert trace.frame_id[299] == 9
+    # a thinned trace derives the same frames at its logged iterations
+    thin = run(spec, SolverConfig(v=25.0, horizon=300, restart_base=2, record_every=7))
+    np.testing.assert_array_equal(thin.frame_id, trace.frame_id[thin.ts])
+    np.testing.assert_array_equal(thin.frame_start, trace.frame_start[thin.ts])
 
 
 def test_no_restarts_when_base_none():
@@ -265,6 +269,8 @@ def test_no_restarts_when_base_none():
     trace = run(spec, SolverConfig(v=25.0, horizon=100, restart_base=None))
     assert len(trace.restart_times) == 0
     np.testing.assert_allclose(trace.xbar_frame, trace.xbar, atol=0)
+    np.testing.assert_array_equal(trace.frame_id, np.zeros(100))
+    np.testing.assert_array_equal(trace.frame_start, np.zeros(100))
 
 
 def test_thinned_trace_matches_full_at_logged_points():

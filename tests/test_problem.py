@@ -38,6 +38,18 @@ def shifted_value(piece, c, y):
     return piece.value(y) + c * y
 
 
+def assert_batch_forms_agree(piece, c, lo, hi, slopes):
+    """The batch minimizer equals the scalar one element by element (on c,
+    on the tie points c = -slope and on a sweep), and max_abs_value bounds
+    the scanned |piece|."""
+    cs = np.concatenate([[c], -np.asarray(slopes, dtype=float),
+                         np.linspace(-12.0, 12.0, 49)])
+    expected = np.array([piece.argmin_shifted(float(u), lo, hi) for u in cs])
+    np.testing.assert_array_equal(piece.argmin_shifted_batch(cs, lo, hi), expected)
+    scanned = float(np.max(np.abs(piece.values(np.linspace(lo, hi, 4001)))))
+    assert piece.max_abs_value(lo, hi) >= scanned - 1e-12 * max(1.0, scanned)
+
+
 # ---------------------------------------------------------------------------
 # Pieces
 # ---------------------------------------------------------------------------
@@ -50,6 +62,7 @@ def test_linear_piece_argmin_matches_scan(slope, c, lo, width):
     y = piece.argmin_shifted(c, lo, hi)
     assert lo <= y <= hi
     assert shifted_value(piece, c, y) <= scan_min(piece, c, lo, hi) + 1e-9
+    assert_batch_forms_agree(piece, c, lo, hi, [slope])
 
 
 @given(curv=st.floats(0.0, 5.0), slope=finite_floats, c=finite_floats,
@@ -60,6 +73,7 @@ def test_quadratic_piece_argmin_matches_scan(curv, slope, c, lo, width):
     y = piece.argmin_shifted(c, lo, hi)
     assert lo <= y <= hi
     assert shifted_value(piece, c, y) <= scan_min(piece, c, lo, hi) + 1e-9
+    assert_batch_forms_agree(piece, c, lo, hi, [slope])
 
 
 @st.composite
@@ -83,6 +97,7 @@ def test_pwl_piece_argmin_matches_scan(piece, c, lo, width):
     y = piece.argmin_shifted(c, lo, hi)
     assert lo <= y <= hi
     assert shifted_value(piece, c, y) <= scan_min(piece, c, lo, hi) + 1e-9
+    assert_batch_forms_agree(piece, c, lo, hi, piece.slopes)
 
 
 @given(piece=pwl_pieces())
