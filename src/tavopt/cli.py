@@ -22,7 +22,7 @@ import numpy as np
 from . import analysis
 from .engine import (NumericError, SolverConfig, format_trace_float, run,
                      staggered_average, write_trace_csv)
-from .oracle import solve_reference, solve_reference_lp
+from .oracle import InfeasibilityError, solve_reference, solve_reference_lp
 from .problem import (
     PIECE_KINDS,
     AffineConstraint,
@@ -588,7 +588,8 @@ def run_cli(argv) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ParseError, ValueError, OSError, analysis.EstimationError) as exc:
+    except (ParseError, ValueError, OSError, analysis.EstimationError,
+            InfeasibilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -10,12 +10,12 @@ frames.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
 import math
+import struct
 
 import numpy as np
 
@@ -97,15 +97,6 @@ class DualState:
         object.__setattr__(self, "z", z)
 
 
-def _y_minimizers(spec: ProblemSpec):
-    """Per-coordinate closed-form minimizers of piece(y) + c*y over the box."""
-    mins = []
-    for piece, lo, hi in zip(spec.objective.pieces, spec.box.lower, spec.box.upper):
-        am = piece.argmin_shifted
-        mins.append(lambda c, am=am, lo=float(lo), hi=float(hi): am(c, lo, hi))
-    return mins
-
-
 def x_update(spec: ProblemSpec, z) -> np.ndarray:
     """Decision-set point minimizing z . x over the hull.
 
@@ -128,14 +119,16 @@ def y_update(spec: ProblemSpec, w, z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if np.any(w < 0.0):
         raise ValueError("w components must be nonnegative")
-    A, _ = spec.constraint_matrix()
-    mins = _y_minimizers(spec)
+    # Python floats, as in run()'s loop: numpy scalars would warn where a
+    # subnormal curvature sends a vertex to +-inf before the clip
+    A = spec.constraint_matrix()[0].tolist()
+    w, z = w.tolist(), z.tolist()
     out = np.empty(spec.dimension)
-    for i in range(spec.dimension):
+    for i, piece in enumerate(spec.objective.pieces):
         c = -z[i]
-        for j in range(A.shape[0]):
-            c += w[j] * A[j, i]
-        out[i] = mins[i](c)
+        for j, Aj in enumerate(A):
+            c += w[j] * Aj[i]
+        out[i] = piece.argmin_shifted(c, float(spec.box.lower[i]), float(spec.box.upper[i]))
     return out
 
 
@@ -205,33 +198,95 @@ class RunTrace:
         return starts[self.frame_id]
 
 
+def _step_loop_source(spec: ProblemSpec, config: SolverConfig) -> str:
+    """Source of run()'s step loop, unrolled for this spec's I and J.
+
+    The text holds only names built from integer indices and the repr of the
+    validated finite constants of spec and config.  Each line does the
+    arithmetic of x_update, y_update and dual_update term by term in the same
+    order, and the pieces' own bound methods do the closed forms.
+    """
+    I, J = spec.dimension, spec.constraint_count
+    A, b = spec.constraint_matrix()
+    T, every, base = int(config.horizon), int(config.record_every), config.restart_base
+
+    def lit(value):
+        return f"({float(value)!r})"
+
+    def each(fmt, count=I):
+        return [fmt.format(k=k) for k in range(count)]
+
+    frame_sums = each("sfx{k}") + each("cfx{k}")
+    lines = ["def step_loop(pieces, pick_x, w, z, restart_times, rows, pack_into):",
+             f"    [{', '.join(each('w{k}', J))}] = w",
+             f"    [{', '.join(each('z{k}'))}] = z",
+             *each("    argmin{k} = pieces[{k}].argmin_shifted; value{k} = pieces[{k}].value"),
+             "    " + " = ".join(each("sx{k}") + each("cx{k}") + each("sy{k}") + each("cy{k}")
+                            + frame_sums + ["0.0"]),
+             "    frame_len = 0",
+             "    offset = 0",
+             "    next_restart = 1",
+             f"    for t in range({T}):"]
+    if base is not None:
+        lines += ["        if t == next_restart:",
+                  "            restart_times.append(t)",
+                  "            frame_len = 0",
+                  "            " + " = ".join(frame_sums + ["0.0"]),
+                  f"            next_restart *= {int(base)}"]
+    if isinstance(spec.decision_set, GridProduct):
+        lines += [f"        x{i} = {lit(vs[0])} if z{i} >= 0.0 else {lit(vs[-1])}"
+                  for i, vs in enumerate(spec.decision_set.values)]
+    else:
+        lines.append(f"        [{', '.join(each('x{k}'))}] = "
+                     f"pick_x([{', '.join(each('z{k}'))}]).tolist()")
+    for i in range(I):
+        c = " + ".join([f"-z{i}"] + [f"w{j} * {lit(A[j, i])}" for j in range(J)])
+        lines.append(f"        y{i} = argmin{i}({c}, "
+                     f"{lit(spec.box.lower[i])}, {lit(spec.box.upper[i])})")
+    for j in range(J):
+        g = " + ".join([lit(b[j])] + [f"{lit(A[j, i])} * y{i}" for i in range(I)])
+        lines.append(f"        g{j} = {g}")
+    lines.append("        frame_len += 1")
+    # Kahan-compensated sums keep averages exact at every horizon
+    for total, comp, term in zip(each("sx{k}") + each("sfx{k}") + each("sy{k}"),
+                                 each("cx{k}") + each("cfx{k}") + each("cy{k}"),
+                                 each("x{k}") * 2 + each("y{k}")):
+        lines += [f"        u = {term} - {comp}", f"        s = {total} + u",
+                  f"        {comp} = s - {total} - u", f"        {total} = s"]
+    d = " + ".join(["0.0"] + each("value{k}(y{k})") + each("w{k} * g{k}", J)
+                   + each("z{k} * (x{k} - y{k})"))
+    row = ", ".join(each("x{k}") + each("y{k}") + each("w{k}", J) + each("z{k}") + ["d"]
+                    + each("sx{k} / n") + each("sy{k} / n") + each("sfx{k} / frame_len"))
+    # every w_j, z_i and y_i enters d times a finite factor, so a non-finite
+    # value anywhere in the row makes d non-finite
+    lines += [f"        if t % {every} == 0 or t == {T - 1}:",
+              f"            d = {d}",
+              "            if d - d != 0.0:",
+              "                raise NumericError('non-finite value', t)",
+              "            n = t + 1",
+              f"            pack_into(rows, offset, {row})",
+              f"            offset += {8 * (6 * I + J + 1)}"]
+    V = lit(config.v)
+    for j in range(J):
+        lines += [f"        w{j} = w{j} + g{j} / {V}", f"        w{j} = w{j} if w{j} > 0.0 else 0.0"]
+    lines += [f"        z{i} = z{i} + (x{i} - y{i}) / {V}" for i in range(I)]
+    lines.append(f"    return [{', '.join(each('w{k}', J))}], [{', '.join(each('z{k}'))}]")
+    return "\n".join(lines) + "\n"
+
+
 def run(spec: ProblemSpec, config: SolverConfig) -> RunTrace:
     """Execute the iteration for config.horizon steps and record the trace.
 
-    The loop inlines the x/y/dual updates with plain scalar arithmetic (the
-    vectors involved are tiny, so this is much faster than ndarray ops) but
-    uses exactly the same per-coordinate closed forms as the public update
-    operations, so composing those reproduces the trace bit for bit.
+    The step loop is generated and compiled once per call, unrolled into
+    scalar locals for the spec's coordinates and constraints (the vectors are
+    tiny, so this is much faster than generic loops or ndarray ops).  It uses
+    exactly the same per-coordinate closed forms and summation order as the
+    public update operations, so composing those reproduces the trace bit for
+    bit.  A non-finite value raises NumericError at the first recorded row
+    that shows it, before the rest of the horizon runs.
     """
-    I = spec.dimension
-    J = spec.constraint_count
-    V = float(config.v)
+    I, J = spec.dimension, spec.constraint_count
     T = int(config.horizon)
-
-    A_np, b_np = spec.constraint_matrix()
-    A = [[float(A_np[j, i]) for i in range(I)] for j in range(J)]
-    b = [float(b_np[j]) for j in range(J)]
-    y_min = _y_minimizers(spec)
-    piece_vals = [p.value for p in spec.objective.pieces]
-
-    ds = spec.decision_set
-    grid_mode = isinstance(ds, GridProduct)
-    if grid_mode:
-        vlo = [vs[0] for vs in ds.values]
-        vhi = [vs[-1] for vs in ds.values]
-    else:
-        pick_x = ds.linear_argmin
-
     w = list(config.initial_w) if config.initial_w is not None else [0.0] * J
     z = list(config.initial_z) if config.initial_z is not None else [0.0] * I
     if len(w) != J:
@@ -239,137 +294,40 @@ def run(spec: ProblemSpec, config: SolverConfig) -> RunTrace:
     if len(z) != I:
         raise ValueError(f"initial_z has length {len(z)}, expected {I}")
 
-    # Kahan-compensated running sums keep averages exact at every horizon.
-    sx = [0.0] * I
-    cx = [0.0] * I
-    sy = [0.0] * I
-    cy = [0.0] * I
-    sfx = [0.0] * I
-    cfx = [0.0] * I
-    frame_len = 0
-    base = config.restart_base
-    next_restart = 1 if base is not None else -1
-    restart_times = []
-
-    cols_x = [array("d") for _ in range(I)]
-    cols_y = [array("d") for _ in range(I)]
-    cols_w = [array("d") for _ in range(J)]
-    cols_z = [array("d") for _ in range(I)]
-    col_d = array("d")
-    cols_xbar = [array("d") for _ in range(I)]
-    cols_ybar = [array("d") for _ in range(I)]
-    cols_fx = [array("d") for _ in range(I)]
-    col_ts = array("q")
-
-    record_every = config.record_every
-    x = [0.0] * I
-    y = [0.0] * I
-    g = [0.0] * J
-
-    for t in range(T):
-        if t == next_restart:
-            restart_times.append(t)
-            frame_len = 0
-            for i in range(I):
-                sfx[i] = 0.0
-                cfx[i] = 0.0
-            next_restart *= base
-
-        if grid_mode:
-            for i in range(I):
-                x[i] = vlo[i] if z[i] >= 0.0 else vhi[i]
-        else:
-            xv = pick_x(z)
-            for i in range(I):
-                x[i] = xv[i]
-
-        fy = 0.0
-        for i in range(I):
-            c = -z[i]
-            for j in range(J):
-                c += w[j] * A[j][i]
-            yi = y_min[i](c)
-            y[i] = yi
-            fy += piece_vals[i](yi)
-
-        dval = fy
-        for j in range(J):
-            gj = b[j]
-            Aj = A[j]
-            for i in range(I):
-                gj += Aj[i] * y[i]
-            g[j] = gj
-            dval += w[j] * gj
-        for i in range(I):
-            dval += z[i] * (x[i] - y[i])
-
-        frame_len += 1
-        for i in range(I):
-            xi = x[i]
-            u = xi - cx[i]
-            s = sx[i] + u
-            cx[i] = (s - sx[i]) - u
-            sx[i] = s
-            u = xi - cfx[i]
-            s = sfx[i] + u
-            cfx[i] = (s - sfx[i]) - u
-            sfx[i] = s
-            yi = y[i]
-            u = yi - cy[i]
-            s = sy[i] + u
-            cy[i] = (s - sy[i]) - u
-            sy[i] = s
-
-        if t % record_every == 0 or t == T - 1:
-            col_ts.append(t)
-            n = t + 1
-            for i in range(I):
-                cols_x[i].append(x[i])
-                cols_y[i].append(y[i])
-                cols_z[i].append(z[i])
-                cols_xbar[i].append(sx[i] / n)
-                cols_ybar[i].append(sy[i] / n)
-                cols_fx[i].append(sfx[i] / frame_len)
-            for j in range(J):
-                cols_w[j].append(w[j])
-            col_d.append(dval)
-
-        for j in range(J):
-            wj = w[j] + g[j] / V
-            w[j] = wj if wj > 0.0 else 0.0
-        for i in range(I):
-            z[i] = z[i] + (x[i] - y[i]) / V
-
-    def to_matrix(cols, width):
-        if width == 0:
-            return np.empty((len(col_ts), 0))
-        return np.column_stack([np.frombuffer(c, dtype=float) for c in cols])
+    namespace = {"NumericError": NumericError}
+    exec(compile(_step_loop_source(spec, config), "<tavopt step loop>", "exec"), namespace)
+    # each logged iteration packs one row of doubles into the preallocated
+    # rows: x, y, w, z, d, xbar, ybar, xbar_frame
+    width = 6 * I + J + 1
+    ts = np.arange(0, T, config.record_every, dtype=np.int64)
+    if ts[-1] != T - 1:
+        ts = np.append(ts, T - 1)
+    restart_times, rows = [], np.empty((len(ts), width))
+    w_final, z_final = namespace["step_loop"](
+        spec.objective.pieces, spec.decision_set.linear_argmin, w, z, restart_times, rows,
+        struct.Struct(f"{width}d").pack_into)
+    x, y, w_rows, z_rows, d, xbar, ybar, xbar_frame = (
+        block.copy() for block in np.split(rows, np.cumsum([I, I, J, I, 1, I, I]), axis=1))
 
     trace = RunTrace(
-        ts=np.frombuffer(col_ts, dtype=np.int64),
-        x=to_matrix(cols_x, I),
-        y=to_matrix(cols_y, I),
-        w=to_matrix(cols_w, J),
-        z=to_matrix(cols_z, I),
-        d=np.frombuffer(col_d, dtype=float),
-        xbar=to_matrix(cols_xbar, I),
-        ybar=to_matrix(cols_ybar, I),
-        xbar_frame=to_matrix(cols_fx, I),
-        w_final=np.array(w, dtype=float),
-        z_final=np.array(z, dtype=float),
+        ts=ts,
+        x=x,
+        y=y,
+        w=w_rows,
+        z=z_rows,
+        d=d[:, 0],
+        xbar=xbar,
+        ybar=ybar,
+        xbar_frame=xbar_frame,
+        w_final=np.array(w_final, dtype=float),
+        z_final=np.array(z_final, dtype=float),
         restart_times=np.array(restart_times, dtype=np.int64),
-        v=V,
+        v=float(config.v),
         horizon=T,
-        record_every=record_every,
+        record_every=config.record_every,
         spec=spec,
         config=config,
     )
-
-    for name in ("x", "y", "w", "z", "d"):
-        block = getattr(trace, name)
-        if not np.all(np.isfinite(block)):
-            bad = np.where(~np.isfinite(block).reshape(len(trace.ts), -1).all(axis=1))[0]
-            raise NumericError("non-finite value", int(trace.ts[bad[0]]))
     if not (np.all(np.isfinite(trace.w_final)) and np.all(np.isfinite(trace.z_final))):
         raise NumericError("non-finite dual state", T)
     return trace

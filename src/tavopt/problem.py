@@ -140,7 +140,11 @@ class QuadraticPiece:
     def argmin_shifted_batch(self, c: np.ndarray, lo: float, hi: float) -> np.ndarray:
         if self.curvature == 0.0:
             return np.where(self.slope + c >= 0.0, lo, hi)
-        return np.clip(-(self.slope + c) / (2.0 * self.curvature), lo, hi)
+        # a subnormal curvature sends the vertex to +-inf, which the clip
+        # maps to the box end just as the scalar form does
+        with np.errstate(over="ignore"):
+            vertex = -(self.slope + c) / (2.0 * self.curvature)
+        return np.clip(vertex, lo, hi)
 
     def max_abs_value(self, lo: float, hi: float) -> float:
         cands = [self.value(lo), self.value(hi)]

@@ -221,6 +221,13 @@ def test_exit_codes_for_bad_inputs(tmp_path):
     good.write_text(DEMO_CONFIG)
     assert run_cli(["sweep", "--problem", str(good), "--out", str(tmp_path / "o"),
                     "--V", "100,100", "--horizon", "64"]) == 1  # V values must differ
+    infeasible = tmp_path / "infeasible.json"
+    infeasible.write_text(json.dumps({
+        "dimension": 1, "decision_set": {"grid": [[0, 1, 2, 3]]},
+        "objective": [{"kind": "linear", "slope": 1.0}],
+        "constraints": [{"coeffs": [1.0], "offset": 5.0, "sense": ">="}]}))
+    assert run_cli(["sweep", "--problem", str(infeasible), "--out", str(tmp_path / "o"),
+                    "--V", "10,20"]) == 1  # the oracle finds no feasible point
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,15 +1,20 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tavopt import (
     AffineConstraint,
     DualState,
     ExplicitPoints,
+    ExtendedBox,
     GridProduct,
     LinearPiece,
     NumericError,
+    PiecewiseLinearPiece,
     ProblemSpec,
     QuadraticPiece,
     SeparableConvexObjective,
@@ -92,6 +97,12 @@ def test_y_update_examples():
             pieces=(QuadraticPiece(1.0, 0.0), LinearPiece(0.0))),
         constraints=(AffineConstraint(coeffs=(1.0, 0.0), offset=-1.0),))
     np.testing.assert_array_equal(y_update(spec, (2.0,), (0.0, 0.0)), [0.0, 0.0])
+
+    # a subnormal curvature sends the vertex to +-inf before the clip
+    tiny = ProblemSpec(
+        decision_set=grid, box=tight_box(grid),
+        objective=SeparableConvexObjective(pieces=(QuadraticPiece(5e-324, 0.0), LinearPiece(0.0))))
+    np.testing.assert_array_equal(y_update(tiny, (), (1.0, -1.0)), [3.0, 0.0])
 
 
 def test_y_update_rejects_negative_w():
@@ -291,6 +302,97 @@ def test_numeric_failure_reports_iteration():
     with pytest.raises(NumericError) as err:
         run(spec, cfg)
     assert err.value.iteration == 0
+
+
+def test_numeric_failure_stops_at_first_recorded_row():
+    # the blow-up at t = 0 is reported without running the rest of the horizon
+    spec = build_instance("polyhedral")
+    cfg = SolverConfig(v=1.0, horizon=10**6, initial_w=(1e308, 1e308), record_every=1000)
+    with pytest.raises(NumericError) as err:
+        run(spec, cfg)
+    assert err.value.iteration == 0
+
+
+@st.composite
+def generated_runs(draw):
+    """A small spec and run config: I in 1-3, J in 0-3, a grid or explicit
+    points, every piece kind, full or thinned rows, with or without restarts."""
+    I = draw(st.integers(1, 3))
+    J = draw(st.integers(0, 3))
+    coord = st.floats(-2.0, 3.0)
+    small = st.floats(-3.0, 3.0)
+    if draw(st.booleans()):
+        ds = GridProduct(values=tuple(sorted(draw(st.lists(coord, min_size=1, max_size=4,
+                                                            unique=True)))
+                                      for _ in range(I)))
+    else:
+        ds = ExplicitPoints(points=draw(st.lists(st.lists(coord, min_size=I, max_size=I),
+                                                 min_size=1, max_size=5)))
+    lo, hi = ds.hull_bounds()
+    pad = st.lists(st.floats(0.0, 1.0), min_size=I, max_size=I).map(np.array)
+    pwl = st.integers(0, 2).flatmap(lambda n: st.builds(
+        lambda bps, s0, steps: PiecewiseLinearPiece(
+            breakpoints=tuple(sorted(bps)), slopes=tuple(itertools.accumulate([s0] + steps))),
+        st.lists(coord, min_size=n, max_size=n, unique=True), small,
+        st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n)))
+    piece = st.one_of(st.builds(LinearPiece, small),
+                      st.builds(QuadraticPiece, st.just(0.0) | st.floats(0.0, 3.0), small),
+                      pwl)
+    coeffs = st.lists(small, min_size=I, max_size=I).filter(any)
+    spec = ProblemSpec(
+        decision_set=ds, box=ExtendedBox(lo - draw(pad), hi + draw(pad)),
+        objective=SeparableConvexObjective(pieces=[draw(piece) for _ in range(I)]),
+        constraints=[AffineConstraint(coeffs=draw(coeffs), offset=draw(small))
+                     for _ in range(J)])
+    cfg = SolverConfig(v=draw(st.floats(1.0, 20.0)), horizon=draw(st.integers(1, 40)),
+                       record_every=draw(st.sampled_from([1, 3])),
+                       restart_base=draw(st.sampled_from([None, 2, 3])))
+    return spec, cfg
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=generated_runs())
+def test_run_matches_public_updates_on_generated_specs(case):
+    spec, cfg = case
+    trace = run(spec, cfg)
+    A, b = spec.constraint_matrix()
+    T, V = cfg.horizon, cfg.v
+    for k, t in enumerate(trace.ts):
+        x, y, w, z = (getattr(trace, name)[k].tolist() for name in ("x", "y", "w", "z"))
+        assert bits(trace.x[k]) == bits(x_update(spec, trace.z[k]))
+        assert bits(trace.y[k]) == bits(y_update(spec, trace.w[k], trace.z[k]))
+        if t == T - 1:
+            w_next, z_next = trace.w_final, trace.z_final
+        elif k + 1 < len(trace.ts) and trace.ts[k + 1] == t + 1:
+            w_next, z_next = trace.w[k + 1], trace.z[k + 1]
+        else:
+            continue
+        g = []
+        for j in range(spec.constraint_count):
+            gj = float(b[j])  # summed in the loop's order
+            for i in range(spec.dimension):
+                gj += float(A[j, i]) * y[i]
+            g.append(gj)
+        assert bits(w_next) == bits([max(0.0, wj + gj / V) for wj, gj in zip(w, g)])
+        assert bits(z_next) == bits([zi + (xi - yi) / V for xi, yi, zi in zip(x, y, z)])
+    if not trace.full:
+        return
+    # averages against exact means; Kahan's error is relative to the mean |x|
+    for t in range(T):
+        start, p = 0, 1
+        while cfg.restart_base is not None and p <= t:
+            start, p = p, p * cfg.restart_base
+        for avg, col, first in ((trace.xbar, trace.x, 0), (trace.ybar, trace.y, 0),
+                                (trace.xbar_frame, trace.x, start)):
+            window = col[first:t + 1]
+            for i in range(spec.dimension):
+                mean = math.fsum(window[:, i]) / len(window)
+                scale = math.fsum(np.abs(window[:, i])) / len(window)
+                assert abs(avg[t, i] - mean) <= 1e-12 * scale
 
 
 def test_solver_config_validation():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -74,6 +75,18 @@ def test_quadratic_piece_argmin_matches_scan(curv, slope, c, lo, width):
     assert lo <= y <= hi
     assert shifted_value(piece, c, y) <= scan_min(piece, c, lo, hi) + 1e-9
     assert_batch_forms_agree(piece, c, lo, hi, [slope])
+
+
+def test_quadratic_batch_with_subnormal_curvature_matches_scalar():
+    # the vertex overflows to +-inf before the clip; the batch form must not
+    # warn, and must return what the scalar form returns
+    piece = QuadraticPiece(curvature=5e-324, slope=1.0)
+    cs = np.array([1.0, -2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = piece.argmin_shifted_batch(cs, 0.0, 3.0)
+    np.testing.assert_array_equal(got, [piece.argmin_shifted(float(c), 0.0, 3.0) for c in cs])
+    np.testing.assert_array_equal(got, [0.0, 3.0])
 
 
 @st.composite
