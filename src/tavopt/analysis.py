@@ -124,7 +124,8 @@ class BoundSet:
     """Structural constants plus the convergence-region geometry they imply.
 
     b_poly/radius_poly need the polyhedral decay rate l_poly; b_smooth and
-    radius_smooth need the quadratic decay rate l_smooth.
+    radius_smooth need the quadratic decay rate l_smooth.  Each is None
+    without its rate.
     """
 
     m: float
@@ -132,29 +133,44 @@ class BoundSet:
     v: float
     l_poly: Optional[float] = None
     l_smooth: Optional[float] = None
-    b_poly: Optional[float] = None
-    b_smooth: Optional[float] = None
-    radius_poly: Optional[float] = None
-    radius_smooth: Optional[float] = None
 
     def __post_init__(self):
         if self.c <= 0.0 or self.v < 1.0 or self.m < 0.0:
             raise ValueError("need c > 0, v >= 1, m >= 0")
-        step = self.step_bound
-        if self.l_poly is not None:
-            if self.l_poly <= 0.0:
-                raise ValueError("l_poly must be positive")
-            bp = max(self.l_poly / (2.0 * self.v), 2.0 * self.c / (self.v * self.l_poly))
-            object.__setattr__(self, "b_poly", bp)
-            object.__setattr__(self, "radius_poly", bp + step)
-        if self.l_smooth is not None:
-            if self.l_smooth <= 0.0:
-                raise ValueError("l_smooth must be positive")
-            v, ls, c = self.v, self.l_smooth, self.c
-            bs = max(v ** -1.5,
-                     (math.sqrt(v) + math.sqrt(v + 4.0 * ls * c * v)) / (2.0 * ls * v))
-            object.__setattr__(self, "b_smooth", bs)
-            object.__setattr__(self, "radius_smooth", bs + step)
+        if self.l_poly is not None and self.l_poly <= 0.0:
+            raise ValueError("l_poly must be positive")
+        if self.l_smooth is not None and self.l_smooth <= 0.0:
+            raise ValueError("l_smooth must be positive")
+
+    @property
+    def b_poly(self) -> Optional[float]:
+        if self.l_poly is None:
+            return None
+        return max(self.l_poly / (2.0 * self.v), 2.0 * self.c / (self.v * self.l_poly))
+
+    @property
+    def b_smooth(self) -> Optional[float]:
+        if self.l_smooth is None:
+            return None
+        v, ls, c = self.v, self.l_smooth, self.c
+        return max(v ** -1.5, (math.sqrt(v) + math.sqrt(v + 4.0 * ls * c * v)) / (2.0 * ls * v))
+
+    @property
+    def radius_poly(self) -> Optional[float]:
+        return None if self.l_poly is None else self.b_poly + self.step_bound
+
+    @property
+    def radius_smooth(self) -> Optional[float]:
+        return None if self.l_smooth is None else self.b_smooth + self.step_bound
+
+    def radius(self, geometry: str) -> float:
+        """Region radius for "polyhedral" or "smooth" geometry."""
+        radii = {"polyhedral": self.radius_poly, "smooth": self.radius_smooth}
+        if geometry not in radii:
+            raise ValueError(f"unknown geometry {geometry!r}")
+        if radii[geometry] is None:
+            raise ValueError(f"bounds carry no radius for {geometry} geometry")
+        return radii[geometry]
 
     @property
     def step_bound(self) -> float:
@@ -394,7 +410,7 @@ def estimate_multiplier(spec: ProblemSpec, method: str = "grid-dual-max", *,
     elif method == "tail-average":
         cfg = SolverConfig(v=10.0 * v, horizon=tail_horizon, restart_base=None)
         trace = run(spec, cfg)
-        rows = trace.lambda_rows()
+        rows = trace.lambda_path[:-1]
         start = int((1.0 - _TAIL_FRACTION) * len(rows))
         lam_hat = _project_dual(rows[start:].mean(axis=0), J)
         stride = max(1, (len(rows) - start) // 512)
@@ -461,18 +477,15 @@ def drift_certificate(trace: RunTrace, lambda_star, v: float, c: float) -> Drift
     be any fixed multiplier, not necessarily optimal.  Violations are
     reported, not raised.
     """
-    if not trace.full:
-        raise ValueError("drift certificate needs a complete trace (record_every == 1)")
     lam_star = np.asarray(lambda_star, dtype=float)
     J = trace.spec.constraint_count
     d_star, _, _ = dual_function(trace.spec, lam_star[:J], lam_star[J:])
-    lam_all = np.vstack([trace.lambda_rows(), trace.lambda_final])
-    diff = lam_all - lam_star
+    diff = trace.lambda_path - lam_star
     dist2 = np.sum(diff * diff, axis=1)
     rhs = dist2[:-1] + (2.0 / v) * (trace.d - d_star) + 2.0 * c / v ** 2
     slack = dist2[1:] - rhs
     tol = 1e-9 * max(1.0, float(np.max(dist2)))
-    violations = trace.ts[slack > tol]
+    violations = np.flatnonzero(slack > tol)
     return DriftReport(slack=slack, violations=violations,
                        max_slack=float(np.max(slack)), tolerance=tol,
                        d_reference=d_star)
@@ -493,22 +506,13 @@ class PhaseReport:
 
 def phase_detect(trace: RunTrace, estimate: MultiplierEstimate,
                  bounds: BoundSet, geometry: str) -> PhaseReport:
-    """Find the first logged iteration whose dual variables are within the
-    region radius (plus twice the estimation residual) of the estimated
+    """Find the first iteration t = 0..horizon whose dual variables are within
+    the region radius (plus twice the estimation residual) of the estimated
     maximizer, and check that membership persists afterwards.
     """
-    if geometry == "polyhedral":
-        radius = bounds.radius_poly
-    elif geometry == "smooth":
-        radius = bounds.radius_smooth
-    else:
-        raise ValueError(f"unknown geometry {geometry!r}")
-    if radius is None:
-        raise ValueError(f"bounds carry no radius for {geometry} geometry")
+    radius = bounds.radius(geometry)
     slack = 2.0 * estimate.residual
-    lam_all = np.vstack([trace.lambda_rows(), trace.lambda_final])
-    ts_all = np.append(trace.ts, trace.horizon)
-    dists = np.linalg.norm(lam_all - estimate.lam, axis=1)
+    dists = np.linalg.norm(trace.lambda_path - estimate.lam, axis=1)
     inside = dists <= radius + slack
     max_dist = float(np.max(dists))
     if not np.any(inside):
@@ -518,17 +522,8 @@ def phase_detect(trace: RunTrace, estimate: MultiplierEstimate,
     k0 = int(np.argmax(inside))
     outside_after = int(np.sum(~inside[k0:]))
     return PhaseReport(geometry=geometry, radius=radius, slack=slack,
-                       t_hit=int(ts_all[k0]), absorbed=outside_after == 0,
+                       t_hit=k0, absorbed=outside_after == 0,
                        max_distance=max_dist, violation_count=outside_after)
-
-
-def _dual_at(trace: RunTrace, t: int):
-    if t == trace.horizon:
-        return trace.w_final, trace.z_final
-    k = int(np.searchsorted(trace.ts, t))
-    if k >= len(trace.ts) or trace.ts[k] != t:
-        raise ValueError(f"iteration {t} is not logged in the trace")
-    return trace.w[k], trace.z[k]
 
 
 def convergence_bounds(trace: RunTrace, bounds: BoundSet, start: int, length: int,
@@ -547,22 +542,16 @@ def convergence_bounds(trace: RunTrace, bounds: BoundSet, start: int, length: in
     J = trace.spec.constraint_count
     v, m, c = bounds.v, bounds.m, bounds.c
     if regime == "general":
-        w0, z0 = _dual_at(trace, start)
-        w1, z1 = _dual_at(trace, start + length)
+        lam = trace.lambda_path
+        w0, z0 = lam[start, :J], lam[start, J:]
+        w1, z1 = lam[start + length, :J], lam[start + length, J:]
         lam0 = float(np.sum(w0 ** 2) + np.sum(z0 ** 2))
         lam1 = float(np.sum(w1 ** 2) + np.sum(z1 ** 2))
         dz = float(np.linalg.norm(z1 - z0))
         obj = v / (2.0 * length) * (lam0 - lam1) + c / v + v * m / length * dz
         vio = v / length * np.abs(w1 - w0) + v * m / length * dz
         return obj, vio
-    if regime == "polyhedral":
-        radius = bounds.radius_poly
-    elif regime == "smooth":
-        radius = bounds.radius_smooth
-    else:
-        raise ValueError(f"unknown regime {regime!r}")
-    if radius is None:
-        raise ValueError(f"bounds carry no radius for the {regime} regime")
+    radius = bounds.radius(regime)
     if lambda_star is None:
         raise ValueError(f"the {regime} regime needs a multiplier estimate")
     lam_norm = lambda_star.norm
@@ -587,7 +576,7 @@ def optimality_error(spec: ProblemSpec, point, f_opt: float) -> float:
 
 
 def error_series(trace: RunTrace, f_opt: float):
-    """Optimality error of the plain and staggered averages at each logged row."""
+    """Optimality error of the plain and staggered averages at each iteration."""
     A, b = trace.spec.constraint_matrix()
 
     def errs(avg):
@@ -606,7 +595,7 @@ def iterations_to_accuracy(trace: RunTrace, f_opt: float, eps: float):
 
     def first_hit(errors):
         hit = np.nonzero(errors <= eps)[0]
-        return int(trace.ts[hit[0]]) + 1 if len(hit) else None
+        return int(hit[0]) + 1 if len(hit) else None
 
     return first_hit(plain), first_hit(stag)
 

@@ -299,9 +299,9 @@ def _do_solve(cfg: ExperimentConfig) -> int:
     trace = run(spec, solver)
     os.makedirs(cfg.out_dir, exist_ok=True)
     trace_path = os.path.join(cfg.out_dir, "trace.csv")
-    rows = np.arange(0, len(trace.ts), cfg.log_every)
-    if rows[-1] != len(trace.ts) - 1:
-        rows = np.append(rows, len(trace.ts) - 1)
+    rows = np.arange(0, trace.horizon, cfg.log_every)
+    if rows[-1] != trace.horizon - 1:
+        rows = np.append(rows, trace.horizon - 1)
     write_trace_csv(trace, trace_path, rows=rows)
     xbar = trace.xbar[-1]
     A, b = spec.constraint_matrix()
@@ -392,7 +392,7 @@ def _do_diagnose(cfg: ExperimentConfig) -> int:
         l_hat = analysis.estimate_sharpness(spec, estimate, geometry, seed=cfg.seed)
         bounds = _bounds_for(geometry, m, c, v, l_hat)
         report = analysis.phase_detect(trace, estimate, bounds, geometry)
-        radius = bounds.radius_poly if geometry == "polyhedral" else bounds.radius_smooth
+        radius = bounds.radius(geometry)
         lines += [
             f"{geometry}_decay_rate: {_fmt(l_hat)}",
             f"{geometry}_region_radius: {_fmt(radius)}",
@@ -416,13 +416,12 @@ def _do_diagnose(cfg: ExperimentConfig) -> int:
     _write_lines(os.path.join(cfg.out_dir, "summary.txt"), lines)
 
     cert_path = os.path.join(cfg.out_dir, "certificates.csv")
-    lam_all = np.vstack([trace.lambda_rows(), trace.lambda_final])
-    dists = np.linalg.norm(lam_all - estimate.lam, axis=1)
-    steps = np.linalg.norm(np.diff(lam_all, axis=0), axis=1)
+    dists = np.linalg.norm(trace.lambda_path - estimate.lam, axis=1)
+    steps = np.linalg.norm(np.diff(trace.lambda_path, axis=0), axis=1)
     with open(cert_path, "w", newline="") as fh:
         fh.write("t,dist_to_estimate,step_norm,drift_slack\n")
-        for k in range(len(trace.ts)):
-            fh.write(f"{int(trace.ts[k])},{format_trace_float(dists[k])},"
+        for k in range(trace.horizon):
+            fh.write(f"{k},{format_trace_float(dists[k])},"
                      f"{format_trace_float(steps[k])},{format_trace_float(drift.slack[k])}\n")
     return EXIT_OK
 

@@ -49,8 +49,7 @@ class SolverConfig:
 
     v is the inverse stepsize (v >= 1 keeps the dual trajectory bounded when
     started from zero).  restart_base, when set, restarts the staggered
-    average at iterations base**k.  record_every > 1 thins the stored rows
-    while running averages stay exact at the logged points.
+    average at iterations base**k.  Every iteration is recorded.
     """
 
     v: float
@@ -58,7 +57,6 @@ class SolverConfig:
     initial_w: Optional[tuple] = None
     initial_z: Optional[tuple] = None
     restart_base: Optional[int] = 2
-    record_every: int = 1
 
     def __post_init__(self):
         if not (math.isfinite(self.v) and self.v >= 1.0):
@@ -67,8 +65,6 @@ class SolverConfig:
             raise ValueError("horizon must be >= 1")
         if self.restart_base is not None and self.restart_base < 2:
             raise ValueError("restart_base must be >= 2 when set")
-        if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
         for name in ("initial_w", "initial_z"):
             val = getattr(self, name)
             if val is not None:
@@ -144,58 +140,106 @@ def dual_update(state: DualState, x, y, g_of_y, v: float) -> DualState:
     return DualState(w=w_next, z=z_next, t=state.t + 1)
 
 
+def prefix_sums(a: np.ndarray):
+    """Compensated prefix sums of the rows of a, with a zero row in front.
+
+    Returns (hi, lo): hi[k] is the plain running sum of a[:k] and lo[k] the
+    running sum of the exact rounding errors of hi, each one found by TwoSum
+    from hi[k-1], a[k-1] and hi[k].  Together they carry sum(a[:k]) to about
+    twice the working precision.
+    """
+    zero = np.zeros((1,) + a.shape[1:])
+    hi = np.cumsum(np.concatenate([zero, a]), axis=0)
+    prev, total = hi[:-1], hi[1:]
+    a_part = total - prev
+    err = (prev - (total - a_part)) + (a - a_part)
+    return hi, np.concatenate([zero, np.cumsum(err, axis=0)])
+
+
+def window_mean(sums, start, stop) -> np.ndarray:
+    """Mean of the rows in [start, stop) from prefix_sums' (hi, lo) in O(1)
+    per window; start and stop are ints or index arrays of equal length."""
+    hi, lo = sums
+    count = np.asarray(stop - start)[..., None]
+    return ((hi[stop] - hi[start]) + (lo[stop] - lo[start])) / count
+
+
 @dataclass(frozen=True)
 class RunTrace:
-    """Recorded history of one run.
+    """Recorded history of one run, one row per iteration t = 0..horizon-1.
 
-    Row k corresponds to iteration ts[k]: the primal pair (x, y), the dual
-    variables before the step, the dual function value, the running averages
-    over iterations 0..ts[k] inclusive, and the staggered-frame average.
-    w_final/z_final hold the dual variables after the last step, which close
-    the telescoping identities at T = horizon.  The frame of each row
-    (frame_id, frame_start) follows from ts and restart_times.
+    Row t holds the primal pair (x, y), the dual variables before the step
+    and the dual function value.  w_final/z_final hold the dual variables
+    after the last step, which close the telescoping identities at
+    T = horizon.  Everything else is derived after the run, on first use: the
+    restart schedule and the frame of each row, the dual path, and the time
+    averages.  xbar and ybar average iterations 0..t inclusive and xbar_frame
+    the current staggered frame; all three, like staggered_average, are
+    windows of compensated prefix sums of x and y (for xbar_frame, sums
+    restarted at each frame).
     """
 
-    ts: np.ndarray
     x: np.ndarray
     y: np.ndarray
     w: np.ndarray
     z: np.ndarray
     d: np.ndarray
-    xbar: np.ndarray
-    ybar: np.ndarray
-    xbar_frame: np.ndarray
     w_final: np.ndarray
     z_final: np.ndarray
-    restart_times: np.ndarray
     v: float
     horizon: int
-    record_every: int
     spec: ProblemSpec
     config: SolverConfig
 
-    @property
-    def full(self) -> bool:
-        return self.record_every == 1 and len(self.ts) == self.horizon
+    @cached_property
+    def ts(self) -> np.ndarray:
+        return np.arange(self.horizon, dtype=np.int64)
 
-    def lambda_rows(self) -> np.ndarray:
-        """Dual vectors (w, z) at the logged iterations, one per row."""
-        return np.hstack([self.w, self.z])
+    @cached_property
+    def restart_times(self) -> np.ndarray:
+        """Iterations 1, base, base**2, ... below the horizon (none without a base)."""
+        base, times, t = self.config.restart_base, [], 1
+        while base is not None and t < self.horizon:
+            times.append(t)
+            t *= base
+        return np.array(times, dtype=np.int64)
 
-    @property
-    def lambda_final(self) -> np.ndarray:
-        return np.concatenate([self.w_final, self.z_final])
+    @cached_property
+    def lambda_path(self) -> np.ndarray:
+        """Dual vectors (w, z) at t = 0..horizon, one per row."""
+        return np.vstack([np.hstack([self.w, self.z]),
+                          np.concatenate([self.w_final, self.z_final])])
 
     @cached_property
     def frame_id(self) -> np.ndarray:
-        """Restarts up to and including each logged iteration."""
+        """Restarts up to and including each iteration."""
         return np.searchsorted(self.restart_times, self.ts, side="right")
 
     @cached_property
     def frame_start(self) -> np.ndarray:
-        """First iteration of the staggered frame of each logged row."""
+        """First iteration of the staggered frame of each row."""
         starts = np.concatenate([np.zeros(1, dtype=np.int64), self.restart_times])
         return starts[self.frame_id]
+
+    @cached_property
+    def x_sums(self):
+        """prefix_sums of x."""
+        return prefix_sums(self.x)
+
+    @cached_property
+    def xbar(self) -> np.ndarray:
+        return window_mean(self.x_sums, 0, self.ts + 1)
+
+    @cached_property
+    def ybar(self) -> np.ndarray:
+        return window_mean(prefix_sums(self.y), 0, self.ts + 1)
+
+    @cached_property
+    def xbar_frame(self) -> np.ndarray:
+        # sums restarted at each frame start, so a frame of tiny values after
+        # large ones keeps the precision of a fresh sum
+        return np.concatenate([window_mean(prefix_sums(frame), 0, np.arange(1, len(frame) + 1))
+                               for frame in np.split(self.x, self.restart_times)])
 
 
 def _step_loop_source(spec: ProblemSpec, config: SolverConfig) -> str:
@@ -208,7 +252,6 @@ def _step_loop_source(spec: ProblemSpec, config: SolverConfig) -> str:
     """
     I, J = spec.dimension, spec.constraint_count
     A, b = spec.constraint_matrix()
-    T, every, base = int(config.horizon), int(config.record_every), config.restart_base
 
     def lit(value):
         return f"({float(value)!r})"
@@ -216,23 +259,11 @@ def _step_loop_source(spec: ProblemSpec, config: SolverConfig) -> str:
     def each(fmt, count=I):
         return [fmt.format(k=k) for k in range(count)]
 
-    frame_sums = each("sfx{k}") + each("cfx{k}")
-    lines = ["def step_loop(pieces, pick_x, w, z, restart_times, rows, pack_into):",
+    lines = ["def step_loop(pieces, pick_x, w, z, rows, pack_into):",
              f"    [{', '.join(each('w{k}', J))}] = w",
              f"    [{', '.join(each('z{k}'))}] = z",
              *each("    argmin{k} = pieces[{k}].argmin_shifted; value{k} = pieces[{k}].value"),
-             "    " + " = ".join(each("sx{k}") + each("cx{k}") + each("sy{k}") + each("cy{k}")
-                            + frame_sums + ["0.0"]),
-             "    frame_len = 0",
-             "    offset = 0",
-             "    next_restart = 1",
-             f"    for t in range({T}):"]
-    if base is not None:
-        lines += ["        if t == next_restart:",
-                  "            restart_times.append(t)",
-                  "            frame_len = 0",
-                  "            " + " = ".join(frame_sums + ["0.0"]),
-                  f"            next_restart *= {int(base)}"]
+             f"    for t in range({int(config.horizon)}):"]
     if isinstance(spec.decision_set, GridProduct):
         lines += [f"        x{i} = {lit(vs[0])} if z{i} >= 0.0 else {lit(vs[-1])}"
                   for i, vs in enumerate(spec.decision_set.values)]
@@ -246,26 +277,15 @@ def _step_loop_source(spec: ProblemSpec, config: SolverConfig) -> str:
     for j in range(J):
         g = " + ".join([lit(b[j])] + [f"{lit(A[j, i])} * y{i}" for i in range(I)])
         lines.append(f"        g{j} = {g}")
-    lines.append("        frame_len += 1")
-    # Kahan-compensated sums keep averages exact at every horizon
-    for total, comp, term in zip(each("sx{k}") + each("sfx{k}") + each("sy{k}"),
-                                 each("cx{k}") + each("cfx{k}") + each("cy{k}"),
-                                 each("x{k}") * 2 + each("y{k}")):
-        lines += [f"        u = {term} - {comp}", f"        s = {total} + u",
-                  f"        {comp} = s - {total} - u", f"        {total} = s"]
     d = " + ".join(["0.0"] + each("value{k}(y{k})") + each("w{k} * g{k}", J)
                    + each("z{k} * (x{k} - y{k})"))
-    row = ", ".join(each("x{k}") + each("y{k}") + each("w{k}", J) + each("z{k}") + ["d"]
-                    + each("sx{k} / n") + each("sy{k} / n") + each("sfx{k} / frame_len"))
+    row = ", ".join(each("x{k}") + each("y{k}") + each("w{k}", J) + each("z{k}") + ["d"])
     # every w_j, z_i and y_i enters d times a finite factor, so a non-finite
     # value anywhere in the row makes d non-finite
-    lines += [f"        if t % {every} == 0 or t == {T - 1}:",
-              f"            d = {d}",
-              "            if d - d != 0.0:",
-              "                raise NumericError('non-finite value', t)",
-              "            n = t + 1",
-              f"            pack_into(rows, offset, {row})",
-              f"            offset += {8 * (6 * I + J + 1)}"]
+    lines += [f"        d = {d}",
+              "        if d - d != 0.0:",
+              "            raise NumericError('non-finite value', t)",
+              f"        pack_into(rows, {8 * (3 * I + J + 1)} * t, {row})"]
     V = lit(config.v)
     for j in range(J):
         lines += [f"        w{j} = w{j} + g{j} / {V}", f"        w{j} = w{j} if w{j} > 0.0 else 0.0"]
@@ -275,15 +295,16 @@ def _step_loop_source(spec: ProblemSpec, config: SolverConfig) -> str:
 
 
 def run(spec: ProblemSpec, config: SolverConfig) -> RunTrace:
-    """Execute the iteration for config.horizon steps and record the trace.
+    """Execute the iteration for config.horizon steps and record every step.
 
     The step loop is generated and compiled once per call, unrolled into
     scalar locals for the spec's coordinates and constraints (the vectors are
     tiny, so this is much faster than generic loops or ndarray ops).  It uses
     exactly the same per-coordinate closed forms and summation order as the
     public update operations, so composing those reproduces the trace bit for
-    bit.  A non-finite value raises NumericError at the first recorded row
-    that shows it, before the rest of the horizon runs.
+    bit.  The loop stores only x, y, w, z and d; the trace derives its
+    averages afterwards.  A non-finite value raises NumericError at the
+    iteration that shows it, before the rest of the horizon runs.
     """
     I, J = spec.dimension, spec.constraint_count
     T = int(config.horizon)
@@ -296,38 +317,20 @@ def run(spec: ProblemSpec, config: SolverConfig) -> RunTrace:
 
     namespace = {"NumericError": NumericError}
     exec(compile(_step_loop_source(spec, config), "<tavopt step loop>", "exec"), namespace)
-    # each logged iteration packs one row of doubles into the preallocated
-    # rows: x, y, w, z, d, xbar, ybar, xbar_frame
-    width = 6 * I + J + 1
-    ts = np.arange(0, T, config.record_every, dtype=np.int64)
-    if ts[-1] != T - 1:
-        ts = np.append(ts, T - 1)
-    restart_times, rows = [], np.empty((len(ts), width))
+    # each iteration packs one row of doubles into the preallocated rows:
+    # x, y, w, z, d
+    width = 3 * I + J + 1
+    rows = np.empty((T, width))
     w_final, z_final = namespace["step_loop"](
-        spec.objective.pieces, spec.decision_set.linear_argmin, w, z, restart_times, rows,
+        spec.objective.pieces, spec.decision_set.linear_argmin, w, z, rows,
         struct.Struct(f"{width}d").pack_into)
-    x, y, w_rows, z_rows, d, xbar, ybar, xbar_frame = (
-        block.copy() for block in np.split(rows, np.cumsum([I, I, J, I, 1, I, I]), axis=1))
+    x, y, w_rows, z_rows, d = (
+        block.copy() for block in np.split(rows, np.cumsum([I, I, J, I]), axis=1))
 
-    trace = RunTrace(
-        ts=ts,
-        x=x,
-        y=y,
-        w=w_rows,
-        z=z_rows,
-        d=d[:, 0],
-        xbar=xbar,
-        ybar=ybar,
-        xbar_frame=xbar_frame,
-        w_final=np.array(w_final, dtype=float),
-        z_final=np.array(z_final, dtype=float),
-        restart_times=np.array(restart_times, dtype=np.int64),
-        v=float(config.v),
-        horizon=T,
-        record_every=config.record_every,
-        spec=spec,
-        config=config,
-    )
+    trace = RunTrace(x=x, y=y, w=w_rows, z=z_rows, d=d[:, 0],
+                     w_final=np.array(w_final, dtype=float),
+                     z_final=np.array(z_final, dtype=float),
+                     v=float(config.v), horizon=T, spec=spec, config=config)
     if not (np.all(np.isfinite(trace.w_final)) and np.all(np.isfinite(trace.z_final))):
         raise NumericError("non-finite dual state", T)
     return trace
@@ -336,17 +339,15 @@ def run(spec: ProblemSpec, config: SolverConfig) -> RunTrace:
 def staggered_average(trace: RunTrace, start: int, count: int) -> np.ndarray:
     """Average of x(t) over the window [start, start + count).
 
-    Recomputed from the stored per-iteration records, so the trace must be
-    complete (record_every == 1).
+    Read in O(1) from the trace's compensated prefix sums of x, the same
+    window_mean that gives xbar and xbar_frame.
     """
-    if not trace.full:
-        raise ValueError("staggered_average needs a complete trace (record_every == 1)")
     if count < 1:
         raise ValueError("window length must be >= 1")
     if start < 0 or start + count > trace.horizon:
         raise ValueError(
             f"window [{start}, {start + count}) out of range for horizon {trace.horizon}")
-    return trace.x[start:start + count].mean(axis=0)
+    return window_mean(trace.x_sums, start, start + count)
 
 
 def format_trace_float(value) -> str:
@@ -355,16 +356,16 @@ def format_trace_float(value) -> str:
 
 
 def write_trace_csv(trace: RunTrace, path, rows=None) -> None:
-    """Write logged rows as CSV.
+    """Write trace rows as CSV.
 
     Columns: t, x_*, y_*, w_*, z_*, d_lambda, xbar_*, f_xbar, g_*_xbar,
     frame_id, xbar_frame_*.  Floats use the shortest round-trip decimal form.
-    rows optionally selects a subset of logged row indices.
+    rows optionally selects a subset of row indices.
     """
     I = trace.spec.dimension
     J = trace.spec.constraint_count
     A, b = trace.spec.constraint_matrix()
-    idx = np.arange(len(trace.ts)) if rows is None else np.asarray(rows)
+    idx = np.arange(trace.horizon) if rows is None else np.asarray(rows)
     header = (
         ["t"]
         + [f"x_{i + 1}" for i in range(I)]

@@ -165,7 +165,7 @@ def test_criterion_5_invariant_suite(main_traces, main_estimates, oracle_values)
         if not (np.all(trace.w >= 0.0) and np.all(trace.w_final >= 0.0)):
             failures.append(f"{name}: negative w")
 
-        lam = np.vstack([trace.lambda_rows(), trace.lambda_final])
+        lam = trace.lambda_path
         steps = np.linalg.norm(np.diff(lam, axis=0), axis=1)
         if not np.all(steps <= math.sqrt(2.0 * c) / v + 1e-9):
             failures.append(f"{name}: one-step bound violated")

@@ -256,13 +256,6 @@ def test_drift_certificate_degenerate_single_point():
     np.testing.assert_allclose(report.slack, -2.0 * c / v ** 2, atol=1e-15)
 
 
-def test_drift_certificate_needs_full_trace():
-    spec = build_instance("polyhedral")
-    trace = run(spec, SolverConfig(v=10.0, horizon=100, record_every=3))
-    with pytest.raises(ValueError):
-        drift_certificate(trace, np.zeros(4), 10.0, 112.5)
-
-
 # ---------------------------------------------------------------------------
 # Phase detection
 # ---------------------------------------------------------------------------
@@ -437,7 +430,7 @@ def test_convergence_bounds_argument_errors(main_traces, main_estimates):
 @pytest.mark.parametrize("name", ["polyhedral", "smooth"])
 def test_dual_norm_plateaus(name, main_traces):
     trace, _ = main_traces[name]
-    norms = np.linalg.norm(trace.lambda_rows(), axis=1)
+    norms = np.linalg.norm(trace.lambda_path[:-1], axis=1)
     half = len(norms) // 2
     step = math.sqrt(2.0 * squared_norm_bound(trace.spec)) / MAIN_V
     assert np.max(norms[half:]) <= np.max(norms[:half]) + step
@@ -452,7 +445,7 @@ def test_outside_region_distance_shrinks(main_estimates):
     l_hat = estimate_sharpness(spec, est, "polyhedral", seed=0)
     b_poly = BoundSet(m=lipschitz_bound(spec), c=squared_norm_bound(spec),
                       v=v, l_poly=l_hat).b_poly
-    lam = np.vstack([trace.lambda_rows(), trace.lambda_final])
+    lam = trace.lambda_path
     dist = np.linalg.norm(lam - est.lam, axis=1)
     qualifying = dist[:-1] >= 1.15 * b_poly + 2.0 * est.residual
     assert np.sum(qualifying) >= 5

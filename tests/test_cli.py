@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import tavopt
 from tavopt import ParseError, parse_problem_config, run_cli, serialize_problem_config
 from tavopt.cli import reference_instance
 from tavopt.problem import GridProduct, PiecewiseLinearPiece, QuadraticPiece
@@ -200,6 +204,18 @@ def test_reproduce_fails_with_tiny_horizon(tmp_path):
     code = run_cli(["reproduce", "--out", str(tmp_path / "rep"), "--figure", "2",
                     "--horizon", "64"])
     assert code == 3
+
+
+def test_python_dash_m_runs_the_cli_without_warnings():
+    # runs the package that this suite imports, wherever it lives
+    src = os.path.dirname(os.path.dirname(tavopt.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "tavopt", "reproduce", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.startswith("usage: tavopt reproduce")
 
 
 def test_exit_codes_for_bad_inputs(tmp_path):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tavopt import (
@@ -29,6 +29,8 @@ from tavopt import (
     x_update,
     y_update,
 )
+
+from tavopt.engine import prefix_sums, window_mean
 
 from conftest import build_instance
 
@@ -204,7 +206,7 @@ def test_run_invariants(name):
 
     assert np.all(trace.w >= 0.0) and np.all(trace.w_final >= 0.0)
 
-    lam = np.vstack([trace.lambda_rows(), trace.lambda_final])
+    lam = trace.lambda_path
     steps = np.linalg.norm(np.diff(lam, axis=0), axis=1)
     assert np.all(steps <= math.sqrt(2.0 * c) / v + 1e-9)
 
@@ -231,6 +233,30 @@ def test_running_average_matches_recomputation():
                                    atol=1e-12)
 
 
+def test_prefix_sums_match_fsum_on_wide_magnitudes():
+    # magnitudes 1e-3..1e3 on an offset of 5: a window deep in the prefix is
+    # the difference of two large running sums, which a plain cumsum gets
+    # wrong by about 1e-12 of the window's mean |value|
+    rng = np.random.default_rng(3)
+    n = 100_000
+    a = 5.0 + rng.choice([-1.0, 1.0], (n, 2)) * 10.0 ** rng.uniform(-3.0, 3.0, (n, 2))
+    sums = prefix_sums(a)
+    plain = np.concatenate([np.zeros((1, 2)), np.cumsum(a, axis=0)])
+    windows = [(start, start + length) for length in (1, 3, 10)
+               for start in (n // 2, n - 20, n - length)] + [(0, n)]
+    worst_plain = 0.0
+    for start, stop in windows:
+        mean = window_mean(sums, start, stop)
+        plain_mean = (plain[stop] - plain[start]) / (stop - start)
+        for i in range(2):
+            col = a[start:stop, i]
+            exact = math.fsum(col) / len(col)
+            scale = math.fsum(np.abs(col)) / len(col)
+            assert abs(mean[i] - exact) <= 1e-15 * scale
+            worst_plain = max(worst_plain, abs(plain_mean[i] - exact) / scale)
+    assert worst_plain > 1e-15  # the data does break uncompensated sums
+
+
 def test_staggered_average_examples():
     spec = build_instance("polyhedral")
     trace = run(spec, SolverConfig(v=25.0, horizon=2048))
@@ -252,9 +278,6 @@ def test_staggered_average_range_errors():
         staggered_average(trace, -1, 10)
     with pytest.raises(ValueError):
         staggered_average(trace, 0, 0)
-    thinned = run(spec, SolverConfig(v=25.0, horizon=128, record_every=4))
-    with pytest.raises(ValueError):
-        staggered_average(thinned, 0, 10)
 
 
 def test_frame_averages_follow_restart_schedule():
@@ -269,10 +292,6 @@ def test_frame_averages_follow_restart_schedule():
     assert trace.frame_id[0] == 0
     assert trace.frame_id[1] == 1
     assert trace.frame_id[299] == 9
-    # a thinned trace derives the same frames at its logged iterations
-    thin = run(spec, SolverConfig(v=25.0, horizon=300, restart_base=2, record_every=7))
-    np.testing.assert_array_equal(thin.frame_id, trace.frame_id[thin.ts])
-    np.testing.assert_array_equal(thin.frame_start, trace.frame_start[thin.ts])
 
 
 def test_no_restarts_when_base_none():
@@ -282,18 +301,6 @@ def test_no_restarts_when_base_none():
     np.testing.assert_allclose(trace.xbar_frame, trace.xbar, atol=0)
     np.testing.assert_array_equal(trace.frame_id, np.zeros(100))
     np.testing.assert_array_equal(trace.frame_start, np.zeros(100))
-
-
-def test_thinned_trace_matches_full_at_logged_points():
-    spec = build_instance("smooth")
-    full = run(spec, SolverConfig(v=50.0, horizon=1000))
-    thin = run(spec, SolverConfig(v=50.0, horizon=1000, record_every=7))
-    assert thin.ts[-1] == 999
-    idx = thin.ts
-    np.testing.assert_array_equal(thin.x, full.x[idx])
-    np.testing.assert_array_equal(thin.xbar, full.xbar[idx])
-    np.testing.assert_array_equal(thin.xbar_frame, full.xbar_frame[idx])
-    np.testing.assert_array_equal(thin.w_final, full.w_final)
 
 
 def test_numeric_failure_reports_iteration():
@@ -307,7 +314,7 @@ def test_numeric_failure_reports_iteration():
 def test_numeric_failure_stops_at_first_recorded_row():
     # the blow-up at t = 0 is reported without running the rest of the horizon
     spec = build_instance("polyhedral")
-    cfg = SolverConfig(v=1.0, horizon=10**6, initial_w=(1e308, 1e308), record_every=1000)
+    cfg = SolverConfig(v=1.0, horizon=10**6, initial_w=(1e308, 1e308))
     with pytest.raises(NumericError) as err:
         run(spec, cfg)
     assert err.value.iteration == 0
@@ -316,7 +323,7 @@ def test_numeric_failure_stops_at_first_recorded_row():
 @st.composite
 def generated_runs(draw):
     """A small spec and run config: I in 1-3, J in 0-3, a grid or explicit
-    points, every piece kind, full or thinned rows, with or without restarts."""
+    points, every piece kind, with or without restarts."""
     I = draw(st.integers(1, 3))
     J = draw(st.integers(0, 3))
     coord = st.floats(-2.0, 3.0)
@@ -345,7 +352,6 @@ def generated_runs(draw):
         constraints=[AffineConstraint(coeffs=draw(coeffs), offset=draw(small))
                      for _ in range(J)])
     cfg = SolverConfig(v=draw(st.floats(1.0, 20.0)), horizon=draw(st.integers(1, 40)),
-                       record_every=draw(st.sampled_from([1, 3])),
                        restart_base=draw(st.sampled_from([None, 2, 3])))
     return spec, cfg
 
@@ -354,8 +360,20 @@ def bits(values) -> bytes:
     return np.asarray(values, dtype=float).tobytes()
 
 
+# a frame starting with the smallest subnormal after a prefix summing to
+# about 2.4: its average must not lose that value to earlier rounding errors
+SUBNORMAL_FRAME = (
+    ProblemSpec(decision_set=ExplicitPoints(points=[[0.0, 0.0, 0.0], [5e-324, 1.0, 0.0],
+                                                    [0.414424499, -0.5, 0.0], [2.0, 0.0, 0.0]]),
+                box=ExtendedBox([0.0, -0.5, 0.0], [2.0, 1.0, 0.0]),
+                objective=SeparableConvexObjective(pieces=[LinearPiece(0.0)] * 3),
+                constraints=[AffineConstraint(coeffs=[0.0, 0.0, 1.0], offset=0.0)]),
+    SolverConfig(v=1.0, horizon=9, restart_base=2))
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=generated_runs())
+@example(case=SUBNORMAL_FRAME)
 def test_run_matches_public_updates_on_generated_specs(case):
     spec, cfg = case
     trace = run(spec, cfg)
@@ -367,10 +385,8 @@ def test_run_matches_public_updates_on_generated_specs(case):
         assert bits(trace.y[k]) == bits(y_update(spec, trace.w[k], trace.z[k]))
         if t == T - 1:
             w_next, z_next = trace.w_final, trace.z_final
-        elif k + 1 < len(trace.ts) and trace.ts[k + 1] == t + 1:
-            w_next, z_next = trace.w[k + 1], trace.z[k + 1]
         else:
-            continue
+            w_next, z_next = trace.w[k + 1], trace.z[k + 1]
         g = []
         for j in range(spec.constraint_count):
             gj = float(b[j])  # summed in the loop's order
@@ -379,9 +395,8 @@ def test_run_matches_public_updates_on_generated_specs(case):
             g.append(gj)
         assert bits(w_next) == bits([max(0.0, wj + gj / V) for wj, gj in zip(w, g)])
         assert bits(z_next) == bits([zi + (xi - yi) / V for xi, yi, zi in zip(x, y, z)])
-    if not trace.full:
-        return
-    # averages against exact means; Kahan's error is relative to the mean |x|
+    # averages against exact means; the compensated sums' error is relative
+    # to the mean |x|
     for t in range(T):
         start, p = 0, 1
         while cfg.restart_base is not None and p <= t:
@@ -402,8 +417,6 @@ def test_solver_config_validation():
         SolverConfig(v=1.0, horizon=0)
     with pytest.raises(ValueError):
         SolverConfig(v=1.0, horizon=10, restart_base=1)
-    with pytest.raises(ValueError):
-        SolverConfig(v=1.0, horizon=10, record_every=0)
     with pytest.raises(ValueError):
         SolverConfig(v=1.0, horizon=10, initial_w=(-1.0,))
     with pytest.raises(ValueError):
