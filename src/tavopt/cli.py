@@ -20,8 +20,8 @@ from typing import Optional
 import numpy as np
 
 from . import analysis
-from .engine import (NumericError, SolverConfig, format_trace_float, run,
-                     staggered_average, write_trace_csv)
+from .engine import (NumericError, SolverConfig, run, staggered_average, write_table,
+                     write_trace_csv)
 from .oracle import InfeasibilityError, solve_reference, solve_reference_lp
 from .problem import (
     PIECE_KINDS,
@@ -283,13 +283,11 @@ def _load_spec(cfg: ExperimentConfig) -> ProblemSpec:
         return parse_problem_config(fh.read())
 
 
-def _fmt(v) -> str:
-    return f"{float(v):.12g}"
-
-
-def _write_lines(path: str, lines) -> None:
+def _write_summary(path: str, fields: dict) -> None:
+    """One `key: value` line per field; floats in .12g, the rest by str."""
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(f"{key}: {value:.12g}\n" if isinstance(value, float) else f"{key}: {value}\n"
+                      for key, value in fields.items())
 
 
 def _do_solve(cfg: ExperimentConfig) -> int:
@@ -302,23 +300,22 @@ def _do_solve(cfg: ExperimentConfig) -> int:
     rows = np.arange(0, trace.horizon, cfg.log_every)
     if rows[-1] != trace.horizon - 1:
         rows = np.append(rows, trace.horizon - 1)
-    write_trace_csv(trace, trace_path, rows=rows)
+    # rows=None writes from views of the trace instead of row copies
+    write_trace_csv(trace, trace_path, rows=None if cfg.log_every == 1 else rows)
     xbar = trace.xbar[-1]
     A, b = spec.constraint_matrix()
-    lines = [
-        "mode: solve",
-        f"problem: {cfg.problem_path}",
-        f"V: {_fmt(trace.v)}",
-        f"horizon: {trace.horizon}",
-        f"restart_base: {cfg.restart_base}",
-        f"trace_csv: {trace_path}",
-        f"rows_written: {len(rows)}",
-        f"f_xbar_final: {_fmt(spec.objective.value(xbar))}",
-    ]
-    g = A @ xbar + b if len(b) else np.zeros(0)
-    for j, gv in enumerate(g):
-        lines.append(f"g_{j + 1}_xbar_final: {_fmt(gv)}")
-    _write_lines(os.path.join(cfg.out_dir, "summary.txt"), lines)
+    fields = {
+        "mode": "solve",
+        "problem": cfg.problem_path,
+        "V": trace.v,
+        "horizon": trace.horizon,
+        "restart_base": cfg.restart_base,
+        "trace_csv": trace_path,
+        "rows_written": len(rows),
+        "f_xbar_final": spec.objective.value(xbar),
+    }
+    fields.update((f"g_{j + 1}_xbar_final", gv) for j, gv in enumerate(A @ xbar + b))
+    _write_summary(os.path.join(cfg.out_dir, "summary.txt"), fields)
     return EXIT_OK
 
 
@@ -326,35 +323,28 @@ def _do_sweep(cfg: ExperimentConfig) -> int:
     spec = _load_spec(cfg)
     f_opt = solve_reference(spec, cfg.oracle_resolution).f_opt
     os.makedirs(cfg.out_dir, exist_ok=True)
-    rows = ["V,eps,iterations_plain,iterations_staggered"]
-    vs, hits_plain, hits_stag = [], [], []
-    for v in cfg.v_list:
-        eps = cfg.eps_anchor * cfg.v_anchor / v
-        trace = run(spec, SolverConfig(v=v, horizon=cfg.horizon,
-                                       restart_base=cfg.restart_base))
-        plain, stag = analysis.iterations_to_accuracy(trace, f_opt, eps)
-        rows.append(f"{_fmt(v)},{_fmt(eps)},"
-                    f"{-1 if plain is None else plain},"
-                    f"{-1 if stag is None else stag}")
-        vs.append(v)
-        hits_plain.append(plain)
-        hits_stag.append(stag)
-    _write_lines(os.path.join(cfg.out_dir, "sweep.csv"), rows)
+    vs = np.array(cfg.v_list)
+    epss = cfg.eps_anchor * cfg.v_anchor / vs
+    hits = []  # iterations to accuracy per V, plain and staggered; -1 when not reached
+    for v, eps in zip(cfg.v_list, epss.tolist()):
+        trace = run(spec, SolverConfig(v=v, horizon=cfg.horizon, restart_base=cfg.restart_base))
+        hits.append([-1 if h is None else h
+                     for h in analysis.iterations_to_accuracy(trace, f_opt, eps)])
+    hits = np.array(hits)
+    write_table(os.path.join(cfg.out_dir, "sweep.csv"),
+                ["V", "eps", "iterations_plain", "iterations_staggered"], [vs, epss, hits])
 
-    lines = [
-        "mode: sweep",
-        f"problem: {cfg.problem_path}",
-        f"horizon: {cfg.horizon}",
-        f"f_opt_oracle: {_fmt(f_opt)}",
-        f"eps_per_V: {_fmt(cfg.eps_anchor)} * {_fmt(cfg.v_anchor)} / V",
-    ]
-    for label, hits in (("plain", hits_plain), ("staggered", hits_stag)):
-        if all(h is not None for h in hits):
-            slope = analysis.fit_loglog_slope(vs, hits)
-            lines.append(f"slope_{label}: {_fmt(slope)}")
-        else:
-            lines.append(f"slope_{label}: unavailable (accuracy not reached)")
-    _write_lines(os.path.join(cfg.out_dir, "summary.txt"), lines)
+    fields = {
+        "mode": "sweep",
+        "problem": cfg.problem_path,
+        "horizon": cfg.horizon,
+        "f_opt_oracle": f_opt,
+        "eps_per_V": f"{cfg.eps_anchor:.12g} * {cfg.v_anchor:.12g} / V",
+    }
+    for label, counts in (("plain", hits[:, 0]), ("staggered", hits[:, 1])):
+        fields[f"slope_{label}"] = (analysis.fit_loglog_slope(vs, counts) if np.all(counts > 0)
+                                    else "unavailable (accuracy not reached)")
+    _write_summary(os.path.join(cfg.out_dir, "summary.txt"), fields)
     return EXIT_OK
 
 
@@ -373,56 +363,52 @@ def _do_diagnose(cfg: ExperimentConfig) -> int:
     drift = analysis.drift_certificate(trace, estimate.lam, v, c)
 
     os.makedirs(cfg.out_dir, exist_ok=True)
-    lines = [
-        "mode: diagnose",
-        f"problem: {cfg.problem_path}",
-        f"V: {_fmt(v)}",
-        f"horizon: {cfg.horizon}",
-        f"lipschitz_M: {_fmt(m)}",
-        f"norm_bound_C: {_fmt(c)}",
-        f"estimate_method: {estimate.method}",
-        f"estimate_d: {_fmt(estimate.d_value)}",
-        f"estimate_residual: {_fmt(estimate.residual)}",
-        f"estimate_lambda: {[float(u) for u in estimate.lam]}",
-        f"multiplier_possibly_nonunique: {estimate.possibly_nonunique}",
-        f"drift_certificate_violations: {len(drift.violations)}",
-        f"drift_certificate_max_slack: {_fmt(drift.max_slack)}",
-    ]
+    fields = {
+        "mode": "diagnose",
+        "problem": cfg.problem_path,
+        "V": v,
+        "horizon": cfg.horizon,
+        "lipschitz_M": m,
+        "norm_bound_C": c,
+        "estimate_method": estimate.method,
+        "estimate_d": estimate.d_value,
+        "estimate_residual": estimate.residual,
+        "estimate_lambda": estimate.lam.tolist(),
+        "multiplier_possibly_nonunique": estimate.possibly_nonunique,
+        "drift_certificate_violations": len(drift.violations),
+        "drift_certificate_max_slack": drift.max_slack,
+    }
     for geometry in _geometries(cfg):
         l_hat = analysis.estimate_sharpness(spec, estimate, geometry, seed=cfg.seed)
         bounds = _bounds_for(geometry, m, c, v, l_hat)
         report = analysis.phase_detect(trace, estimate, bounds, geometry)
-        radius = bounds.radius(geometry)
-        lines += [
-            f"{geometry}_decay_rate: {_fmt(l_hat)}",
-            f"{geometry}_region_radius: {_fmt(radius)}",
-            f"{geometry}_t_hit: {report.t_hit}",
-            f"{geometry}_absorbed: {report.absorbed}",
-            f"{geometry}_violations_after_hit: {report.violation_count}",
-        ]
+        fields.update({
+            f"{geometry}_decay_rate": l_hat,
+            f"{geometry}_region_radius": bounds.radius(geometry),
+            f"{geometry}_t_hit": report.t_hit,
+            f"{geometry}_absorbed": report.absorbed,
+            f"{geometry}_violations_after_hit": report.violation_count,
+        })
         start = report.t_hit if report.t_hit is not None else 0
         length = trace.horizon - start
         if length >= 1:
             obj_b, vio_b = analysis.convergence_bounds(
                 trace, bounds, start, length, geometry, lambda_star=estimate)
-            lines.append(f"{geometry}_steady_objective_bound: {_fmt(obj_b)}")
-            lines.append(f"{geometry}_steady_violation_bound: {_fmt(float(np.max(vio_b)))}")
+            fields[f"{geometry}_steady_objective_bound"] = obj_b
+            fields[f"{geometry}_steady_violation_bound"] = float(np.max(vio_b))
     gen_bounds = analysis.BoundSet(m=m, c=c, v=v)
     obj_b, vio_b = analysis.convergence_bounds(trace, gen_bounds, 0, trace.horizon,
                                                "general")
-    lines.append(f"general_objective_bound: {_fmt(obj_b)}")
+    fields["general_objective_bound"] = obj_b
     if len(vio_b):
-        lines.append(f"general_violation_bound: {_fmt(float(np.max(vio_b)))}")
-    _write_lines(os.path.join(cfg.out_dir, "summary.txt"), lines)
+        fields["general_violation_bound"] = float(np.max(vio_b))
+    _write_summary(os.path.join(cfg.out_dir, "summary.txt"), fields)
 
-    cert_path = os.path.join(cfg.out_dir, "certificates.csv")
-    dists = np.linalg.norm(trace.lambda_path - estimate.lam, axis=1)
+    dists = np.linalg.norm(trace.lambda_path[:-1] - estimate.lam, axis=1)
     steps = np.linalg.norm(np.diff(trace.lambda_path, axis=0), axis=1)
-    with open(cert_path, "w", newline="") as fh:
-        fh.write("t,dist_to_estimate,step_norm,drift_slack\n")
-        for k in range(trace.horizon):
-            fh.write(f"{k},{format_trace_float(dists[k])},"
-                     f"{format_trace_float(steps[k])},{format_trace_float(drift.slack[k])}\n")
+    write_table(os.path.join(cfg.out_dir, "certificates.csv"),
+                ["t", "dist_to_estimate", "step_norm", "drift_slack"],
+                [trace.ts, dists, steps, drift.slack])
     return EXIT_OK
 
 
@@ -458,58 +444,58 @@ def _do_reproduce(cfg: ExperimentConfig) -> int:
         detected = report.t_hit if report.t_hit is not None else 0
 
         A, b = spec.constraint_matrix()
-        marks = [1 << k for k in range(cfg.horizon.bit_length()) if (1 << k) <= cfg.horizon]
+        J = len(b)
+        marks = 1 << np.arange(cfg.horizon.bit_length())
         if marks[-1] != cfg.horizon:
-            marks.append(cfg.horizon)
+            marks = np.append(marks, cfg.horizon)
 
-        def stats(avg):
-            return [spec.objective.value(avg)] + list(A @ avg + b)
+        def stats(avgs):
+            return [spec.objective.values(avgs), avgs @ A.T + b]
 
-        header = (["t", "f_plain"] + [f"g_{j + 1}_plain" for j in range(len(b))]
-                  + ["f_staggered_fixed"] + [f"g_{j + 1}_staggered_fixed" for j in range(len(b))]
-                  + ["f_staggered_detected"] + [f"g_{j + 1}_staggered_detected" for j in range(len(b))])
-        rows = [",".join(header)]
-        for t in marks:
-            cells = [str(t)] + [format_trace_float(u) for u in stats(trace.xbar[t - 1])]
-            for start in (fixed_start, detected):
-                if t > start:
-                    window = staggered_average(trace, start, t - start)
-                    cells += [format_trace_float(u) for u in stats(window)]
-                else:
-                    cells += ["nan"] * (1 + len(b))
-            rows.append(",".join(cells))
+        # one column group per average: the plain one, then the windows from
+        # the fixed and the detected start (nan at marks before the start)
+        columns = [marks, *stats(trace.xbar[marks - 1])]
+        for start in (fixed_start, detected):
+            later = marks > start
+            f, g = np.full(len(marks), np.nan), np.full((len(marks), J), np.nan)
+            if later.any():
+                f[later], g[later] = stats(staggered_average(trace, start, marks[later] - start))
+            columns += [f, g]
+        header = ["t"]
+        for label in ("plain", "staggered_fixed", "staggered_detected"):
+            header += [f"f_{label}"] + [f"g_{j + 1}_{label}" for j in range(J)]
         fig_csv = os.path.join(cfg.out_dir, f"figure{fig}.csv")
-        _write_lines(fig_csv, rows)
+        write_table(fig_csv, header, columns)
 
         final_plain = trace.xbar[-1]
         f_final = spec.objective.value(final_plain)
         g_final = A @ final_plain + b
-        ok = abs(f_final - f_opt) <= 0.02 and (len(g_final) == 0 or np.max(g_final) <= 0.02)
+        ok = abs(f_final - f_opt) <= 0.02 and (J == 0 or np.max(g_final) <= 0.02)
         if not ok:
             failed.append(fig)
 
-        lines = [
-            f"figure: {fig}",
-            f"objective: {objective}",
-            f"extra_constraint: {extra}",
-            f"geometry: {geometry}",
-            f"V: {_fmt(v)}",
-            f"horizon: {cfg.horizon}",
-            f"fixed_staggered_start: {fixed_start}",
-            f"detected_t_hit: {report.t_hit}",
-            f"absorbed: {report.absorbed}",
-            f"multiplier_possibly_nonunique: {estimate.possibly_nonunique}",
-            f"f_opt_oracle_grid: {_fmt(grid_oracle.f_opt)}",
-        ]
+        fields = {
+            "figure": fig,
+            "objective": objective,
+            "extra_constraint": extra,
+            "geometry": geometry,
+            "V": v,
+            "horizon": cfg.horizon,
+            "fixed_staggered_start": fixed_start,
+            "detected_t_hit": report.t_hit,
+            "absorbed": report.absorbed,
+            "multiplier_possibly_nonunique": estimate.possibly_nonunique,
+            "f_opt_oracle_grid": grid_oracle.f_opt,
+        }
         if lp_line is not None:
-            lines.append(f"f_opt_oracle_lp: {_fmt(lp_line)}")
-        lines += [
-            f"f_xbar_final: {_fmt(f_final)}",
-            f"max_violation_final: {_fmt(float(np.max(g_final)) if len(g_final) else 0.0)}",
-            f"csv: {fig_csv}",
-            f"check: {'PASS' if ok else 'FAIL'}",
-        ]
-        _write_lines(os.path.join(cfg.out_dir, f"figure{fig}_summary.txt"), lines)
+            fields["f_opt_oracle_lp"] = lp_line
+        fields.update({
+            "f_xbar_final": f_final,
+            "max_violation_final": float(np.max(g_final)) if J else 0.0,
+            "csv": fig_csv,
+            "check": "PASS" if ok else "FAIL",
+        })
+        _write_summary(os.path.join(cfg.out_dir, f"figure{fig}_summary.txt"), fields)
         print(f"figure {fig}: {'PASS' if ok else 'FAIL'} "
               f"(f_final={f_final:.4f}, f_opt={f_opt:.4f})")
     return EXIT_CHECK_FAILED if failed else EXIT_OK

@@ -31,6 +31,7 @@ __all__ = [
     "dual_update",
     "run",
     "staggered_average",
+    "write_table",
     "write_trace_csv",
 ]
 
@@ -175,8 +176,8 @@ class RunTrace:
     restart schedule and the frame of each row, the dual path, and the time
     averages.  xbar and ybar average iterations 0..t inclusive and xbar_frame
     the current staggered frame; all three, like staggered_average, are
-    windows of compensated prefix sums of x and y (for xbar_frame, sums
-    restarted at each frame).
+    windows of compensated prefix sums of x and y (for xbar_frame and
+    staggered_average, sums restarted at the window's start).
     """
 
     x: np.ndarray
@@ -222,13 +223,8 @@ class RunTrace:
         return starts[self.frame_id]
 
     @cached_property
-    def x_sums(self):
-        """prefix_sums of x."""
-        return prefix_sums(self.x)
-
-    @cached_property
     def xbar(self) -> np.ndarray:
-        return window_mean(self.x_sums, 0, self.ts + 1)
+        return window_mean(prefix_sums(self.x), 0, self.ts + 1)
 
     @cached_property
     def ybar(self) -> np.ndarray:
@@ -336,64 +332,72 @@ def run(spec: ProblemSpec, config: SolverConfig) -> RunTrace:
     return trace
 
 
-def staggered_average(trace: RunTrace, start: int, count: int) -> np.ndarray:
+def staggered_average(trace: RunTrace, start: int, count) -> np.ndarray:
     """Average of x(t) over the window [start, start + count).
 
-    Read in O(1) from the trace's compensated prefix sums of x, the same
-    window_mean that gives xbar and xbar_frame.
+    count is one window length, or an array of lengths that gives one
+    average per length, all starting at start.  The compensated prefix sums
+    restart at start, as xbar_frame's do at each frame, so the error is
+    relative to the window's own values, not to the sum of the rows before
+    it.  One call costs O(start + max(count)) for every length at once.
     """
-    if count < 1:
+    counts = np.asarray(count)
+    if np.any(counts < 1):
         raise ValueError("window length must be >= 1")
-    if start < 0 or start + count > trace.horizon:
-        raise ValueError(
-            f"window [{start}, {start + count}) out of range for horizon {trace.horizon}")
-    return window_mean(trace.x_sums, start, start + count)
+    stop = start + int(np.max(counts))
+    if start < 0 or stop > trace.horizon:
+        raise ValueError(f"window [{start}, {stop}) out of range for horizon {trace.horizon}")
+    return window_mean(prefix_sums(trace.x[start:stop]), 0, counts)
 
 
-def format_trace_float(value) -> str:
-    """Shortest decimal form that round-trips the double exactly."""
-    return repr(float(value))
+# rows formatted at a time: enough to amortise the per-block numpy calls,
+# few enough that the Python values of one block stay small
+_TABLE_BLOCK_ROWS = 256
+
+
+def write_table(path, header, columns) -> None:
+    """Write a CSV with one header line and one row per index of columns.
+
+    columns are 1-D arrays (one cell per row) or 2-D blocks (one cell per
+    block column), all of the same length.  Each cell is the repr of its
+    .tolist() value, so ints print as ints and floats in the shortest
+    decimal form that round-trips the double.  Rows are formatted a fixed
+    number at a time, so memory beyond the arrays stays bounded.
+    """
+    blocks = [c.reshape(len(c), 1) if c.ndim == 1 else c for c in map(np.asarray, columns)]
+    n = len(blocks[0])
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, n, _TABLE_BLOCK_ROWS):
+            cells = [list(map(repr, col))
+                     for block in blocks for col in block[lo:lo + _TABLE_BLOCK_ROWS].T.tolist()]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def write_trace_csv(trace: RunTrace, path, rows=None) -> None:
-    """Write trace rows as CSV.
+    """Write trace rows as CSV through write_table.
 
     Columns: t, x_*, y_*, w_*, z_*, d_lambda, xbar_*, f_xbar, g_*_xbar,
-    frame_id, xbar_frame_*.  Floats use the shortest round-trip decimal form.
-    rows optionally selects a subset of row indices.
+    frame_id, xbar_frame_*.  rows optionally selects a subset of row
+    indices; without it every row is written from views of the trace, with
+    no copies of its columns.  The derived columns are built once for the
+    selected rows: f_xbar by objective.values (equal to objective.value row
+    by row) and g_*_xbar as the one batch product xbar @ A.T + b, the one
+    error_series uses; frame_id and xbar_frame come from the trace.
     """
-    I = trace.spec.dimension
-    J = trace.spec.constraint_count
-    A, b = trace.spec.constraint_matrix()
-    idx = np.arange(trace.horizon) if rows is None else np.asarray(rows)
-    header = (
-        ["t"]
-        + [f"x_{i + 1}" for i in range(I)]
-        + [f"y_{i + 1}" for i in range(I)]
-        + [f"w_{j + 1}" for j in range(J)]
-        + [f"z_{i + 1}" for i in range(I)]
-        + ["d_lambda"]
-        + [f"xbar_{i + 1}" for i in range(I)]
-        + ["f_xbar"]
-        + [f"g_{j + 1}_xbar" for j in range(J)]
-        + ["frame_id"]
-        + [f"xbar_frame_{i + 1}" for i in range(I)]
-    )
-    fmt = format_trace_float
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for k in idx:
-            xbar = trace.xbar[k]
-            g_xbar = A @ xbar + b
-            cells = [str(int(trace.ts[k]))]
-            cells += [fmt(v) for v in trace.x[k]]
-            cells += [fmt(v) for v in trace.y[k]]
-            cells += [fmt(v) for v in trace.w[k]]
-            cells += [fmt(v) for v in trace.z[k]]
-            cells.append(fmt(trace.d[k]))
-            cells += [fmt(v) for v in xbar]
-            cells.append(fmt(trace.spec.objective.value(xbar)))
-            cells += [fmt(v) for v in g_xbar]
-            cells.append(str(int(trace.frame_id[k])))
-            cells += [fmt(v) for v in trace.xbar_frame[k]]
-            fh.write(",".join(cells) + "\n")
+    spec = trace.spec
+    A, b = spec.constraint_matrix()
+    idx = slice(None) if rows is None else np.asarray(rows)
+    xbar = trace.xbar[idx]
+
+    def names(prefix, count, suffix=""):
+        return [f"{prefix}_{k + 1}{suffix}" for k in range(count)]
+
+    I, J = spec.dimension, spec.constraint_count
+    header = (["t", *names("x", I), *names("y", I), *names("w", J), *names("z", I), "d_lambda",
+               *names("xbar", I), "f_xbar", *names("g", J, "_xbar"), "frame_id",
+               *names("xbar_frame", I)])
+    write_table(path, header, [
+        trace.ts[idx], trace.x[idx], trace.y[idx], trace.w[idx], trace.z[idx], trace.d[idx],
+        xbar, spec.objective.values(xbar), xbar @ A.T + b,
+        trace.frame_id[idx], trace.xbar_frame[idx]])

@@ -223,15 +223,18 @@ class PiecewiseLinearPiece:
         return sign * total
 
     def values(self, ys: np.ndarray) -> np.ndarray:
+        # value's integral, elementwise, with the same operations in the
+        # same order, so each entry equals value(y) bit for bit
         ys = np.asarray(ys, dtype=float)
-        if not self.breakpoints:
-            return self.slopes[0] * ys
-        bps = np.array(self.breakpoints)
-        anchors = np.array([self.value(b) for b in self.breakpoints])
-        slopes = np.array(self.slopes)
-        seg = np.searchsorted(bps, ys, side="right")
-        node_idx = np.clip(seg - 1, 0, len(bps) - 1)
-        return anchors[node_idx] + slopes[seg] * (ys - bps[node_idx])
+        nodes = (-math.inf,) + self.breakpoints + (math.inf,)
+        nonneg = ys >= 0.0
+        a, b = np.where(nonneg, 0.0, ys), np.where(nonneg, ys, 0.0)
+        total = np.zeros(ys.shape)
+        for k, s in enumerate(self.slopes):
+            seg_lo = np.maximum(a, nodes[k])
+            seg_hi = np.minimum(b, nodes[k + 1])
+            total = total + np.where(seg_hi > seg_lo, s * (seg_hi - seg_lo), 0.0)
+        return np.where(nonneg, 1.0, -1.0) * total
 
     def max_abs_derivative(self, lo: float, hi: float) -> float:
         # slopes are monotone, so the extremes sit at the interval ends

@@ -278,6 +278,10 @@ def test_staggered_average_range_errors():
         staggered_average(trace, -1, 10)
     with pytest.raises(ValueError):
         staggered_average(trace, 0, 0)
+    with pytest.raises(ValueError):
+        staggered_average(trace, 0, np.array([3, 0]))
+    with pytest.raises(ValueError):
+        staggered_average(trace, 100, np.array([3, 30]))
 
 
 def test_frame_averages_follow_restart_schedule():
@@ -410,6 +414,25 @@ def test_run_matches_public_updates_on_generated_specs(case):
                 assert abs(avg[t, i] - mean) <= 1e-12 * scale
 
 
+def test_staggered_windows_restart_their_sums():
+    # every window of SUBNORMAL_FRAME, one of which holds 5e-324 after a
+    # prefix summing to about 2.4, against its exact mean; one call with an
+    # array of lengths gives the same bits as one call per length
+    spec, cfg = SUBNORMAL_FRAME
+    trace = run(spec, cfg)
+    T = cfg.horizon
+    for start in range(T):
+        counts = np.arange(1, T - start + 1)
+        averages = staggered_average(trace, start, counts)
+        for count, avg in zip(counts.tolist(), averages):
+            assert bits(avg) == bits(staggered_average(trace, start, count))
+            window = trace.x[start:start + count]
+            for i in range(spec.dimension):
+                mean = math.fsum(window[:, i]) / count
+                scale = math.fsum(np.abs(window[:, i])) / count
+                assert abs(avg[i] - mean) <= 1e-12 * scale
+
+
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(v=0.5, horizon=10)
@@ -449,3 +472,40 @@ def test_trace_csv_roundtrip(tmp_path):
     path2 = tmp_path / "again.csv"
     write_trace_csv(trace, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+    # explicit points in 3-D with one piece of each kind, a row subset that
+    # spans more than one block of write_table, every cell checked
+    pts = ExplicitPoints(points=[[0.0, 0.25, 3.0], [0.5, 2.75, 1.0], [1.25, 0.0, 2.5],
+                                 [2.0, 1.5, 0.0], [3.0, 3.0, 0.75], [0.1, 1.0, 0.3]])
+    spec = ProblemSpec(
+        decision_set=pts, box=tight_box(pts),
+        objective=SeparableConvexObjective(pieces=(
+            QuadraticPiece(curvature=1.25, slope=-0.5),
+            PiecewiseLinearPiece(breakpoints=(1.0, 2.0), slopes=(-0.75, 0.5, 1.5)),
+            LinearPiece(0.75))),
+        constraints=(AffineConstraint(coeffs=(-1.0, -0.5, -1.5), offset=2.1),
+                     AffineConstraint(coeffs=(-0.5, -2.0, -1.0), offset=1.7)))
+    trace = run(spec, SolverConfig(v=30.0, horizon=3001))
+    rows = np.append(np.arange(0, 3000, 2), 3000)
+    path = tmp_path / "points.csv"
+    write_trace_csv(trace, path, rows=rows)
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    assert len(lines) == len(rows) + 1
+    A, b = spec.constraint_matrix()
+    exact = {"x": trace.x, "y": trace.y, "w": trace.w, "z": trace.z,
+             "xbar": trace.xbar, "xbar_frame": trace.xbar_frame}
+    for line, k in zip(lines[1:], rows.tolist()):
+        cells = dict(zip(header, line.split(",")))
+        assert len(cells) == len(header) == len(line.split(","))
+        assert int(cells["t"]) == trace.ts[k] == k
+        assert int(cells["frame_id"]) == trace.frame_id[k]
+        for name, values in exact.items():
+            for i, value in enumerate(values[k]):
+                assert float(cells[f"{name}_{i + 1}"]) == value
+        assert float(cells["d_lambda"]) == trace.d[k]
+        assert float(cells["f_xbar"]) == spec.objective.value(trace.xbar[k])
+        for j in range(len(b)):
+            terms = [float(b[j])] + [float(A[j, i] * trace.xbar[k, i]) for i in range(3)]
+            g = float(cells[f"g_{j + 1}_xbar"])
+            assert abs(g - math.fsum(terms)) <= 1e-12 * math.fsum(map(abs, terms))

@@ -115,9 +115,9 @@ def test_pwl_piece_argmin_matches_scan(piece, c, lo, width):
 
 @given(piece=pwl_pieces())
 def test_pwl_vectorized_values_match_scalar(piece):
-    ys = np.linspace(-6.0, 6.0, 101)
+    ys = np.concatenate([np.linspace(-6.0, 6.0, 101), piece.breakpoints, [0.0, -0.0]])
     expected = np.array([piece.value(float(y)) for y in ys])
-    np.testing.assert_allclose(piece.values(ys), expected, atol=1e-10)
+    np.testing.assert_array_equal(piece.values(ys), expected)
 
 
 def test_pwl_hand_values():
