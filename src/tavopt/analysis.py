@@ -15,8 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import RunTrace, SolverConfig, run, x_update, y_update
-from .problem import ProblemSpec, evaluate_constraints, squared_norm_bound
+from .engine import RunTrace, SolverConfig, run
+from .problem import GridProduct, ProblemSpec, evaluate_constraints, squared_norm_bound
 
 __all__ = [
     "BoundSet",
@@ -66,22 +66,63 @@ class EstimationError(RuntimeError):
 # Dual function
 # ---------------------------------------------------------------------------
 
+def _dual_columns(spec: ProblemSpec, w, z):
+    """Dual value d and minimizers x, y from multiplier columns.
+
+    w holds J arrays and z holds I arrays, of any shapes that broadcast
+    together.  The arithmetic is elementwise and follows run()'s step loop
+    term by term: c_i = -z_i + w_0*A_0i + ..., g_j = b_j + A_j0*y_0 + ...,
+    d = 0.0 + sum value_i(y_i) + sum w_j*g_j + sum z_i*(x_i - y_i).  So every
+    entry has the bits of the loop's d, whatever batch or grid it sits in,
+    and a term that depends on (w, z_i) only keeps that smaller shape: on a
+    product grid, y_i is computed once per (w, z_i) pair.  Returns d and the
+    lists of x_i and y_i columns.
+    """
+    A, b = (m.tolist() for m in spec.constraint_matrix())
+    if isinstance(spec.decision_set, GridProduct):
+        lo, hi = spec.decision_set.hull_bounds()
+        x = [np.where(zi >= 0.0, l, h) for zi, l, h in zip(z, lo, hi)]
+    else:
+        # explicit points are scored jointly: one linear_argmin row per
+        # distinct z
+        Z = np.stack(np.broadcast_arrays(*z), axis=-1)
+        X = spec.decision_set.linear_argmin(Z if Z.ndim == 1 else Z.reshape(-1, len(z)))
+        x = list(np.moveaxis(X.reshape(Z.shape), -1, 0))
+    y = []
+    for i, (piece, lo, hi) in enumerate(zip(spec.objective.pieces, spec.box.lower.tolist(),
+                                            spec.box.upper.tolist())):
+        c = -z[i]
+        for wj, Aj in zip(w, A):
+            c = c + wj * Aj[i]
+        y.append(piece.argmin_shifted_batch(c, lo, hi))
+    d = 0.0
+    for piece, yi in zip(spec.objective.pieces, y):
+        d = d + piece.values(yi)
+    for wj, Aj, bj in zip(w, A, b):
+        g = bj
+        for Aji, yi in zip(Aj, y):
+            g = g + Aji * yi
+        d = d + wj * g
+    for zi, xi, yi in zip(z, x, y):
+        d = d + zi * (xi - yi)
+    return d, x, y
+
+
 def dual_function(spec: ProblemSpec, w, z):
     """Dual value at (w, z) together with its primal minimizers.
 
     Returns (value, x_star, y_star) where value = f(y*) + w . g(y*)
-    + z . (x* - y*).
+    + z . (x* - y*), summed in run()'s order.
     """
     w = np.asarray(w, dtype=float)
     z = np.asarray(z, dtype=float)
+    if w.shape != (spec.constraint_count,) or z.shape != (spec.dimension,):
+        raise ValueError(f"(w, z) have shapes {w.shape}, {z.shape}, expected "
+                         f"({spec.constraint_count},), ({spec.dimension},)")
     if np.any(w < 0.0):
         raise ValueError("w components must be nonnegative")
-    x_star = x_update(spec, z)
-    y_star = y_update(spec, w, z)
-    g = evaluate_constraints(spec, y_star)
-    value = (spec.objective.value(y_star) + float(w @ g)
-             + float(z @ (x_star - y_star)))
-    return value, x_star, y_star
+    d, x, y = _dual_columns(spec, w, z)
+    return float(d), np.array(x, dtype=float), np.array(y, dtype=float)
 
 
 def dual_subgradient(spec: ProblemSpec, w, z) -> np.ndarray:
@@ -92,27 +133,20 @@ def dual_subgradient(spec: ProblemSpec, w, z) -> np.ndarray:
 
 
 def dual_function_batch(spec: ProblemSpec, lam: np.ndarray):
-    """Dual values and minimizers for a whole (n, J+I) batch of multipliers."""
+    """Dual values and minimizers for a whole (n, J+I) batch of multipliers.
+
+    Each row's value equals dual_function's, and run()'s d at the same
+    multiplier, bit for bit on grid sets.
+    """
     lam = np.atleast_2d(np.asarray(lam, dtype=float))
     J = spec.constraint_count
     I = spec.dimension
     if lam.shape[1] != J + I:
         raise ValueError(f"multipliers have width {lam.shape[1]}, expected {J + I}")
-    W = lam[:, :J]
-    Z = lam[:, J:]
-    if W.size and np.min(W) < 0.0:
+    if J and lam.size and np.min(lam[:, :J]) < 0.0:
         raise ValueError("w components must be nonnegative")
-
-    X = spec.decision_set.linear_argmin(Z)
-    A, b = spec.constraint_matrix()
-    C = W @ A - Z
-    Y = np.empty_like(Z)
-    for i, (piece, lo, hi) in enumerate(zip(spec.objective.pieces, spec.box.lower,
-                                            spec.box.upper)):
-        Y[:, i] = piece.argmin_shifted_batch(C[:, i], float(lo), float(hi))
-    G = Y @ A.T + b
-    D = spec.objective.values(Y) + np.sum(W * G, axis=1) + np.sum(Z * (X - Y), axis=1)
-    return D, X, Y
+    d, x, y = _dual_columns(spec, lam.T[:J], lam.T[J:])
+    return d, np.stack(x, axis=-1), np.stack(y, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -218,19 +252,6 @@ def default_search_region(spec: ProblemSpec) -> float:
     return 10.0 * (squared_norm_bound(spec) + bound)
 
 
-def _axis_grid(center, half, points, j_dim):
-    axes = []
-    for k in range(len(center)):
-        lo = center[k] - half[k]
-        hi = center[k] + half[k]
-        if k < j_dim:
-            lo = max(0.0, lo)
-            hi = max(hi, lo)
-        axes.append(np.linspace(lo, hi, points))
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.column_stack([g.ravel() for g in grids])
-
-
 def _grid_dual_max(spec: ProblemSpec, region: float, center_shift: float = 0.0):
     J = spec.constraint_count
     I = spec.dimension
@@ -244,12 +265,22 @@ def _grid_dual_max(spec: ProblemSpec, region: float, center_shift: float = 0.0):
     best_lam = None
     best_d = -np.inf
     for _ in range(80):
-        lam_grid = _axis_grid(center, half, points_per_dim, J)
-        D, _, _ = dual_function_batch(spec, lam_grid)
-        k = int(np.argmax(D))
-        if D[k] > best_d:
-            best_d = float(D[k])
-            best_lam = lam_grid[k].copy()
+        # one broadcast view per axis of the product grid
+        axes = []
+        for k in range(dims):
+            lo = center[k] - half[k]
+            hi = center[k] + half[k]
+            if k < J:
+                lo = max(0.0, lo)
+                hi = max(hi, lo)
+            shape = [1] * dims
+            shape[k] = points_per_dim
+            axes.append(np.linspace(lo, hi, points_per_dim).reshape(shape))
+        d, _, _ = _dual_columns(spec, axes[:J], axes[J:])
+        k = np.unravel_index(np.argmax(d), d.shape)
+        if d[k] > best_d:
+            best_d = float(d[k])
+            best_lam = np.array([axis.flat[i] for axis, i in zip(axes, k)])
         spacing = 2.0 * half / (points_per_dim - 1)
         center = best_lam.copy()
         half = 1.5 * spacing
@@ -338,13 +369,16 @@ def minimal_decay_rate(spec: ProblemSpec, lam_hat: np.ndarray, j_dim: int,
     decays = decay_of(dirs)
     order = np.argsort(decays)
     best = float(decays[order[0]])
-    for start in order[:4]:
-        u0 = dirs[start]
-        val = float(decays[start])
-        step = 0.5
-        sweeps = 0
-        while step > 1e-4 and sweeps < 80:
-            sweeps += 1
+    # the four starts search together, one batch of proposals per sweep;
+    # each row's value does not depend on its batch, so every start moves as
+    # it would alone
+    starts = [[dirs[k], float(decays[k]), 0.5] for k in order[:4]]  # u0, val, step
+    for _ in range(80):
+        active = [s for s in starts if s[2] > 1e-4]
+        if not active:
+            break
+        blocks = []
+        for u0, _, step in active:
             proposals = []
             for axis in range(dims):
                 for sgn in (1.0, -1.0):
@@ -353,16 +387,15 @@ def minimal_decay_rate(spec: ProblemSpec, lam_hat: np.ndarray, j_dim: int,
                     nrm = np.linalg.norm(u)
                     if nrm > 0:
                         proposals.append(u / nrm)
-            cand = np.array(proposals)
-            vals = decay_of(cand)
-            k = int(np.argmin(vals))
-            if vals[k] < val - 1e-12:
-                val = float(vals[k])
-                u0 = cand[k]
+            blocks.append(np.array(proposals))
+        vals = np.split(decay_of(np.vstack(blocks)), np.cumsum([len(c) for c in blocks])[:-1])
+        for start, cand, v in zip(active, blocks, vals):
+            k = int(np.argmin(v))
+            if v[k] < start[1] - 1e-12:
+                start[0], start[1] = cand[k], float(v[k])
             else:
-                step *= 0.5
-        best = min(best, val)
-    return best
+                start[2] *= 0.5
+    return min(best, *(val for _, val, _ in starts))
 
 
 def estimate_sharpness(spec: ProblemSpec, estimate: "MultiplierEstimate",
@@ -601,9 +634,13 @@ def iterations_to_accuracy(trace: RunTrace, f_opt: float, eps: float):
 
 
 def fit_loglog_slope(xs, ys) -> float:
-    """Least-squares slope of log(ys) against log(xs); ys floored at 1."""
+    """Least-squares slope of log(ys) against log(xs); ys floored at 1.
+
+    A flat series has slope exactly 0.0, not polyfit's rounding noise."""
     xs = np.asarray(xs, dtype=float)
     ys = np.maximum(np.asarray(ys, dtype=float), 1.0)
+    if np.all(ys == ys[0]):
+        return 0.0
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
 

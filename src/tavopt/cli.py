@@ -183,7 +183,9 @@ def parse_problem_config(text: str) -> ProblemSpec:
                            objective=SeparableConvexObjective(pieces=pieces),
                            constraints=tuple(constraints))
     except ValueError as exc:
-        raise ParseError("decision_set", str(exc)) from exc
+        # every field is checked on its own above; what is left is whether
+        # the box contains the decision set
+        raise ParseError("box", str(exc)) from exc
 
 
 def serialize_problem_config(spec: ProblemSpec) -> str:

@@ -1,11 +1,29 @@
-"""Shared fixtures: the four demo instances, their oracle optima, and
-full-horizon traces reused across the analysis and acceptance tests."""
+"""Shared fixtures: the four demo instances, their oracle optima,
+full-horizon traces reused across the analysis and acceptance tests, and the
+strategy of generated small specs."""
 
+import itertools
 import time
 
+import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from tavopt import SolverConfig, run, solve_reference, solve_reference_lp
+from tavopt import (
+    AffineConstraint,
+    ExplicitPoints,
+    ExtendedBox,
+    GridProduct,
+    LinearPiece,
+    PiecewiseLinearPiece,
+    ProblemSpec,
+    QuadraticPiece,
+    SeparableConvexObjective,
+    SolverConfig,
+    run,
+    solve_reference,
+    solve_reference_lp,
+)
 from tavopt.cli import reference_instance
 
 INSTANCE_NAMES = ("polyhedral", "smooth", "polyhedral-extra", "smooth-extra")
@@ -53,3 +71,39 @@ def main_estimates(instances):
 
     return {name: estimate_multiplier(spec, "grid-dual-max", v=MAIN_V, seed=0)
             for name, spec in instances.items()}
+
+
+@st.composite
+def generated_runs(draw):
+    """A small spec and run config: I in 1-3, J in 0-3, a grid or explicit
+    points, every piece kind, with or without restarts."""
+    I = draw(st.integers(1, 3))
+    J = draw(st.integers(0, 3))
+    coord = st.floats(-2.0, 3.0)
+    small = st.floats(-3.0, 3.0)
+    if draw(st.booleans()):
+        ds = GridProduct(values=tuple(sorted(draw(st.lists(coord, min_size=1, max_size=4,
+                                                            unique=True)))
+                                      for _ in range(I)))
+    else:
+        ds = ExplicitPoints(points=draw(st.lists(st.lists(coord, min_size=I, max_size=I),
+                                                 min_size=1, max_size=5)))
+    lo, hi = ds.hull_bounds()
+    pad = st.lists(st.floats(0.0, 1.0), min_size=I, max_size=I).map(np.array)
+    pwl = st.integers(0, 2).flatmap(lambda n: st.builds(
+        lambda bps, s0, steps: PiecewiseLinearPiece(
+            breakpoints=tuple(sorted(bps)), slopes=tuple(itertools.accumulate([s0] + steps))),
+        st.lists(coord, min_size=n, max_size=n, unique=True), small,
+        st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n)))
+    piece = st.one_of(st.builds(LinearPiece, small),
+                      st.builds(QuadraticPiece, st.just(0.0) | st.floats(0.0, 3.0), small),
+                      pwl)
+    coeffs = st.lists(small, min_size=I, max_size=I).filter(any)
+    spec = ProblemSpec(
+        decision_set=ds, box=ExtendedBox(lo - draw(pad), hi + draw(pad)),
+        objective=SeparableConvexObjective(pieces=[draw(piece) for _ in range(I)]),
+        constraints=[AffineConstraint(coeffs=draw(coeffs), offset=draw(small))
+                     for _ in range(J)])
+    cfg = SolverConfig(v=draw(st.floats(1.0, 20.0)), horizon=draw(st.integers(1, 40)),
+                       restart_base=draw(st.sampled_from([None, 2, 3])))
+    return spec, cfg

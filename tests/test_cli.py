@@ -105,21 +105,18 @@ def test_roundtrip_with_points_box_and_pwl():
     (lambda d: d.update(dimension=True), "dimension"),
     (lambda d: d["constraints"].__setitem__(
         1, {"coeffs": [1, 2, 3], "offset": 0.0, "sense": "<="}), "constraints[1]"),
+    pytest.param(lambda d: d.update(box={"lower": [0, 0], "upper": [2, 2]}), "box",
+                 id="box-without-the-set"),
 ])
-def test_parse_errors_name_the_field(mutate, field):
+def test_parse_errors_name_the_field(mutate, field, tmp_path):
     doc = json.loads(DEMO_CONFIG)
     mutate(doc)
     with pytest.raises(ParseError) as err:
         parse_problem_config(json.dumps(doc))
     assert err.value.field == field
-
-
-def test_parse_rejects_point_outside_box():
-    doc = json.loads(DEMO_CONFIG)
-    doc["box"] = {"lower": [0, 0], "upper": [2, 2]}
-    with pytest.raises(ParseError) as err:
-        parse_problem_config(json.dumps(doc))
-    assert err.value.field == "decision_set"
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(["solve", "--problem", str(path), "--out", str(tmp_path / "o")]) == 1
 
 
 def test_parse_rejects_invalid_json():
@@ -167,6 +164,18 @@ def test_sweep_writes_table_and_slopes(problem_file, tmp_path):
     assert len(rows) == 3
     summary = (out / "summary.txt").read_text()
     assert "slope_plain" in summary and "slope_staggered" in summary
+
+
+def test_sweep_flat_series_has_slope_zero(tmp_path):
+    # the quadratic demo with its extra constraint needs the same number of
+    # iterations at every V, so the fitted slope is exactly zero
+    path = tmp_path / "prob.json"
+    path.write_text(serialize_problem_config(reference_instance("quadratic", True)))
+    out = tmp_path / "out"
+    assert run_cli(["sweep", "--problem", str(path), "--out", str(out),
+                    "--V", "50,100,200", "--horizon", "20000"]) == 0
+    lines = (out / "summary.txt").read_text().splitlines()
+    assert "slope_plain: 0" in lines
 
 
 def test_diagnose_summary_and_certificates(problem_file, tmp_path):
