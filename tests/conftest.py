@@ -73,6 +73,11 @@ def main_estimates(instances):
             for name, spec in instances.items()}
 
 
+def bits(values) -> bytes:
+    """The raw bytes of values as doubles, for bitwise comparisons."""
+    return np.asarray(values, dtype=float).tobytes()
+
+
 @st.composite
 def generated_runs(draw):
     """A small spec and run config: I in 1-3, J in 0-3, a grid or explicit

@@ -36,7 +36,8 @@ from tavopt import (
 from tavopt.analysis import _dual_columns, sample_multipliers
 from tavopt.problem import EPS_C
 
-from conftest import INSTANCE_NAMES, MAIN_HORIZON, MAIN_V, build_instance, generated_runs
+from conftest import (INSTANCE_NAMES, MAIN_HORIZON, MAIN_V, bits, build_instance,
+                      generated_runs)
 
 POLY_OPT = 1.25
 SMOOTH_OPT = 0.5
@@ -102,10 +103,6 @@ def test_batch_dual_matches_scalar(spec_maker):
         assert d_batch[k] == d
         np.testing.assert_array_equal(x_batch[k], x)
         np.testing.assert_array_equal(y_batch[k], y)
-
-
-def bits(values) -> bytes:
-    return np.asarray(values, dtype=float).tobytes()
 
 
 @pytest.mark.parametrize("name", INSTANCE_NAMES)

@@ -30,7 +30,7 @@ from tavopt import (
 
 from tavopt.engine import prefix_sums, window_mean
 
-from conftest import build_instance, generated_runs
+from conftest import bits, build_instance, generated_runs
 
 
 def constant_instance():
@@ -320,10 +320,6 @@ def test_numeric_failure_stops_at_first_recorded_row():
     with pytest.raises(NumericError) as err:
         run(spec, cfg)
     assert err.value.iteration == 0
-
-
-def bits(values) -> bytes:
-    return np.asarray(values, dtype=float).tobytes()
 
 
 # a frame starting with the smallest subnormal after a prefix summing to
