@@ -28,14 +28,8 @@ from .analysis import (
     optimality_error,
     phase_detect,
 )
-from .cli import (
-    ExperimentConfig,
-    ParseError,
-    parse_problem_config,
-    reference_instance,
-    run_cli,
-    serialize_problem_config,
-)
+from .cli import ExperimentConfig, reference_instance, run_cli
+from .config import ParseError, parse_problem_config, serialize_problem_config
 from .engine import (
     DualState,
     NumericError,

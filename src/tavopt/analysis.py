@@ -399,21 +399,17 @@ def minimal_decay_rate(spec: ProblemSpec, lam_hat: np.ndarray, j_dim: int,
 
 
 def estimate_sharpness(spec: ProblemSpec, estimate: "MultiplierEstimate",
-                       geometry: str, seed: int = 0) -> float:
-    """Decay-rate estimate feeding the region geometry.
+                       seed: int = 0) -> dict:
+    """Decay-rate estimates feeding the region geometry, keyed by geometry.
 
-    Polyhedral geometry uses (d(lam_hat) - d(probe)) / distance, smooth uses
-    the squared distance.  The result is floored at a tiny positive value so
-    the region formulas stay defined.
+    One decay search serves both: "polyhedral" is (d(lam_hat) - d(probe)) /
+    distance, "smooth" divides by the squared distance.  Each rate is floored
+    at a tiny positive value so the region formulas stay defined.
     """
     rate = minimal_decay_rate(spec, estimate.lam, estimate.j_dim,
                               distance=_SHARPNESS_DISTANCE, n_probes=_SHARPNESS_PROBES,
                               seed=seed)
-    if geometry == "polyhedral":
-        return max(rate, 1e-9)
-    if geometry == "smooth":
-        return max(rate / _SHARPNESS_DISTANCE, 1e-9)
-    raise ValueError(f"unknown geometry {geometry!r}")
+    return {"polyhedral": max(rate, 1e-9), "smooth": max(rate / _SHARPNESS_DISTANCE, 1e-9)}
 
 
 def estimate_multiplier(spec: ProblemSpec, method: str = "grid-dual-max", *,

@@ -5,29 +5,26 @@ over a list of V values), diagnose (multiplier estimate, region geometry,
 per-step certificates), and reproduce (the bundled demo instances with both
 plain and staggered averages, emitted per figure).
 
-Problem instances are JSON files; see parse_problem_config for the schema.
+Problem instances are JSON files; tavopt.config holds their schema.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import analysis
+from .config import parse_problem_config
 from .engine import (NumericError, SolverConfig, run, staggered_average, write_table,
                      write_trace_csv)
 from .oracle import InfeasibilityError, solve_reference, solve_reference_lp
 from .problem import (
-    PIECE_KINDS,
     AffineConstraint,
-    ExplicitPoints,
-    ExtendedBox,
     GridProduct,
     LinearPiece,
     ProblemSpec,
@@ -39,10 +36,7 @@ from .problem import (
 )
 
 __all__ = [
-    "ParseError",
     "ExperimentConfig",
-    "parse_problem_config",
-    "serialize_problem_config",
     "reference_instance",
     "FIGURE_SETUPS",
     "run_cli",
@@ -53,154 +47,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
 EXIT_CHECK_FAILED = 3
-
-
-class ParseError(ValueError):
-    """Problem config rejected; carries the offending field."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(f"{field}: {message}")
-        self.field = field
-
-
-# ---------------------------------------------------------------------------
-# Problem config (JSON)
-# ---------------------------------------------------------------------------
-
-def _parse_piece(raw, where: str):
-    if not isinstance(raw, dict) or "kind" not in raw:
-        raise ParseError(where, "piece must be an object with a 'kind'")
-    kind = raw["kind"]
-    cls = PIECE_KINDS.get(kind) if isinstance(kind, str) else None
-    if cls is None:
-        raise ParseError(f"{where}.kind", f"unknown piece kind {kind!r}")
-    extra = set(raw) - {"kind"} - {f.name for f in fields(cls)}
-    if extra:
-        raise ParseError(f"{where}.{sorted(extra)[0]}", "unknown key")
-    try:
-        return cls.from_json(raw)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ParseError(where, str(exc)) from exc
-
-
-def parse_problem_config(text: str) -> ProblemSpec:
-    """Build a ProblemSpec from JSON text.
-
-    Schema: dimension (int); decision_set with either "grid" (per-coordinate
-    value lists) or "points" (list of vectors); optional box
-    {lower, upper} (defaults to the tight hull box); objective (list of
-    pieces, one per coordinate); optional constraints (list of
-    {coeffs, offset, sense}) with sense "<=" or ">=" relative to
-    coeffs . x <sense> offset, normalized internally to g(x) <= 0.
-    """
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError("<json>", str(exc)) from exc
-    if not isinstance(raw, dict):
-        raise ParseError("<root>", "config must be a JSON object")
-    known = {"dimension", "decision_set", "box", "objective", "constraints"}
-    extra = set(raw) - known
-    if extra:
-        raise ParseError(sorted(extra)[0], "unknown key")
-    for key in ("dimension", "decision_set", "objective"):
-        if key not in raw:
-            raise ParseError(key, "missing required key")
-
-    dim = raw["dimension"]
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise ParseError("dimension", "must be a positive integer")
-
-    ds_raw = raw["decision_set"]
-    if not isinstance(ds_raw, dict) or len(set(ds_raw) & {"grid", "points"}) != 1:
-        raise ParseError("decision_set", "needs exactly one of 'grid' or 'points'")
-    extra = set(ds_raw) - {"grid", "points"}
-    if extra:
-        raise ParseError(f"decision_set.{sorted(extra)[0]}", "unknown key")
-    try:
-        if "grid" in ds_raw:
-            if len(ds_raw["grid"]) != dim:
-                raise ValueError(f"expected {dim} coordinate value lists")
-            decision = GridProduct(values=tuple(tuple(v) for v in ds_raw["grid"]))
-        else:
-            decision = ExplicitPoints(points=np.asarray(ds_raw["points"], dtype=float))
-            if decision.dimension != dim:
-                raise ValueError(f"points have dimension {decision.dimension}, expected {dim}")
-    except (ValueError, TypeError) as exc:
-        raise ParseError("decision_set", str(exc)) from exc
-
-    if "box" in raw:
-        box_raw = raw["box"]
-        if not isinstance(box_raw, dict):
-            raise ParseError("box", "must be an object")
-        extra = set(box_raw) - {"lower", "upper"}
-        if extra:
-            raise ParseError(f"box.{sorted(extra)[0]}", "unknown key")
-        try:
-            box = ExtendedBox(lower=np.asarray(box_raw["lower"], dtype=float),
-                              upper=np.asarray(box_raw["upper"], dtype=float))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ParseError("box", str(exc)) from exc
-        if box.dimension != dim:
-            raise ParseError("box", f"has dimension {box.dimension}, expected {dim}")
-    else:
-        box = tight_box(decision)
-
-    pieces_raw = raw["objective"]
-    if not isinstance(pieces_raw, list) or len(pieces_raw) != dim:
-        raise ParseError("objective", f"needs exactly {dim} pieces")
-    pieces = tuple(_parse_piece(p, f"objective[{i}]") for i, p in enumerate(pieces_raw))
-
-    constraints_raw = raw.get("constraints", [])
-    if not isinstance(constraints_raw, list):
-        raise ParseError("constraints", "must be a list")
-    constraints = []
-    for j, c_raw in enumerate(constraints_raw):
-        where = f"constraints[{j}]"
-        if not isinstance(c_raw, dict):
-            raise ParseError(where, "must be an object")
-        extra = set(c_raw) - {"coeffs", "offset", "sense"}
-        if extra:
-            raise ParseError(f"{where}.{sorted(extra)[0]}", "unknown key")
-        sense = c_raw.get("sense", "<=")
-        if sense not in ("<=", ">="):
-            raise ParseError(f"{where}.sense", f"must be '<=' or '>=', got {sense!r}")
-        try:
-            coeffs = np.asarray(c_raw["coeffs"], dtype=float)
-            offset = float(c_raw.get("offset", 0.0))
-            if sense == ">=":
-                constraint = AffineConstraint(coeffs=-coeffs, offset=offset)
-            else:
-                constraint = AffineConstraint(coeffs=coeffs, offset=-offset)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ParseError(where, str(exc)) from exc
-        if constraint.coeffs.shape[0] != dim:
-            raise ParseError(where, f"has {constraint.coeffs.shape[0]} coeffs, expected {dim}")
-        constraints.append(constraint)
-
-    try:
-        return ProblemSpec(decision_set=decision, box=box,
-                           objective=SeparableConvexObjective(pieces=pieces),
-                           constraints=tuple(constraints))
-    except ValueError as exc:
-        # every field is checked on its own above; what is left is whether
-        # the box contains the decision set
-        raise ParseError("box", str(exc)) from exc
-
-
-def serialize_problem_config(spec: ProblemSpec) -> str:
-    """Canonical JSON for a spec; parsing it reproduces the spec exactly."""
-    doc = {
-        "dimension": spec.dimension,
-        "decision_set": spec.decision_set.to_json(),
-        "box": {"lower": spec.box.lower.tolist(), "upper": spec.box.upper.tolist()},
-        "objective": [p.to_json() for p in spec.objective.pieces],
-        "constraints": [
-            {"coeffs": g.coeffs.tolist(), "offset": -g.offset, "sense": "<="}
-            for g in spec.constraints
-        ],
-    }
-    return json.dumps(doc, indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +114,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode != "reproduce" and self.problem_path is None:
             raise ValueError(f"mode {self.mode} needs a problem file")
-        if self.mode == "solve" and len(self.v_list) != 1:
-            raise ValueError("solve mode takes exactly one V")
+        if self.mode != "sweep" and len(self.v_list) != 1:
+            raise ValueError(f"{self.mode} mode takes exactly one V")
         if self.mode == "sweep" and len(self.v_list) < 2:
             raise ValueError("sweep mode needs at least two V values")
         if not self.v_list or any(v < 1.0 for v in self.v_list):
@@ -363,6 +209,9 @@ def _do_diagnose(cfg: ExperimentConfig) -> int:
                                    restart_base=cfg.restart_base))
     estimate = analysis.estimate_multiplier(spec, cfg.method, v=v, seed=cfg.seed)
     drift = analysis.drift_certificate(trace, estimate.lam, v, c)
+    rates = analysis.estimate_sharpness(spec, estimate, seed=cfg.seed)
+    bounds = analysis.BoundSet(m=m, c=c, v=v, l_poly=rates["polyhedral"],
+                               l_smooth=rates["smooth"])
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     fields = {
@@ -381,11 +230,9 @@ def _do_diagnose(cfg: ExperimentConfig) -> int:
         "drift_certificate_max_slack": drift.max_slack,
     }
     for geometry in _geometries(cfg):
-        l_hat = analysis.estimate_sharpness(spec, estimate, geometry, seed=cfg.seed)
-        bounds = _bounds_for(geometry, m, c, v, l_hat)
         report = analysis.phase_detect(trace, estimate, bounds, geometry)
         fields.update({
-            f"{geometry}_decay_rate": l_hat,
+            f"{geometry}_decay_rate": rates[geometry],
             f"{geometry}_region_radius": bounds.radius(geometry),
             f"{geometry}_t_hit": report.t_hit,
             f"{geometry}_absorbed": report.absorbed,
@@ -414,12 +261,6 @@ def _do_diagnose(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _bounds_for(geometry: str, m: float, c: float, v: float, l_hat: float):
-    if geometry == "polyhedral":
-        return analysis.BoundSet(m=m, c=c, v=v, l_poly=l_hat)
-    return analysis.BoundSet(m=m, c=c, v=v, l_smooth=l_hat)
-
-
 def _do_reproduce(cfg: ExperimentConfig) -> int:
     figures = [cfg.figure] if cfg.figure else sorted(FIGURE_SETUPS)
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -440,8 +281,9 @@ def _do_reproduce(cfg: ExperimentConfig) -> int:
         m = lipschitz_bound(spec)
         c = squared_norm_bound(spec)
         estimate = analysis.estimate_multiplier(spec, cfg.method, v=v, seed=cfg.seed)
-        l_hat = analysis.estimate_sharpness(spec, estimate, geometry, seed=cfg.seed)
-        bounds = _bounds_for(geometry, m, c, v, l_hat)
+        rates = analysis.estimate_sharpness(spec, estimate, seed=cfg.seed)
+        bounds = analysis.BoundSet(m=m, c=c, v=v, l_poly=rates["polyhedral"],
+                                   l_smooth=rates["smooth"])
         report = analysis.phase_detect(trace, estimate, bounds, geometry)
         detected = report.t_hit if report.t_hit is not None else 0
 
@@ -575,7 +417,7 @@ def run_cli(argv) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ParseError, ValueError, OSError, analysis.EstimationError,
+    except (ValueError, OSError, analysis.EstimationError,
             InfeasibilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

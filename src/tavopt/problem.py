@@ -61,8 +61,9 @@ def _as_float_vector(values, name: str) -> np.ndarray:
 # the minimizer of piece(y) + c*y over [lo, hi], which the engine calls per
 # step; argmin_shifted_batch, the same minimizer for an array of c values,
 # equal element by element; max_abs_value(lo, hi), a bound on |piece| over
-# [lo, hi]; and its JSON form, {"kind": kind, <fields>}.  A new kind is one
-# class here plus its entry in PIECE_KINDS.
+# [lo, hi].  Its JSON form, {"kind": kind, <fields>}, is read and written
+# from its dataclass fields by tavopt.config.  A new kind is one class here
+# plus its entry in PIECE_KINDS.
 
 @dataclass(frozen=True)
 class LinearPiece:
@@ -93,13 +94,6 @@ class LinearPiece:
 
     def max_abs_value(self, lo: float, hi: float) -> float:
         return max(abs(self.value(lo)), abs(self.value(hi)))
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "slope": self.slope}
-
-    @classmethod
-    def from_json(cls, raw: dict) -> "LinearPiece":
-        return cls(slope=float(raw.get("slope", 0.0)))
 
 
 @dataclass(frozen=True)
@@ -153,14 +147,6 @@ class QuadraticPiece:
             if lo <= vertex <= hi:
                 cands.append(self.value(vertex))
         return max(abs(v) for v in cands)
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "curvature": self.curvature, "slope": self.slope}
-
-    @classmethod
-    def from_json(cls, raw: dict) -> "QuadraticPiece":
-        return cls(curvature=float(raw.get("curvature", 0.0)),
-                   slope=float(raw.get("slope", 0.0)))
 
 
 @dataclass(frozen=True)
@@ -268,14 +254,6 @@ class PiecewiseLinearPiece:
         cands.extend(self.value(b) for b in self.breakpoints if lo <= b <= hi)
         return max(abs(v) for v in cands)
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "breakpoints": list(self.breakpoints),
-                "slopes": list(self.slopes)}
-
-    @classmethod
-    def from_json(cls, raw: dict) -> "PiecewiseLinearPiece":
-        return cls(breakpoints=tuple(raw.get("breakpoints", ())), slopes=tuple(raw["slopes"]))
-
 
 PIECE_KINDS = {cls.kind: cls for cls in (LinearPiece, QuadraticPiece, PiecewiseLinearPiece)}
 
@@ -362,9 +340,6 @@ class GridProduct:
         lo, hi = self.hull_bounds()
         return np.where(np.asarray(weights, dtype=float) >= 0.0, lo, hi)
 
-    def to_json(self) -> dict:
-        return {"grid": [list(vs) for vs in self.values]}
-
     def iter_points(self):
         for combo in itertools.product(*self.values):
             yield np.array(combo, dtype=float)
@@ -406,9 +381,6 @@ class ExplicitPoints:
         # points are stored lexicographically sorted, so the first minimum
         # is the lexicographically smallest tie
         return self.points[np.argmin(scores, axis=-1)].copy()
-
-    def to_json(self) -> dict:
-        return {"points": self.points.tolist()}
 
     def iter_points(self):
         for p in self.points:

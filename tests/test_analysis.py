@@ -332,7 +332,7 @@ def test_phase_absorption_on_linear_instance(main_traces, main_estimates):
     trace, _ = main_traces["polyhedral"]
     spec = trace.spec
     est = main_estimates["polyhedral"]
-    l_hat = estimate_sharpness(spec, est, "polyhedral", seed=0)
+    l_hat = estimate_sharpness(spec, est, seed=0)["polyhedral"]
     bounds = BoundSet(m=lipschitz_bound(spec), c=squared_norm_bound(spec),
                       v=MAIN_V, l_poly=l_hat)
     report = phase_detect(trace, est, bounds, "polyhedral")
@@ -358,7 +358,7 @@ def test_smooth_region_absorption(main_traces, main_estimates):
     trace, _ = main_traces["smooth"]
     spec = trace.spec
     est = main_estimates["smooth"]
-    l_hat = estimate_sharpness(spec, est, "smooth", seed=0)
+    l_hat = estimate_sharpness(spec, est, seed=0)["smooth"]
     bounds = BoundSet(m=lipschitz_bound(spec), c=squared_norm_bound(spec),
                       v=MAIN_V, l_smooth=l_hat)
     report = phase_detect(trace, est, bounds, "smooth")
@@ -370,7 +370,7 @@ def test_smooth_region_absorption(main_traces, main_estimates):
 def test_transient_entry_grows_at_most_linearly(main_estimates):
     spec = build_instance("polyhedral")
     est = main_estimates["polyhedral"]
-    l_hat = estimate_sharpness(spec, est, "polyhedral", seed=0)
+    l_hat = estimate_sharpness(spec, est, seed=0)["polyhedral"]
     c = squared_norm_bound(spec)
     m = lipschitz_bound(spec)
     vs = [25.0, 50.0, 100.0, 200.0]
@@ -390,7 +390,7 @@ def test_steady_entry_growth_stays_subpolynomial_smooth(main_estimates):
     # floor at one iteration and fit as constant)
     spec = build_instance("smooth")
     est = main_estimates["smooth"]
-    l_hat = estimate_sharpness(spec, est, "smooth", seed=0)
+    l_hat = estimate_sharpness(spec, est, seed=0)["smooth"]
     c = squared_norm_bound(spec)
     m = lipschitz_bound(spec)
     vs = [25.0, 50.0, 100.0, 200.0]
@@ -444,7 +444,7 @@ def test_steady_state_bound_dominates_after_entry(main_traces, main_estimates,
     spec = trace.spec
     est = main_estimates["polyhedral"]
     f_opt = oracle_values["polyhedral"]
-    l_hat = estimate_sharpness(spec, est, "polyhedral", seed=0)
+    l_hat = estimate_sharpness(spec, est, seed=0)["polyhedral"]
     bounds = BoundSet(m=lipschitz_bound(spec), c=squared_norm_bound(spec),
                       v=MAIN_V, l_poly=l_hat)
     start = phase_detect(trace, est, bounds, "polyhedral").t_hit
@@ -500,7 +500,7 @@ def test_outside_region_distance_shrinks(main_estimates):
     est = main_estimates["polyhedral"]
     v = 1000.0
     trace = run(spec, SolverConfig(v=v, horizon=3000))
-    l_hat = estimate_sharpness(spec, est, "polyhedral", seed=0)
+    l_hat = estimate_sharpness(spec, est, seed=0)["polyhedral"]
     b_poly = BoundSet(m=lipschitz_bound(spec), c=squared_norm_bound(spec),
                       v=v, l_poly=l_hat).b_poly
     lam = trace.lambda_path

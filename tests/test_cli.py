@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -107,6 +108,23 @@ def test_roundtrip_with_points_box_and_pwl():
         1, {"coeffs": [1, 2, 3], "offset": 0.0, "sense": "<="}), "constraints[1]"),
     pytest.param(lambda d: d.update(box={"lower": [0, 0], "upper": [2, 2]}), "box",
                  id="box-without-the-set"),
+    # every value is read as its own JSON type: no string, bool or object
+    # passes for a number or a list, and no int overflows on the way to a double
+    pytest.param(lambda d: d["objective"][0].update(slope=10 ** 400), "objective[0].slope",
+                 id="huge-int-slope"),
+    pytest.param(lambda d: d["decision_set"]["grid"][0].__setitem__(1, 10 ** 400),
+                 "decision_set.grid[0][1]", id="huge-int-grid-value"),
+    pytest.param(lambda d: d["constraints"][0]["coeffs"].__setitem__(1, 10 ** 400),
+                 "constraints[0].coeffs[1]", id="huge-int-coeff"),
+    pytest.param(lambda d: d["objective"][0].update(slope="1.5"), "objective[0].slope",
+                 id="string-slope"),
+    pytest.param(lambda d: d["constraints"][0].update(offset=True), "constraints[0].offset",
+                 id="bool-offset"),
+    pytest.param(lambda d: d["decision_set"].update(grid=["0123", "0123"]),
+                 "decision_set.grid[0]", id="string-grid-row"),
+    pytest.param(lambda d: d["objective"].__setitem__(0, {
+        "kind": "piecewise_linear", "breakpoints": [0.5], "slopes": {"1": 0, "2": 1}}),
+        "objective[0].slopes", id="object-slopes"),
 ])
 def test_parse_errors_name_the_field(mutate, field, tmp_path):
     doc = json.loads(DEMO_CONFIG)
@@ -122,6 +140,89 @@ def test_parse_errors_name_the_field(mutate, field, tmp_path):
 def test_parse_rejects_invalid_json():
     with pytest.raises(ParseError):
         parse_problem_config("{not json")
+
+
+def test_every_module_exposes_one_parser():
+    assert tavopt.parse_problem_config is tavopt.cli.parse_problem_config
+    assert tavopt.parse_problem_config is tavopt.config.parse_problem_config
+
+
+POINTS_PWL_CONFIG = json.dumps({
+    "dimension": 2,
+    "decision_set": {"points": [[0.25, 1.0], [1.5, 0.125], [2.0, 2.0]]},
+    "box": {"lower": [0.0, 0.0], "upper": [2.0, 2.0]},
+    "objective": [
+        {"kind": "piecewise_linear", "breakpoints": [0.5, 1.0], "slopes": [-1.0, 0.0, 2.0]},
+        {"kind": "quadratic", "curvature": 0.5, "slope": -0.25},
+    ],
+    "constraints": [{"coeffs": [1, 1], "offset": 1.0, "sense": ">="}],
+})
+
+# replacement values: every JSON type, and numbers no double holds
+FUZZ_VALUES = (None, True, False, 0, -3, 2.5, 1e308, 10 ** 400, "1.5", "", [], [1.0, 2.0],
+               [[0, 1]], {}, {"lower": [0]})
+FUZZ_KEYS = ("extra", "kind", "slope", "slopes", "breakpoints", "offset", "sense", "coeffs",
+             "box", "grid", "points", "lower", "constraints")
+DEEP = "@deep@"  # stands for a value nested in many lists, spliced into the text
+
+
+def _fuzz_paths(node, path=()):
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _fuzz_paths(value, path + (key,))
+
+
+def _fuzz_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _fuzz_document(rng):
+    """One mutant of a base config: a key dropped or added, or a value
+    swapped for another JSON type or nested in lists."""
+    doc = json.loads(rng.choice((DEMO_CONFIG, POINTS_PWL_CONFIG)))
+    paths = list(_fuzz_paths(doc))
+    path = rng.choice(paths[1:])
+    parent, key = _fuzz_at(doc, path[:-1]), path[-1]
+    value = json.loads(json.dumps(rng.choice(FUZZ_VALUES)))
+    op = rng.choice(("drop", "add", "swap", "wrap", "deep"))
+    if op == "drop":
+        del parent[key]
+    elif op == "add":
+        objects = [p for p in paths if isinstance(_fuzz_at(doc, p), dict)]
+        _fuzz_at(doc, rng.choice(objects))[rng.choice(FUZZ_KEYS)] = value
+    elif op == "swap":
+        parent[key] = value
+    elif op == "wrap":
+        for _ in range(rng.randint(1, 3)):
+            parent[key] = [parent[key]]
+    else:
+        parent[key] = DEEP
+    depth = rng.choice((50, 900, 100_000))
+    return json.dumps(doc).replace(f'"{DEEP}"', "[" * depth + "0" + "]" * depth)
+
+
+def test_parser_fuzz_round_trips_or_names_a_field(tmp_path):
+    rng = random.Random(20161010)
+    parsed = 0
+    for _ in range(400):
+        text = _fuzz_document(rng)
+        try:
+            spec = parse_problem_config(text)
+        except ParseError as exc:
+            assert exc.field, text[:200]
+        else:
+            parsed += 1
+            canonical = serialize_problem_config(spec)
+            assert serialize_problem_config(parse_problem_config(canonical)) == canonical
+        path = tmp_path / "fuzz.json"
+        path.write_text(text)
+        code = run_cli(["solve", "--problem", str(path), "--out", str(tmp_path / "o"),
+                        "--horizon", "4"])
+        assert code in (0, 1, 2), text[:200]
+    assert 0 < parsed < 400  # the corpus mixes accepted and rejected documents
 
 
 def test_parse_error_on_negative_curvature_mentions_convexity():
@@ -253,6 +354,17 @@ def test_exit_codes_for_bad_inputs(tmp_path):
         "constraints": [{"coeffs": [1.0], "offset": 5.0, "sense": ">="}]}))
     assert run_cli(["sweep", "--problem", str(infeasible), "--out", str(tmp_path / "o"),
                     "--V", "10,20"]) == 1  # the oracle finds no feasible point
+    for mode in ("reproduce", "diagnose"):  # only sweep takes a V list
+        argv = [mode, "--V", "50,100", "--horizon", "64", "--out", str(tmp_path / "o")]
+        assert run_cli(argv + (["--problem", str(good)] if mode == "diagnose" else [])) == 1
+    # JSON nested past the recursion limit, and an int literal past the
+    # int-to-string digit limit, are config errors like any other
+    for text in ("[" * 100_000, "{\"dimension\": " + "7" * 5000 + "}"):
+        with pytest.raises(ParseError) as err:
+            parse_problem_config(text)
+        assert err.value.field == "<json>"
+        bad.write_text(text)
+        assert run_cli(["solve", "--problem", str(bad), "--out", str(tmp_path / "o")]) == 1
 
 
 @pytest.mark.parametrize("argv", [
