@@ -136,7 +136,7 @@ def dual_function_batch(spec: ProblemSpec, lam: np.ndarray):
     """Dual values and minimizers for a whole (n, J+I) batch of multipliers.
 
     Each row's value equals dual_function's, and run()'s d at the same
-    multiplier, bit for bit on grid sets.
+    multiplier, bit for bit.
     """
     lam = np.atleast_2d(np.asarray(lam, dtype=float))
     J = spec.constraint_count

@@ -10,7 +10,8 @@ relative to coeffs . x <sense> offset, normalized internally to g(x) <= 0.
 Every value is read through three readers: an object with known and
 required keys, a list with an optional length, and a number (a JSON int or
 float, not a bool).  A missing number reads as 0.0 and a missing list as
-empty.  Malformed input of any kind raises ParseError naming the field.
+empty.  Malformed input of any kind, a key repeated in one object included,
+raises ParseError naming the field.
 """
 
 from __future__ import annotations
@@ -34,12 +35,32 @@ class ParseError(ValueError):
         self.field = field
 
 
+class _JsonObject(dict):
+    """A JSON object as read, with the first key its text repeats (None if
+    none); json.loads would otherwise keep the last value silently."""
+
+    repeated = None
+
+
+def _json_object(pairs) -> _JsonObject:
+    obj, seen = _JsonObject(pairs), set()
+    for key, _ in pairs:
+        if key in seen:
+            obj.repeated = key
+            break
+        seen.add(key)
+    return obj
+
+
 def _object(raw, where: str, known=None, required=()) -> dict:
-    """raw as an object with keys among known (any, if None) and every
-    required key; its keys are named where.key ("" is the root)."""
+    """raw as an object with no repeated key, keys among known (any, if
+    None) and every required key; its keys are named where.key ("" is the
+    root)."""
     if not isinstance(raw, dict):
         raise ParseError(where or "<root>", "must be a JSON object")
     prefix = f"{where}." if where else ""
+    if getattr(raw, "repeated", None) is not None:
+        raise ParseError(prefix + raw.repeated, "duplicate key")
     extra = sorted(set(raw) - set(raw if known is None else known))
     if extra:
         raise ParseError(prefix + extra[0], "unknown key")
@@ -93,7 +114,7 @@ def _piece(raw, where: str):
 def parse_problem_config(text: str) -> ProblemSpec:
     """Build a ProblemSpec from JSON text (schema in the module docstring)."""
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_json_object)
     except (ValueError, RecursionError) as exc:
         raise ParseError("<json>", str(exc)) from exc
     raw = _object(raw, "", ("dimension", "decision_set", "box", "objective", "constraints"),

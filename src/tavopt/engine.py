@@ -19,7 +19,7 @@ import struct
 
 import numpy as np
 
-from .problem import GridProduct, ProblemSpec
+from .problem import ExplicitPoints, GridProduct, ProblemSpec
 
 __all__ = [
     "SolverConfig",
@@ -98,7 +98,8 @@ def x_update(spec: ProblemSpec, z) -> np.ndarray:
     """Decision-set point minimizing z . x over the hull.
 
     Grid sets decide each coordinate by the sign of z (ties take the smallest
-    value); explicit sets enumerate, breaking ties lexicographically.
+    value); explicit sets take the first minimum of ExplicitPoints.scores,
+    so ties go to the lexicographically smallest point.
     """
     z = np.asarray(z, dtype=float)
     if z.shape != (spec.dimension,):
@@ -238,13 +239,30 @@ class RunTrace:
                                for frame in np.split(self.x, self.restart_times)])
 
 
+# Explicit sets with at most this many score terms (points times coordinates)
+# have their scores unrolled into the step loop; larger ones call
+# linear_argmin, which sums the same terms in the same order in numpy.  The
+# unrolled scores cost ~30 ns per term per step, the call ~2 us per
+# coordinate plus ~2 us, almost regardless of the number of points.  In
+# run() the two met at ~250 terms on 3-D sets and ~450 on 6-D sets (2-core
+# Xeon, CPython 3.11, numpy 2.4); the lower crossover is taken.
+_UNROLLED_SCORE_TERMS = 256
+
+
+def _unrolls_scores(decision_set) -> bool:
+    return (isinstance(decision_set, ExplicitPoints)
+            and decision_set.points.size <= _UNROLLED_SCORE_TERMS)
+
+
 def _step_loop_source(spec: ProblemSpec, config: SolverConfig) -> str:
     """Source of run()'s step loop, unrolled for this spec's I and J.
 
     The text holds only names built from integer indices and the repr of the
     validated finite constants of spec and config.  Each line does the
     arithmetic of x_update, y_update and dual_update term by term in the same
-    order, and the pieces' own bound methods do the closed forms.
+    order, and the pieces' own bound methods do the closed forms.  A small
+    explicit set is scored in these lines too, its points passed in as float
+    tuples; a large one calls linear_argmin.
     """
     I, J = spec.dimension, spec.constraint_count
     A, b = spec.constraint_matrix()
@@ -255,17 +273,33 @@ def _step_loop_source(spec: ProblemSpec, config: SolverConfig) -> str:
     def each(fmt, count=I):
         return [fmt.format(k=k) for k in range(count)]
 
-    lines = ["def step_loop(pieces, pick_x, w, z, rows, pack_into):",
+    ds = spec.decision_set
+    unrolled = _unrolls_scores(ds)
+    lines = ["def step_loop(pieces, pick_x, points, w, z, rows, pack_into):",
              f"    [{', '.join(each('w{k}', J))}] = w",
              f"    [{', '.join(each('z{k}'))}] = z",
-             *each("    argmin{k} = pieces[{k}].argmin_shifted; value{k} = pieces[{k}].value"),
-             f"    for t in range({int(config.horizon)}):"]
-    if isinstance(spec.decision_set, GridProduct):
+             *each("    argmin{k} = pieces[{k}].argmin_shifted; value{k} = pieces[{k}].value")]
+    if unrolled:
+        lines.append(f"    [{', '.join(each('point{k}', len(ds.points)))}] = points")
+    lines.append(f"    for t in range({int(config.horizon)}):")
+    xs = ", ".join(each("x{k}"))
+    if isinstance(ds, GridProduct):
         lines += [f"        x{i} = {lit(vs[0])} if z{i} >= 0.0 else {lit(vs[-1])}"
-                  for i, vs in enumerate(spec.decision_set.values)]
+                  for i, vs in enumerate(ds.values)]
+    elif unrolled:
+        # ExplicitPoints.scores, one point at a time: the first minimum over
+        # the sorted points wins, as argmin's does
+        def score(p):
+            return " + ".join(f"z{i} * {lit(v)}" for i, v in enumerate(p))
+
+        pts = ds.points.tolist()
+        lines.append(f"        best = {score(pts[0])}; x = point0")
+        for k, p in enumerate(pts[1:], start=1):
+            lines += [f"        s = {score(p)}",
+                      f"        if s < best: best = s; x = point{k}"]
+        lines.append(f"        [{xs}] = x")
     else:
-        lines.append(f"        [{', '.join(each('x{k}'))}] = "
-                     f"pick_x([{', '.join(each('z{k}'))}]).tolist()")
+        lines.append(f"        [{xs}] = pick_x([{', '.join(each('z{k}'))}]).tolist()")
     for i in range(I):
         c = " + ".join([f"-z{i}"] + [f"w{j} * {lit(A[j, i])}" for j in range(J)])
         lines.append(f"        y{i} = argmin{i}({c}, "
@@ -317,8 +351,10 @@ def run(spec: ProblemSpec, config: SolverConfig) -> RunTrace:
     # x, y, w, z, d
     width = 3 * I + J + 1
     rows = np.empty((T, width))
+    ds = spec.decision_set
+    points = tuple(map(tuple, ds.points.tolist())) if _unrolls_scores(ds) else ()
     w_final, z_final = namespace["step_loop"](
-        spec.objective.pieces, spec.decision_set.linear_argmin, w, z, rows,
+        spec.objective.pieces, ds.linear_argmin, points, w, z, rows,
         struct.Struct(f"{width}d").pack_into)
     x, y, w_rows, z_rows, d = (
         block.copy() for block in np.split(rows, np.cumsum([I, I, J, I]), axis=1))

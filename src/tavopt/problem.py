@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import ClassVar, Union
 
@@ -176,49 +177,40 @@ class PiecewiseLinearPiece:
             raise ValueError("breakpoints must be strictly increasing")
         if any(s2 < s1 for s1, s2 in zip(sls, sls[1:])):
             raise ValueError("non-convex piece: slopes must be nondecreasing")
+        # (slope, lower node, upper node) of each segment, for value's loop
+        nodes = (-math.inf,) + bps + (math.inf,)
+        object.__setattr__(self, "_segments", tuple(zip(sls, nodes, nodes[1:])))
 
     def _slope_right_of(self, y: float) -> float:
-        k = 0
-        for b in self.breakpoints:
-            if b <= y:
-                k += 1
-            else:
-                break
-        return self.slopes[k]
+        # breakpoints strictly increase, so bisect counts those <= y
+        return self.slopes[bisect_right(self.breakpoints, y)]
 
     def _slope_left_of(self, y: float) -> float:
-        k = 0
-        for b in self.breakpoints:
-            if b < y:
-                k += 1
-            else:
-                break
-        return self.slopes[k]
+        return self.slopes[bisect_left(self.breakpoints, y)]
 
     def value(self, y: float) -> float:
-        # integral of the slope function from 0 to y
-        nodes = (-math.inf,) + self.breakpoints + (math.inf,)
+        # integral of the slope function from 0 to y; each segment is
+        # clipped to [a, b] as max(a, node_lo) and min(b, node_hi) would
+        # (the first argument wins a tie, so signed zeros keep their bits)
         total = 0.0
         a, b = (0.0, y) if y >= 0.0 else (y, 0.0)
-        sign = 1.0 if y >= 0.0 else -1.0
-        for k, s in enumerate(self.slopes):
-            seg_lo = max(a, nodes[k])
-            seg_hi = min(b, nodes[k + 1])
+        for s, node_lo, node_hi in self._segments:
+            seg_lo = node_lo if node_lo > a else a
+            seg_hi = node_hi if node_hi < b else b
             if seg_hi > seg_lo:
                 total += s * (seg_hi - seg_lo)
-        return sign * total
+        return total if y >= 0.0 else -1.0 * total
 
     def values(self, ys: np.ndarray) -> np.ndarray:
         # value's integral, elementwise, with the same operations in the
         # same order, so each entry equals value(y) bit for bit
         ys = np.asarray(ys, dtype=float)
-        nodes = (-math.inf,) + self.breakpoints + (math.inf,)
         nonneg = ys >= 0.0
         a, b = np.where(nonneg, 0.0, ys), np.where(nonneg, ys, 0.0)
         total = np.zeros(ys.shape)
-        for k, s in enumerate(self.slopes):
-            seg_lo = np.maximum(a, nodes[k])
-            seg_hi = np.minimum(b, nodes[k + 1])
+        for s, node_lo, node_hi in self._segments:
+            seg_lo = np.maximum(a, node_lo)
+            seg_hi = np.minimum(b, node_hi)
             total = total + np.where(seg_hi > seg_lo, s * (seg_hi - seg_lo), 0.0)
         return np.where(nonneg, 1.0, -1.0) * total
 
@@ -374,13 +366,30 @@ class ExplicitPoints:
         # every extreme point of the hull is one of the stored points
         return self.points
 
+    def scores(self, weights) -> np.ndarray:
+        """weights . p for every point p, for one weight vector (shape (N,))
+        or for each row of an (n, dimension) batch (shape (n, N)).
+
+        The sum runs in one fixed order, elementwise: s = w_0*p_0, then
+        s = s + w_k*p_k for k = 1..I-1.  No matrix product is involved, so a
+        batch row equals the single-vector score bit for bit, and both equal
+        the same sum in Python floats, which run()'s step loop unrolls.
+        """
+        w = np.asarray(weights, dtype=float)
+        # w_k is a float, or an (n, 1) column broadcast against the points
+        w = w.tolist() if w.ndim == 1 else w.T[..., None]
+        cols = self.points.T
+        s = w[0] * cols[0]
+        for k in range(1, len(cols)):
+            s += w[k] * cols[k]
+        return s
+
     def linear_argmin(self, weights) -> np.ndarray:
-        """Point of the set minimizing weights . x, for one weight vector or
-        for each row of an (n, dimension) batch."""
-        scores = np.asarray(weights, dtype=float) @ self.points.T
+        """Point of the set minimizing weights . x (the fixed-order scores),
+        for one weight vector or for each row of an (n, dimension) batch."""
         # points are stored lexicographically sorted, so the first minimum
         # is the lexicographically smallest tie
-        return self.points[np.argmin(scores, axis=-1)].copy()
+        return self.points[self.scores(weights).argmin(axis=-1)].copy()
 
     def iter_points(self):
         for p in self.points:

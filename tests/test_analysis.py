@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 
 from tavopt import (
     AffineConstraint,
     BoundSet,
     EstimationError,
+    ExplicitPoints,
     GridProduct,
     LinearPiece,
     PiecewiseLinearPiece,
@@ -91,8 +92,22 @@ def _pwl_instance():
         constraints=(AffineConstraint(coeffs=(-1.0, -1.0), offset=1.0),))
 
 
-@pytest.mark.parametrize("spec_maker",
-                         [lambda: build_instance("smooth-extra"), _pwl_instance])
+def _points_instance():
+    # non-dyadic coordinates, so scores summed in another order round apart
+    pts = ExplicitPoints(points=[[0.1, 0.7, 0.3], [0.3, 0.1, 0.7], [0.7, 0.3, 0.1],
+                                 [0.3, 0.3, 0.3], [0.1, 0.1, 0.9], [0.7, 0.7, 0.0]])
+    pieces = (PiecewiseLinearPiece(breakpoints=(0.2, 0.6), slopes=(-1.5, 0.1, 2.0)),
+              QuadraticPiece(1.0, -0.7), LinearPiece(0.3))
+    return ProblemSpec(
+        decision_set=pts, box=tight_box(pts),
+        objective=SeparableConvexObjective(pieces=pieces),
+        constraints=(AffineConstraint(coeffs=(-1.0, -0.7, -0.1), offset=0.9),))
+
+
+SPEC_MAKERS = [lambda: build_instance("smooth-extra"), _pwl_instance, _points_instance]
+
+
+@pytest.mark.parametrize("spec_maker", SPEC_MAKERS)
 def test_batch_dual_matches_scalar(spec_maker):
     spec = spec_maker()
     lam = sample_multipliers(spec, scale=1.0, count=50, seed=5)
@@ -115,16 +130,14 @@ def test_batch_dual_equals_recorded_d(name, main_traces):
 
 @settings(max_examples=100, deadline=None)
 @given(case=generated_runs())
-def test_batch_dual_equals_recorded_d_on_generated_grids(case):
+def test_batch_dual_equals_recorded_d_on_generated_specs(case):
     spec, cfg = case
-    assume(isinstance(spec.decision_set, GridProduct))
     trace = run(spec, cfg)
     d, _, _ = dual_function_batch(spec, trace.lambda_path[:-1])
     assert bits(d) == bits(trace.d)
 
 
-@pytest.mark.parametrize("spec_maker",
-                         [lambda: build_instance("smooth-extra"), _pwl_instance])
+@pytest.mark.parametrize("spec_maker", SPEC_MAKERS)
 def test_batch_of_a_concatenation_is_the_concatenation(spec_maker):
     spec = spec_maker()
     lam = sample_multipliers(spec, scale=1.0, count=301, seed=8)

@@ -85,6 +85,10 @@ def test_roundtrip_with_points_box_and_pwl():
     assert serialize_problem_config(parse_problem_config(text)) == text
 
 
+# JSON text that no dict holds, spliced in where a mutation puts its marker
+RAW_JSON = {"@repeated-slope@": '{"kind": "linear", "slope": 5, "slope": -1}'}
+
+
 @pytest.mark.parametrize("mutate,field", [
     (lambda d: d.update(extra_key=1), "extra_key"),
     (lambda d: d.pop("dimension"), "dimension"),
@@ -125,15 +129,21 @@ def test_roundtrip_with_points_box_and_pwl():
     pytest.param(lambda d: d["objective"].__setitem__(0, {
         "kind": "piecewise_linear", "breakpoints": [0.5], "slopes": {"1": 0, "2": 1}}),
         "objective[0].slopes", id="object-slopes"),
+    # a repeated key is refused, not read as its last value
+    pytest.param(lambda d: d["objective"].__setitem__(0, "@repeated-slope@"),
+                 "objective[0].slope", id="repeated-key"),
 ])
 def test_parse_errors_name_the_field(mutate, field, tmp_path):
     doc = json.loads(DEMO_CONFIG)
     mutate(doc)
+    text = json.dumps(doc)
+    for marker, raw in RAW_JSON.items():
+        text = text.replace(json.dumps(marker), raw)
     with pytest.raises(ParseError) as err:
-        parse_problem_config(json.dumps(doc))
+        parse_problem_config(text)
     assert err.value.field == field
     path = tmp_path / "prob.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(text)
     assert run_cli(["solve", "--problem", str(path), "--out", str(tmp_path / "o")]) == 1
 
 
@@ -164,6 +174,7 @@ FUZZ_VALUES = (None, True, False, 0, -3, 2.5, 1e308, 10 ** 400, "1.5", "", [], [
 FUZZ_KEYS = ("extra", "kind", "slope", "slopes", "breakpoints", "offset", "sense", "coeffs",
              "box", "grid", "points", "lower", "constraints")
 DEEP = "@deep@"  # stands for a value nested in many lists, spliced into the text
+REPEAT = "@repeat@"  # prefixes a second copy of a key of the same object
 
 
 def _fuzz_paths(node, path=()):
@@ -180,19 +191,23 @@ def _fuzz_at(doc, path):
 
 
 def _fuzz_document(rng):
-    """One mutant of a base config: a key dropped or added, or a value
-    swapped for another JSON type or nested in lists."""
+    """One mutant of a base config and its operation: a key dropped, added
+    or repeated, or a value swapped for another JSON type or nested in
+    lists."""
     doc = json.loads(rng.choice((DEMO_CONFIG, POINTS_PWL_CONFIG)))
     paths = list(_fuzz_paths(doc))
     path = rng.choice(paths[1:])
     parent, key = _fuzz_at(doc, path[:-1]), path[-1]
     value = json.loads(json.dumps(rng.choice(FUZZ_VALUES)))
-    op = rng.choice(("drop", "add", "swap", "wrap", "deep"))
+    op = rng.choice(("drop", "add", "swap", "wrap", "deep", "repeat"))
+    objects = [p for p in paths if isinstance(_fuzz_at(doc, p), dict)]
     if op == "drop":
         del parent[key]
     elif op == "add":
-        objects = [p for p in paths if isinstance(_fuzz_at(doc, p), dict)]
         _fuzz_at(doc, rng.choice(objects))[rng.choice(FUZZ_KEYS)] = value
+    elif op == "repeat":
+        obj = _fuzz_at(doc, rng.choice(objects))
+        obj[REPEAT + rng.choice(sorted(obj))] = value
     elif op == "swap":
         parent[key] = value
     elif op == "wrap":
@@ -201,28 +216,34 @@ def _fuzz_document(rng):
     else:
         parent[key] = DEEP
     depth = rng.choice((50, 900, 100_000))
-    return json.dumps(doc).replace(f'"{DEEP}"', "[" * depth + "0" + "]" * depth)
+    text = json.dumps(doc).replace(f'"{DEEP}"', "[" * depth + "0" + "]" * depth)
+    return text.replace(f'"{REPEAT}', '"'), op
 
 
 def test_parser_fuzz_round_trips_or_names_a_field(tmp_path):
     rng = random.Random(20161010)
-    parsed = 0
+    parsed = repeats = 0
     for _ in range(400):
-        text = _fuzz_document(rng)
+        text, op = _fuzz_document(rng)
         try:
             spec = parse_problem_config(text)
         except ParseError as exc:
             assert exc.field, text[:200]
+            if op == "repeat":
+                assert str(exc).endswith("duplicate key"), text[:200]
         else:
+            assert op != "repeat", text[:200]
             parsed += 1
             canonical = serialize_problem_config(spec)
             assert serialize_problem_config(parse_problem_config(canonical)) == canonical
+        repeats += op == "repeat"
         path = tmp_path / "fuzz.json"
         path.write_text(text)
         code = run_cli(["solve", "--problem", str(path), "--out", str(tmp_path / "o"),
                         "--horizon", "4"])
         assert code in (0, 1, 2), text[:200]
     assert 0 < parsed < 400  # the corpus mixes accepted and rejected documents
+    assert repeats > 0
 
 
 def test_parse_error_on_negative_curvature_mentions_convexity():

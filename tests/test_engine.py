@@ -28,7 +28,7 @@ from tavopt import (
     y_update,
 )
 
-from tavopt.engine import prefix_sums, window_mean
+from tavopt.engine import _UNROLLED_SCORE_TERMS, _step_loop_source, prefix_sums, window_mean
 
 from conftest import bits, build_instance, generated_runs
 
@@ -193,6 +193,63 @@ def test_run_matches_composed_updates_exactly():
         state = dual_update(state, x, y, g, 4.0)
     np.testing.assert_array_equal(trace.w_final, state.w)
     np.testing.assert_array_equal(trace.z_final, state.z)
+
+
+def _tenths_points_instance(count):
+    # non-dyadic points, so scores summed in another order round apart
+    rng = np.random.default_rng(count)
+    pts = ExplicitPoints(points=rng.integers(0, 31, size=(count, 3)) / 10)
+    return ProblemSpec(
+        decision_set=pts, box=tight_box(pts),
+        objective=SeparableConvexObjective(pieces=(
+            QuadraticPiece(0.7, -0.3), PiecewiseLinearPiece((0.9, 1.7), (-1.1, 0.2, 1.3)),
+            LinearPiece(0.4))),
+        constraints=(AffineConstraint(coeffs=(-0.3, -0.7, -0.1), offset=1.1),
+                     AffineConstraint(coeffs=(-0.9, -0.1, -0.6), offset=1.3)))
+
+
+@pytest.mark.parametrize("count,unrolled", [(8, True), (100, False)])
+def test_run_matches_composed_updates_on_both_sides_of_the_unroll(count, unrolled):
+    # 8 points in 3-D are scored in the step loop's own lines, 100 by the
+    # linear_argmin call; both equal the public updates bit for bit
+    spec = _tenths_points_instance(count)
+    A, b = spec.constraint_matrix()
+    cfg = SolverConfig(v=3.0, horizon=200)
+    assert (count * 3 <= _UNROLLED_SCORE_TERMS) == unrolled
+    assert ("pick_x(" not in _step_loop_source(spec, cfg)) == unrolled
+    trace = run(spec, cfg)
+    state = DualState(w=np.zeros(2), z=np.zeros(3))
+    for t in range(cfg.horizon):
+        x = x_update(spec, state.z)
+        y = y_update(spec, state.w, state.z)
+        assert bits(trace.x[t]) == bits(x) and bits(trace.y[t]) == bits(y)
+        assert bits(trace.w[t]) == bits(state.w) and bits(trace.z[t]) == bits(state.z)
+        g = []
+        for j in range(2):
+            gj = float(b[j])  # summed in the loop's order
+            for i in range(3):
+                gj += float(A[j, i]) * float(y[i])
+            g.append(gj)
+        state = dual_update(state, x, y, g, cfg.v)
+    assert len(set(map(bytes, trace.x))) > 1  # the run visits several points
+    assert bits(trace.w_final) == bits(state.w) and bits(trace.z_final) == bits(state.z)
+
+
+@pytest.mark.parametrize("points,expected", [
+    ([[1.0, 0.0], [0.0, 1.0]], [0.0, 1.0]),
+    ([[1.0, 0.0], [0.0, 2.0], [0.5, 0.5]], [0.5, 0.5]),
+])
+def test_unrolled_scores_break_exact_ties_lexicographically(points, expected):
+    # at z = (1, 1) the tied points score exactly equal; the lexicographically
+    # smallest of them wins, in the step loop as in x_update
+    pts = ExplicitPoints(points=points)
+    spec = ProblemSpec(
+        decision_set=pts, box=tight_box(pts),
+        objective=SeparableConvexObjective(pieces=(LinearPiece(1.0), LinearPiece(1.0))))
+    cfg = SolverConfig(v=1.0, horizon=1, initial_z=(1.0, 1.0))
+    assert "pick_x(" not in _step_loop_source(spec, cfg)
+    trace = run(spec, cfg)
+    assert bits(trace.x[0]) == bits(expected) == bits(x_update(spec, (1.0, 1.0)))
 
 
 @pytest.mark.parametrize("name", ["polyhedral", "smooth"])

@@ -24,7 +24,7 @@ from tavopt import (
 )
 from tavopt.problem import EPS_C
 
-from conftest import build_instance
+from conftest import bits, build_instance
 
 finite_floats = st.floats(-10.0, 10.0, allow_nan=False)
 
@@ -304,6 +304,33 @@ def test_grid_product_validation():
         GridProduct(values=((1.0, 1.0),))
     with pytest.raises(ValueError):
         GridProduct(values=((2.0, 1.0),))
+
+
+def fixed_order_score(w, p):
+    s = w[0] * p[0]
+    for wk, pk in zip(w[1:], p[1:]):
+        s = s + wk * pk
+    return s
+
+
+def test_explicit_point_scores_are_one_fixed_order_sum():
+    # tenths are not dyadic, so their products round, and the same terms
+    # summed in another order (a BLAS gemv or gemm) can land a bit apart;
+    # integer weights in tenths also make exact and near ties common
+    rng = np.random.default_rng(20161010)
+    for dim in range(1, 7):
+        for _ in range(25):
+            pts = ExplicitPoints(points=rng.integers(0, 11, size=(rng.integers(1, 13), dim)) / 10)
+            weights = np.vstack([rng.integers(-10, 11, size=(32, dim)) / 10,
+                                 rng.normal(size=(32, dim))])
+            scores, picks = pts.scores(weights), pts.linear_argmin(weights)
+            points = pts.points.tolist()
+            for k, w in enumerate(weights.tolist()):
+                expected = [fixed_order_score(w, p) for p in points]
+                first_min = min(range(len(points)), key=expected.__getitem__)
+                assert bits(scores[k]) == bits(pts.scores(weights[k])) == bits(expected)
+                assert bits(picks[k]) == bits(pts.linear_argmin(weights[k])) \
+                    == bits(points[first_min])
 
 
 def test_explicit_points_validation_and_ordering():
