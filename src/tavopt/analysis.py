@@ -86,7 +86,7 @@ def _dual_columns(spec: ProblemSpec, w, z):
         # explicit points are scored jointly: one linear_argmin row per
         # distinct z
         Z = np.stack(np.broadcast_arrays(*z), axis=-1)
-        X = spec.decision_set.linear_argmin(Z if Z.ndim == 1 else Z.reshape(-1, len(z)))
+        X = spec.decision_set.linear_argmin(Z.reshape(-1, len(z)))
         x = list(np.moveaxis(X.reshape(Z.shape), -1, 0))
     y = []
     for i, (piece, lo, hi) in enumerate(zip(spec.objective.pieces, spec.box.lower.tolist(),
@@ -112,17 +112,16 @@ def dual_function(spec: ProblemSpec, w, z):
     """Dual value at (w, z) together with its primal minimizers.
 
     Returns (value, x_star, y_star) where value = f(y*) + w . g(y*)
-    + z . (x* - y*), summed in run()'s order.
+    + z . (x* - y*), summed in run()'s order: row 0 of a one-row
+    dual_function_batch.
     """
     w = np.asarray(w, dtype=float)
     z = np.asarray(z, dtype=float)
     if w.shape != (spec.constraint_count,) or z.shape != (spec.dimension,):
         raise ValueError(f"(w, z) have shapes {w.shape}, {z.shape}, expected "
                          f"({spec.constraint_count},), ({spec.dimension},)")
-    if np.any(w < 0.0):
-        raise ValueError("w components must be nonnegative")
-    d, x, y = _dual_columns(spec, w, z)
-    return float(d), np.array(x, dtype=float), np.array(y, dtype=float)
+    d, x, y = dual_function_batch(spec, np.concatenate([w, z])[None, :])
+    return float(d[0]), x[0], y[0]
 
 
 def dual_subgradient(spec: ProblemSpec, w, z) -> np.ndarray:
@@ -289,23 +288,22 @@ def _grid_dual_max(spec: ProblemSpec, region: float, center_shift: float = 0.0):
     return best_lam, best_d
 
 
-def _residual_probes(spec: ProblemSpec, lam_hat, region: float, count: int,
-                     seed: int, extra=None) -> float:
+def _residual_probes(spec: ProblemSpec, lam_hat, region: float, seed: int, extra=None):
+    """(residual, d(lam_hat)): how far the best probe's dual value rises above
+    the estimate's, clipped at zero.  lam_hat is row 0 of the probe batch; it
+    lies in the dual domain, so the projection leaves it as it is."""
     rng = np.random.default_rng(seed)
-    J = spec.constraint_count
     dims = lam_hat.shape[0]
     blocks = [lam_hat[None, :]]
-    n_uni = count // 2
-    uni = rng.uniform(-region, region, size=(n_uni, dims))
-    blocks.append(uni)
+    n_uni = _PROBE_COUNT // 2
+    blocks.append(rng.uniform(-region, region, size=(n_uni, dims)))
     for scale in (1e-3, 1e-2, 1e-1, 1.0):
-        loc = lam_hat + scale * rng.standard_normal(((count - n_uni) // 4 + 1, dims))
-        blocks.append(loc)
+        blocks.append(lam_hat + scale * rng.standard_normal(((_PROBE_COUNT - n_uni) // 4 + 1,
+                                                            dims)))
     if extra is not None and len(extra):
         blocks.append(np.atleast_2d(extra))
-    probes = _project_dual(np.vstack(blocks), J)
-    D, _, _ = dual_function_batch(spec, probes)
-    d_hat, _, _ = dual_function(spec, lam_hat[:J], lam_hat[J:])
+    D, _, _ = dual_function_batch(spec, _project_dual(np.vstack(blocks), spec.constraint_count))
+    d_hat = float(D[0])
     return max(0.0, float(np.max(D)) - d_hat), d_hat
 
 
@@ -335,11 +333,12 @@ def _flat_direction_candidates(spec: ProblemSpec, lam_hat: np.ndarray,
 
 
 def minimal_decay_rate(spec: ProblemSpec, lam_hat: np.ndarray, j_dim: int,
-                       distance: float = 0.1, n_probes: int = 2048,
+                       distances: tuple = (0.1,), n_probes: int = 2048,
                        seed: int = 0, extra_directions=None) -> float:
-    """Smallest probed decrease of the dual per unit distance from lam_hat.
+    """Smallest probed decrease of the dual per unit distance from lam_hat,
+    over all the given probe distances.
 
-    Random ray probes at the given distance, augmented with subgradient
+    Random ray probes at each distance, augmented with subgradient
     null-space candidates and refined by a multi-start coordinate pattern
     search over the direction; this is what exposes the flat face of a
     non-unique maximizer.  May return a small negative value when lam_hat is
@@ -355,47 +354,50 @@ def minimal_decay_rate(spec: ProblemSpec, lam_hat: np.ndarray, j_dim: int,
     dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
     d_hat, _, _ = dual_function(spec, lam_hat[:j_dim], lam_hat[j_dim:])
 
-    def decay_of(directions):
-        probes = _project_dual(lam_hat[None, :] + distance * directions, j_dim)
+    def decay_of(directions, rho):
+        # rho holds each direction's probe distance
+        probes = _project_dual(lam_hat[None, :] + rho[:, None] * directions, j_dim)
         deltas = probes - lam_hat[None, :]
         dist = np.linalg.norm(deltas, axis=1)
-        ok = dist >= 0.25 * distance
+        ok = dist >= 0.25 * rho
         out = np.full(len(directions), np.inf)
         if np.any(ok):
             D, _, _ = dual_function_batch(spec, probes[ok])
             out[ok] = (d_hat - D) / dist[ok]
         return out
 
-    decays = decay_of(dirs)
-    order = np.argsort(decays)
-    best = float(decays[order[0]])
-    # the four starts search together, one batch of proposals per sweep;
-    # each row's value does not depend on its batch, so every start moves as
-    # it would alone
-    starts = [[dirs[k], float(decays[k]), 0.5] for k in order[:4]]  # u0, val, step
+    decays = decay_of(np.tile(dirs, (len(distances), 1)),
+                      np.repeat(distances, len(dirs))).reshape(len(distances), -1)
+    # four pattern searches per distance, from its directions of smallest
+    # decay, all run side by side with one batch of proposals per sweep; a
+    # row's dual value does not depend on its batch, so every search moves
+    # as it would alone.  A search's value only falls, so the smallest
+    # decay of each distance is its first search's start value.
+    starts = [[dirs[k], float(row[k]), 0.5, rho]  # u0, val, step, distance
+              for rho, row in zip(distances, decays) for k in np.argsort(row)[:4]]
+    axes = np.arange(dims)
     for _ in range(80):
         active = [s for s in starts if s[2] > 1e-4]
         if not active:
             break
-        blocks = []
-        for u0, _, step in active:
-            proposals = []
-            for axis in range(dims):
-                for sgn in (1.0, -1.0):
-                    u = u0.copy()
-                    u[axis] += sgn * step
-                    nrm = np.linalg.norm(u)
-                    if nrm > 0:
-                        proposals.append(u / nrm)
-            blocks.append(np.array(proposals))
-        vals = np.split(decay_of(np.vstack(blocks)), np.cumsum([len(c) for c in blocks])[:-1])
-        for start, cand, v in zip(active, blocks, vals):
+        # proposal 2*axis (2*axis + 1) moves u0 by +step (-step) along axis;
+        # u0 is a unit vector and step <= 0.5, so no proposal is zero
+        step = np.array([s[2] for s in active])[:, None]
+        props = np.repeat(np.array([s[0] for s in active])[:, None, :], 2 * dims, axis=1)
+        props[:, 2 * axes, axes] += step
+        props[:, 2 * axes + 1, axes] -= step
+        props = props.reshape(-1, dims)
+        # u @ u is the ddot that np.linalg.norm(u) takes, so each norm keeps its bits
+        props /= np.sqrt([u @ u for u in props])[:, None]
+        vals = decay_of(props, np.repeat([s[3] for s in active], 2 * dims))
+        for start, cand, v in zip(active, props.reshape(len(active), 2 * dims, dims),
+                                  vals.reshape(len(active), 2 * dims)):
             k = int(np.argmin(v))
             if v[k] < start[1] - 1e-12:
                 start[0], start[1] = cand[k], float(v[k])
             else:
                 start[2] *= 0.5
-    return min(best, *(val for _, val, _ in starts))
+    return min(val for _, val, _, _ in starts)
 
 
 def estimate_sharpness(spec: ProblemSpec, estimate: "MultiplierEstimate",
@@ -407,7 +409,7 @@ def estimate_sharpness(spec: ProblemSpec, estimate: "MultiplierEstimate",
     at a tiny positive value so the region formulas stay defined.
     """
     rate = minimal_decay_rate(spec, estimate.lam, estimate.j_dim,
-                              distance=_SHARPNESS_DISTANCE, n_probes=_SHARPNESS_PROBES,
+                              distances=(_SHARPNESS_DISTANCE,), n_probes=_SHARPNESS_PROBES,
                               seed=seed)
     return {"polyhedral": max(rate, 1e-9), "smooth": max(rate / _SHARPNESS_DISTANCE, 1e-9)}
 
@@ -449,8 +451,7 @@ def estimate_multiplier(spec: ProblemSpec, method: str = "grid-dual-max", *,
     else:
         raise ValueError(f"unknown estimation method {method!r}")
 
-    residual, d_value = _residual_probes(spec, lam_hat, reg, _PROBE_COUNT, seed,
-                                         extra=extra_probes)
+    residual, d_value = _residual_probes(spec, lam_hat, reg, seed, extra=extra_probes)
     if residual > _RESIDUAL_THRESHOLD:
         raise EstimationError(
             f"{method} estimate has residual {residual:.3g} above threshold "
@@ -467,9 +468,8 @@ def estimate_multiplier(spec: ProblemSpec, method: str = "grid-dual-max", *,
         gap = float(np.linalg.norm(alt - lam_hat))
         if gap > 10.0 * _RESOLUTION_TARGET:
             extra_dirs.append((alt - lam_hat) / gap)
-    decay = min(minimal_decay_rate(spec, lam_hat, J, distance=rho, seed=seed,
-                                   n_probes=512, extra_directions=extra_dirs)
-                for rho in (0.1, 0.05))
+    decay = minimal_decay_rate(spec, lam_hat, J, distances=(0.1, 0.05), seed=seed,
+                               n_probes=512, extra_directions=extra_dirs)
     nonunique = bool(decay < NONUNIQUE_DECAY_TOL)
 
     lam_hat = lam_hat.copy()
@@ -511,7 +511,7 @@ def drift_certificate(trace: RunTrace, lambda_star, v: float, c: float) -> Drift
     d_star, _, _ = dual_function(trace.spec, lam_star[:J], lam_star[J:])
     diff = trace.lambda_path - lam_star
     dist2 = np.sum(diff * diff, axis=1)
-    rhs = dist2[:-1] + (2.0 / v) * (trace.d - d_star) + 2.0 * c / v ** 2
+    rhs = dist2[:-1] + (2.0 / v) * (trace.d - d_star) + 2.0 * c / (v * v)
     slack = dist2[1:] - rhs
     tol = 1e-9 * max(1.0, float(np.max(dist2)))
     violations = np.flatnonzero(slack > tol)

@@ -11,6 +11,7 @@ Problem instances are JSON files; tavopt.config holds their schema.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -124,6 +125,9 @@ class ExperimentConfig:
             raise ValueError("V values must be distinct")
         if self.log_every < 1:
             raise ValueError("log_every must be >= 1")
+        for flag in ("oracle_resolution", "eps_anchor", "v_anchor"):
+            if not 0.0 < getattr(self, flag) < math.inf:
+                raise ValueError(f"--{flag.replace('_', '-')} must be a positive finite number")
 
 
 def _load_spec(cfg: ExperimentConfig) -> ProblemSpec:
@@ -196,31 +200,32 @@ def _do_sweep(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _geometries(cfg: ExperimentConfig):
-    return ("polyhedral", "smooth") if cfg.geometry == "both" else (cfg.geometry,)
+def _estimate_bounds(spec: ProblemSpec, cfg: ExperimentConfig):
+    """The multiplier estimate, its decay rates by geometry, and the BoundSet
+    of M, C and V with both rates."""
+    v = cfg.v_list[0]
+    estimate = analysis.estimate_multiplier(spec, cfg.method, v=v, seed=cfg.seed)
+    rates = analysis.estimate_sharpness(spec, estimate, seed=cfg.seed)
+    bounds = analysis.BoundSet(m=lipschitz_bound(spec), c=squared_norm_bound(spec), v=v,
+                               l_poly=rates["polyhedral"], l_smooth=rates["smooth"])
+    return estimate, rates, bounds
 
 
 def _do_diagnose(cfg: ExperimentConfig) -> int:
     spec = _load_spec(cfg)
-    v = cfg.v_list[0]
-    m = lipschitz_bound(spec)
-    c = squared_norm_bound(spec)
-    trace = run(spec, SolverConfig(v=v, horizon=cfg.horizon,
+    trace = run(spec, SolverConfig(v=cfg.v_list[0], horizon=cfg.horizon,
                                    restart_base=cfg.restart_base))
-    estimate = analysis.estimate_multiplier(spec, cfg.method, v=v, seed=cfg.seed)
-    drift = analysis.drift_certificate(trace, estimate.lam, v, c)
-    rates = analysis.estimate_sharpness(spec, estimate, seed=cfg.seed)
-    bounds = analysis.BoundSet(m=m, c=c, v=v, l_poly=rates["polyhedral"],
-                               l_smooth=rates["smooth"])
+    estimate, rates, bounds = _estimate_bounds(spec, cfg)
+    drift = analysis.drift_certificate(trace, estimate.lam, bounds.v, bounds.c)
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     fields = {
         "mode": "diagnose",
         "problem": cfg.problem_path,
-        "V": v,
+        "V": bounds.v,
         "horizon": cfg.horizon,
-        "lipschitz_M": m,
-        "norm_bound_C": c,
+        "lipschitz_M": bounds.m,
+        "norm_bound_C": bounds.c,
         "estimate_method": estimate.method,
         "estimate_d": estimate.d_value,
         "estimate_residual": estimate.residual,
@@ -229,7 +234,7 @@ def _do_diagnose(cfg: ExperimentConfig) -> int:
         "drift_certificate_violations": len(drift.violations),
         "drift_certificate_max_slack": drift.max_slack,
     }
-    for geometry in _geometries(cfg):
+    for geometry in ("polyhedral", "smooth") if cfg.geometry == "both" else (cfg.geometry,):
         report = analysis.phase_detect(trace, estimate, bounds, geometry)
         fields.update({
             f"{geometry}_decay_rate": rates[geometry],
@@ -244,10 +249,10 @@ def _do_diagnose(cfg: ExperimentConfig) -> int:
             obj_b, vio_b = analysis.convergence_bounds(
                 trace, bounds, start, length, geometry, lambda_star=estimate)
             fields[f"{geometry}_steady_objective_bound"] = obj_b
-            fields[f"{geometry}_steady_violation_bound"] = float(np.max(vio_b))
-    gen_bounds = analysis.BoundSet(m=m, c=c, v=v)
-    obj_b, vio_b = analysis.convergence_bounds(trace, gen_bounds, 0, trace.horizon,
-                                               "general")
+            if len(vio_b):
+                fields[f"{geometry}_steady_violation_bound"] = float(np.max(vio_b))
+    # the general regime reads only M, C and V
+    obj_b, vio_b = analysis.convergence_bounds(trace, bounds, 0, trace.horizon, "general")
     fields["general_objective_bound"] = obj_b
     if len(vio_b):
         fields["general_violation_bound"] = float(np.max(vio_b))
@@ -271,19 +276,8 @@ def _do_reproduce(cfg: ExperimentConfig) -> int:
         spec = reference_instance(objective, extra)
         trace = run(spec, SolverConfig(v=v, horizon=cfg.horizon))
         grid_oracle = solve_reference(spec, cfg.oracle_resolution)
-        f_opt = grid_oracle.f_opt
-        lp_line = None
-        if objective == "linear":
-            lp = solve_reference_lp(spec)
-            lp_line = lp.f_opt
-            f_opt = lp.f_opt
-
-        m = lipschitz_bound(spec)
-        c = squared_norm_bound(spec)
-        estimate = analysis.estimate_multiplier(spec, cfg.method, v=v, seed=cfg.seed)
-        rates = analysis.estimate_sharpness(spec, estimate, seed=cfg.seed)
-        bounds = analysis.BoundSet(m=m, c=c, v=v, l_poly=rates["polyhedral"],
-                                   l_smooth=rates["smooth"])
+        f_opt = solve_reference_lp(spec).f_opt if objective == "linear" else grid_oracle.f_opt
+        estimate, _, bounds = _estimate_bounds(spec, cfg)
         report = analysis.phase_detect(trace, estimate, bounds, geometry)
         detected = report.t_hit if report.t_hit is not None else 0
 
@@ -331,8 +325,8 @@ def _do_reproduce(cfg: ExperimentConfig) -> int:
             "multiplier_possibly_nonunique": estimate.possibly_nonunique,
             "f_opt_oracle_grid": grid_oracle.f_opt,
         }
-        if lp_line is not None:
-            fields["f_opt_oracle_lp"] = lp_line
+        if objective == "linear":
+            fields["f_opt_oracle_lp"] = f_opt
         fields.update({
             "f_xbar_final": f_final,
             "max_violation_final": float(np.max(g_final)) if J else 0.0,

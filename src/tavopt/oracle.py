@@ -194,7 +194,7 @@ def solve_reference(spec: ProblemSpec, resolution: float) -> OracleResult:
     tenth and a hundredth of it.  Explicit point sets are searched over
     convex-combination weights on a simplex lattice (at most 8 points).
     """
-    if resolution <= 0.0:
+    if not resolution > 0.0:
         raise ValueError("resolution must be positive")
     if isinstance(spec.decision_set, GridProduct):
         return _grid_search(spec, resolution)

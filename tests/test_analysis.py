@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tavopt import (
     AffineConstraint,
@@ -34,7 +35,7 @@ from tavopt import (
     staggered_average,
     tight_box,
 )
-from tavopt.analysis import _dual_columns, sample_multipliers
+from tavopt.analysis import _dual_columns, minimal_decay_rate, sample_multipliers
 from tavopt.problem import EPS_C
 
 from conftest import (INSTANCE_NAMES, MAIN_HORIZON, MAIN_V, bits, build_instance,
@@ -232,12 +233,51 @@ def test_nonuniqueness_flags(main_estimates):
     assert main_estimates["smooth-extra"].possibly_nonunique
 
 
+def _assert_d_value_is_the_dual_at_the_estimate(spec, est):
+    assert type(est.residual) is float and type(est.d_value) is float
+    assert bits(est.d_value) == bits(dual_function(spec, est.w_part, est.z_part)[0])
+
+
+@pytest.mark.parametrize("name", INSTANCE_NAMES)
+def test_grid_estimate_d_value_is_the_dual_at_the_estimate(name, main_estimates):
+    _assert_d_value_is_the_dual_at_the_estimate(build_instance(name), main_estimates[name])
+
+
 def test_tail_average_agrees_with_grid(main_estimates):
     spec = build_instance("polyhedral")
     tail = estimate_multiplier(spec, "tail-average", v=MAIN_V, seed=0)
     grid = main_estimates["polyhedral"]
     slack = 10.0 * max(tail.residual, grid.residual, 1e-6)
     assert abs(tail.d_value - grid.d_value) <= slack
+    _assert_d_value_is_the_dual_at_the_estimate(spec, tail)
+
+
+def _assert_joint_decay_search_is_the_min(spec, lam, distances, extra):
+    # the searches of all distances run side by side; each must move as it
+    # would in a call of its own
+    joint = minimal_decay_rate(spec, lam, spec.constraint_count, distances=distances,
+                               n_probes=64, seed=3, extra_directions=extra)
+    alone = [minimal_decay_rate(spec, lam, spec.constraint_count, distances=(rho,),
+                                n_probes=64, seed=3, extra_directions=extra)
+             for rho in distances]
+    assert bits(joint) == bits(min(alone))
+
+
+@pytest.mark.parametrize("name", INSTANCE_NAMES)
+def test_decay_search_over_distances_is_the_min_of_single_searches(name, main_estimates):
+    lam = main_estimates[name].lam
+    extra = [np.cos(np.arange(1.0, len(lam) + 1.0))] if name.endswith("-extra") else None
+    _assert_joint_decay_search_is_the_min(build_instance(name), lam, (0.1, 0.05), extra)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=generated_runs(), distances=st.lists(st.floats(0.01, 1.0), min_size=2, max_size=2),
+       with_extra=st.booleans())
+def test_decay_search_over_distances_on_generated_specs(case, distances, with_extra):
+    spec, cfg = case
+    lam = run(spec, cfg).lambda_path[-1]
+    extra = [np.cos(np.arange(1.0, len(lam) + 1.0))] if with_extra else None
+    _assert_joint_decay_search_is_the_min(spec, lam, tuple(distances), extra)
 
 
 def test_estimation_failure_raises():

@@ -316,6 +316,26 @@ def test_diagnose_summary_and_certificates(problem_file, tmp_path):
     assert len(cert_lines) == 1 + 4096
 
 
+@pytest.mark.parametrize("decision_set,extra", [
+    ({"grid": [[0, 1, 2, 3], [0, 1, 2, 3]]}, []),  # unconstrained
+    ({"points": [[0, 1], [1, 0], [2, 2]]}, []),  # unconstrained
+    ({"grid": [[0, 1, 2, 3], [0, 1, 2, 3]]}, ["--V", "1e300"]),  # V * V overflows
+])
+def test_diagnose_unconstrained_and_huge_v(decision_set, extra, tmp_path):
+    doc = json.loads(DEMO_CONFIG)
+    doc["decision_set"] = decision_set
+    if not extra:
+        del doc["constraints"]
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run_cli(["diagnose", "--problem", str(path), "--out", str(out),
+                    "--horizon", "512"] + extra) == 0
+    summary = (out / "summary.txt").read_text()
+    assert "drift_certificate_violations: 0" in summary
+    assert ("violation_bound" in summary) == bool(extra)
+
+
 def test_reproduce_single_figure_deterministic(tmp_path):
     out1 = tmp_path / "rep1"
     out2 = tmp_path / "rep2"
@@ -349,7 +369,7 @@ def test_python_dash_m_runs_the_cli_without_warnings():
     assert proc.stdout.startswith("usage: tavopt reproduce")
 
 
-def test_exit_codes_for_bad_inputs(tmp_path):
+def test_exit_codes_for_bad_inputs(tmp_path, capsys):
     assert run_cli(["solve", "--problem", str(tmp_path / "missing.json"),
                     "--out", str(tmp_path / "o")]) == 1
     bad = tmp_path / "bad.json"
@@ -375,6 +395,12 @@ def test_exit_codes_for_bad_inputs(tmp_path):
         "constraints": [{"coeffs": [1.0], "offset": 5.0, "sense": ">="}]}))
     assert run_cli(["sweep", "--problem", str(infeasible), "--out", str(tmp_path / "o"),
                     "--V", "10,20"]) == 1  # the oracle finds no feasible point
+    for flag, value in (("--oracle-resolution", "nan"), ("--oracle-resolution", "0"),
+                        ("--eps-anchor", "nan"), ("--eps-anchor", "-1"),
+                        ("--eps-anchor", "inf"), ("--v-anchor", "0")):
+        assert run_cli(["sweep", "--problem", str(good), "--out", str(tmp_path / "o"),
+                        "--V", "10,20", "--horizon", "64", flag, value]) == 1
+        assert flag in capsys.readouterr().err
     for mode in ("reproduce", "diagnose"):  # only sweep takes a V list
         argv = [mode, "--V", "50,100", "--horizon", "64", "--out", str(tmp_path / "o")]
         assert run_cli(argv + (["--problem", str(good)] if mode == "diagnose" else [])) == 1

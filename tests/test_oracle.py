@@ -18,6 +18,8 @@ from tavopt import (
     tight_box,
 )
 
+from tavopt.oracle import FEASIBILITY_TOL, _simplex_compositions
+
 from conftest import build_instance
 
 
@@ -138,6 +140,25 @@ def test_explicit_points_simplex_search():
     np.testing.assert_allclose(res.argmin, [0.75, 0.25], atol=1e-2)
 
 
+def test_explicit_points_polish_leaves_the_lattice():
+    # x1**2 - 0.74*x1 + 0.1*x2 under x1 + x2 >= 0.5 is least at (0.42, 0.08),
+    # between the points of the lattice at resolution 0.1
+    pts = ExplicitPoints(points=[[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+    spec = ProblemSpec(
+        decision_set=pts, box=tight_box(pts),
+        objective=SeparableConvexObjective(pieces=(QuadraticPiece(1.0, -0.74),
+                                                   LinearPiece(0.1))),
+        constraints=(AffineConstraint(coeffs=(-1.0, -1.0), offset=0.5),))
+    res = solve_reference(spec, resolution=0.1)
+    lattice = _simplex_compositions(10, 3) / 10 @ pts.points
+    A, b = spec.constraint_matrix()
+    feasible = lattice[np.all(lattice @ A.T + b <= FEASIBILITY_TOL, axis=1)]
+    assert res.f_opt < np.min(spec.objective.values(feasible))
+    assert np.all(A @ res.argmin + b <= FEASIBILITY_TOL)
+    assert res.f_opt == spec.objective.value(res.argmin)
+    np.testing.assert_allclose(res.argmin, [0.42, 0.08], atol=1e-9)
+
+
 def test_explicit_points_single_point():
     pts = ExplicitPoints(points=[[1.0, 1.0]])
     spec = ProblemSpec(
@@ -158,8 +179,9 @@ def test_explicit_points_cap():
 
 
 def test_bad_resolution():
-    with pytest.raises(ValueError):
-        solve_reference(build_instance("polyhedral"), resolution=0.0)
+    for res in (0.0, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="resolution must be positive"):
+            solve_reference(build_instance("polyhedral"), resolution=res)
 
 
 def test_sandwich_between_dual_trajectory_and_penalized_average(oracle_values):
