@@ -395,19 +395,44 @@ def write_table(path, header, columns) -> None:
     """Write a CSV with one header line and one row per index of columns.
 
     columns are 1-D arrays (one cell per row) or 2-D blocks (one cell per
-    block column), all of the same length.  Each cell is the repr of its
-    .tolist() value, so ints print as ints and floats in the shortest
-    decimal form that round-trips the double.  Rows are formatted a fixed
-    number at a time, so memory beyond the arrays stays bounded.
+    block column), all of the same length; a column of another length raises
+    ValueError.  Each cell is the repr of its .tolist() value, so ints print
+    as ints and floats in the shortest decimal form that round-trips the
+    double.  Native float64 and integer columns get those digits from one
+    orjson.dumps call per column of a chunk of rows: its shortest round-trip
+    digits (Ryu) equal repr's wherever repr writes fixed notation.  The float
+    cells where the two differ keep their repr: nan and +-inf (orjson prints
+    null) and nonzero magnitudes below 1e-4 or from 1e16 on (repr writes
+    1e-05 and 1e+16, orjson 0.00001 and 1e16).  Columns of any other dtype
+    go through repr alone.  Rows are formatted a fixed number at a time, so
+    memory beyond the arrays stays bounded.
     """
+    # imported here, not at module level: it adds ~6.5 ms to `import tavopt`
+    from orjson import OPT_SERIALIZE_NUMPY, dumps
+
+    def cells(chunk):
+        """The cells of each column of a block's chunk of rows, as lists of str."""
+        cols = np.ascontiguousarray(chunk.T)
+        dt = cols.dtype
+        if not (dt == np.float64 or (dt.kind in "iu" and dt.isnative)):
+            return [list(map(repr, col)) for col in cols.tolist()]
+        out = [dumps(col, option=OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",") for col in cols]
+        if dt.kind == "f":
+            mag = np.abs(cols)
+            for i, k in zip(*np.nonzero(~((mag >= 1e-4) & (mag < 1e16)) & (mag != 0.0))):
+                out[i][k] = repr(float(cols[i, k]))
+        return out
+
     blocks = [c.reshape(len(c), 1) if c.ndim == 1 else c for c in map(np.asarray, columns)]
     n = len(blocks[0])
+    for k, block in enumerate(blocks):
+        if len(block) != n:
+            raise ValueError(f"column {k} has {len(block)} rows, column 0 has {n}")
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for lo in range(0, n, _TABLE_BLOCK_ROWS):
-            cells = [list(map(repr, col))
-                     for block in blocks for col in block[lo:lo + _TABLE_BLOCK_ROWS].T.tolist()]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            row_cells = [col for block in blocks for col in cells(block[lo:lo + _TABLE_BLOCK_ROWS])]
+            fh.write("\n".join(map(",".join, zip(*row_cells))) + "\n")
 
 
 def write_trace_csv(trace: RunTrace, path, rows=None) -> None:

@@ -332,10 +332,6 @@ class GridProduct:
         lo, hi = self.hull_bounds()
         return np.where(np.asarray(weights, dtype=float) >= 0.0, lo, hi)
 
-    def iter_points(self):
-        for combo in itertools.product(*self.values):
-            yield np.array(combo, dtype=float)
-
 
 @dataclass(frozen=True)
 class ExplicitPoints:
@@ -390,10 +386,6 @@ class ExplicitPoints:
         # points are stored lexicographically sorted, so the first minimum
         # is the lexicographically smallest tie
         return self.points[self.scores(weights).argmin(axis=-1)].copy()
-
-    def iter_points(self):
-        for p in self.points:
-            yield p.copy()
 
 
 DecisionSet = Union[GridProduct, ExplicitPoints]

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -28,7 +29,8 @@ from tavopt import (
     y_update,
 )
 
-from tavopt.engine import _UNROLLED_SCORE_TERMS, _step_loop_source, prefix_sums, window_mean
+from tavopt.engine import (_TABLE_BLOCK_ROWS, _UNROLLED_SCORE_TERMS, _step_loop_source,
+                           prefix_sums, window_mean, write_table)
 
 from conftest import bits, build_instance, generated_runs
 
@@ -60,7 +62,7 @@ def test_x_update_examples():
 def test_x_update_minimizes_over_all_points(name):
     spec = build_instance(name)
     rng = np.random.default_rng(2)
-    points = np.array(list(spec.decision_set.iter_points()))
+    points = np.array(list(itertools.product(*spec.decision_set.values)))
     for z in rng.standard_normal((200, spec.dimension)):
         x = x_update(spec, z)
         assert float(z @ x) <= float(np.min(points @ z)) + 1e-12
@@ -524,3 +526,60 @@ def test_trace_csv_roundtrip(tmp_path):
             terms = [float(b[j])] + [float(A[j, i] * trace.xbar[k, i]) for i in range(3)]
             g = float(cells[f"g_{j + 1}_xbar"])
             assert abs(g - math.fsum(terms)) <= 1e-12 * math.fsum(map(abs, terms))
+
+
+def reference_write_table(path, header, columns):
+    """write_table as it was before orjson: repr of every .tolist() value."""
+    blocks = [c.reshape(len(c), 1) if c.ndim == 1 else c for c in map(np.asarray, columns)]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, len(blocks[0]), _TABLE_BLOCK_ROWS):
+            cells = [list(map(repr, col))
+                     for block in blocks for col in block[lo:lo + _TABLE_BLOCK_ROWS].T.tolist()]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def assert_same_table(tmp_path, columns):
+    header = [f"c{k}" for k in range(sum(1 if c.ndim == 1 else c.shape[1] for c in columns))]
+    write_table(tmp_path / "new.csv", header, columns)
+    reference_write_table(tmp_path / "ref.csv", header, columns)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+# the formatter's edge cases: where repr switches to exponent form, the
+# non-finite values, signed zeros, the smallest subnormal and int64 extremes
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+               np.nextafter(1e-4, 0.0), 1e-4, -1e-4, np.nextafter(1e16, 0.0), 1e16, -1e16,
+               1e300, 0.1, 1.0, 2.0 ** 53, 123.456]
+
+
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 257])
+def test_write_table_matches_repr_writer(tmp_path, n):
+    rng = np.random.default_rng(n)
+    floats = np.resize(np.array(EDGE_FLOATS), (n, 3))
+    floats[:, 1] = rng.permutation(floats[:, 1])
+    ints = np.resize(np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, -1, 0, 7]), n)
+    assert_same_table(tmp_path, [
+        np.arange(n), floats, rng.standard_normal((n, 2)), ints,
+        np.resize(np.array([np.iinfo(np.uint64).max, 0], dtype=np.uint64), n),
+        rng.standard_normal(n) > 0.0,  # bool
+        rng.standard_normal(n).astype(np.float32),
+        rng.standard_normal(n).astype(">f8"),  # big-endian: orjson misreads it
+        np.empty((n, 0)), rng.standard_normal(n)])
+
+
+def test_write_table_matches_repr_writer_on_random_doubles(tmp_path):
+    rng = np.random.default_rng(11)
+    # every bit pattern: nans, infinities, subnormals and all exponents
+    bit_patterns = rng.integers(0, 2 ** 64, size=100_000, dtype=np.uint64).view(np.float64)
+    # magnitudes across repr's switch to exponent form at 1e16
+    log_uniform = 10.0 ** rng.uniform(-6.0, 18.0, size=100_000)
+    log_uniform[::2] *= -1.0
+    assert_same_table(tmp_path, [bit_patterns, log_uniform])
+
+
+def test_write_table_rejects_columns_of_other_lengths(tmp_path):
+    with pytest.raises(ValueError, match="column 2 has 4 rows, column 0 has 5"):
+        write_table(tmp_path / "bad.csv", ["a", "b", "c"],
+                    [np.arange(5), np.zeros((5, 1)), np.zeros(4)])
+    assert not (tmp_path / "bad.csv").exists()

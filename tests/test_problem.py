@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -282,7 +283,7 @@ def test_squared_norm_bound_probe(name):
     spec = build_instance(name)
     c = squared_norm_bound(spec)
     rng = np.random.default_rng(5)
-    points = list(spec.decision_set.iter_points())
+    points = list(itertools.product(*spec.decision_set.values))
     xs = np.array([points[k] for k in rng.integers(0, len(points), size=1000)])
     ys = rng.uniform(spec.box.lower, spec.box.upper, size=(1000, spec.dimension))
     A, b = spec.constraint_matrix()
