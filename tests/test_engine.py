@@ -570,7 +570,7 @@ def test_write_table_matches_repr_writer(tmp_path, n):
 
 def test_write_table_matches_repr_writer_on_random_doubles(tmp_path):
     rng = np.random.default_rng(11)
-    # every bit pattern: nans, infinities, subnormals and all exponents
+    # random bit patterns: nans, infinities, subnormals and every exponent range
     bit_patterns = rng.integers(0, 2 ** 64, size=100_000, dtype=np.uint64).view(np.float64)
     # magnitudes across repr's switch to exponent form at 1e16
     log_uniform = 10.0 ** rng.uniform(-6.0, 18.0, size=100_000)
