@@ -15,8 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import RunTrace, SolverConfig, run
-from .problem import GridProduct, ProblemSpec, evaluate_constraints, squared_norm_bound
+from .engine import RunTrace, SolverConfig, _dual_columns, run
+from .problem import ProblemSpec, evaluate_constraints, squared_norm_bound
 
 __all__ = [
     "BoundSet",
@@ -65,48 +65,6 @@ class EstimationError(RuntimeError):
 # ---------------------------------------------------------------------------
 # Dual function
 # ---------------------------------------------------------------------------
-
-def _dual_columns(spec: ProblemSpec, w, z):
-    """Dual value d and minimizers x, y from multiplier columns.
-
-    w holds J arrays and z holds I arrays, of any shapes that broadcast
-    together.  The arithmetic is elementwise and follows run()'s step loop
-    term by term: c_i = -z_i + w_0*A_0i + ..., g_j = b_j + A_j0*y_0 + ...,
-    d = 0.0 + sum value_i(y_i) + sum w_j*g_j + sum z_i*(x_i - y_i).  So every
-    entry has the bits of the loop's d, whatever batch or grid it sits in,
-    and a term that depends on (w, z_i) only keeps that smaller shape: on a
-    product grid, y_i is computed once per (w, z_i) pair.  Returns d and the
-    lists of x_i and y_i columns.
-    """
-    A, b = (m.tolist() for m in spec.constraint_matrix())
-    if isinstance(spec.decision_set, GridProduct):
-        lo, hi = spec.decision_set.hull_bounds()
-        x = [np.where(zi >= 0.0, l, h) for zi, l, h in zip(z, lo, hi)]
-    else:
-        # explicit points are scored jointly: one linear_argmin row per
-        # distinct z
-        Z = np.stack(np.broadcast_arrays(*z), axis=-1)
-        X = spec.decision_set.linear_argmin(Z.reshape(-1, len(z)))
-        x = list(np.moveaxis(X.reshape(Z.shape), -1, 0))
-    y = []
-    for i, (piece, lo, hi) in enumerate(zip(spec.objective.pieces, spec.box.lower.tolist(),
-                                            spec.box.upper.tolist())):
-        c = -z[i]
-        for wj, Aj in zip(w, A):
-            c = c + wj * Aj[i]
-        y.append(piece.argmin_shifted_batch(c, lo, hi))
-    d = 0.0
-    for piece, yi in zip(spec.objective.pieces, y):
-        d = d + piece.values(yi)
-    for wj, Aj, bj in zip(w, A, b):
-        g = bj
-        for Aji, yi in zip(Aj, y):
-            g = g + Aji * yi
-        d = d + wj * g
-    for zi, xi, yi in zip(z, x, y):
-        d = d + zi * (xi - yi)
-    return d, x, y
-
 
 def dual_function(spec: ProblemSpec, w, z):
     """Dual value at (w, z) together with its primal minimizers.

@@ -171,9 +171,19 @@ def _do_solve(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
+def _reference_optimum(spec: ProblemSpec, resolution: float, grid_oracle=None) -> float:
+    """The optimum that accuracy is measured against: the LP oracle's exact
+    vertex value when every piece is linear on a grid set, else the grid
+    oracle's at resolution (grid_oracle, when the caller already has it)."""
+    if (isinstance(spec.decision_set, GridProduct)
+            and all(isinstance(p, LinearPiece) for p in spec.objective.pieces)):
+        return solve_reference_lp(spec).f_opt
+    return (solve_reference(spec, resolution) if grid_oracle is None else grid_oracle).f_opt
+
+
 def _do_sweep(cfg: ExperimentConfig) -> int:
     spec = _load_spec(cfg)
-    f_opt = solve_reference(spec, cfg.oracle_resolution).f_opt
+    f_opt = _reference_optimum(spec, cfg.oracle_resolution)
     os.makedirs(cfg.out_dir, exist_ok=True)
     vs = np.array(cfg.v_list)
     epss = cfg.eps_anchor * cfg.v_anchor / vs
@@ -276,7 +286,7 @@ def _do_reproduce(cfg: ExperimentConfig) -> int:
         spec = reference_instance(objective, extra)
         trace = run(spec, SolverConfig(v=v, horizon=cfg.horizon))
         grid_oracle = solve_reference(spec, cfg.oracle_resolution)
-        f_opt = solve_reference_lp(spec).f_opt if objective == "linear" else grid_oracle.f_opt
+        f_opt = _reference_optimum(spec, cfg.oracle_resolution, grid_oracle)
         estimate, _, bounds = _estimate_bounds(spec, cfg)
         report = analysis.phase_detect(trace, estimate, bounds, geometry)
         detected = report.t_hit if report.t_hit is not None else 0

@@ -19,7 +19,7 @@ import struct
 
 import numpy as np
 
-from .problem import ExplicitPoints, GridProduct, ProblemSpec
+from .problem import ExplicitPoints, GridProduct, ProblemSpec, float_literal
 
 __all__ = [
     "SolverConfig",
@@ -248,41 +248,98 @@ class RunTrace:
 # Xeon, CPython 3.11, numpy 2.4); the lower crossover is taken.
 _UNROLLED_SCORE_TERMS = 256
 
+# run() steps this many rows at a time, then derives their y and d (and x on
+# a grid) in numpy: enough rows to amortise the ~10 numpy calls per
+# coordinate and constraint of _dual_columns (0.1-0.3 ms a chunk), few
+# enough that a blow-up stops soon.  No result depends on it.
+_CHUNK_ROWS = 4096
+
 
 def _unrolls_scores(decision_set) -> bool:
     return (isinstance(decision_set, ExplicitPoints)
             and decision_set.points.size <= _UNROLLED_SCORE_TERMS)
 
 
+def _dual_columns(spec: ProblemSpec, w, z, x=None):
+    """Dual value d and minimizers x, y from multiplier columns.
+
+    w holds J arrays and z holds I arrays, of any shapes that broadcast
+    together.  The arithmetic is elementwise and follows the public updates
+    term by term: x_i is x_update's, y_i is y_update's minimizer at c_i =
+    -z_i + w_0*A_0i + ..., and d = 0.0 + sum value_i(y_i) + sum w_j*g_j +
+    sum z_i*(x_i - y_i) with g_j = b_j + A_j0*y_0 + ....  So every entry
+    has the same bits, whatever batch or grid it sits in, and a term that
+    depends on (w, z_i) only keeps that smaller shape: on a product grid,
+    y_i is computed once per (w, z_i) pair.  x, when given, holds the I
+    columns of x_update's points at z; run() passes the points its step
+    loop chose on an explicit set, where scoring a batch again would cost
+    more than the loop's own scores.  This is the one dual formula: run()
+    records y and d (and x on a grid) through it, and the analysis
+    evaluates the dual with it.  Returns d and the lists of x_i and y_i
+    columns.
+    """
+    A, b = (m.tolist() for m in spec.constraint_matrix())
+    if x is None and isinstance(spec.decision_set, GridProduct):
+        lo, hi = spec.decision_set.hull_bounds()
+        x = [np.where(zi >= 0.0, l, h) for zi, l, h in zip(z, lo, hi)]
+    elif x is None:
+        # explicit points are scored jointly: one linear_argmin row per
+        # distinct z
+        Z = np.stack(np.broadcast_arrays(*z), axis=-1)
+        X = spec.decision_set.linear_argmin(Z.reshape(-1, len(z)))
+        x = list(np.moveaxis(X.reshape(Z.shape), -1, 0))
+    y = []
+    for i, (piece, lo, hi) in enumerate(zip(spec.objective.pieces, spec.box.lower.tolist(),
+                                            spec.box.upper.tolist())):
+        c = -z[i]
+        for wj, Aj in zip(w, A):
+            c = c + wj * Aj[i]
+        y.append(piece.argmin_shifted_batch(c, lo, hi))
+    d = 0.0
+    for piece, yi in zip(spec.objective.pieces, y):
+        d = d + piece.values(yi)
+    for wj, Aj, bj in zip(w, A, b):
+        g = bj
+        for Aji, yi in zip(Aj, y):
+            g = g + Aji * yi
+        d = d + wj * g
+    for zi, xi, yi in zip(z, x, y):
+        d = d + zi * (xi - yi)
+    return d, x, y
+
+
 def _step_loop_source(spec: ProblemSpec, config: SolverConfig) -> str:
     """Source of run()'s step loop, unrolled for this spec's I and J.
 
-    The text holds only names built from integer indices and the repr of the
-    validated finite constants of spec and config.  Each line does the
-    arithmetic of x_update, y_update and dual_update term by term in the same
-    order, and the pieces' own bound methods do the closed forms.  A small
-    explicit set is scored in these lines too, its points passed in as float
-    tuples; a large one calls linear_argmin.
+    The loop runs steps start..stop-1 from the dual state (w, z) and returns
+    the state after them.  Each step does the arithmetic of x_update,
+    y_update and dual_update term by term in the same order, and packs the
+    J+I values of (w, z) into its row, followed on an explicit set by the I
+    values of x.  The text holds only names built from integer indices and
+    the repr of the validated finite constants of spec and config; each
+    piece writes its own minimizer line.  A small explicit set is scored in
+    these lines too, its points passed in as float tuples; a large one
+    calls linear_argmin.
     """
     I, J = spec.dimension, spec.constraint_count
     A, b = spec.constraint_matrix()
-
-    def lit(value):
-        return f"({float(value)!r})"
+    lit = float_literal
 
     def each(fmt, count=I):
         return [fmt.format(k=k) for k in range(count)]
 
     ds = spec.decision_set
     unrolled = _unrolls_scores(ds)
-    lines = ["def step_loop(pieces, pick_x, points, w, z, rows, pack_into):",
-             f"    [{', '.join(each('w{k}', J))}] = w",
-             f"    [{', '.join(each('z{k}'))}] = z",
-             *each("    argmin{k} = pieces[{k}].argmin_shifted; value{k} = pieces[{k}].value")]
+    ws, zs = each("w{k}", J), each("z{k}")
+    lines = ["def step_loop(pieces, pick_x, points, w, z, start, stop, rows, pack_into):",
+             f"    [{', '.join(ws)}] = w",
+             f"    [{', '.join(zs)}] = z",
+             *each("    argmin{k} = pieces[{k}].argmin_shifted")]
     if unrolled:
         lines.append(f"    [{', '.join(each('point{k}', len(ds.points)))}] = points")
-    lines.append(f"    for t in range({int(config.horizon)}):")
+    lines.append("    for t in range(start, stop):")
     xs = ", ".join(each("x{k}"))
+    row = ws + zs
     if isinstance(ds, GridProduct):
         lines += [f"        x{i} = {lit(vs[0])} if z{i} >= 0.0 else {lit(vs[-1])}"
                   for i, vs in enumerate(ds.values)]
@@ -299,28 +356,22 @@ def _step_loop_source(spec: ProblemSpec, config: SolverConfig) -> str:
                       f"        if s < best: best = s; x = point{k}"]
         lines.append(f"        [{xs}] = x")
     else:
-        lines.append(f"        [{xs}] = pick_x([{', '.join(each('z{k}'))}]).tolist()")
-    for i in range(I):
+        lines.append(f"        [{xs}] = pick_x([{', '.join(zs)}]).tolist()")
+    if isinstance(ds, ExplicitPoints):
+        row += each("x{k}")
+    lines.append(f"        pack_into(rows, {8 * len(row)} * t, {', '.join(row)})")
+    for i, piece in enumerate(spec.objective.pieces):
         c = " + ".join([f"-z{i}"] + [f"w{j} * {lit(A[j, i])}" for j in range(J)])
-        lines.append(f"        y{i} = argmin{i}({c}, "
-                     f"{lit(spec.box.lower[i])}, {lit(spec.box.upper[i])})")
+        lines.append("        " + piece.argmin_shifted_line(
+            f"y{i}", c, lit(spec.box.lower[i]), lit(spec.box.upper[i]), f"argmin{i}"))
     for j in range(J):
         g = " + ".join([lit(b[j])] + [f"{lit(A[j, i])} * y{i}" for i in range(I)])
         lines.append(f"        g{j} = {g}")
-    d = " + ".join(["0.0"] + each("value{k}(y{k})") + each("w{k} * g{k}", J)
-                   + each("z{k} * (x{k} - y{k})"))
-    row = ", ".join(each("x{k}") + each("y{k}") + each("w{k}", J) + each("z{k}") + ["d"])
-    # every w_j, z_i and y_i enters d times a finite factor, so a non-finite
-    # value anywhere in the row makes d non-finite
-    lines += [f"        d = {d}",
-              "        if d - d != 0.0:",
-              "            raise NumericError('non-finite value', t)",
-              f"        pack_into(rows, {8 * (3 * I + J + 1)} * t, {row})"]
     V = lit(config.v)
     for j in range(J):
         lines += [f"        w{j} = w{j} + g{j} / {V}", f"        w{j} = w{j} if w{j} > 0.0 else 0.0"]
     lines += [f"        z{i} = z{i} + (x{i} - y{i}) / {V}" for i in range(I)]
-    lines.append(f"    return [{', '.join(each('w{k}', J))}], [{', '.join(each('z{k}'))}]")
+    lines.append(f"    return [{', '.join(ws)}], [{', '.join(zs)}]")
     return "\n".join(lines) + "\n"
 
 
@@ -332,9 +383,12 @@ def run(spec: ProblemSpec, config: SolverConfig) -> RunTrace:
     tiny, so this is much faster than generic loops or ndarray ops).  It uses
     exactly the same per-coordinate closed forms and summation order as the
     public update operations, so composing those reproduces the trace bit for
-    bit.  The loop stores only x, y, w, z and d; the trace derives its
-    averages afterwards.  A non-finite value raises NumericError at the
-    iteration that shows it, before the rest of the horizon runs.
+    bit.  The loop stores only the dual path (w, z), and on an explicit set
+    the chosen points x, a chunk of rows at a time; after each chunk, y and
+    d of its rows (and x on a grid) come from the one dual formula,
+    _dual_columns, with the bits of the public updates.  A non-finite d
+    raises NumericError at the iteration that shows it, before the chunk
+    after it runs.
     """
     I, J = spec.dimension, spec.constraint_count
     T = int(config.horizon)
@@ -345,23 +399,36 @@ def run(spec: ProblemSpec, config: SolverConfig) -> RunTrace:
     if len(z) != I:
         raise ValueError(f"initial_z has length {len(z)}, expected {I}")
 
-    namespace = {"NumericError": NumericError}
+    namespace = {}
     exec(compile(_step_loop_source(spec, config), "<tavopt step loop>", "exec"), namespace)
-    # each iteration packs one row of doubles into the preallocated rows:
-    # x, y, w, z, d
-    width = 3 * I + J + 1
-    rows = np.empty((T, width))
+    step_loop = namespace["step_loop"]
     ds = spec.decision_set
     points = tuple(map(tuple, ds.points.tolist())) if _unrolls_scores(ds) else ()
-    w_final, z_final = namespace["step_loop"](
-        spec.objective.pieces, ds.linear_argmin, points, w, z, rows,
-        struct.Struct(f"{width}d").pack_into)
-    x, y, w_rows, z_rows, d = (
-        block.copy() for block in np.split(rows, np.cumsum([I, I, J, I]), axis=1))
+    records_x = isinstance(ds, ExplicitPoints)
+    width = J + I + (I if records_x else 0)
+    pack_into = struct.Struct(f"{width}d").pack_into
+    # rows of (w, z), then x on an explicit set
+    rows = np.empty((T, width))
+    x, y, d = np.empty((T, I)), np.empty((T, I)), np.empty(T)
+    # past a blow-up the values turn inf and nan, quietly, as Python floats do
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, T, _CHUNK_ROWS):
+            stop = min(T, start + _CHUNK_ROWS)
+            w, z = step_loop(spec.objective.pieces, ds.linear_argmin, points, w, z,
+                             start, stop, rows, pack_into)
+            cols = rows[start:stop].T
+            d[start:stop], xs, ys = _dual_columns(spec, cols[:J], cols[J:J + I],
+                                                  cols[J + I:] if records_x else None)
+            # every w_j, z_i and y_i enters d times a finite factor, so a
+            # non-finite value anywhere in a row makes its d non-finite
+            bad = np.flatnonzero(~np.isfinite(d[start:stop]))
+            if len(bad):
+                raise NumericError("non-finite value", start + int(bad[0]))
+            for i in range(I):
+                x[start:stop, i], y[start:stop, i] = xs[i], ys[i]
 
-    trace = RunTrace(x=x, y=y, w=w_rows, z=z_rows, d=d[:, 0],
-                     w_final=np.array(w_final, dtype=float),
-                     z_final=np.array(z_final, dtype=float),
+    trace = RunTrace(x=x, y=y, w=rows[:, :J], z=rows[:, J:J + I], d=d,
+                     w_final=np.array(w, dtype=float), z_final=np.array(z, dtype=float),
                      v=float(config.v), horizon=T, spec=spec, config=config)
     if not (np.all(np.isfinite(trace.w_final)) and np.all(np.isfinite(trace.z_final))):
         raise NumericError("non-finite dual state", T)

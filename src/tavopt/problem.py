@@ -59,12 +59,26 @@ def _as_float_vector(values, name: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # Every piece kind offers the same closed forms: argmin_shifted(c, lo, hi),
-# the minimizer of piece(y) + c*y over [lo, hi], which the engine calls per
-# step; argmin_shifted_batch, the same minimizer for an array of c values,
-# equal element by element; max_abs_value(lo, hi), a bound on |piece| over
-# [lo, hi].  Its JSON form, {"kind": kind, <fields>}, is read and written
-# from its dataclass fields by tavopt.config.  A new kind is one class here
-# plus its entry in PIECE_KINDS.
+# the minimizer of piece(y) + c*y over [lo, hi]; argmin_shifted_line, the
+# Python line that run()'s generated step loop runs for it each step (the
+# same operations inline, or a call of the bound argmin_shifted);
+# argmin_shifted_batch, the same minimizer for an array of c values, equal
+# element by element, from which the engine records y; max_abs_value(lo,
+# hi), a bound on |piece| over [lo, hi].  Its JSON form, {"kind": kind,
+# <fields>}, is read and written from its dataclass fields by
+# tavopt.config.  A new kind is one class here plus its entry in
+# PIECE_KINDS.
+
+def float_literal(value) -> str:
+    """Source text that evaluates to the double value (finite), sign of
+    zero included."""
+    return f"({float(value)!r})"
+
+
+def _linear_argmin_line(y: str, slope: float, c: str, lo: str, hi: str) -> str:
+    # LinearPiece.argmin_shifted: the lower end unless slope + c < 0
+    return f"{y} = {lo} if {float_literal(slope)} + ({c}) >= 0.0 else {hi}"
+
 
 @dataclass(frozen=True)
 class LinearPiece:
@@ -89,6 +103,9 @@ class LinearPiece:
     def argmin_shifted(self, c: float, lo: float, hi: float) -> float:
         """Minimizer of s*y + c*y over [lo, hi]; ties go to the lower end."""
         return lo if self.slope + c >= 0.0 else hi
+
+    def argmin_shifted_line(self, y: str, c: str, lo: str, hi: str, call: str) -> str:
+        return _linear_argmin_line(y, self.slope, c, lo, hi)
 
     def argmin_shifted_batch(self, c: np.ndarray, lo: float, hi: float) -> np.ndarray:
         return np.where(self.slope + c >= 0.0, lo, hi)
@@ -131,6 +148,15 @@ class QuadraticPiece:
         if vertex > hi:
             return hi
         return vertex
+
+    def argmin_shifted_line(self, y: str, c: str, lo: str, hi: str, call: str) -> str:
+        if self.curvature == 0.0:
+            return _linear_argmin_line(y, self.slope, c, lo, hi)
+        # 2.0 * a stays an expression: its value can be inf, which has no
+        # literal; Python floats overflow quietly, as argmin_shifted's do
+        s, a = float_literal(self.slope), float_literal(self.curvature)
+        return (f"{y} = -({s} + ({c})) / (2.0 * {a}); "
+                f"{y} = {lo} if {y} < {lo} else ({hi} if {y} > {hi} else {y})")
 
     def argmin_shifted_batch(self, c: np.ndarray, lo: float, hi: float) -> np.ndarray:
         if self.curvature == 0.0:
@@ -228,6 +254,9 @@ class PiecewiseLinearPiece:
             if b > lo and self.slopes[k + 1] + c >= 0.0:
                 return b
         return hi
+
+    def argmin_shifted_line(self, y: str, c: str, lo: str, hi: str, call: str) -> str:
+        return f"{y} = {call}({c}, {lo}, {hi})"
 
     def argmin_shifted_batch(self, c: np.ndarray, lo: float, hi: float) -> np.ndarray:
         bps = np.array(self.breakpoints)

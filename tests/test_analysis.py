@@ -35,7 +35,8 @@ from tavopt import (
     staggered_average,
     tight_box,
 )
-from tavopt.analysis import _dual_columns, minimal_decay_rate, sample_multipliers
+from tavopt.analysis import minimal_decay_rate, sample_multipliers
+from tavopt.engine import _dual_columns
 from tavopt.problem import EPS_C
 
 from conftest import (INSTANCE_NAMES, MAIN_HORIZON, MAIN_V, bits, build_instance,

@@ -10,6 +10,7 @@ import pytest
 import tavopt
 from tavopt import ParseError, parse_problem_config, run_cli, serialize_problem_config
 from tavopt.cli import reference_instance
+from tavopt.oracle import solve_reference_lp
 from tavopt.problem import GridProduct, PiecewiseLinearPiece, QuadraticPiece
 
 DEMO_CONFIG = json.dumps({
@@ -298,6 +299,22 @@ def test_sweep_flat_series_has_slope_zero(tmp_path):
                     "--V", "50,100,200", "--horizon", "20000"]) == 0
     lines = (out / "summary.txt").read_text().splitlines()
     assert "slope_plain: 0" in lines
+
+
+def test_sweep_on_a_3d_linear_grid_uses_the_lp_optimum(tmp_path):
+    # the grid oracle refuses this grid at the default resolution (27M
+    # points); the LP oracle's vertex value is exact
+    doc = json.loads(DEMO_CONFIG)
+    doc.update(dimension=3, decision_set={"grid": [[0, 1, 2, 3]] * 3},
+               objective=[{"kind": "linear", "slope": s} for s in (1.5, 1.0, 1.25)],
+               constraints=[{"coeffs": c, "offset": 2.5, "sense": ">="}
+                            for c in ([2, 1, 1], [1, 2, 1], [1, 1, 2])])
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run_cli(["sweep", "--problem", str(path), "--out", str(out), "--V", "10,100"]) == 0
+    f_opt = solve_reference_lp(parse_problem_config(path.read_text())).f_opt
+    assert f"f_opt_oracle: {f_opt:.12g}" in (out / "summary.txt").read_text().splitlines()
 
 
 def test_diagnose_summary_and_certificates(problem_file, tmp_path):

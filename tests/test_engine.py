@@ -29,6 +29,7 @@ from tavopt import (
     y_update,
 )
 
+import tavopt.engine
 from tavopt.engine import (_TABLE_BLOCK_ROWS, _UNROLLED_SCORE_TERMS, _step_loop_source,
                            prefix_sums, window_mean, write_table)
 
@@ -381,6 +382,45 @@ def test_numeric_failure_stops_at_first_recorded_row():
     assert err.value.iteration == 0
 
 
+TRACE_ARRAYS = ("x", "y", "w", "z", "d", "w_final", "z_final")
+
+
+@pytest.mark.parametrize("spec,horizon", [
+    (build_instance("smooth-extra"), 9000),
+    (_tenths_points_instance(8), 5000),     # scored in the step loop's lines
+    (_tenths_points_instance(100), 3000),   # scored by linear_argmin
+], ids=["demo", "8-points", "100-points"])
+def test_trace_does_not_depend_on_the_chunk_length(monkeypatch, spec, horizon):
+    cfg = SolverConfig(v=7.0, horizon=horizon)
+    traces = [run(spec, cfg)]
+    for rows in (1, 3):
+        monkeypatch.setattr(tavopt.engine, "_CHUNK_ROWS", rows)
+        traces.append(run(spec, cfg))
+    for name in TRACE_ARRAYS:
+        assert bits(getattr(traces[1], name)) == bits(getattr(traces[0], name)), name
+        assert bits(getattr(traces[2], name)) == bits(getattr(traces[0], name)), name
+
+
+@pytest.mark.parametrize("rows", [None, 3])
+def test_numeric_failure_past_the_first_chunk_reports_its_iteration(monkeypatch, rows):
+    # x = y = 0, z = 0 and g = b = 2**505 at every step, so with V = 1
+    # w(t) = (6384 + t) * 2**505 and d(t) = w(t) * b, both exact, until d
+    # reaches 2**1024 = inf at t = 16384 - 6384 = 10000, past the first chunk
+    if rows is not None:
+        monkeypatch.setattr(tavopt.engine, "_CHUNK_ROWS", rows)
+    grid = GridProduct(values=((0.0, 1.0),))
+    spec = ProblemSpec(decision_set=grid, box=tight_box(grid),
+                       objective=SeparableConvexObjective(pieces=(LinearPiece(0.0),)),
+                       constraints=(AffineConstraint(coeffs=(1.0,), offset=2.0 ** 505),))
+    assert tavopt.engine._CHUNK_ROWS < 10000
+    cfg = SolverConfig(v=1.0, horizon=10**6, initial_w=(6384 * 2.0 ** 505,))
+    with pytest.raises(NumericError) as err:
+        run(spec, cfg)
+    assert err.value.iteration == 10000
+    trace = run(spec, SolverConfig(v=1.0, horizon=10000, initial_w=cfg.initial_w))
+    assert trace.d[-1] == 16383 * 2.0 ** 1010
+
+
 # a frame starting with the smallest subnormal after a prefix summing to
 # about 2.4: its average must not lose that value to earlier rounding errors
 SUBNORMAL_FRAME = (
@@ -392,9 +432,21 @@ SUBNORMAL_FRAME = (
     SolverConfig(v=1.0, horizon=9, restart_base=2))
 
 
+# pieces whose step-loop lines meet overflow, subnormals and signed zeros
+EXTREME_PIECES = (
+    ProblemSpec(decision_set=GridProduct(values=((-1.0, 1.0),) * 5),
+                box=ExtendedBox([-1.0] * 5, [1.0] * 5),
+                objective=SeparableConvexObjective(pieces=[
+                    QuadraticPiece(1e308, 0.5), QuadraticPiece(5e-324, -0.25),
+                    QuadraticPiece(0.0, 0.3), QuadraticPiece(1.0, -0.0), LinearPiece(-0.0)]),
+                constraints=[AffineConstraint(coeffs=[0.5, 1.0, -1.0, 0.25, 1.0], offset=-0.5)]),
+    SolverConfig(v=2.0, horizon=40, restart_base=2))
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=generated_runs())
 @example(case=SUBNORMAL_FRAME)
+@example(case=EXTREME_PIECES)
 def test_run_matches_public_updates_on_generated_specs(case):
     spec, cfg = case
     trace = run(spec, cfg)
@@ -416,6 +468,15 @@ def test_run_matches_public_updates_on_generated_specs(case):
             g.append(gj)
         assert bits(w_next) == bits([max(0.0, wj + gj / V) for wj, gj in zip(w, g)])
         assert bits(z_next) == bits([zi + (xi - yi) / V for xi, yi, zi in zip(x, y, z)])
+        # d from the updates' own values, summed as run() sums it
+        d = 0.0
+        for piece, yi in zip(spec.objective.pieces, y):
+            d += piece.value(yi)
+        for wj, gj in zip(w, g):
+            d += wj * gj
+        for xi, yi, zi in zip(x, y, z):
+            d += zi * (xi - yi)
+        assert bits(trace.d[k]) == bits(d)
     # averages against exact means; the compensated sums' error is relative
     # to the mean |x|
     for t in range(T):

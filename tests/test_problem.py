@@ -23,7 +23,7 @@ from tavopt import (
     squared_norm_bound,
     tight_box,
 )
-from tavopt.problem import EPS_C
+from tavopt.problem import EPS_C, float_literal
 
 from conftest import bits, build_instance
 
@@ -40,14 +40,26 @@ def shifted_value(piece, c, y):
     return piece.value(y) + c * y
 
 
+def assert_line_agrees(piece, cs, lo, hi):
+    """The step loop's line for the piece sets y to the bits of
+    argmin_shifted at every c."""
+    line = piece.argmin_shifted_line("y", "c", float_literal(lo), float_literal(hi), "call")
+    code = compile(line, "<line>", "exec")
+    for c in cs:
+        scope = {"c": c, "call": piece.argmin_shifted}
+        exec(code, scope)
+        assert bits(scope["y"]) == bits(piece.argmin_shifted(c, lo, hi)), (line, c)
+
+
 def assert_batch_forms_agree(piece, c, lo, hi, slopes):
-    """The batch minimizer equals the scalar one element by element (on c,
-    on the tie points c = -slope and on a sweep), and max_abs_value bounds
-    the scanned |piece|."""
+    """The batch minimizer and the step loop's line equal the scalar one
+    element by element (on c, on the tie points c = -slope and on a sweep),
+    and max_abs_value bounds the scanned |piece|."""
     cs = np.concatenate([[c], -np.asarray(slopes, dtype=float),
                          np.linspace(-12.0, 12.0, 49)])
     expected = np.array([piece.argmin_shifted(float(u), lo, hi) for u in cs])
     np.testing.assert_array_equal(piece.argmin_shifted_batch(cs, lo, hi), expected)
+    assert_line_agrees(piece, cs.tolist(), lo, hi)
     scanned = float(np.max(np.abs(piece.values(np.linspace(lo, hi, 4001)))))
     assert piece.max_abs_value(lo, hi) >= scanned - 1e-12 * max(1.0, scanned)
 
@@ -88,6 +100,26 @@ def test_quadratic_batch_with_subnormal_curvature_matches_scalar():
         got = piece.argmin_shifted_batch(cs, 0.0, 3.0)
     np.testing.assert_array_equal(got, [piece.argmin_shifted(float(c), 0.0, 3.0) for c in cs])
     np.testing.assert_array_equal(got, [0.0, 3.0])
+
+
+@pytest.mark.parametrize("piece", [
+    QuadraticPiece(1e308, 0.5),    # 2 * a is inf, which has no literal
+    QuadraticPiece(5e-324, 1.0),   # the vertex overflows to +-inf
+    QuadraticPiece(0.0, 0.3),      # written as the linear form
+    QuadraticPiece(1.0, -0.0),
+    LinearPiece(-0.0),
+    PiecewiseLinearPiece((0.5,), (-0.0, 1.0)),
+], ids=repr)
+def test_extreme_pieces_give_the_scalar_bits(piece):
+    # the batch form and the step loop's line against argmin_shifted, bit
+    # for bit, with signed zeros on both sides of the box's interior
+    cs = [-2.0, -1.0, -0.5, -0.3, -0.0, 0.0, 0.3, 0.5, 1.0, 2.0, 5e-324, -5e-324]
+    for lo, hi in ((-1.0, 1.0), (0.0, 1.0), (-1.0, -0.0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = piece.argmin_shifted_batch(np.array(cs), lo, hi)
+        assert bits(got) == bits([piece.argmin_shifted(c, lo, hi) for c in cs])
+        assert_line_agrees(piece, cs, lo, hi)
 
 
 @st.composite
