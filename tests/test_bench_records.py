@@ -91,7 +91,8 @@ MUTATIONS = {
 
 
 def test_records_are_committed():
-    assert {"BENCH_7.json", "BENCH_9.json", "BENCH_11.json"} <= {path.name for path in RECORDS}
+    assert ({"BENCH_7.json", "BENCH_9.json", "BENCH_11.json", "BENCH_12.json"}
+            <= {path.name for path in RECORDS})
 
 
 @pytest.mark.parametrize("path", RECORDS, ids=lambda path: path.name)
