@@ -345,8 +345,9 @@ def minimal_decay_rate(spec: ProblemSpec, lam_hat: np.ndarray, j_dim: int,
         props[:, 2 * axes, axes] += step
         props[:, 2 * axes + 1, axes] -= step
         props = props.reshape(-1, dims)
-        # u @ u is the ddot that np.linalg.norm(u) takes, so each norm keeps its bits
-        props /= np.sqrt([u @ u for u in props])[:, None]
+        # vecdot runs, per row, the ddot that np.linalg.norm(u) takes, so
+        # each norm keeps its bits
+        props /= np.sqrt(np.vecdot(props, props))[:, None]
         vals = decay_of(props, np.repeat([s[3] for s in active], 2 * dims))
         for start, cand, v in zip(active, props.reshape(len(active), 2 * dims, dims),
                                   vals.reshape(len(active), 2 * dims)):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 from typing import Optional
 
 import math
@@ -317,9 +318,9 @@ def _step_loop_source(spec: ProblemSpec, config: SolverConfig) -> str:
     J+I values of (w, z) into its row, followed on an explicit set by the I
     values of x.  The text holds only names built from integer indices and
     the repr of the validated finite constants of spec and config; each
-    piece writes its own minimizer line.  A small explicit set is scored in
-    these lines too, its points passed in as float tuples; a large one
-    calls linear_argmin.
+    piece writes its own minimizer line for its box.  A small explicit set
+    is scored in these lines too, its points passed in as float tuples; a
+    large one calls linear_argmin.
     """
     I, J = spec.dimension, spec.constraint_count
     A, b = spec.constraint_matrix()
@@ -331,10 +332,9 @@ def _step_loop_source(spec: ProblemSpec, config: SolverConfig) -> str:
     ds = spec.decision_set
     unrolled = _unrolls_scores(ds)
     ws, zs = each("w{k}", J), each("z{k}")
-    lines = ["def step_loop(pieces, pick_x, points, w, z, start, stop, rows, pack_into):",
+    lines = ["def step_loop(pick_x, points, w, z, start, stop, rows, pack_into):",
              f"    [{', '.join(ws)}] = w",
-             f"    [{', '.join(zs)}] = z",
-             *each("    argmin{k} = pieces[{k}].argmin_shifted")]
+             f"    [{', '.join(zs)}] = z"]
     if unrolled:
         lines.append(f"    [{', '.join(each('point{k}', len(ds.points)))}] = points")
     lines.append("    for t in range(start, stop):")
@@ -363,7 +363,7 @@ def _step_loop_source(spec: ProblemSpec, config: SolverConfig) -> str:
     for i, piece in enumerate(spec.objective.pieces):
         c = " + ".join([f"-z{i}"] + [f"w{j} * {lit(A[j, i])}" for j in range(J)])
         lines.append("        " + piece.argmin_shifted_line(
-            f"y{i}", c, lit(spec.box.lower[i]), lit(spec.box.upper[i]), f"argmin{i}"))
+            f"y{i}", c, float(spec.box.lower[i]), float(spec.box.upper[i])))
     for j in range(J):
         g = " + ".join([lit(b[j])] + [f"{lit(A[j, i])} * y{i}" for i in range(I)])
         lines.append(f"        g{j} = {g}")
@@ -414,8 +414,7 @@ def run(spec: ProblemSpec, config: SolverConfig) -> RunTrace:
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, T, _CHUNK_ROWS):
             stop = min(T, start + _CHUNK_ROWS)
-            w, z = step_loop(spec.objective.pieces, ds.linear_argmin, points, w, z,
-                             start, stop, rows, pack_into)
+            w, z = step_loop(ds.linear_argmin, points, w, z, start, stop, rows, pack_into)
             cols = rows[start:stop].T
             d[start:stop], xs, ys = _dual_columns(spec, cols[:J], cols[J:J + I],
                                                   cols[J + I:] if records_x else None)
@@ -465,29 +464,38 @@ def write_table(path, header, columns) -> None:
     block column), all of the same length; a column of another length raises
     ValueError.  Each cell is the repr of its .tolist() value, so ints print
     as ints and floats in the shortest decimal form that round-trips the
-    double.  Native float64 and integer columns get those digits from one
-    orjson.dumps call per column of a chunk of rows: its shortest round-trip
-    digits (Ryu) equal repr's wherever repr writes fixed notation.  The float
-    cells where the two differ keep their repr: nan and +-inf (orjson prints
-    null) and nonzero magnitudes below 1e-4 or from 1e16 on (repr writes
-    1e-05 and 1e+16, orjson 0.00001 and 1e16).  Columns of any other dtype
-    go through repr alone.  Rows are formatted a fixed number at a time, so
-    memory beyond the arrays stays bounded.
+    double.  Rows are formatted a fixed number at a time, so memory beyond
+    the arrays stays bounded.  In each such chunk, adjacent blocks of one
+    dtype form a run (zero-width blocks hold no cells and do not split one),
+    stacked into one 2-D array; each row of the file is the join of its
+    runs' row texts.  A native float64 or integer run gets its row texts
+    from one orjson.dumps call: its shortest round-trip digits (Ryu) equal
+    repr's wherever repr writes fixed notation.  The float cells where the
+    two differ are replaced by their repr within their row: nan and +-inf
+    (orjson prints null) and nonzero magnitudes below 1e-4 or from 1e16 on
+    (repr writes 1e-05 and 1e+16, orjson 0.00001 and 1e16).  Runs of any
+    other dtype go through repr alone, one row at a time.
     """
     # imported here, not at module level: it adds ~6.5 ms to `import tavopt`
     from orjson import OPT_SERIALIZE_NUMPY, dumps
 
-    def cells(chunk):
-        """The cells of each column of a block's chunk of rows, as lists of str."""
-        cols = np.ascontiguousarray(chunk.T)
-        dt = cols.dtype
-        if not (dt == np.float64 or (dt.kind in "iu" and dt.isnative)):
-            return [list(map(repr, col)) for col in cols.tolist()]
-        out = [dumps(col, option=OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",") for col in cols]
+    def row_texts(run):
+        """The cells of each row of a stacked run, joined by commas.  The
+        stacking gives native byte order, which orjson needs."""
+        dt = run.dtype
+        if not (dt == np.float64 or dt.kind in "iu"):
+            return [",".join(map(repr, row)) for row in run.tolist()]
+        out = dumps(run, option=OPT_SERIALIZE_NUMPY)[2:-2].decode().split("],[")
         if dt.kind == "f":
-            mag = np.abs(cols)
-            for i, k in zip(*np.nonzero(~((mag >= 1e-4) & (mag < 1e16)) & (mag != 0.0))):
-                out[i][k] = repr(float(cols[i, k]))
+            mag = np.abs(run)
+            rows, cols = np.nonzero(~((mag >= 1e-4) & (mag < 1e16)) & (mag != 0.0))
+            patched = {}
+            for r, c, v in zip(rows.tolist(), cols.tolist(), run[rows, cols].tolist()):
+                if r not in patched:
+                    patched[r] = out[r].split(",")
+                patched[r][c] = repr(v)
+            for r, cells in patched.items():
+                out[r] = ",".join(cells)
         return out
 
     blocks = [c.reshape(len(c), 1) if c.ndim == 1 else c for c in map(np.asarray, columns)]
@@ -495,11 +503,13 @@ def write_table(path, header, columns) -> None:
     for k, block in enumerate(blocks):
         if len(block) != n:
             raise ValueError(f"column {k} has {len(block)} rows, column 0 has {n}")
+    runs = [list(run) for _, run in groupby((b for b in blocks if b.shape[1]), lambda b: b.dtype)]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for lo in range(0, n, _TABLE_BLOCK_ROWS):
-            row_cells = [col for block in blocks for col in cells(block[lo:lo + _TABLE_BLOCK_ROWS])]
-            fh.write("\n".join(map(",".join, zip(*row_cells))) + "\n")
+            texts = [row_texts(np.concatenate([b[lo:lo + _TABLE_BLOCK_ROWS] for b in run], axis=1))
+                     for run in runs]
+            fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
 
 
 def write_trace_csv(trace: RunTrace, path, rows=None) -> None:

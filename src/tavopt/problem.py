@@ -61,7 +61,7 @@ def _as_float_vector(values, name: str) -> np.ndarray:
 # Every piece kind offers the same closed forms: argmin_shifted(c, lo, hi),
 # the minimizer of piece(y) + c*y over [lo, hi]; argmin_shifted_line, the
 # Python line that run()'s generated step loop runs for it each step (the
-# same operations inline, or a call of the bound argmin_shifted);
+# same operations inline, with the box's lo and hi as literals);
 # argmin_shifted_batch, the same minimizer for an array of c values, equal
 # element by element, from which the engine records y; max_abs_value(lo,
 # hi), a bound on |piece| over [lo, hi].  Its JSON form, {"kind": kind,
@@ -75,9 +75,10 @@ def float_literal(value) -> str:
     return f"({float(value)!r})"
 
 
-def _linear_argmin_line(y: str, slope: float, c: str, lo: str, hi: str) -> str:
+def _linear_argmin_line(y: str, slope: float, c: str, lo: float, hi: float) -> str:
     # LinearPiece.argmin_shifted: the lower end unless slope + c < 0
-    return f"{y} = {lo} if {float_literal(slope)} + ({c}) >= 0.0 else {hi}"
+    lit = float_literal
+    return f"{y} = {lit(lo)} if {lit(slope)} + ({c}) >= 0.0 else {lit(hi)}"
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,7 @@ class LinearPiece:
         """Minimizer of s*y + c*y over [lo, hi]; ties go to the lower end."""
         return lo if self.slope + c >= 0.0 else hi
 
-    def argmin_shifted_line(self, y: str, c: str, lo: str, hi: str, call: str) -> str:
+    def argmin_shifted_line(self, y: str, c: str, lo: float, hi: float) -> str:
         return _linear_argmin_line(y, self.slope, c, lo, hi)
 
     def argmin_shifted_batch(self, c: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -149,12 +150,13 @@ class QuadraticPiece:
             return hi
         return vertex
 
-    def argmin_shifted_line(self, y: str, c: str, lo: str, hi: str, call: str) -> str:
+    def argmin_shifted_line(self, y: str, c: str, lo: float, hi: float) -> str:
         if self.curvature == 0.0:
             return _linear_argmin_line(y, self.slope, c, lo, hi)
         # 2.0 * a stays an expression: its value can be inf, which has no
         # literal; Python floats overflow quietly, as argmin_shifted's do
         s, a = float_literal(self.slope), float_literal(self.curvature)
+        lo, hi = float_literal(lo), float_literal(hi)
         return (f"{y} = -({s} + ({c})) / (2.0 * {a}); "
                 f"{y} = {lo} if {y} < {lo} else ({hi} if {y} > {hi} else {y})")
 
@@ -255,8 +257,18 @@ class PiecewiseLinearPiece:
                 return b
         return hi
 
-    def argmin_shifted_line(self, y: str, c: str, lo: str, hi: str, call: str) -> str:
-        return f"{y} = {call}({c}, {lo}, {hi})"
+    def argmin_shifted_line(self, y: str, c: str, lo: float, hi: float) -> str:
+        # argmin_shifted unrolled for this box, with y holding c until the
+        # last statement: lo if the slope right of lo plus c is nonnegative,
+        # else the first interior breakpoint whose right slope plus c is, else
+        # hi.  The breakpoints are tested last to first as flat statements:
+        # one nested conditional expression over thousands of them would
+        # exceed the parser's nesting limits
+        lit = float_literal
+        inner = [(b, s) for b, s in zip(self.breakpoints, self.slopes[1:]) if lo < b < hi]
+        tests = [f"r = {lit(b)} if {lit(s)} + {y} >= 0.0 else r" for b, s in reversed(inner)]
+        last = f"{y} = {lit(lo)} if {lit(self._slope_right_of(lo))} + {y} >= 0.0 else r"
+        return "; ".join([f"{y} = {c}", f"r = {lit(hi)}", *tests, last])
 
     def argmin_shifted_batch(self, c: np.ndarray, lo: float, hi: float) -> np.ndarray:
         bps = np.array(self.breakpoints)

@@ -35,7 +35,8 @@ from tavopt import (
     staggered_average,
     tight_box,
 )
-from tavopt.analysis import minimal_decay_rate, sample_multipliers
+from tavopt.analysis import NONUNIQUE_DECAY_TOL, minimal_decay_rate, sample_multipliers
+from tavopt.config import parse_problem_config
 from tavopt.engine import _dual_columns
 from tavopt.problem import EPS_C
 
@@ -300,6 +301,46 @@ def test_analytic_method_requires_and_uses_lambda():
 def test_unknown_method_rejected():
     with pytest.raises(ValueError):
         estimate_multiplier(build_instance("polyhedral"), "newton")
+
+
+# a 3-D explicit-point problem (the solve-trace benchmark input of seed 1)
+# whose estimate sits on a flat face that only the second, shifted grid
+# ascent reveals
+SHIFTED_ASCENT_PROBLEM = """{"dimension": 3,
+ "decision_set": {"points": [[0.5, 2.25, 0.75], [0.75, 2.25, 2.25], [1.0, 2.75, 2.5],
+                             [2.0, 2.5, 2.25], [2.0, 2.75, 0.75], [2.5, 0.25, 2.5],
+                             [2.5, 1.25, 2.25], [3.0, 2.5, 1.25]]},
+ "objective": [{"kind": "quadratic", "curvature": 1.0, "slope": -0.75},
+               {"kind": "piecewise_linear", "breakpoints": [1.0, 2.0],
+                "slopes": [-1.0, 0.25, 1.5]},
+               {"kind": "linear", "slope": 0.5}],
+ "constraints": [{"coeffs": [1.5, 1.0, 1.5], "offset": 7.137, "sense": ">="},
+                 {"coeffs": [1.5, 1.5, 1.0], "offset": 6.882, "sense": ">="}]}"""
+
+
+def test_shifted_grid_ascent_finds_a_flat_face_the_probes_miss():
+    # estimate_multiplier adds the direction to a second grid ascent's
+    # endpoint to its flat-face search; without it, the same search
+    # (distances, probes and seed as in estimate_multiplier) finds the
+    # dual decaying at every probed direction, so dropping that ascent
+    # would flip the flag
+    spec = parse_problem_config(SHIFTED_ASCENT_PROBLEM)
+    est = estimate_multiplier(spec, "grid-dual-max", seed=0)
+    assert est.possibly_nonunique
+    alone = minimal_decay_rate(spec, np.asarray(est.lam), est.j_dim, distances=(0.1, 0.05),
+                               seed=0, n_probes=512)
+    assert alone >= NONUNIQUE_DECAY_TOL
+
+
+@pytest.mark.parametrize("dims", range(1, 9))
+def test_vecdot_keeps_the_per_row_ddot_bits(dims):
+    # minimal_decay_rate normalises its proposals by np.sqrt(np.vecdot(u, u));
+    # its rates keep their bits only while each row's vecdot is the ddot
+    # u @ u, whose root is np.linalg.norm(u)
+    rng = np.random.default_rng(dims)
+    u = rng.standard_normal((4096, dims)) * 10.0 ** rng.uniform(-3.0, 3.0, (4096, 1))
+    assert bits(np.vecdot(u, u)) == bits([row @ row for row in u])
+    assert bits(np.sqrt(np.vecdot(u[:256], u[:256]))) == bits([np.linalg.norm(row) for row in u[:256]])
 
 
 # ---------------------------------------------------------------------------

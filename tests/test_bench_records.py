@@ -91,7 +91,8 @@ MUTATIONS = {
 
 
 def test_records_are_committed():
-    assert ({"BENCH_7.json", "BENCH_9.json", "BENCH_11.json", "BENCH_12.json"}
+    assert ({"BENCH_7.json", "BENCH_9.json", "BENCH_11.json", "BENCH_12.json",
+             "BENCH_13.json"}
             <= {path.name for path in RECORDS})
 
 

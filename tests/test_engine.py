@@ -620,8 +620,13 @@ def test_write_table_matches_repr_writer(tmp_path, n):
     floats = np.resize(np.array(EDGE_FLOATS), (n, 3))
     floats[:, 1] = rng.permutation(floats[:, 1])
     ints = np.resize(np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, -1, 0, 7]), n)
+    # floats sits inside one float run, between 1-D float columns, so its
+    # edge values (in every column, the last included) are not at the run's
+    # first columns; a zero-width block sits inside that run too; two int64
+    # columns are adjacent
     assert_same_table(tmp_path, [
-        np.arange(n), floats, rng.standard_normal((n, 2)), ints,
+        np.arange(n), rng.standard_normal(n), floats, rng.standard_normal(n), np.empty((n, 0)),
+        rng.standard_normal((n, 2)), ints, ints[::-1],
         np.resize(np.array([np.iinfo(np.uint64).max, 0], dtype=np.uint64), n),
         rng.standard_normal(n) > 0.0,  # bool
         rng.standard_normal(n).astype(np.float32),

@@ -23,7 +23,7 @@ from tavopt import (
     squared_norm_bound,
     tight_box,
 )
-from tavopt.problem import EPS_C, float_literal
+from tavopt.problem import EPS_C
 
 from conftest import bits, build_instance
 
@@ -43,10 +43,10 @@ def shifted_value(piece, c, y):
 def assert_line_agrees(piece, cs, lo, hi):
     """The step loop's line for the piece sets y to the bits of
     argmin_shifted at every c."""
-    line = piece.argmin_shifted_line("y", "c", float_literal(lo), float_literal(hi), "call")
+    line = piece.argmin_shifted_line("y", "c", lo, hi)
     code = compile(line, "<line>", "exec")
     for c in cs:
-        scope = {"c": c, "call": piece.argmin_shifted}
+        scope = {"c": c}
         exec(code, scope)
         assert bits(scope["y"]) == bits(piece.argmin_shifted(c, lo, hi)), (line, c)
 
@@ -109,6 +109,10 @@ def test_quadratic_batch_with_subnormal_curvature_matches_scalar():
     QuadraticPiece(1.0, -0.0),
     LinearPiece(-0.0),
     PiecewiseLinearPiece((0.5,), (-0.0, 1.0)),
+    # 3000 breakpoints inside the box: the line stays flat enough to compile
+    pytest.param(PiecewiseLinearPiece(tuple(np.linspace(-0.999, 0.999, 3000)),
+                                      tuple(np.linspace(-2.5, 2.5, 3001))),
+                 id="PiecewiseLinearPiece(3000 breakpoints)"),
 ], ids=repr)
 def test_extreme_pieces_give_the_scalar_bits(piece):
     # the batch form and the step loop's line against argmin_shifted, bit
