@@ -340,7 +340,8 @@ def test_vecdot_keeps_the_per_row_ddot_bits(dims):
     rng = np.random.default_rng(dims)
     u = rng.standard_normal((4096, dims)) * 10.0 ** rng.uniform(-3.0, 3.0, (4096, 1))
     assert bits(np.vecdot(u, u)) == bits([row @ row for row in u])
-    assert bits(np.sqrt(np.vecdot(u[:256], u[:256]))) == bits([np.linalg.norm(row) for row in u[:256]])
+    head = u[:256]
+    assert bits(np.sqrt(np.vecdot(head, head))) == bits([np.linalg.norm(row) for row in head])
 
 
 # ---------------------------------------------------------------------------
