@@ -31,7 +31,6 @@ from .analysis import (
 from .cli import ExperimentConfig, reference_instance, run_cli
 from .config import ParseError, parse_problem_config, serialize_problem_config
 from .engine import (
-    DualState,
     NumericError,
     RunTrace,
     SolverConfig,

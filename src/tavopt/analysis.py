@@ -185,14 +185,6 @@ class MultiplierEstimate:
     possibly_nonunique: bool = False
 
     @property
-    def w_part(self) -> np.ndarray:
-        return self.lam[:self.j_dim]
-
-    @property
-    def z_part(self) -> np.ndarray:
-        return self.lam[self.j_dim:]
-
-    @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.lam))
 

@@ -24,7 +24,6 @@ from .problem import ExplicitPoints, GridProduct, ProblemSpec, float_literal
 
 __all__ = [
     "SolverConfig",
-    "DualState",
     "RunTrace",
     "NumericError",
     "x_update",
@@ -78,23 +77,6 @@ class SolverConfig:
             raise ValueError("initial_w must be nonnegative")
 
 
-@dataclass(frozen=True)
-class DualState:
-    """Dual variables (w, z) at iteration t; w stays nonnegative."""
-
-    w: np.ndarray
-    z: np.ndarray
-    t: int = 0
-
-    def __post_init__(self):
-        w = np.asarray(self.w, dtype=float)
-        z = np.asarray(self.z, dtype=float)
-        if np.any(w < 0.0):
-            raise ValueError("w components must be nonnegative")
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "z", z)
-
-
 def x_update(spec: ProblemSpec, z) -> np.ndarray:
     """Decision-set point minimizing z . x over the hull.
 
@@ -131,16 +113,18 @@ def y_update(spec: ProblemSpec, w, z) -> np.ndarray:
     return out
 
 
-def dual_update(state: DualState, x, y, g_of_y, v: float) -> DualState:
-    """One dual step: w <- [w + g(y)/V]+, z <- z + (x - y)/V."""
+def dual_update(w, z, x, y, g_of_y, v: float) -> tuple[np.ndarray, np.ndarray]:
+    """One dual step: w <- [w + g(y)/V]+, z <- z + (x - y)/V; returns (w, z)."""
     if v < 1.0:
         raise ValueError("v must be >= 1")
+    w = np.asarray(w, dtype=float)
+    if np.any(w < 0.0):
+        raise ValueError("w components must be nonnegative")
+    z = np.asarray(z, dtype=float)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     g_of_y = np.asarray(g_of_y, dtype=float)
-    w_next = np.maximum(0.0, state.w + g_of_y / v)
-    z_next = state.z + (x - y) / v
-    return DualState(w=w_next, z=z_next, t=state.t + 1)
+    return np.maximum(0.0, w + g_of_y / v), z + (x - y) / v
 
 
 def prefix_sums(a: np.ndarray):

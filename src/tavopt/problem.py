@@ -67,52 +67,15 @@ def _as_float_vector(values, name: str) -> np.ndarray:
 # hi), a bound on |piece| over [lo, hi].  Its JSON form, {"kind": kind,
 # <fields>}, is read and written from its dataclass fields by
 # tavopt.config.  A new kind is one class here plus its entry in
-# PIECE_KINDS.
+# PIECE_KINDS.  LinearPiece is QuadraticPiece with its curvature fixed at 0
+# as a class constant: the zero-curvature branches are the one home of the
+# linear minimizer, and its one field, slope, keeps the JSON form
+# {"kind": "linear", "slope": s}.
 
 def float_literal(value) -> str:
     """Source text that evaluates to the double value (finite), sign of
     zero included."""
     return f"({float(value)!r})"
-
-
-def _linear_argmin_line(y: str, slope: float, c: str, lo: float, hi: float) -> str:
-    # LinearPiece.argmin_shifted: the lower end unless slope + c < 0
-    lit = float_literal
-    return f"{y} = {lit(lo)} if {lit(slope)} + ({c}) >= 0.0 else {lit(hi)}"
-
-
-@dataclass(frozen=True)
-class LinearPiece:
-    """Scalar piece s*y."""
-
-    kind: ClassVar[str] = "linear"
-    slope: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.slope):
-            raise ValueError("linear piece slope must be finite")
-
-    def value(self, y: float) -> float:
-        return self.slope * y
-
-    def values(self, ys: np.ndarray) -> np.ndarray:
-        return self.slope * ys
-
-    def max_abs_derivative(self, lo: float, hi: float) -> float:
-        return abs(self.slope)
-
-    def argmin_shifted(self, c: float, lo: float, hi: float) -> float:
-        """Minimizer of s*y + c*y over [lo, hi]; ties go to the lower end."""
-        return lo if self.slope + c >= 0.0 else hi
-
-    def argmin_shifted_line(self, y: str, c: str, lo: float, hi: float) -> str:
-        return _linear_argmin_line(y, self.slope, c, lo, hi)
-
-    def argmin_shifted_batch(self, c: np.ndarray, lo: float, hi: float) -> np.ndarray:
-        return np.where(self.slope + c >= 0.0, lo, hi)
-
-    def max_abs_value(self, lo: float, hi: float) -> float:
-        return max(abs(self.value(lo)), abs(self.value(hi)))
 
 
 @dataclass(frozen=True)
@@ -125,7 +88,7 @@ class QuadraticPiece:
 
     def __post_init__(self):
         if not (math.isfinite(self.curvature) and math.isfinite(self.slope)):
-            raise ValueError("quadratic piece parameters must be finite")
+            raise ValueError(f"{self.kind} piece parameters must be finite")
         if self.curvature < 0.0:
             raise ValueError("non-convex piece: quadratic curvature must be >= 0")
 
@@ -151,12 +114,12 @@ class QuadraticPiece:
         return vertex
 
     def argmin_shifted_line(self, y: str, c: str, lo: float, hi: float) -> str:
-        if self.curvature == 0.0:
-            return _linear_argmin_line(y, self.slope, c, lo, hi)
-        # 2.0 * a stays an expression: its value can be inf, which has no
-        # literal; Python floats overflow quietly, as argmin_shifted's do
         s, a = float_literal(self.slope), float_literal(self.curvature)
         lo, hi = float_literal(lo), float_literal(hi)
+        if self.curvature == 0.0:
+            return f"{y} = {lo} if {s} + ({c}) >= 0.0 else {hi}"
+        # 2.0 * a stays an expression: its value can be inf, which has no
+        # literal; Python floats overflow quietly, as argmin_shifted's do
         return (f"{y} = -({s} + ({c})) / (2.0 * {a}); "
                 f"{y} = {lo} if {y} < {lo} else ({hi} if {y} > {hi} else {y})")
 
@@ -176,6 +139,15 @@ class QuadraticPiece:
             if lo <= vertex <= hi:
                 cands.append(self.value(vertex))
         return max(abs(v) for v in cands)
+
+
+@dataclass(frozen=True)
+class LinearPiece(QuadraticPiece):
+    """Scalar piece s*y: the quadratic piece with zero curvature."""
+
+    kind: ClassVar[str] = "linear"
+    curvature: ClassVar[float] = 0.0
+    slope: float
 
 
 @dataclass(frozen=True)
@@ -271,16 +243,11 @@ class PiecewiseLinearPiece:
         return "; ".join([f"{y} = {c}", f"r = {lit(hi)}", *tests, last])
 
     def argmin_shifted_batch(self, c: np.ndarray, lo: float, hi: float) -> np.ndarray:
-        bps = np.array(self.breakpoints)
-        ss = np.array(self.slopes)
-        if len(bps) == 0:
-            return np.where(ss[0] + c >= 0.0, lo, hi)
-        # k is the first segment whose shifted slope is nonnegative
-        k = np.searchsorted(ss, -c, side="left")
-        cand = bps[np.clip(k - 1, 0, len(bps) - 1)]
-        cand = np.where(k == 0, lo, cand)
-        cand = np.where(k >= len(ss), hi, cand)
-        return np.clip(cand, lo, hi)
+        # k is the first segment whose shifted slope is nonnegative (for
+        # doubles s + c >= 0.0 exactly when s >= -c); its left end is the
+        # minimizer, lo for the first segment and hi past the last one
+        k = np.searchsorted(self.slopes, -c, side="left")
+        return np.clip(np.array((lo, *self.breakpoints, hi))[k], lo, hi)
 
     def max_abs_value(self, lo: float, hi: float) -> float:
         cands = [self.value(lo), self.value(hi)]

@@ -195,7 +195,7 @@ def test_subgradient_vanishes_at_estimated_maximizer():
         objective=SeparableConvexObjective(
             pieces=(QuadraticPiece(1.0, 1.0), QuadraticPiece(1.0, 1.0))))
     est = estimate_multiplier(spec, "grid-dual-max", seed=3)
-    sub = dual_subgradient(spec, est.w_part, est.z_part)
+    sub = dual_subgradient(spec, est.lam[:est.j_dim], est.lam[est.j_dim:])
     assert np.linalg.norm(sub) <= max(1e-9, 2.0 * est.residual)
 
 
@@ -207,14 +207,14 @@ def test_grid_estimate_reaches_linear_optimum(main_estimates):
     est = main_estimates["polyhedral"]
     assert est.residual <= 1e-3
     assert abs(est.d_value - POLY_OPT) <= 1e-3
-    np.testing.assert_allclose(est.w_part, [2.0 / 3.0, 1.0 / 6.0], atol=2e-3)
-    np.testing.assert_allclose(est.z_part, [0.0, 0.0], atol=2e-3)
+    np.testing.assert_allclose(est.lam[:est.j_dim], [2.0 / 3.0, 1.0 / 6.0], atol=2e-3)
+    np.testing.assert_allclose(est.lam[est.j_dim:], [0.0, 0.0], atol=2e-3)
 
 
 def test_grid_estimate_reaches_quadratic_optimum(main_estimates):
     est = main_estimates["smooth"]
     assert abs(est.d_value - SMOOTH_OPT) <= 1e-3
-    np.testing.assert_allclose(est.w_part, [1.0 / 3.0, 1.0 / 3.0], atol=2e-3)
+    np.testing.assert_allclose(est.lam[:est.j_dim], [1.0 / 3.0, 1.0 / 3.0], atol=2e-3)
 
 
 def test_nonbinding_constraint_gets_zero_multiplier():
@@ -225,7 +225,7 @@ def test_nonbinding_constraint_gets_zero_multiplier():
             pieces=(QuadraticPiece(1.0, 0.0), QuadraticPiece(1.0, 0.0))),
         constraints=(AffineConstraint(coeffs=(1.0, 0.0), offset=-10.0),))
     est = estimate_multiplier(spec, "grid-dual-max", seed=0)
-    assert np.max(est.w_part) <= 1e-3
+    assert np.max(est.lam[:est.j_dim]) <= 1e-3
 
 
 def test_nonuniqueness_flags(main_estimates):
@@ -237,7 +237,8 @@ def test_nonuniqueness_flags(main_estimates):
 
 def _assert_d_value_is_the_dual_at_the_estimate(spec, est):
     assert type(est.residual) is float and type(est.d_value) is float
-    assert bits(est.d_value) == bits(dual_function(spec, est.w_part, est.z_part)[0])
+    w, z = est.lam[:est.j_dim], est.lam[est.j_dim:]
+    assert bits(est.d_value) == bits(dual_function(spec, w, z)[0])
 
 
 @pytest.mark.parametrize("name", INSTANCE_NAMES)

@@ -3,9 +3,11 @@
 Every run in a record keeps its result line, and every result is correct
 with no failed call.  A claim block's pairs are the claimed metric of its
 runs and alternate which side ran first, and its quartiles, win count and
-verdict recompute from the pairs.
+verdict recompute from the pairs.  The names the benchmark's tracer looks
+up in tavopt all resolve.
 """
 
+import importlib
 import json
 import math
 import statistics
@@ -13,7 +15,11 @@ from pathlib import Path
 
 import pytest
 
-RECORDS = sorted(Path(__file__).resolve().parent.parent.glob("BENCH_*.json"))
+from tavopt import SolverConfig, run
+from tavopt.cli import reference_instance
+
+ROOT = Path(__file__).resolve().parent.parent
+RECORDS = sorted(ROOT.glob("BENCH_*.json"))
 
 
 def record_faults(record: dict, name: str) -> list:
@@ -108,3 +114,21 @@ def test_a_mutated_record_is_refused(path, mutation):
     record = json.loads(path.read_text())
     MUTATIONS[mutation](record)
     assert record_faults(record, path.name)
+
+
+def test_the_tracers_names_resolve(monkeypatch):
+    # perfbench/tracing.py wraps functions by module attribute, dispatches
+    # its accuracy counts on problem classes and sizes RunTrace arrays, all
+    # by name, so a rename or fold here would break only the benchmark
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    for layer, names in tracing.WRAPPED.items():
+        module = importlib.import_module(f"tavopt.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"tavopt.{layer}.{name}"
+    problem = importlib.import_module("tavopt.problem")
+    assert isinstance(problem.LinearPiece, type) and isinstance(problem.GridProduct, type)
+    trace = run(reference_instance("linear", False), SolverConfig(v=10.0, horizon=8))
+    for name in tracing.TRACE_ARRAYS:
+        assert getattr(trace, name).nbytes >= 0, name
+    assert (trace.horizon, trace.v) == (8, 10.0) and trace.spec is not None

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 
 from tavopt import (
     AffineConstraint,
-    DualState,
     ExplicitPoints,
     ExtendedBox,
     GridProduct,
@@ -139,23 +138,20 @@ def test_y_update_minimizes_inner_objective(name):
 # ---------------------------------------------------------------------------
 
 def test_dual_update_examples():
-    s = DualState(w=np.array([0.0]), z=np.zeros(2))
-    s2 = dual_update(s, np.zeros(2), np.zeros(2), np.array([-1.0]), 1.0)
-    np.testing.assert_array_equal(s2.w, [0.0])
-    assert s2.t == 1
+    w, z = dual_update([0.0], np.zeros(2), np.zeros(2), np.zeros(2), np.array([-1.0]), 1.0)
+    np.testing.assert_array_equal(w, [0.0])
 
-    s = DualState(w=np.zeros(0), z=np.array([0.0, 0.0]))
-    s2 = dual_update(s, np.array([1.0, 0.0]), np.array([0.5, 0.5]), np.zeros(0), 2.0)
-    np.testing.assert_allclose(s2.z, [0.25, -0.25], atol=0)
+    w, z = dual_update(np.zeros(0), np.array([0.0, 0.0]), np.array([1.0, 0.0]),
+                       np.array([0.5, 0.5]), np.zeros(0), 2.0)
+    np.testing.assert_allclose(z, [0.25, -0.25], atol=0)
 
-    s = DualState(w=np.array([1.0]), z=np.zeros(1))
-    s2 = dual_update(s, np.zeros(1), np.zeros(1), np.array([0.5]), 10.0)
-    np.testing.assert_allclose(s2.w, [1.05], atol=0)
+    w, z = dual_update(np.array([1.0]), np.zeros(1), np.zeros(1), np.zeros(1), np.array([0.5]), 10.0)
+    np.testing.assert_allclose(w, [1.05], atol=0)
 
 
-def test_dual_state_rejects_negative_w():
-    with pytest.raises(ValueError):
-        DualState(w=np.array([-1e-9]), z=np.zeros(1))
+def test_dual_update_rejects_negative_w():
+    with pytest.raises(ValueError, match="w components must be nonnegative"):
+        dual_update(np.array([-1e-9]), np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -184,18 +180,18 @@ def test_run_matches_composed_updates_exactly():
     # exact binary arithmetic on this instance, so the comparison is bitwise
     spec = build_instance("polyhedral")
     trace = run(spec, SolverConfig(v=4.0, horizon=64))
-    state = DualState(w=np.zeros(2), z=np.zeros(2))
+    w, z = np.zeros(2), np.zeros(2)
     for t in range(64):
-        x = x_update(spec, state.z)
-        y = y_update(spec, state.w, state.z)
+        x = x_update(spec, z)
+        y = y_update(spec, w, z)
         np.testing.assert_array_equal(trace.x[t], x)
         np.testing.assert_array_equal(trace.y[t], y)
-        np.testing.assert_array_equal(trace.w[t], state.w)
-        np.testing.assert_array_equal(trace.z[t], state.z)
+        np.testing.assert_array_equal(trace.w[t], w)
+        np.testing.assert_array_equal(trace.z[t], z)
         g = evaluate_constraints(spec, y)
-        state = dual_update(state, x, y, g, 4.0)
-    np.testing.assert_array_equal(trace.w_final, state.w)
-    np.testing.assert_array_equal(trace.z_final, state.z)
+        w, z = dual_update(w, z, x, y, g, 4.0)
+    np.testing.assert_array_equal(trace.w_final, w)
+    np.testing.assert_array_equal(trace.z_final, z)
 
 
 def _tenths_points_instance(count):
@@ -221,21 +217,21 @@ def test_run_matches_composed_updates_on_both_sides_of_the_unroll(count, unrolle
     assert (count * 3 <= _UNROLLED_SCORE_TERMS) == unrolled
     assert ("pick_x(" not in _step_loop_source(spec, cfg)) == unrolled
     trace = run(spec, cfg)
-    state = DualState(w=np.zeros(2), z=np.zeros(3))
+    w, z = np.zeros(2), np.zeros(3)
     for t in range(cfg.horizon):
-        x = x_update(spec, state.z)
-        y = y_update(spec, state.w, state.z)
+        x = x_update(spec, z)
+        y = y_update(spec, w, z)
         assert bits(trace.x[t]) == bits(x) and bits(trace.y[t]) == bits(y)
-        assert bits(trace.w[t]) == bits(state.w) and bits(trace.z[t]) == bits(state.z)
+        assert bits(trace.w[t]) == bits(w) and bits(trace.z[t]) == bits(z)
         g = []
         for j in range(2):
             gj = float(b[j])  # summed in the loop's order
             for i in range(3):
                 gj += float(A[j, i]) * float(y[i])
             g.append(gj)
-        state = dual_update(state, x, y, g, cfg.v)
+        w, z = dual_update(w, z, x, y, g, cfg.v)
     assert len(set(map(bytes, trace.x))) > 1  # the run visits several points
-    assert bits(trace.w_final) == bits(state.w) and bits(trace.z_final) == bits(state.z)
+    assert bits(trace.w_final) == bits(w) and bits(trace.z_final) == bits(z)
 
 
 @pytest.mark.parametrize("points,expected", [

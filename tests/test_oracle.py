@@ -195,5 +195,5 @@ def test_sandwich_between_dual_trajectory_and_penalized_average(oracle_values):
     est = estimate_multiplier(spec, "grid-dual-max", v=50.0, seed=0)
     xbar = trace.xbar[-1]
     A, b = spec.constraint_matrix()
-    penalty = float(est.w_part @ np.maximum(A @ xbar + b, 0.0))
+    penalty = float(est.lam[:est.j_dim] @ np.maximum(A @ xbar + b, 0.0))
     assert f_opt <= spec.objective.value(xbar) + penalty + 1e-3 + 10.0 * est.residual

@@ -1,6 +1,8 @@
 import itertools
+import json
 import math
 import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -17,9 +19,13 @@ from tavopt import (
     ProblemSpec,
     QuadraticPiece,
     SeparableConvexObjective,
+    SolverConfig,
     evaluate_constraints,
     evaluate_objective,
     lipschitz_bound,
+    parse_problem_config,
+    run,
+    serialize_problem_config,
     squared_norm_bound,
     tight_box,
 )
@@ -109,6 +115,9 @@ def test_quadratic_batch_with_subnormal_curvature_matches_scalar():
     QuadraticPiece(1.0, -0.0),
     LinearPiece(-0.0),
     PiecewiseLinearPiece((0.5,), (-0.0, 1.0)),
+    PiecewiseLinearPiece((), (-0.0,)),      # no breakpoints
+    PiecewiseLinearPiece((), (0.5,)),
+    PiecewiseLinearPiece((-3.0, 2.0), (-1.0, 0.3, 2.0)),  # none inside any box
     # 3000 breakpoints inside the box: the line stays flat enough to compile
     pytest.param(PiecewiseLinearPiece(tuple(np.linspace(-0.999, 0.999, 3000)),
                                       tuple(np.linspace(-2.5, 2.5, 3001))),
@@ -124,6 +133,29 @@ def test_extreme_pieces_give_the_scalar_bits(piece):
             got = piece.argmin_shifted_batch(np.array(cs), lo, hi)
         assert bits(got) == bits([piece.argmin_shifted(c, lo, hi) for c in cs])
         assert_line_agrees(piece, cs, lo, hi)
+
+
+def test_linear_piece_is_the_zero_curvature_quadratic():
+    # one field, so the JSON form and the constructor stay those of a
+    # linear piece; a distinct class, which the LP oracle dispatches on
+    assert [f.name for f in fields(LinearPiece)] == ["slope"]
+    assert not isinstance(QuadraticPiece(0.0, 1.5), LinearPiece)
+    with pytest.raises(ValueError, match="^linear piece parameters must be finite$"):
+        LinearPiece(math.inf)
+    spec = build_instance("polyhedral")
+    slopes = [p.slope for p in spec.objective.pieces]
+    text = serialize_problem_config(spec)
+    assert json.loads(text)["objective"] == [{"kind": "linear", "slope": s} for s in slopes]
+    parsed = parse_problem_config(text).objective.pieces
+    assert [type(p) for p in parsed] == [LinearPiece] * 2
+    assert list(parsed) == [LinearPiece(s) for s in slopes]
+    # the same run as with the quadratic pieces of zero curvature
+    quad = replace(spec, objective=SeparableConvexObjective(
+        tuple(QuadraticPiece(0.0, s) for s in slopes)))
+    cfg = SolverConfig(v=100.0, horizon=5000)
+    lin_trace, quad_trace = run(spec, cfg), run(quad, cfg)
+    for name in ("x", "y", "w", "z", "d"):
+        assert bits(getattr(lin_trace, name)) == bits(getattr(quad_trace, name)), name
 
 
 @st.composite
