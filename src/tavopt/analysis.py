@@ -390,13 +390,18 @@ def estimate_multiplier(spec: ProblemSpec, method: str = "grid-dual-max", *,
         if lam_hat.shape != (J + I,):
             raise ValueError(f"lambda_star must have shape ({J + I},)")
     elif method == "tail-average":
-        cfg = SolverConfig(v=10.0 * v, horizon=tail_horizon, restart_base=None)
-        trace = run(spec, cfg)
-        rows = trace.lambda_path[:-1]
-        start = int((1.0 - _TAIL_FRACTION) * len(rows))
-        lam_hat = _project_dual(rows[start:].mean(axis=0), J)
-        stride = max(1, (len(rows) - start) // 512)
-        extra_probes = rows[start::stride]
+        # the head is only stepped through, in runs no longer than the tail,
+        # each starting from the state the one before ended in
+        start = int((1.0 - _TAIL_FRACTION) * tail_horizon)
+        tail = tail_horizon - start
+        w = z = None
+        for done in range(0, start, tail):
+            w, z = np.split(run(spec, SolverConfig(v=10.0 * v, horizon=min(tail, start - done),
+                                                   initial_w=w, initial_z=z)).lambda_path[-1], [J])
+        rows = run(spec, SolverConfig(v=10.0 * v, horizon=tail, initial_w=w,
+                                      initial_z=z)).lambda_path[:-1]
+        lam_hat = _project_dual(rows.mean(axis=0), J)
+        extra_probes = rows[::max(1, tail // 512)]
     elif method == "grid-dual-max":
         lam_hat, _ = _grid_dual_max(spec, reg)
     else:

@@ -100,7 +100,6 @@ class ExperimentConfig:
     problem_path: Optional[str] = None
     v_list: tuple = (100.0,)
     horizon: int = 200_000
-    restart_base: Optional[int] = 2
     seed: int = 0
     figure: Optional[int] = None
     method: str = "grid-dual-max"
@@ -144,9 +143,7 @@ def _write_summary(path: str, fields: dict) -> None:
 
 def _do_solve(cfg: ExperimentConfig) -> int:
     spec = _load_spec(cfg)
-    solver = SolverConfig(v=cfg.v_list[0], horizon=cfg.horizon,
-                          restart_base=cfg.restart_base)
-    trace = run(spec, solver)
+    trace = run(spec, SolverConfig(v=cfg.v_list[0], horizon=cfg.horizon))
     os.makedirs(cfg.out_dir, exist_ok=True)
     trace_path = os.path.join(cfg.out_dir, "trace.csv")
     rows = np.arange(0, trace.horizon, cfg.log_every)
@@ -161,7 +158,6 @@ def _do_solve(cfg: ExperimentConfig) -> int:
         "problem": cfg.problem_path,
         "V": trace.v,
         "horizon": trace.horizon,
-        "restart_base": cfg.restart_base,
         "trace_csv": trace_path,
         "rows_written": len(rows),
         "f_xbar_final": spec.objective.value(xbar),
@@ -189,7 +185,7 @@ def _do_sweep(cfg: ExperimentConfig) -> int:
     epss = cfg.eps_anchor * cfg.v_anchor / vs
     hits = []  # iterations to accuracy per V, plain and staggered; -1 when not reached
     for v, eps in zip(cfg.v_list, epss.tolist()):
-        trace = run(spec, SolverConfig(v=v, horizon=cfg.horizon, restart_base=cfg.restart_base))
+        trace = run(spec, SolverConfig(v=v, horizon=cfg.horizon))
         hits.append([-1 if h is None else h
                      for h in analysis.iterations_to_accuracy(trace, f_opt, eps)])
     hits = np.array(hits)
@@ -223,8 +219,7 @@ def _estimate_bounds(spec: ProblemSpec, cfg: ExperimentConfig):
 
 def _do_diagnose(cfg: ExperimentConfig) -> int:
     spec = _load_spec(cfg)
-    trace = run(spec, SolverConfig(v=cfg.v_list[0], horizon=cfg.horizon,
-                                   restart_base=cfg.restart_base))
+    trace = run(spec, SolverConfig(v=cfg.v_list[0], horizon=cfg.horizon))
     estimate, rates, bounds = _estimate_bounds(spec, cfg)
     drift = analysis.drift_certificate(trace, estimate.lam, bounds.v, bounds.c)
 
@@ -293,9 +288,7 @@ def _do_reproduce(cfg: ExperimentConfig) -> int:
 
         A, b = spec.constraint_matrix()
         J = len(b)
-        marks = 1 << np.arange(cfg.horizon.bit_length())
-        if marks[-1] != cfg.horizon:
-            marks = np.append(marks, cfg.horizon)
+        marks = np.append(trace.restart_times, cfg.horizon)
 
         def stats(avgs):
             return [spec.objective.values(avgs), avgs @ A.T + b]
@@ -315,9 +308,8 @@ def _do_reproduce(cfg: ExperimentConfig) -> int:
         fig_csv = os.path.join(cfg.out_dir, f"figure{fig}.csv")
         write_table(fig_csv, header, columns)
 
-        final_plain = trace.xbar[-1]
-        f_final = spec.objective.value(final_plain)
-        g_final = A @ final_plain + b
+        # the last mark is the horizon, so the plain group's last row is the final average
+        f_final, g_final = float(columns[1][-1]), columns[2][-1]
         ok = abs(f_final - f_opt) <= 0.02 and (J == 0 or np.max(g_final) <= 0.02)
         if not ok:
             failed.append(fig)
@@ -364,7 +356,6 @@ _FLAGS = {
     "--out": dict(dest="out_dir", required=True, help="output directory"),
     "--V": dict(dest="v_list", type=_v_list, help="V value (comma-separated list for sweep)"),
     "--horizon": dict(type=int),
-    "--restart-base": dict(type=int),
     "--seed": dict(type=int),
     "--log-every": dict(type=int, help="write every k-th trace row"),
     "--eps-anchor": dict(type=float),
@@ -378,13 +369,13 @@ _FLAGS = {
 # mode -> (help, the flags it reads)
 _MODES = {
     "solve": ("one run, trace CSV + summary",
-              ("--problem", "--out", "--V", "--horizon", "--restart-base", "--log-every")),
+              ("--problem", "--out", "--V", "--horizon", "--log-every")),
     "sweep": ("iterations-to-accuracy over a V list",
-              ("--problem", "--out", "--V", "--horizon", "--restart-base", "--eps-anchor",
-               "--v-anchor", "--oracle-resolution")),
+              ("--problem", "--out", "--V", "--horizon", "--eps-anchor", "--v-anchor",
+               "--oracle-resolution")),
     "diagnose": ("multiplier estimate and certificates",
-                 ("--problem", "--out", "--V", "--horizon", "--restart-base", "--seed",
-                  "--method", "--geometry")),
+                 ("--problem", "--out", "--V", "--horizon", "--seed", "--method",
+                  "--geometry")),
     "reproduce": ("bundled demo instances, per-figure CSVs",
                   ("--out", "--V", "--horizon", "--seed", "--figure", "--oracle-resolution")),
 }

@@ -4,8 +4,8 @@ Each step picks a decision-set point minimizing the current linear dual term,
 an auxiliary box point minimizing the penalized objective, and then moves the
 dual variables by a fixed 1/V step.  Individual iterates do not converge for
 piecewise-linear data; their running averages do, which is what the trace
-tracks, together with staggered averages restarted on geometrically growing
-frames.
+tracks, together with staggered averages restarted on doubling frames
+(1, 2, 4, ...).
 """
 
 from __future__ import annotations
@@ -49,23 +49,19 @@ class SolverConfig:
     """Parameters of a single run.
 
     v is the inverse stepsize (v >= 1 keeps the dual trajectory bounded when
-    started from zero).  restart_base, when set, restarts the staggered
-    average at iterations base**k.  Every iteration is recorded.
+    started from zero).  Every iteration is recorded.
     """
 
     v: float
     horizon: int
     initial_w: Optional[tuple] = None
     initial_z: Optional[tuple] = None
-    restart_base: Optional[int] = 2
 
     def __post_init__(self):
         if not (math.isfinite(self.v) and self.v >= 1.0):
             raise ValueError("v must be finite and >= 1")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if self.restart_base is not None and self.restart_base < 2:
-            raise ValueError("restart_base must be >= 2 when set")
         for name in ("initial_w", "initial_z"):
             val = getattr(self, name)
             if val is not None:
@@ -158,12 +154,14 @@ class RunTrace:
     Row t holds the primal pair (x, y), the dual variables before the step
     and the dual function value.  w_final/z_final hold the dual variables
     after the last step, which close the telescoping identities at
-    T = horizon.  Everything else is derived after the run, on first use: the
-    restart schedule and the frame of each row, the dual path, and the time
-    averages.  xbar and ybar average iterations 0..t inclusive and xbar_frame
-    the current staggered frame; all three, like staggered_average, are
-    windows of compensated prefix sums of x and y (for xbar_frame and
-    staggered_average, sums restarted at the window's start).
+    T = horizon.  lambda_path holds (w, z) at t = 0..horizon, one per row;
+    w, z, w_final and z_final are views of it.  Everything else is derived
+    after the run, on first use: the restart schedule and the frame of each
+    row, and the time averages.  xbar and ybar average iterations 0..t
+    inclusive and xbar_frame the current staggered frame; all three, like
+    staggered_average, are windows of compensated prefix sums of x and y
+    (for xbar_frame and staggered_average, sums restarted at the window's
+    start).
     """
 
     x: np.ndarray
@@ -173,6 +171,7 @@ class RunTrace:
     d: np.ndarray
     w_final: np.ndarray
     z_final: np.ndarray
+    lambda_path: np.ndarray
     v: float
     horizon: int
     spec: ProblemSpec
@@ -184,18 +183,8 @@ class RunTrace:
 
     @cached_property
     def restart_times(self) -> np.ndarray:
-        """Iterations 1, base, base**2, ... below the horizon (none without a base)."""
-        base, times, t = self.config.restart_base, [], 1
-        while base is not None and t < self.horizon:
-            times.append(t)
-            t *= base
-        return np.array(times, dtype=np.int64)
-
-    @cached_property
-    def lambda_path(self) -> np.ndarray:
-        """Dual vectors (w, z) at t = 0..horizon, one per row."""
-        return np.vstack([np.hstack([self.w, self.z]),
-                          np.concatenate([self.w_final, self.z_final])])
+        """Iterations 1, 2, 4, ... below the horizon."""
+        return 1 << np.arange((self.horizon - 1).bit_length(), dtype=np.int64)
 
     @cached_property
     def frame_id(self) -> np.ndarray:
@@ -391,8 +380,8 @@ def run(spec: ProblemSpec, config: SolverConfig) -> RunTrace:
     records_x = isinstance(ds, ExplicitPoints)
     width = J + I + (I if records_x else 0)
     pack_into = struct.Struct(f"{width}d").pack_into
-    # rows of (w, z), then x on an explicit set
-    rows = np.empty((T, width))
+    # rows of (w, z), then x on an explicit set; row T holds the final (w, z)
+    rows = np.empty((T + 1, width))
     x, y, d = np.empty((T, I)), np.empty((T, I)), np.empty(T)
     # past a blow-up the values turn inf and nan, quietly, as Python floats do
     with np.errstate(over="ignore", invalid="ignore"):
@@ -410,12 +399,13 @@ def run(spec: ProblemSpec, config: SolverConfig) -> RunTrace:
             for i in range(I):
                 x[start:stop, i], y[start:stop, i] = xs[i], ys[i]
 
-    trace = RunTrace(x=x, y=y, w=rows[:, :J], z=rows[:, J:J + I], d=d,
-                     w_final=np.array(w, dtype=float), z_final=np.array(z, dtype=float),
-                     v=float(config.v), horizon=T, spec=spec, config=config)
-    if not (np.all(np.isfinite(trace.w_final)) and np.all(np.isfinite(trace.z_final))):
+    lam = rows[:, :J + I]
+    lam[T] = w + z
+    if not np.all(np.isfinite(lam[T])):
         raise NumericError("non-finite dual state", T)
-    return trace
+    return RunTrace(x=x, y=y, w=lam[:T, :J], z=lam[:T, J:], d=d, w_final=lam[T, :J],
+                    z_final=lam[T, J:], lambda_path=lam, v=float(config.v), horizon=T,
+                    spec=spec, config=config)
 
 
 def staggered_average(trace: RunTrace, start: int, count) -> np.ndarray:

@@ -458,9 +458,6 @@ class AffineConstraint:
         if not np.any(c != 0.0):
             raise ValueError("constraint needs at least one nonzero coefficient")
 
-    def value(self, x) -> float:
-        return float(np.dot(self.coeffs, x) + self.offset)
-
     def gradient_norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
 

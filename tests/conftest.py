@@ -58,7 +58,7 @@ def main_traces(instances):
     """Full traces at the reference settings, with wall-clock runtimes."""
     traces = {}
     for name, spec in instances.items():
-        cfg = SolverConfig(v=MAIN_V, horizon=MAIN_HORIZON, restart_base=2)
+        cfg = SolverConfig(v=MAIN_V, horizon=MAIN_HORIZON)
         start = time.perf_counter()
         trace = run(spec, cfg)
         traces[name] = (trace, time.perf_counter() - start)
@@ -73,6 +73,15 @@ def main_estimates(instances):
             for name, spec in instances.items()}
 
 
+def doubling_schedule(horizon):
+    """The restart times 1, 2, 4, ... below horizon, one doubling at a time."""
+    times, t = [], 1
+    while t < horizon:
+        times.append(t)
+        t *= 2
+    return times
+
+
 def bits(values) -> bytes:
     """The raw bytes of values as doubles, for bitwise comparisons."""
     return np.asarray(values, dtype=float).tobytes()
@@ -81,7 +90,7 @@ def bits(values) -> bytes:
 @st.composite
 def generated_runs(draw):
     """A small spec and run config: I in 1-3, J in 0-3, a grid or explicit
-    points, every piece kind, with or without restarts."""
+    points, every piece kind."""
     I = draw(st.integers(1, 3))
     J = draw(st.integers(0, 3))
     coord = st.floats(-2.0, 3.0)
@@ -109,6 +118,5 @@ def generated_runs(draw):
         objective=SeparableConvexObjective(pieces=[draw(piece) for _ in range(I)]),
         constraints=[AffineConstraint(coeffs=draw(coeffs), offset=draw(small))
                      for _ in range(J)])
-    cfg = SolverConfig(v=draw(st.floats(1.0, 20.0)), horizon=draw(st.integers(1, 40)),
-                       restart_base=draw(st.sampled_from([None, 2, 3])))
+    cfg = SolverConfig(v=draw(st.floats(1.0, 20.0)), horizon=draw(st.integers(1, 40)))
     return spec, cfg

@@ -50,7 +50,7 @@ def sweep_traces(instances):
     traces = {}
     for name in ("polyhedral", "smooth"):
         for v in SWEEP_VS:
-            cfg = SolverConfig(v=v, horizon=SWEEP_HORIZONS[name], restart_base=2)
+            cfg = SolverConfig(v=v, horizon=SWEEP_HORIZONS[name])
             traces[name, v] = run(instances[name], cfg)
     return traces
 

@@ -35,7 +35,9 @@ from tavopt import (
     staggered_average,
     tight_box,
 )
-from tavopt.analysis import NONUNIQUE_DECAY_TOL, minimal_decay_rate, sample_multipliers
+import tavopt.analysis
+from tavopt.analysis import (NONUNIQUE_DECAY_TOL, default_search_region, minimal_decay_rate,
+                             sample_multipliers)
 from tavopt.config import parse_problem_config
 from tavopt.engine import _dual_columns
 from tavopt.problem import EPS_C
@@ -281,6 +283,26 @@ def test_decay_search_over_distances_on_generated_specs(case, distances, with_ex
     lam = run(spec, cfg).lambda_path[-1]
     extra = [np.cos(np.arange(1.0, len(lam) + 1.0))] if with_extra else None
     _assert_joint_decay_search_is_the_min(spec, lam, tuple(distances), extra)
+
+
+@pytest.mark.parametrize("decision_set", [None, ExplicitPoints(points=[
+    [0.0, 0.0], [3.0, 0.0], [0.0, 3.0], [1.0, 1.0], [0.1, 2.7]])], ids=["grid", "points"])
+def test_tail_average_of_chained_runs_is_the_one_run_tail(decision_set, monkeypatch):
+    # 1003 steps: a tail of 201 after head runs of 201, 201, 201 and 199;
+    # the threshold is lifted so that this short run returns its estimate
+    monkeypatch.setattr(tavopt.analysis, "_RESIDUAL_THRESHOLD", math.inf)
+    spec = build_instance("polyhedral")
+    if decision_set is not None:
+        spec = ProblemSpec(decision_set=decision_set, box=tight_box(decision_set),
+                           objective=spec.objective, constraints=spec.constraints)
+    est = estimate_multiplier(spec, "tail-average", v=MAIN_V, seed=0, tail_horizon=1003)
+    rows = run(spec, SolverConfig(v=10.0 * MAIN_V, horizon=1003)).lambda_path[802:-1]
+    lam, J = rows.mean(axis=0), spec.constraint_count
+    lam[:J] = np.maximum(0.0, lam[:J])
+    assert bits(est.lam) == bits(lam)
+    residual, d_value = tavopt.analysis._residual_probes(
+        spec, lam, default_search_region(spec), 0, extra=rows)  # every row below 512
+    assert bits([est.residual, est.d_value]) == bits([residual, d_value])
 
 
 def test_estimation_failure_raises():

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -9,9 +10,11 @@ import pytest
 
 import tavopt
 from tavopt import ParseError, parse_problem_config, run_cli, serialize_problem_config
-from tavopt.cli import reference_instance
+from tavopt.cli import _MODES, reference_instance
 from tavopt.oracle import solve_reference_lp
 from tavopt.problem import GridProduct, PiecewiseLinearPiece, QuadraticPiece
+
+from conftest import doubling_schedule
 
 DEMO_CONFIG = json.dumps({
     "dimension": 2,
@@ -368,10 +371,33 @@ def test_reproduce_single_figure_deterministic(tmp_path):
     assert "check: PASS" in summary
 
 
+@pytest.mark.parametrize("horizon", [1, 2, 64, 1000, 1024])
+def test_reproduce_marks_the_restarts_and_the_horizon(horizon, tmp_path):
+    # t runs over the restarts 1, 2, 4, ... below the horizon, then the
+    # horizon; the summary's final values are the CSV's last plain row
+    out = tmp_path / "rep"
+    run_cli(["reproduce", "--out", str(out), "--figure", "2", "--horizon", str(horizon)])
+    rows = [line.split(",") for line in (out / "figure2.csv").read_text().splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == doubling_schedule(horizon) + [horizon]
+    summary = (out / "figure2_summary.txt").read_text().splitlines()
+    f, g1, g2 = (float(cell) for cell in rows[-1][1:4])
+    assert f"f_xbar_final: {f:.12g}" in summary
+    assert f"max_violation_final: {max(g1, g2):.12g}" in summary
+
+
 def test_reproduce_fails_with_tiny_horizon(tmp_path):
     code = run_cli(["reproduce", "--out", str(tmp_path / "rep"), "--figure", "2",
                     "--horizon", "64"])
     assert code == 3
+
+
+def test_readme_flag_table_is_the_parsers():
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme) as fh:
+        rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", fh.read(), flags=re.M)
+    documented = {mode: tuple(re.findall(r"`(--[\w-]+)`", flags)) for mode, flags in rows}
+    assert documented == {mode: flags for mode, (_, flags) in _MODES.items()}
 
 
 def test_python_dash_m_runs_the_cli_without_warnings():
@@ -435,6 +461,9 @@ def test_exit_codes_for_bad_inputs(tmp_path, capsys):
     ["solve", "--seed", "1"],
     ["sweep", "--V", "25,50", "--seed", "1"],
     ["reproduce", "--figure", "2", "--restart-base", "3"],
+    ["solve", "--restart-base", "2"],
+    ["sweep", "--V", "25,50", "--restart-base", "2"],
+    ["diagnose", "--restart-base", "2"],
 ])
 def test_flags_a_mode_does_not_read_are_rejected(argv, problem_file, tmp_path):
     if argv[0] != "reproduce":

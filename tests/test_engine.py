@@ -32,7 +32,7 @@ import tavopt.engine
 from tavopt.engine import (_TABLE_BLOCK_ROWS, _UNROLLED_SCORE_TERMS, _step_loop_source,
                            prefix_sums, window_mean, write_table)
 
-from conftest import bits, build_instance, generated_runs
+from conftest import bits, build_instance, doubling_schedule, generated_runs
 
 
 def constant_instance():
@@ -340,7 +340,7 @@ def test_staggered_average_range_errors():
 
 def test_frame_averages_follow_restart_schedule():
     spec = build_instance("polyhedral")
-    trace = run(spec, SolverConfig(v=25.0, horizon=300, restart_base=2))
+    trace = run(spec, SolverConfig(v=25.0, horizon=300))
     np.testing.assert_array_equal(trace.restart_times, [1, 2, 4, 8, 16, 32, 64, 128, 256])
     for t in (0, 1, 5, 200, 299):
         start = trace.frame_start[t]
@@ -352,13 +352,25 @@ def test_frame_averages_follow_restart_schedule():
     assert trace.frame_id[299] == 9
 
 
-def test_no_restarts_when_base_none():
-    spec = build_instance("polyhedral")
-    trace = run(spec, SolverConfig(v=25.0, horizon=100, restart_base=None))
-    assert len(trace.restart_times) == 0
-    np.testing.assert_allclose(trace.xbar_frame, trace.xbar, atol=0)
-    np.testing.assert_array_equal(trace.frame_id, np.zeros(100))
-    np.testing.assert_array_equal(trace.frame_start, np.zeros(100))
+@pytest.mark.parametrize("horizon", [1, 2, 3, 4, 5, 7, 8, 9, 1023, 1024, 1025, 4097])
+def test_restart_times_double_below_the_horizon(horizon):
+    trace = run(build_instance("polyhedral"), SolverConfig(v=25.0, horizon=horizon))
+    assert trace.restart_times.dtype == np.int64
+    np.testing.assert_array_equal(trace.restart_times, doubling_schedule(horizon))
+
+
+@pytest.mark.parametrize("spec", [build_instance("smooth-extra"), _tenths_points_instance(8)],
+                         ids=["grid", "points"])
+def test_the_dual_path_is_one_buffer(spec):
+    # w, z, w_final and z_final are views of lambda_path, whose last row is
+    # the state after the last step
+    trace = run(spec, SolverConfig(v=7.0, horizon=300))
+    for name in ("w", "z", "w_final", "z_final"):
+        assert np.shares_memory(trace.lambda_path, getattr(trace, name)), name
+    stacked = np.vstack([np.hstack([trace.w, trace.z]),
+                         np.concatenate([trace.w_final, trace.z_final])])
+    assert trace.lambda_path.shape == stacked.shape
+    assert bits(trace.lambda_path) == bits(stacked)
 
 
 def test_numeric_failure_reports_iteration():
@@ -425,7 +437,7 @@ SUBNORMAL_FRAME = (
                 box=ExtendedBox([0.0, -0.5, 0.0], [2.0, 1.0, 0.0]),
                 objective=SeparableConvexObjective(pieces=[LinearPiece(0.0)] * 3),
                 constraints=[AffineConstraint(coeffs=[0.0, 0.0, 1.0], offset=0.0)]),
-    SolverConfig(v=1.0, horizon=9, restart_base=2))
+    SolverConfig(v=1.0, horizon=9))
 
 
 # pieces whose step-loop lines meet overflow, subnormals and signed zeros
@@ -436,7 +448,7 @@ EXTREME_PIECES = (
                     QuadraticPiece(1e308, 0.5), QuadraticPiece(5e-324, -0.25),
                     QuadraticPiece(0.0, 0.3), QuadraticPiece(1.0, -0.0), LinearPiece(-0.0)]),
                 constraints=[AffineConstraint(coeffs=[0.5, 1.0, -1.0, 0.25, 1.0], offset=-0.5)]),
-    SolverConfig(v=2.0, horizon=40, restart_base=2))
+    SolverConfig(v=2.0, horizon=40))
 
 
 @settings(max_examples=150, deadline=None)
@@ -477,8 +489,8 @@ def test_run_matches_public_updates_on_generated_specs(case):
     # to the mean |x|
     for t in range(T):
         start, p = 0, 1
-        while cfg.restart_base is not None and p <= t:
-            start, p = p, p * cfg.restart_base
+        while p <= t:
+            start, p = p, 2 * p
         for avg, col, first in ((trace.xbar, trace.x, 0), (trace.ybar, trace.y, 0),
                                 (trace.xbar_frame, trace.x, start)):
             window = col[first:t + 1]
@@ -512,8 +524,6 @@ def test_solver_config_validation():
         SolverConfig(v=0.5, horizon=10)
     with pytest.raises(ValueError):
         SolverConfig(v=1.0, horizon=0)
-    with pytest.raises(ValueError):
-        SolverConfig(v=1.0, horizon=10, restart_base=1)
     with pytest.raises(ValueError):
         SolverConfig(v=1.0, horizon=10, initial_w=(-1.0,))
     with pytest.raises(ValueError):
