@@ -295,7 +295,8 @@ def _do_reproduce(cfg: ExperimentConfig) -> int:
 
         # one column group per average: the plain one, then the windows from
         # the fixed and the detected start (nan at marks before the start)
-        columns = [marks, *stats(trace.xbar[marks - 1])]
+        plain = stats(trace.xbar[marks - 1])
+        columns = [marks, *plain]
         for start in (fixed_start, detected):
             later = marks > start
             f, g = np.full(len(marks), np.nan), np.full((len(marks), J), np.nan)
@@ -308,8 +309,8 @@ def _do_reproduce(cfg: ExperimentConfig) -> int:
         fig_csv = os.path.join(cfg.out_dir, f"figure{fig}.csv")
         write_table(fig_csv, header, columns)
 
-        # the last mark is the horizon, so the plain group's last row is the final average
-        f_final, g_final = float(columns[1][-1]), columns[2][-1]
+        # the last mark is the horizon: the last plain row holds the final average's f and g
+        f_final, g_final = float(plain[0][-1]), plain[1][-1]
         ok = abs(f_final - f_opt) <= 0.02 and (J == 0 or np.max(g_final) <= 0.02)
         if not ok:
             failed.append(fig)
