@@ -235,7 +235,7 @@ def _grid_dual_max(spec: ProblemSpec, region: float, center_shift: float = 0.0):
         half = 1.5 * spacing
         if np.max(spacing) <= _RESOLUTION_TARGET:
             break
-    return best_lam, best_d
+    return best_lam
 
 
 def _residual_probes(spec: ProblemSpec, lam_hat, region: float, seed: int, extra=None):
@@ -403,7 +403,7 @@ def estimate_multiplier(spec: ProblemSpec, method: str = "grid-dual-max", *,
         lam_hat = _project_dual(rows.mean(axis=0), J)
         extra_probes = rows[::max(1, tail // 512)]
     elif method == "grid-dual-max":
-        lam_hat, _ = _grid_dual_max(spec, reg)
+        lam_hat = _grid_dual_max(spec, reg)
     else:
         raise ValueError(f"unknown estimation method {method!r}")
 
@@ -420,7 +420,7 @@ def estimate_multiplier(spec: ProblemSpec, method: str = "grid-dual-max", *,
     # Faces shorter than the probe distances can go undetected.
     extra_dirs = []
     if method == "grid-dual-max":
-        alt, _ = _grid_dual_max(spec, reg, center_shift=0.31)
+        alt = _grid_dual_max(spec, reg, center_shift=0.31)
         gap = float(np.linalg.norm(alt - lam_hat))
         if gap > 10.0 * _RESOLUTION_TARGET:
             extra_dirs.append((alt - lam_hat) / gap)
@@ -447,7 +447,6 @@ class DriftReport:
     violations: np.ndarray  # iteration indices where slack exceeds the tolerance
     max_slack: float
     tolerance: float
-    d_reference: float
 
     @property
     def passed(self) -> bool:
@@ -472,8 +471,7 @@ def drift_certificate(trace: RunTrace, lambda_star, v: float, c: float) -> Drift
     tol = 1e-9 * max(1.0, float(np.max(dist2)))
     violations = np.flatnonzero(slack > tol)
     return DriftReport(slack=slack, violations=violations,
-                       max_slack=float(np.max(slack)), tolerance=tol,
-                       d_reference=d_star)
+                       max_slack=float(np.max(slack)), tolerance=tol)
 
 
 @dataclass(frozen=True)

@@ -150,9 +150,7 @@ def _do_solve(cfg: ExperimentConfig) -> int:
     if rows[-1] != trace.horizon - 1:
         rows = np.append(rows, trace.horizon - 1)
     # rows=None writes from views of the trace instead of row copies
-    write_trace_csv(trace, trace_path, rows=None if cfg.log_every == 1 else rows)
-    xbar = trace.xbar[-1]
-    A, b = spec.constraint_matrix()
+    f_xbar, g_xbar = write_trace_csv(trace, trace_path, rows=None if cfg.log_every == 1 else rows)
     fields = {
         "mode": "solve",
         "problem": cfg.problem_path,
@@ -160,9 +158,10 @@ def _do_solve(cfg: ExperimentConfig) -> int:
         "horizon": trace.horizon,
         "trace_csv": trace_path,
         "rows_written": len(rows),
-        "f_xbar_final": spec.objective.value(xbar),
+        "f_xbar_final": f_xbar[-1],
     }
-    fields.update((f"g_{j + 1}_xbar_final", gv) for j, gv in enumerate(A @ xbar + b))
+    # the last written row is the final one, so the summary repeats its values
+    fields.update((f"g_{j + 1}_xbar_final", gv) for j, gv in enumerate(g_xbar[-1]))
     _write_summary(os.path.join(cfg.out_dir, "summary.txt"), fields)
     return EXIT_OK
 

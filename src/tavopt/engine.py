@@ -123,28 +123,22 @@ def dual_update(w, z, x, y, g_of_y, v: float) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(0.0, w + g_of_y / v), z + (x - y) / v
 
 
-def prefix_sums(a: np.ndarray):
-    """Compensated prefix sums of the rows of a, with a zero row in front.
+def running_mean(a: np.ndarray) -> np.ndarray:
+    """Compensated running means of the rows of a: row k is the mean of a[:k+1].
 
-    Returns (hi, lo): hi[k] is the plain running sum of a[:k] and lo[k] the
+    hi is the plain running sum of the rows, with a zero row in front; the
     running sum of the exact rounding errors of hi, each one found by TwoSum
-    from hi[k-1], a[k-1] and hi[k].  Together they carry sum(a[:k]) to about
-    twice the working precision.
+    from hi[k-1], a[k-1] and hi[k], is added to it before the one division,
+    which carries each prefix sum to about twice the working precision.  A
+    window that starts later is the running mean of its own slice, so its
+    error is relative to its own values, not to the rows before it.
     """
     zero = np.zeros((1,) + a.shape[1:])
     hi = np.cumsum(np.concatenate([zero, a]), axis=0)
     prev, total = hi[:-1], hi[1:]
     a_part = total - prev
     err = (prev - (total - a_part)) + (a - a_part)
-    return hi, np.concatenate([zero, np.cumsum(err, axis=0)])
-
-
-def window_mean(sums, start, stop) -> np.ndarray:
-    """Mean of the rows in [start, stop) from prefix_sums' (hi, lo) in O(1)
-    per window; start and stop are ints or index arrays of equal length."""
-    hi, lo = sums
-    count = np.asarray(stop - start)[..., None]
-    return ((hi[stop] - hi[start]) + (lo[stop] - lo[start])) / count
+    return (total + np.cumsum(err, axis=0)) / np.arange(1, len(a) + 1)[:, None]
 
 
 @dataclass(frozen=True)
@@ -159,9 +153,8 @@ class RunTrace:
     after the run, on first use: the restart schedule and the frame of each
     row, and the time averages.  xbar and ybar average iterations 0..t
     inclusive and xbar_frame the current staggered frame; all three, like
-    staggered_average, are windows of compensated prefix sums of x and y
-    (for xbar_frame and staggered_average, sums restarted at the window's
-    start).
+    staggered_average, are rows of running_mean, taken over the whole
+    column for xbar and ybar and over the window's own slice for the others.
     """
 
     x: np.ndarray
@@ -175,7 +168,6 @@ class RunTrace:
     v: float
     horizon: int
     spec: ProblemSpec
-    config: SolverConfig
 
     @cached_property
     def ts(self) -> np.ndarray:
@@ -199,18 +191,17 @@ class RunTrace:
 
     @cached_property
     def xbar(self) -> np.ndarray:
-        return window_mean(prefix_sums(self.x), 0, self.ts + 1)
+        return running_mean(self.x)
 
     @cached_property
     def ybar(self) -> np.ndarray:
-        return window_mean(prefix_sums(self.y), 0, self.ts + 1)
+        return running_mean(self.y)
 
     @cached_property
     def xbar_frame(self) -> np.ndarray:
         # sums restarted at each frame start, so a frame of tiny values after
         # large ones keeps the precision of a fresh sum
-        return np.concatenate([window_mean(prefix_sums(frame), 0, np.arange(1, len(frame) + 1))
-                               for frame in np.split(self.x, self.restart_times)])
+        return np.concatenate([running_mean(f) for f in np.split(self.x, self.restart_times)])
 
 
 # Explicit sets with at most this many score terms (points times coordinates)
@@ -404,18 +395,18 @@ def run(spec: ProblemSpec, config: SolverConfig) -> RunTrace:
     if not np.all(np.isfinite(lam[T])):
         raise NumericError("non-finite dual state", T)
     return RunTrace(x=x, y=y, w=lam[:T, :J], z=lam[:T, J:], d=d, w_final=lam[T, :J],
-                    z_final=lam[T, J:], lambda_path=lam, v=float(config.v), horizon=T,
-                    spec=spec, config=config)
+                    z_final=lam[T, J:], lambda_path=lam, v=float(config.v), horizon=T, spec=spec)
 
 
 def staggered_average(trace: RunTrace, start: int, count) -> np.ndarray:
     """Average of x(t) over the window [start, start + count).
 
     count is one window length, or an array of lengths that gives one
-    average per length, all starting at start.  The compensated prefix sums
-    restart at start, as xbar_frame's do at each frame, so the error is
-    relative to the window's own values, not to the sum of the rows before
-    it.  One call costs O(start + max(count)) for every length at once.
+    average per length, all starting at start.  The averages are rows of
+    running_mean over x[start:start + max(count)], restarted at start as
+    xbar_frame's are at each frame, so the error is relative to the window's
+    own values, not to the sum of the rows before it.  One call costs
+    O(max(count)) for every length at once.
     """
     counts = np.asarray(count)
     if np.any(counts < 1):
@@ -423,7 +414,7 @@ def staggered_average(trace: RunTrace, start: int, count) -> np.ndarray:
     stop = start + int(np.max(counts))
     if start < 0 or stop > trace.horizon:
         raise ValueError(f"window [{start}, {stop}) out of range for horizon {trace.horizon}")
-    return window_mean(prefix_sums(trace.x[start:stop]), 0, counts)
+    return running_mean(trace.x[start:stop])[counts - 1]
 
 
 # rows formatted at a time: enough to amortise the per-block numpy calls,
@@ -486,8 +477,9 @@ def write_table(path, header, columns) -> None:
             fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
 
 
-def write_trace_csv(trace: RunTrace, path, rows=None) -> None:
-    """Write trace rows as CSV through write_table.
+def write_trace_csv(trace: RunTrace, path, rows=None):
+    """Write trace rows as CSV through write_table; return the f_xbar and
+    g_*_xbar columns it wrote, one row per written row.
 
     Columns: t, x_*, y_*, w_*, z_*, d_lambda, xbar_*, f_xbar, g_*_xbar,
     frame_id, xbar_frame_*.  rows optionally selects a subset of row
@@ -509,7 +501,8 @@ def write_trace_csv(trace: RunTrace, path, rows=None) -> None:
     header = (["t", *names("x", I), *names("y", I), *names("w", J), *names("z", I), "d_lambda",
                *names("xbar", I), "f_xbar", *names("g", J, "_xbar"), "frame_id",
                *names("xbar_frame", I)])
+    f_xbar, g_xbar = spec.objective.values(xbar), xbar @ A.T + b
     write_table(path, header, [
         trace.ts[idx], trace.x[idx], trace.y[idx], trace.w[idx], trace.z[idx], trace.d[idx],
-        xbar, spec.objective.values(xbar), xbar @ A.T + b,
-        trace.frame_id[idx], trace.xbar_frame[idx]])
+        xbar, f_xbar, g_xbar, trace.frame_id[idx], trace.xbar_frame[idx]])
+    return f_xbar, g_xbar

@@ -133,14 +133,6 @@ def _simplex_search(spec: ProblemSpec, resolution: float) -> OracleResult:
     m = pts.shape[0]
     if m > 8:
         raise ValueError("explicit-point oracle handles at most 8 points")
-    if m == 1:
-        x = pts[0]
-        fopt = spec.objective.value(x)
-        cert = _certificate(spec, x)
-        if cert > FEASIBILITY_TOL:
-            raise InfeasibilityError("the single decision point is infeasible")
-        return OracleResult(fopt, x.copy(), resolution, cert)
-
     steps = max(1, int(round(1.0 / resolution)))
     if math.comb(steps + m - 1, m - 1) > _MAX_GRID_POINTS:
         raise ValueError("simplex lattice too large; coarsen the resolution")
@@ -167,10 +159,9 @@ def _simplex_search(spec: ProblemSpec, resolution: float) -> OracleResult:
             improved = False
             guard += 1
             for src in range(m):
-                if wts[src] < delta - 1e-15:
-                    continue
                 for dst in range(m):
-                    if dst == src:
+                    # checked before every transfer: an accepted one lowers wts[src]
+                    if dst == src or wts[src] < delta - 1e-15:
                         continue
                     trial = wts.copy()
                     trial[src] -= delta

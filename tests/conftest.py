@@ -31,6 +31,17 @@ INSTANCE_NAMES = ("polyhedral", "smooth", "polyhedral-extra", "smooth-extra")
 MAIN_V = 100.0
 MAIN_HORIZON = 200_000
 
+# the solve-trace benchmark problem of seed 7: eight 3-D points, one piece
+# of each kind and two >= constraints
+POINTS_PROBLEM = (
+    '{"dimension": 3, "decision_set": {"points": [[0.0, 3.0, 0.0], [1.0, 0.0, 1.0], '
+    '[1.0, 1.25, 0.0], [1.75, 0.25, 1.0], [1.75, 0.75, 3.0], [1.75, 2.25, 2.75], '
+    '[1.75, 2.75, 1.0], [2.5, 1.75, 0.75]]}, "objective": [{"kind": "quadratic", '
+    '"curvature": 1.75, "slope": 0.75}, {"kind": "piecewise_linear", "breakpoints": '
+    '[1.0, 2.0], "slopes": [-0.5, 0.5, 0.75]}, {"kind": "linear", "slope": 1.5}], '
+    '"constraints": [{"coeffs": [1.5, 1.0, 0.5], "offset": 3.7, "sense": ">="}, '
+    '{"coeffs": [0.5, 0.5, 1.0], "offset": 1.906, "sense": ">="}]}')
+
 
 def build_instance(name):
     objective = "linear" if name.startswith("polyhedral") else "quadratic"

@@ -11,6 +11,7 @@ from tavopt import (
     EstimationError,
     ExplicitPoints,
     GridProduct,
+    InfeasibilityError,
     LinearPiece,
     PiecewiseLinearPiece,
     ProblemSpec,
@@ -31,6 +32,7 @@ from tavopt import (
     optimality_error,
     phase_detect,
     run,
+    solve_reference,
     squared_norm_bound,
     staggered_average,
     tight_box,
@@ -431,6 +433,31 @@ def test_drift_certificate_degenerate_single_point():
     report = drift_certificate(trace, np.zeros(2), v, c)
     # both sides agree up to exactly the 2C/V**2 allowance
     np.testing.assert_allclose(report.slack, -2.0 * c / v ** 2, atol=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=generated_runs())
+def test_paper_inequalities_on_generated_specs(case):
+    spec, cfg = case
+    trace = run(spec, cfg)
+    v, c, J = cfg.v, squared_norm_bound(spec), spec.constraint_count
+    lam = trace.lambda_path
+    assert np.all(lam[:, :J] >= 0.0)
+    steps = np.linalg.norm(np.diff(lam, axis=0), axis=1)
+    assert np.all(steps <= math.sqrt(2.0 * c) / v + 1e-9)
+    # averaging identity: xbar - ybar == (V/T)(z(T) - z(0)) at every T
+    T = trace.ts[:, None] + 1.0
+    resid = (trace.xbar - trace.ybar) - v / T * (lam[1:, J:] - lam[0, J:])
+    assert np.max(np.abs(resid)) <= 1e-9
+    for probe in sample_multipliers(spec, 1.0, 4, seed=1):
+        assert drift_certificate(trace, probe, v, c).passed
+    # weak duality against the oracle's upper bound on the hull optimum
+    try:
+        f_opt = solve_reference(spec, 0.1).f_opt
+    except (InfeasibilityError, ValueError):  # infeasible, or refused by the oracle
+        return
+    d, _, _ = dual_function_batch(spec, np.vstack([lam, sample_multipliers(spec, 1.0, 16)]))
+    assert np.max(d) <= f_opt + 1e-9 * max(1.0, abs(f_opt))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from tavopt.cli import _MODES, reference_instance
 from tavopt.oracle import solve_reference_lp
 from tavopt.problem import GridProduct, PiecewiseLinearPiece, QuadraticPiece
 
-from conftest import doubling_schedule
+from conftest import POINTS_PROBLEM, doubling_schedule
 
 DEMO_CONFIG = json.dumps({
     "dimension": 2,
@@ -280,6 +280,22 @@ def test_solve_log_every_thins_rows(problem_file, tmp_path):
     assert len(lines) == 1 + 11  # every 100th row plus the final one
 
 
+@pytest.mark.parametrize("log_every", [1, 7])
+@pytest.mark.parametrize("config", [DEMO_CONFIG, POINTS_PROBLEM], ids=["grid", "points"])
+def test_solve_summary_repeats_the_last_trace_row(config, log_every, tmp_path):
+    path = tmp_path / "prob.json"
+    path.write_text(config)
+    out = tmp_path / "out"
+    assert run_cli(["solve", "--problem", str(path), "--out", str(out), "--V", "20",
+                    "--horizon", "1000", "--log-every", str(log_every)]) == 0
+    header, *_, last = (out / "trace.csv").read_text().splitlines()
+    row = dict(zip(header.split(","), last.split(",")))
+    summary = dict(line.split(": ") for line in (out / "summary.txt").read_text().splitlines())
+    J = parse_problem_config(config).constraint_count
+    for key in ["f_xbar", *(f"g_{j + 1}_xbar" for j in range(J))]:
+        assert summary[f"{key}_final"] == f"{float(row[key]):.12g}"
+
+
 def test_sweep_writes_table_and_slopes(problem_file, tmp_path):
     out = tmp_path / "out"
     code = run_cli(["sweep", "--problem", problem_file, "--out", str(out),
@@ -438,6 +454,12 @@ def test_exit_codes_for_bad_inputs(tmp_path, capsys):
         "constraints": [{"coeffs": [1.0], "offset": 5.0, "sense": ">="}]}))
     assert run_cli(["sweep", "--problem", str(infeasible), "--out", str(tmp_path / "o"),
                     "--V", "10,20"]) == 1  # the oracle finds no feasible point
+    infeasible.write_text(json.dumps({
+        "dimension": 1, "decision_set": {"points": [[3.0]]},
+        "objective": [{"kind": "linear", "slope": 1.0}],
+        "constraints": [{"coeffs": [1.0], "offset": 5.0, "sense": ">="}]}))
+    assert run_cli(["sweep", "--problem", str(infeasible), "--out", str(tmp_path / "o"),
+                    "--V", "10,20"]) == 1  # nor on a single infeasible point
     for flag, value in (("--oracle-resolution", "nan"), ("--oracle-resolution", "0"),
                         ("--eps-anchor", "nan"), ("--eps-anchor", "-1"),
                         ("--eps-anchor", "inf"), ("--v-anchor", "0")):

@@ -30,7 +30,7 @@ from tavopt import (
 
 import tavopt.engine
 from tavopt.engine import (_TABLE_BLOCK_ROWS, _UNROLLED_SCORE_TERMS, _step_loop_source,
-                           prefix_sums, window_mean, write_table)
+                           running_mean, write_table)
 
 from conftest import bits, build_instance, doubling_schedule, generated_runs
 
@@ -287,20 +287,21 @@ def test_running_average_matches_recomputation():
                                    atol=1e-12)
 
 
-def test_prefix_sums_match_fsum_on_wide_magnitudes():
-    # magnitudes 1e-3..1e3 on an offset of 5: a window deep in the prefix is
-    # the difference of two large running sums, which a plain cumsum gets
-    # wrong by about 1e-12 of the window's mean |value|
+def test_running_mean_matches_fsum_on_wide_magnitudes():
+    # magnitudes 1e-3..1e3 on an offset of 5: a window deep in the array,
+    # taken as the difference of two large plain running sums, is wrong by
+    # about 1e-12 of the window's mean |value|; the running mean of the
+    # window's own slice, as staggered_average and xbar_frame take it, is not
     rng = np.random.default_rng(3)
     n = 100_000
     a = 5.0 + rng.choice([-1.0, 1.0], (n, 2)) * 10.0 ** rng.uniform(-3.0, 3.0, (n, 2))
-    sums = prefix_sums(a)
+    whole = running_mean(a)
     plain = np.concatenate([np.zeros((1, 2)), np.cumsum(a, axis=0)])
     windows = [(start, start + length) for length in (1, 3, 10)
                for start in (n // 2, n - 20, n - length)] + [(0, n)]
     worst_plain = 0.0
     for start, stop in windows:
-        mean = window_mean(sums, start, stop)
+        mean = running_mean(a[start:stop])[-1]
         plain_mean = (plain[stop] - plain[start]) / (stop - start)
         for i in range(2):
             col = a[start:stop, i]
@@ -309,6 +310,12 @@ def test_prefix_sums_match_fsum_on_wide_magnitudes():
             assert abs(mean[i] - exact) <= 1e-15 * scale
             worst_plain = max(worst_plain, abs(plain_mean[i] - exact) / scale)
     assert worst_plain > 1e-15  # the data does break uncompensated sums
+    # whole prefixes, from the one running mean of all rows
+    for k in (1, 2, 10, 1000, n // 2 + 1, n):
+        for i in range(2):
+            col = a[:k, i]
+            scale = math.fsum(np.abs(col)) / k
+            assert abs(whole[k - 1, i] - math.fsum(col) / k) <= 1e-15 * scale
 
 
 def test_staggered_average_examples():

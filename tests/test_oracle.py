@@ -11,7 +11,9 @@ from tavopt import (
     QuadraticPiece,
     SeparableConvexObjective,
     SolverConfig,
+    dual_function,
     estimate_multiplier,
+    parse_problem_config,
     run,
     solve_reference,
     solve_reference_lp,
@@ -20,7 +22,7 @@ from tavopt import (
 
 from tavopt.oracle import FEASIBILITY_TOL, _simplex_compositions
 
-from conftest import build_instance
+from conftest import POINTS_PROBLEM, build_instance
 
 
 def test_grid_oracle_on_linear_instance():
@@ -166,6 +168,44 @@ def test_explicit_points_single_point():
         objective=SeparableConvexObjective(pieces=(LinearPiece(2.0), LinearPiece(1.0))))
     res = solve_reference(spec, resolution=0.1)
     assert res.f_opt == pytest.approx(3.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("feasible", [True, False])
+def test_explicit_points_single_point_through_the_lattice(feasible):
+    # one point is a one-point lattice: its value, the point itself and its
+    # violation, or no feasible point at all
+    p = np.array([1.0, 2.0])
+    pts = ExplicitPoints(points=[p])
+    offset = -3.0 + 5e-10 if feasible else -2.0  # x1 + x2 <= 3 - 5e-10 or <= 2
+    spec = ProblemSpec(
+        decision_set=pts, box=tight_box(pts),
+        objective=SeparableConvexObjective(pieces=(QuadraticPiece(0.5, 2.0), LinearPiece(1.0))),
+        constraints=(AffineConstraint(coeffs=(1.0, 1.0), offset=offset),))
+    if not feasible:
+        with pytest.raises(InfeasibilityError):
+            solve_reference(spec, resolution=0.1)
+        return
+    res = solve_reference(spec, resolution=0.1)
+    A, b = spec.constraint_matrix()
+    assert res.f_opt == spec.objective.value(p)
+    np.testing.assert_array_equal(res.argmin, p)
+    assert res.certificate == float(np.max(A @ p + b)) > 0.0  # violated within tolerance
+
+
+@pytest.mark.parametrize("resolution", [0.25, 0.1, 0.05])
+def test_explicit_points_polish_stays_in_the_hull(resolution):
+    # the polish must recheck a point's weight before every transfer out of
+    # it: repeated transfers would drive the weight negative, and at 0.1 the
+    # argmin would leave the hull and f_opt fall below the dual's maximum
+    spec = parse_problem_config(POINTS_PROBLEM)
+    pts = spec.decision_set.points
+    res = solve_reference(spec, resolution=resolution)
+    dirs = np.vstack([np.eye(3), -np.eye(3), np.random.default_rng(0).standard_normal((256, 3))])
+    # a direction u with u . argmin < min over the points of u . p separates them
+    assert np.all(dirs @ res.argmin >= np.min(pts @ dirs.T, axis=0))
+    est = estimate_multiplier(spec, "grid-dual-max", seed=0)
+    d, _, _ = dual_function(spec, est.lam[:est.j_dim], est.lam[est.j_dim:])
+    assert d <= res.f_opt
 
 
 def test_explicit_points_cap():
