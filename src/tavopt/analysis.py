@@ -367,29 +367,21 @@ def estimate_sharpness(spec: ProblemSpec, estimate: "MultiplierEstimate",
 
 def estimate_multiplier(spec: ProblemSpec, method: str = "grid-dual-max", *,
                         v: float = 100.0,
-                        lambda_star=None,
                         seed: int = 0,
                         tail_horizon: int = 1_000_000) -> MultiplierEstimate:
     """Estimate the dual maximizer.
 
-    analytic takes a user-supplied multiplier; tail-average runs the engine
-    with a 10x larger V and averages the dual trajectory over its final
-    stretch; grid-dual-max runs a coarse-to-fine grid ascent of the dual over
-    a bounded region.  The residual reports the largest probed dual value
-    above the estimate (clipped at zero) and must stay below 1e-2.
+    tail-average runs the engine with a 10x larger V and averages the dual
+    trajectory over its final stretch; grid-dual-max runs a coarse-to-fine
+    grid ascent of the dual over a bounded region.  The residual reports the
+    largest probed dual value above the estimate (clipped at zero) and must
+    stay below 1e-2.
     """
     J = spec.constraint_count
-    I = spec.dimension
     reg = default_search_region(spec)
     extra_probes = None
 
-    if method == "analytic":
-        if lambda_star is None:
-            raise ValueError("analytic method needs lambda_star")
-        lam_hat = _project_dual(np.asarray(lambda_star, dtype=float), J)
-        if lam_hat.shape != (J + I,):
-            raise ValueError(f"lambda_star must have shape ({J + I},)")
-    elif method == "tail-average":
+    if method == "tail-average":
         # the head is only stepped through, in runs no longer than the tail,
         # each starting from the state the one before ended in
         start = int((1.0 - _TAIL_FRACTION) * tail_horizon)

@@ -105,8 +105,6 @@ class ExperimentConfig:
     method: str = "grid-dual-max"
     geometry: str = "both"
     oracle_resolution: float = 0.01
-    eps_anchor: float = 0.01
-    v_anchor: float = 100.0
     log_every: int = 1
 
     def __post_init__(self):
@@ -124,9 +122,8 @@ class ExperimentConfig:
             raise ValueError("V values must be distinct")
         if self.log_every < 1:
             raise ValueError("log_every must be >= 1")
-        for flag in ("oracle_resolution", "eps_anchor", "v_anchor"):
-            if not 0.0 < getattr(self, flag) < math.inf:
-                raise ValueError(f"--{flag.replace('_', '-')} must be a positive finite number")
+        if not 0.0 < self.oracle_resolution < math.inf:
+            raise ValueError("--oracle-resolution must be a positive finite number")
 
 
 def _load_spec(cfg: ExperimentConfig) -> ProblemSpec:
@@ -146,7 +143,8 @@ def _do_solve(cfg: ExperimentConfig) -> int:
     trace = run(spec, SolverConfig(v=cfg.v_list[0], horizon=cfg.horizon))
     os.makedirs(cfg.out_dir, exist_ok=True)
     trace_path = os.path.join(cfg.out_dir, "trace.csv")
-    rows = np.arange(0, trace.horizon, cfg.log_every)
+    # a step from the horizon on gives row 0 alone (past int64, arange would give objects)
+    rows = np.arange(0, trace.horizon, min(cfg.log_every, trace.horizon))
     if rows[-1] != trace.horizon - 1:
         rows = np.append(rows, trace.horizon - 1)
     # rows=None writes from views of the trace instead of row copies
@@ -181,7 +179,7 @@ def _do_sweep(cfg: ExperimentConfig) -> int:
     f_opt = _reference_optimum(spec, cfg.oracle_resolution)
     os.makedirs(cfg.out_dir, exist_ok=True)
     vs = np.array(cfg.v_list)
-    epss = cfg.eps_anchor * cfg.v_anchor / vs
+    epss = 0.01 * 100.0 / vs
     hits = []  # iterations to accuracy per V, plain and staggered; -1 when not reached
     for v, eps in zip(cfg.v_list, epss.tolist()):
         trace = run(spec, SolverConfig(v=v, horizon=cfg.horizon))
@@ -196,7 +194,7 @@ def _do_sweep(cfg: ExperimentConfig) -> int:
         "problem": cfg.problem_path,
         "horizon": cfg.horizon,
         "f_opt_oracle": f_opt,
-        "eps_per_V": f"{cfg.eps_anchor:.12g} * {cfg.v_anchor:.12g} / V",
+        "eps_per_V": "0.01 * 100 / V",
     }
     for label, counts in (("plain", hits[:, 0]), ("staggered", hits[:, 1])):
         fields[f"slope_{label}"] = (analysis.fit_loglog_slope(vs, counts) if np.all(counts > 0)
@@ -358,8 +356,6 @@ _FLAGS = {
     "--horizon": dict(type=int),
     "--seed": dict(type=int),
     "--log-every": dict(type=int, help="write every k-th trace row"),
-    "--eps-anchor": dict(type=float),
-    "--v-anchor": dict(type=float),
     "--oracle-resolution": dict(type=float),
     "--method": dict(choices=["grid-dual-max", "tail-average"]),
     "--geometry": dict(choices=["polyhedral", "smooth", "both"]),
@@ -371,8 +367,7 @@ _MODES = {
     "solve": ("one run, trace CSV + summary",
               ("--problem", "--out", "--V", "--horizon", "--log-every")),
     "sweep": ("iterations-to-accuracy over a V list",
-              ("--problem", "--out", "--V", "--horizon", "--eps-anchor", "--v-anchor",
-               "--oracle-resolution")),
+              ("--problem", "--out", "--V", "--horizon", "--oracle-resolution")),
     "diagnose": ("multiplier estimate and certificates",
                  ("--problem", "--out", "--V", "--horizon", "--seed", "--method",
                   "--geometry")),
@@ -412,7 +407,7 @@ def run_cli(argv) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, OSError, analysis.EstimationError,
+    except (ValueError, OSError, MemoryError, analysis.EstimationError,
             InfeasibilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -20,7 +20,7 @@ import struct
 
 import numpy as np
 
-from .problem import ExplicitPoints, GridProduct, ProblemSpec, float_literal
+from .problem import ProblemSpec, float_literal
 
 __all__ = [
     "SolverConfig",
@@ -76,9 +76,11 @@ class SolverConfig:
 def x_update(spec: ProblemSpec, z) -> np.ndarray:
     """Decision-set point minimizing z . x over the hull.
 
-    Grid sets decide each coordinate by the sign of z (ties take the smallest
-    value); explicit sets take the first minimum of ExplicitPoints.scores,
-    so ties go to the lexicographically smallest point.
+    The decision set's linear_argmin: a grid decides each coordinate by the
+    sign of z (ties take the smallest value); explicit sets take the first
+    minimum of ExplicitPoints.scores, so ties go to the lexicographically
+    smallest point.  run()'s step loop and the dual formula take x from the
+    set's other two forms of it, with the same bits.
     """
     z = np.asarray(z, dtype=float)
     if z.shape != (spec.dimension,):
@@ -149,7 +151,8 @@ class RunTrace:
     and the dual function value.  w_final/z_final hold the dual variables
     after the last step, which close the telescoping identities at
     T = horizon.  lambda_path holds (w, z) at t = 0..horizon, one per row;
-    w, z, w_final and z_final are views of it.  Everything else is derived
+    w, z, w_final and z_final are views of it, and x is a view of the same
+    buffer, whose rows hold x after (w, z).  Everything else is derived
     after the run, on first use: the restart schedule and the frame of each
     row, and the time averages.  xbar and ybar average iterations 0..t
     inclusive and xbar_frame the current staggered frame; all three, like
@@ -204,25 +207,11 @@ class RunTrace:
         return np.concatenate([running_mean(f) for f in np.split(self.x, self.restart_times)])
 
 
-# Explicit sets with at most this many score terms (points times coordinates)
-# have their scores unrolled into the step loop; larger ones call
-# linear_argmin, which sums the same terms in the same order in numpy.  The
-# unrolled scores cost ~30 ns per term per step, the call ~2 us per
-# coordinate plus ~2 us, almost regardless of the number of points.  In
-# run() the two met at ~250 terms on 3-D sets and ~450 on 6-D sets (2-core
-# Xeon, CPython 3.11, numpy 2.4); the lower crossover is taken.
-_UNROLLED_SCORE_TERMS = 256
-
-# run() steps this many rows at a time, then derives their y and d (and x on
-# a grid) in numpy: enough rows to amortise the ~10 numpy calls per
-# coordinate and constraint of _dual_columns (0.1-0.3 ms a chunk), few
-# enough that a blow-up stops soon.  No result depends on it.
+# run() steps this many rows at a time, then derives their y and d in numpy:
+# enough rows to amortise the ~10 numpy calls per coordinate and constraint
+# of _dual_columns (0.1-0.3 ms a chunk), few enough that a blow-up stops
+# soon.  No result depends on it.
 _CHUNK_ROWS = 4096
-
-
-def _unrolls_scores(decision_set) -> bool:
-    return (isinstance(decision_set, ExplicitPoints)
-            and decision_set.points.size <= _UNROLLED_SCORE_TERMS)
 
 
 def _dual_columns(spec: ProblemSpec, w, z, x=None):
@@ -236,23 +225,15 @@ def _dual_columns(spec: ProblemSpec, w, z, x=None):
     has the same bits, whatever batch or grid it sits in, and a term that
     depends on (w, z_i) only keeps that smaller shape: on a product grid,
     y_i is computed once per (w, z_i) pair.  x, when given, holds the I
-    columns of x_update's points at z; run() passes the points its step
-    loop chose on an explicit set, where scoring a batch again would cost
-    more than the loop's own scores.  This is the one dual formula: run()
-    records y and d (and x on a grid) through it, and the analysis
-    evaluates the dual with it.  Returns d and the lists of x_i and y_i
-    columns.
+    columns of x_update's points at z: run() passes the points its step
+    loop chose, and without it they come from the decision set's
+    linear_argmin_columns.  This is the one dual formula: run() records y
+    and d through it, and the analysis evaluates the dual with it.  Returns
+    d and the lists of x_i and y_i columns.
     """
     A, b = (m.tolist() for m in spec.constraint_matrix())
-    if x is None and isinstance(spec.decision_set, GridProduct):
-        lo, hi = spec.decision_set.hull_bounds()
-        x = [np.where(zi >= 0.0, l, h) for zi, l, h in zip(z, lo, hi)]
-    elif x is None:
-        # explicit points are scored jointly: one linear_argmin row per
-        # distinct z
-        Z = np.stack(np.broadcast_arrays(*z), axis=-1)
-        X = spec.decision_set.linear_argmin(Z.reshape(-1, len(z)))
-        x = list(np.moveaxis(X.reshape(Z.shape), -1, 0))
+    if x is None:
+        x = spec.decision_set.linear_argmin_columns(z)
     y = []
     for i, (piece, lo, hi) in enumerate(zip(spec.objective.pieces, spec.box.lower.tolist(),
                                             spec.box.upper.tolist())):
@@ -279,12 +260,12 @@ def _step_loop_source(spec: ProblemSpec, config: SolverConfig) -> str:
     The loop runs steps start..stop-1 from the dual state (w, z) and returns
     the state after them.  Each step does the arithmetic of x_update,
     y_update and dual_update term by term in the same order, and packs the
-    J+I values of (w, z) into its row, followed on an explicit set by the I
-    values of x.  The text holds only names built from integer indices and
-    the repr of the validated finite constants of spec and config; each
-    piece writes its own minimizer line for its box.  A small explicit set
-    is scored in these lines too, its points passed in as float tuples; a
-    large one calls linear_argmin.
+    J+I values of (w, z), then the I values of x, into its row.  The text
+    holds only names built from integer indices and the repr of the
+    validated finite constants of spec and config; the decision set writes
+    its own x-step lines (linear_argmin_lines), reading itself as the loop's
+    decision_set argument, and each piece its own minimizer line for its
+    box.
     """
     I, J = spec.dimension, spec.constraint_count
     A, b = spec.constraint_matrix()
@@ -293,37 +274,15 @@ def _step_loop_source(spec: ProblemSpec, config: SolverConfig) -> str:
     def each(fmt, count=I):
         return [fmt.format(k=k) for k in range(count)]
 
-    ds = spec.decision_set
-    unrolled = _unrolls_scores(ds)
-    ws, zs = each("w{k}", J), each("z{k}")
-    lines = ["def step_loop(pick_x, points, w, z, start, stop, rows, pack_into):",
+    ws, zs, xs = each("w{k}", J), each("z{k}"), each("x{k}")
+    prelude, pick = spec.decision_set.linear_argmin_lines(xs, zs)
+    lines = ["def step_loop(decision_set, w, z, start, stop, rows, pack_into):",
              f"    [{', '.join(ws)}] = w",
-             f"    [{', '.join(zs)}] = z"]
-    if unrolled:
-        lines.append(f"    [{', '.join(each('point{k}', len(ds.points)))}] = points")
-    lines.append("    for t in range(start, stop):")
-    xs = ", ".join(each("x{k}"))
-    row = ws + zs
-    if isinstance(ds, GridProduct):
-        lines += [f"        x{i} = {lit(vs[0])} if z{i} >= 0.0 else {lit(vs[-1])}"
-                  for i, vs in enumerate(ds.values)]
-    elif unrolled:
-        # ExplicitPoints.scores, one point at a time: the first minimum over
-        # the sorted points wins, as argmin's does
-        def score(p):
-            return " + ".join(f"z{i} * {lit(v)}" for i, v in enumerate(p))
-
-        pts = ds.points.tolist()
-        lines.append(f"        best = {score(pts[0])}; x = point0")
-        for k, p in enumerate(pts[1:], start=1):
-            lines += [f"        s = {score(p)}",
-                      f"        if s < best: best = s; x = point{k}"]
-        lines.append(f"        [{xs}] = x")
-    else:
-        lines.append(f"        [{xs}] = pick_x([{', '.join(zs)}]).tolist()")
-    if isinstance(ds, ExplicitPoints):
-        row += each("x{k}")
-    lines.append(f"        pack_into(rows, {8 * len(row)} * t, {', '.join(row)})")
+             f"    [{', '.join(zs)}] = z",
+             *("    " + line for line in prelude),
+             "    for t in range(start, stop):",
+             *("        " + line for line in pick),
+             f"        pack_into(rows, {8 * (J + 2 * I)} * t, {', '.join(ws + zs + xs)})"]
     for i, piece in enumerate(spec.objective.pieces):
         c = " + ".join([f"-z{i}"] + [f"w{j} * {lit(A[j, i])}" for j in range(J)])
         lines.append("        " + piece.argmin_shifted_line(
@@ -347,9 +306,9 @@ def run(spec: ProblemSpec, config: SolverConfig) -> RunTrace:
     tiny, so this is much faster than generic loops or ndarray ops).  It uses
     exactly the same per-coordinate closed forms and summation order as the
     public update operations, so composing those reproduces the trace bit for
-    bit.  The loop stores only the dual path (w, z), and on an explicit set
-    the chosen points x, a chunk of rows at a time; after each chunk, y and
-    d of its rows (and x on a grid) come from the one dual formula,
+    bit.  The loop stores only the dual path (w, z) and the chosen points x,
+    one row of one buffer per step, a chunk of rows at a time; after each
+    chunk, y and d of its rows come from the one dual formula,
     _dual_columns, with the bits of the public updates.  A non-finite d
     raises NumericError at the iteration that shows it, before the chunk
     after it runs.
@@ -366,36 +325,32 @@ def run(spec: ProblemSpec, config: SolverConfig) -> RunTrace:
     namespace = {}
     exec(compile(_step_loop_source(spec, config), "<tavopt step loop>", "exec"), namespace)
     step_loop = namespace["step_loop"]
-    ds = spec.decision_set
-    points = tuple(map(tuple, ds.points.tolist())) if _unrolls_scores(ds) else ()
-    records_x = isinstance(ds, ExplicitPoints)
-    width = J + I + (I if records_x else 0)
-    pack_into = struct.Struct(f"{width}d").pack_into
-    # rows of (w, z), then x on an explicit set; row T holds the final (w, z)
-    rows = np.empty((T + 1, width))
-    x, y, d = np.empty((T, I)), np.empty((T, I)), np.empty(T)
+    pack_into = struct.Struct(f"{J + 2 * I}d").pack_into
+    # rows of (w, z, x); row T holds the final (w, z), its x left unset
+    rows = np.empty((T + 1, J + 2 * I))
+    y, d = np.empty((T, I)), np.empty(T)
     # past a blow-up the values turn inf and nan, quietly, as Python floats do
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, T, _CHUNK_ROWS):
             stop = min(T, start + _CHUNK_ROWS)
-            w, z = step_loop(ds.linear_argmin, points, w, z, start, stop, rows, pack_into)
+            w, z = step_loop(spec.decision_set, w, z, start, stop, rows, pack_into)
             cols = rows[start:stop].T
-            d[start:stop], xs, ys = _dual_columns(spec, cols[:J], cols[J:J + I],
-                                                  cols[J + I:] if records_x else None)
+            d[start:stop], _, ys = _dual_columns(spec, cols[:J], cols[J:J + I], cols[J + I:])
             # every w_j, z_i and y_i enters d times a finite factor, so a
             # non-finite value anywhere in a row makes its d non-finite
             bad = np.flatnonzero(~np.isfinite(d[start:stop]))
             if len(bad):
                 raise NumericError("non-finite value", start + int(bad[0]))
             for i in range(I):
-                x[start:stop, i], y[start:stop, i] = xs[i], ys[i]
+                y[start:stop, i] = ys[i]
 
     lam = rows[:, :J + I]
     lam[T] = w + z
     if not np.all(np.isfinite(lam[T])):
         raise NumericError("non-finite dual state", T)
-    return RunTrace(x=x, y=y, w=lam[:T, :J], z=lam[:T, J:], d=d, w_final=lam[T, :J],
-                    z_final=lam[T, J:], lambda_path=lam, v=float(config.v), horizon=T, spec=spec)
+    return RunTrace(x=rows[:T, J + I:], y=y, w=lam[:T, :J], z=lam[:T, J:], d=d,
+                    w_final=lam[T, :J], z_final=lam[T, J:], lambda_path=lam,
+                    v=float(config.v), horizon=T, spec=spec)
 
 
 def staggered_average(trace: RunTrace, start: int, count) -> np.ndarray:

@@ -313,14 +313,14 @@ def test_estimation_failure_raises():
         estimate_multiplier(spec, "tail-average", v=MAIN_V, seed=0, tail_horizon=200)
 
 
-def test_analytic_method_requires_and_uses_lambda():
+def test_residual_probes_at_the_exact_multiplier():
+    # at the polyhedral demo's dual maximizer no probe rises above d, which
+    # is the optimum
     spec = build_instance("polyhedral")
-    with pytest.raises(ValueError):
-        estimate_multiplier(spec, "analytic")
     lam = np.array([2.0 / 3.0, 1.0 / 6.0, 0.0, 0.0])
-    est = estimate_multiplier(spec, "analytic", lambda_star=lam, seed=0)
-    assert est.d_value == pytest.approx(POLY_OPT, abs=1e-12)
-    assert est.residual <= 1e-9
+    residual, d_value = tavopt.analysis._residual_probes(spec, lam, default_search_region(spec), 0)
+    assert d_value == pytest.approx(POLY_OPT, abs=1e-12)
+    assert residual <= 1e-9
 
 
 def test_unknown_method_rejected():
@@ -449,6 +449,12 @@ def test_paper_inequalities_on_generated_specs(case):
     T = trace.ts[:, None] + 1.0
     resid = (trace.xbar - trace.ybar) - v / T * (lam[1:, J:] - lam[0, J:])
     assert np.max(np.abs(resid)) <= 1e-9
+    # constraint telescope: g(ybar) <= (V/T)(w(T) - w(0)) at every T, to the
+    # rounding of the terms on both sides
+    A, b = spec.constraint_matrix()
+    g_ybar, rise = trace.ybar @ A.T + b, v / T * (lam[1:, :J] - lam[0, :J])
+    scale = 1.0 + np.abs(b) + np.abs(trace.ybar) @ np.abs(A).T + v / T * (lam[1:, :J] + lam[0, :J])
+    assert np.all(g_ybar <= rise + 1e-12 * T * scale)
     for probe in sample_multipliers(spec, 1.0, 4, seed=1):
         assert drift_certificate(trace, probe, v, c).passed
     # weak duality against the oracle's upper bound on the hull optimum
@@ -493,7 +499,7 @@ def test_phase_region_never_entered():
     spec = build_instance("polyhedral")
     trace = run(spec, SolverConfig(v=MAIN_V, horizon=64))
     est = MultiplierEstimate(lam=np.array([50.0, 50.0, 50.0, 50.0]), j_dim=2,
-                             method="analytic", residual=0.0, d_value=0.0)
+                             method="grid-dual-max", residual=0.0, d_value=0.0)
     bounds = BoundSet(m=2.0, c=1.0, v=MAIN_V, l_poly=100.0)
     report = phase_detect(trace, est, bounds, "polyhedral")
     assert report.t_hit is None and not report.absorbed

@@ -10,7 +10,7 @@ import pytest
 
 import tavopt
 from tavopt import ParseError, parse_problem_config, run_cli, serialize_problem_config
-from tavopt.cli import _MODES, reference_instance
+from tavopt.cli import _FLAGS, _MODES, ExperimentConfig, reference_instance
 from tavopt.oracle import solve_reference_lp
 from tavopt.problem import GridProduct, PiecewiseLinearPiece, QuadraticPiece
 
@@ -280,6 +280,16 @@ def test_solve_log_every_thins_rows(problem_file, tmp_path):
     assert len(lines) == 1 + 11  # every 100th row plus the final one
 
 
+@pytest.mark.parametrize("log_every", [2**63, 2**64])
+def test_solve_log_every_past_int64_writes_the_first_and_last_rows(log_every, problem_file,
+                                                                   tmp_path):
+    out = tmp_path / "out"
+    assert run_cli(["solve", "--problem", problem_file, "--out", str(out), "--horizon", "5",
+                    "--log-every", str(log_every)]) == 0
+    rows = (out / "trace.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["0", "4"]
+
+
 @pytest.mark.parametrize("log_every", [1, 7])
 @pytest.mark.parametrize("config", [DEMO_CONFIG, POINTS_PROBLEM], ids=["grid", "points"])
 def test_solve_summary_repeats_the_last_trace_row(config, log_every, tmp_path):
@@ -411,9 +421,19 @@ def test_readme_flag_table_is_the_parsers():
     readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                           "README.md")
     with open(readme) as fh:
-        rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", fh.read(), flags=re.M)
+        text = fh.read()
+    rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", text, flags=re.M)
     documented = {mode: tuple(re.findall(r"`(--[\w-]+)`", flags)) for mode, flags in rows}
     assert documented == {mode: flags for mode, (_, flags) in _MODES.items()}
+    # the defaults paragraph names only flags the parsers have, each default
+    # read as its flag reads it and equal to the ExperimentConfig field's
+    paragraph = re.search(r"^Defaults \(declared once.*?\n\n", text, flags=re.M | re.S).group()
+    assert set(re.findall(r"`(--[\w-]+)", paragraph)) <= set(_FLAGS)
+    defaults = re.findall(r"`(--[\w-]+)\s+([^`]+)`", paragraph)
+    assert len(defaults) >= 7
+    for flag, value in defaults:
+        dest = _FLAGS[flag].get("dest", flag[2:].replace("-", "_"))
+        assert _FLAGS[flag].get("type", str)(value) == getattr(ExperimentConfig, dest), flag
 
 
 def test_python_dash_m_runs_the_cli_without_warnings():
@@ -460,9 +480,7 @@ def test_exit_codes_for_bad_inputs(tmp_path, capsys):
         "constraints": [{"coeffs": [1.0], "offset": 5.0, "sense": ">="}]}))
     assert run_cli(["sweep", "--problem", str(infeasible), "--out", str(tmp_path / "o"),
                     "--V", "10,20"]) == 1  # nor on a single infeasible point
-    for flag, value in (("--oracle-resolution", "nan"), ("--oracle-resolution", "0"),
-                        ("--eps-anchor", "nan"), ("--eps-anchor", "-1"),
-                        ("--eps-anchor", "inf"), ("--v-anchor", "0")):
+    for flag, value in (("--oracle-resolution", "nan"), ("--oracle-resolution", "0")):
         assert run_cli(["sweep", "--problem", str(good), "--out", str(tmp_path / "o"),
                         "--V", "10,20", "--horizon", "64", flag, value]) == 1
         assert flag in capsys.readouterr().err
@@ -486,12 +504,23 @@ def test_exit_codes_for_bad_inputs(tmp_path, capsys):
     ["solve", "--restart-base", "2"],
     ["sweep", "--V", "25,50", "--restart-base", "2"],
     ["diagnose", "--restart-base", "2"],
+    ["sweep", "--V", "25,50", "--eps-anchor", "0.01"],
+    ["sweep", "--V", "25,50", "--v-anchor", "100"],
 ])
 def test_flags_a_mode_does_not_read_are_rejected(argv, problem_file, tmp_path):
     if argv[0] != "reproduce":
         argv = argv + ["--problem", problem_file]
     assert run_cli(argv + ["--out", str(tmp_path / "o"), "--horizon", "64"]) == 1
     assert not (tmp_path / "o").exists()
+
+
+def test_a_horizon_past_the_address_space_exits_1(problem_file, tmp_path, capsys):
+    # 10**15 rows need petabytes, more than a 47-bit address space holds, so
+    # the allocation fails at once without touching memory
+    assert run_cli(["solve", "--problem", problem_file, "--out", str(tmp_path / "o"),
+                    "--horizon", str(10**15)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_exit_code_numeric_failure(tmp_path):

@@ -29,8 +29,8 @@ from tavopt import (
 )
 
 import tavopt.engine
-from tavopt.engine import (_TABLE_BLOCK_ROWS, _UNROLLED_SCORE_TERMS, _step_loop_source,
-                           running_mean, write_table)
+from tavopt.engine import _TABLE_BLOCK_ROWS, _step_loop_source, running_mean, write_table
+from tavopt.problem import _UNROLLED_SCORE_TERMS
 
 from conftest import bits, build_instance, doubling_schedule, generated_runs
 
@@ -370,10 +370,13 @@ def test_restart_times_double_below_the_horizon(horizon):
                          ids=["grid", "points"])
 def test_the_dual_path_is_one_buffer(spec):
     # w, z, w_final and z_final are views of lambda_path, whose last row is
-    # the state after the last step
+    # the state after the last step; x sits in the same buffer, after (w, z)
     trace = run(spec, SolverConfig(v=7.0, horizon=300))
     for name in ("w", "z", "w_final", "z_final"):
         assert np.shares_memory(trace.lambda_path, getattr(trace, name)), name
+    assert trace.x.base is trace.lambda_path.base is not None
+    assert np.may_share_memory(trace.x, trace.lambda_path)
+    assert trace.x.strides == trace.lambda_path.strides
     stacked = np.vstack([np.hstack([trace.w, trace.z]),
                          np.concatenate([trace.w_final, trace.z_final])])
     assert trace.lambda_path.shape == stacked.shape

@@ -402,6 +402,45 @@ def test_explicit_point_scores_are_one_fixed_order_sum():
                     == bits(points[first_min])
 
 
+def _tenths_points(count):
+    return ExplicitPoints(points=np.random.default_rng(count).integers(0, 4, size=(count, 3)) / 10)
+
+
+@pytest.mark.parametrize("ds,unrolled", [
+    (GridProduct(values=((-1.0, 0.0, 2.5), (-0.0, 3.0), (0.5,))), True),
+    (_tenths_points(8), True),      # scored in the step loop's own lines
+    (_tenths_points(100), False),   # 300 score terms: the lines call linear_argmin
+], ids=["grid", "8x3-points", "100x3-points"])
+def test_decision_set_forms_give_the_linear_argmin_bits(ds, unrolled):
+    # z in tenths makes exact score ties common; signed zeros test the grid's
+    # sign rule
+    rng = np.random.default_rng(20161010)
+    zs = np.vstack([rng.integers(-3, 4, size=(200, 3)) / 10, rng.normal(size=(50, 3)),
+                    [[0.0, -0.0, 0.0], [-0.0, -0.0, -0.0], [0.1, 0.1, 0.1]]])
+    expected = [bits(ds.linear_argmin(z)) for z in zs]
+    # the step loop's lines, run as the loop runs them: the prelude once
+    xs, names = ["x0", "x1", "x2"], ["z0", "z1", "z2"]
+    prelude, lines = ds.linear_argmin_lines(xs, names)
+    assert ("pick_x(" not in "\n".join(lines)) == unrolled
+    scope = {"decision_set": ds}
+    exec(compile("\n".join(prelude), "<prelude>", "exec"), scope)
+    code = compile("\n".join(lines), "<lines>", "exec")
+    for z, want in zip(zs.tolist(), expected):
+        scope.update(zip(names, z))
+        exec(code, scope)
+        assert bits([scope[x] for x in xs]) == want, z
+    # the columns on broadcast shapes, entry by entry
+    z_cols = [zs[-7:, 0].reshape(7, 1, 1), zs[7:12, 1].reshape(1, 5, 1),
+              zs[12:16, 2].reshape(1, 1, 4)]
+    cols = ds.linear_argmin_columns(z_cols)
+    if isinstance(ds, GridProduct):
+        assert [c.shape for c in cols] == [z.shape for z in z_cols]
+    cols = np.stack(np.broadcast_arrays(*cols), axis=-1)
+    for idx in np.ndindex(7, 5, 4):
+        z = [float(zc[tuple(min(k, n - 1) for k, n in zip(idx, zc.shape))]) for zc in z_cols]
+        assert bits(cols[idx]) == bits(ds.linear_argmin(z)), z
+
+
 def test_explicit_points_validation_and_ordering():
     with pytest.raises(ValueError):
         ExplicitPoints(points=np.zeros((0, 2)))
