@@ -59,23 +59,19 @@ def _as_float_vector(values, name: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # Every piece kind offers the same closed forms: argmin_shifted(c, lo, hi),
-# the minimizer of piece(y) + c*y over [lo, hi]; argmin_shifted_line, the
-# Python line that run()'s generated step loop runs for it each step (the
-# same operations inline, with the box's lo and hi as literals);
-# argmin_shifted_batch, the same minimizer for an array of c values, equal
-# element by element, from which the engine records y; max_abs_value(lo,
-# hi), a bound on |piece| over [lo, hi].  Its JSON form, {"kind": kind,
-# <fields>}, is read and written from its dataclass fields by
-# tavopt.config.  A new kind is one class here plus its entry in
-# PIECE_KINDS.  LinearPiece is QuadraticPiece with its curvature fixed at 0
-# as a class constant: the zero-curvature branches are the one home of the
-# linear minimizer, and its one field, slope, keeps the JSON form
+# the minimizer of piece(y) + c*y over [lo, hi]; kernel_params(lo, hi), the
+# numbers (lo and hi first) from which run()'s compiled step loop
+# (step_loop.c) takes the same minimizer each step; argmin_shifted_batch,
+# the same minimizer for an array of c values, equal element by element,
+# from which the engine records y; max_abs_value(lo, hi), a bound on
+# |piece| over [lo, hi].  Its JSON form, {"kind": kind, <fields>}, is read
+# and written from its dataclass fields by tavopt.config.  A new kind is
+# one class here plus its entry in PIECE_KINDS (and a branch in
+# step_loop.c if its minimizer is neither of the kernel's two).
+# LinearPiece is QuadraticPiece with its curvature fixed at 0 as a class
+# constant: the zero-curvature branches are the one home of the linear
+# minimizer, and its one field, slope, keeps the JSON form
 # {"kind": "linear", "slope": s}.
-
-def float_literal(value) -> str:
-    """Source text that evaluates to the double value (finite), sign of
-    zero included."""
-    return f"({float(value)!r})"
 
 
 @dataclass(frozen=True)
@@ -113,15 +109,9 @@ class QuadraticPiece:
             return hi
         return vertex
 
-    def argmin_shifted_line(self, y: str, c: str, lo: float, hi: float) -> str:
-        s, a = float_literal(self.slope), float_literal(self.curvature)
-        lo, hi = float_literal(lo), float_literal(hi)
-        if self.curvature == 0.0:
-            return f"{y} = {lo} if {s} + ({c}) >= 0.0 else {hi}"
-        # 2.0 * a stays an expression: its value can be inf, which has no
-        # literal; Python floats overflow quietly, as argmin_shifted's do
-        return (f"{y} = -({s} + ({c})) / (2.0 * {a}); "
-                f"{y} = {lo} if {y} < {lo} else ({hi} if {y} > {hi} else {y})")
+    def kernel_params(self, lo: float, hi: float) -> tuple:
+        # zero curvature is the kernel's linear case: a chain of one slope
+        return lo, hi, self.curvature, self.slope
 
     def argmin_shifted_batch(self, c: np.ndarray, lo: float, hi: float) -> np.ndarray:
         if self.curvature == 0.0:
@@ -229,18 +219,12 @@ class PiecewiseLinearPiece:
                 return b
         return hi
 
-    def argmin_shifted_line(self, y: str, c: str, lo: float, hi: float) -> str:
-        # argmin_shifted unrolled for this box, with y holding c until the
-        # last statement: lo if the slope right of lo plus c is nonnegative,
-        # else the first interior breakpoint whose right slope plus c is, else
-        # hi.  The breakpoints are tested last to first as flat statements:
-        # one nested conditional expression over thousands of them would
-        # exceed the parser's nesting limits
-        lit = float_literal
-        inner = [(b, s) for b, s in zip(self.breakpoints, self.slopes[1:]) if lo < b < hi]
-        tests = [f"r = {lit(b)} if {lit(s)} + {y} >= 0.0 else r" for b, s in reversed(inner)]
-        last = f"{y} = {lit(lo)} if {lit(self._slope_right_of(lo))} + {y} >= 0.0 else r"
-        return "; ".join([f"{y} = {c}", f"r = {lit(hi)}", *tests, last])
+    def kernel_params(self, lo: float, hi: float) -> tuple:
+        # zero curvature, then the slope right of lo and each breakpoint
+        # inside (lo, hi) followed by the slope right of it
+        chain = [u for b, s in zip(self.breakpoints, self.slopes[1:]) if lo < b < hi
+                 for u in (b, s)]
+        return (lo, hi, 0.0, self._slope_right_of(lo), *chain)
 
     def argmin_shifted_batch(self, c: np.ndarray, lo: float, hi: float) -> np.ndarray:
         # k is the first segment whose shifted slope is nonnegative (for
@@ -303,20 +287,10 @@ class SeparableConvexObjective:
 # ---------------------------------------------------------------------------
 
 # Every decision set offers its x-step, the point minimizing z . x, in the
-# three forms the engine uses, with the same bits: linear_argmin, for one z
-# or the rows of a batch; linear_argmin_columns(z), for I arrays z_i that
-# broadcast together, as the I columns x_i; linear_argmin_lines(x, z), the
-# lines run once before run()'s step loop (they see the set as
-# decision_set) and the lines that set the names x from the floats named z.
-
-# Explicit sets with at most this many score terms (points times coordinates)
-# have their scores unrolled into the step loop; larger ones call
-# linear_argmin, which sums the same terms in the same order in numpy.  The
-# unrolled scores cost ~30 ns per term per step, the call ~2 us per
-# coordinate plus ~2 us, almost regardless of the number of points.  In
-# run() the two met at ~250 terms on 3-D sets and ~450 on 6-D sets (2-core
-# Xeon, CPython 3.11, numpy 2.4); the lower crossover is taken.
-_UNROLLED_SCORE_TERMS = 256
+# forms the engine uses, with the same bits: linear_argmin, for one z or the
+# rows of a batch; linear_argmin_columns(z), for I arrays z_i that broadcast
+# together, as the I columns x_i; kernel_params(), the point count (0 for a
+# grid) and the values from which run()'s compiled step loop takes it.
 
 
 @dataclass(frozen=True)
@@ -362,9 +336,9 @@ class GridProduct:
         lo, hi = self.hull_bounds()
         return [np.where(zi >= 0.0, l, h) for zi, l, h in zip(z, lo, hi)]
 
-    def linear_argmin_lines(self, x, z) -> tuple[list, list]:
-        return [], [f"{xi} = {float_literal(vs[0])} if {zi} >= 0.0 else {float_literal(vs[-1])}"
-                    for xi, zi, vs in zip(x, z, self.values)]
+    def kernel_params(self) -> tuple:
+        # no points: the kernel's sign rule, from the lowest and highest values
+        return 0, np.array(self.hull_bounds())
 
 
 @dataclass(frozen=True)
@@ -403,7 +377,7 @@ class ExplicitPoints:
         The sum runs in one fixed order, elementwise: s = w_0*p_0, then
         s = s + w_k*p_k for k = 1..I-1.  No matrix product is involved, so a
         batch row equals the single-vector score bit for bit, and both equal
-        the same sum in Python floats, which run()'s step loop unrolls.
+        the same sum in Python floats and in run()'s compiled step loop.
         """
         w = np.asarray(weights, dtype=float)
         # w_k is a float, or an (n, 1) column broadcast against the points
@@ -427,24 +401,8 @@ class ExplicitPoints:
         X = self.linear_argmin(Z.reshape(-1, len(z)))
         return list(np.moveaxis(X.reshape(Z.shape), -1, 0))
 
-    def linear_argmin_lines(self, x, z) -> tuple[list, list]:
-        # scores, one point at a time, with best, s and x as scratch names;
-        # above _UNROLLED_SCORE_TERMS a call of linear_argmin instead
-        if self.points.size > _UNROLLED_SCORE_TERMS:
-            return (["pick_x = decision_set.linear_argmin"],
-                    [f"[{', '.join(x)}] = pick_x([{', '.join(z)}]).tolist()"])
-        pts = self.points.tolist()
-        names = [f"point{k}" for k in range(len(pts))]
-
-        def score(p):
-            return " + ".join(f"{zi} * {float_literal(v)}" for zi, v in zip(z, p))
-
-        # the first minimum over the sorted points wins, as argmin's does
-        lines = [f"best = {score(pts[0])}; x = point0"]
-        for name, p in zip(names[1:], pts[1:]):
-            lines += [f"s = {score(p)}", f"if s < best: best = s; x = {name}"]
-        lines.append(f"[{', '.join(x)}] = x")
-        return [f"[{', '.join(names)}] = map(tuple, decision_set.points.tolist())"], lines
+    def kernel_params(self) -> tuple:
+        return len(self.points), self.points
 
 
 DecisionSet = Union[GridProduct, ExplicitPoints]

@@ -1,0 +1,104 @@
+/* run()'s step loop: the dual subgradient iteration of engine.py, step for
+ * step, with the bits of the public updates x_update, y_update and the dual
+ * step.  Every sum runs left to right with one rounding per operation, as
+ * Python floats do; engine._CFLAGS keeps the compiler from fusing or
+ * reordering them.  engine._kernel compiles this file once per machine and
+ * loads it through ctypes. */
+
+#include <math.h>
+#include <stdint.h>
+
+/* fails to compile where double expressions are evaluated in a wider type,
+ * as on x87 */
+typedef char double_expressions_are_double[sizeof(double_t) == sizeof(double) ? 1 : -1];
+
+/* Runs steps start..stop-1 from the dual state held in state, w (J values)
+ * then z (I values), and leaves the state after them there.  Row t of rows
+ * (J + 2I doubles) gets w and z before step t, then the step's x.
+ *
+ * A (J x I, row-major) and b give the constraints g = b + A y.
+ * The decision set: npoints == 0 is a grid, xset its lowest values (I) then
+ * its highest (I); otherwise xset holds the npoints explicit points (npoints
+ * x I, row-major, in lexicographic order).
+ * Piece i: par[off[i]..off[i+1]) holds lo, hi (its box), its curvature a
+ * and, for a != 0, its slope; for a == 0 the chain of its slopes and
+ * breakpoints inside (lo, hi): the slope right of lo, then each interior
+ * breakpoint, increasing, followed by the slope right of it.
+ * y is scratch for I values. */
+void step_loop(int64_t I, int64_t J, double v, const double *A, const double *b,
+               int64_t npoints, const double *xset,
+               const int64_t *off, const double *par, double *y,
+               double *state, double *rows, int64_t start, int64_t stop)
+{
+    double *w = state, *z = state + J;
+    for (int64_t t = start; t < stop; t++) {
+        double *row = rows + t * (J + 2 * I), *x = row + J + I;
+        for (int64_t j = 0; j < J; j++)
+            row[j] = w[j];
+        for (int64_t i = 0; i < I; i++)
+            row[J + i] = z[i];
+
+        /* x: the grid's sign rule, ties to the lowest value; or the first
+         * minimum of the scores z0*p0 + z1*p1 + ..., where, as in numpy's
+         * argmin, a NaN score counts as the minimum */
+        if (npoints == 0) {
+            for (int64_t i = 0; i < I; i++)
+                x[i] = z[i] >= 0.0 ? xset[i] : xset[I + i];
+        } else {
+            const double *pick = xset;
+            double best = 0.0;
+            for (int64_t k = 0; k < npoints; k++) {
+                const double *p = xset + k * I;
+                double s = z[0] * p[0];
+                for (int64_t i = 1; i < I; i++)
+                    s = s + z[i] * p[i];
+                if (k == 0 || !(s >= best)) {
+                    best = s;
+                    pick = p;
+                    if (s != s)
+                        break;
+                }
+            }
+            for (int64_t i = 0; i < I; i++)
+                x[i] = pick[i];
+        }
+
+        /* y: each piece's minimizer of piece(y) + c*y on its box, at
+         * c = -z_i + w_0*A_0i + ... */
+        for (int64_t i = 0; i < I; i++) {
+            const double *q = par + off[i], *end = par + off[i + 1];
+            double lo = q[0], hi = q[1], a = q[2];
+            double c = -z[i];
+            for (int64_t j = 0; j < J; j++)
+                c = c + w[j] * A[j * I + i];
+            if (a != 0.0) {
+                /* 2.0 * a may overflow to inf, and the vertex with it */
+                double u = -(q[3] + c) / (2.0 * a);
+                y[i] = u < lo ? lo : (u > hi ? hi : u);
+            } else {
+                /* lo if the slope right of it is nonnegative after the
+                 * shift, else the first breakpoint whose right slope is,
+                 * else hi */
+                double r = hi;
+                for (const double *e = q + 4; e < end; e += 2)
+                    if (e[1] + c >= 0.0) {
+                        r = e[0];
+                        break;
+                    }
+                y[i] = q[3] + c >= 0.0 ? lo : r;
+            }
+        }
+
+        /* the dual step: w <- [w + g/V]+ with g_j = b_j + A_j0*y_0 + ...,
+         * z <- z + (x - y)/V */
+        for (int64_t j = 0; j < J; j++) {
+            double g = b[j];
+            for (int64_t i = 0; i < I; i++)
+                g = g + A[j * I + i] * y[i];
+            double u = w[j] + g / v;
+            w[j] = u > 0.0 ? u : 0.0;
+        }
+        for (int64_t i = 0; i < I; i++)
+            z[i] = z[i] + (x[i] - y[i]) / v;
+    }
+}

@@ -1,5 +1,10 @@
 import itertools
+import logging
 import math
+import os
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -29,8 +34,7 @@ from tavopt import (
 )
 
 import tavopt.engine
-from tavopt.engine import _TABLE_BLOCK_ROWS, _step_loop_source, running_mean, write_table
-from tavopt.problem import _UNROLLED_SCORE_TERMS
+from tavopt.engine import _TABLE_BLOCK_ROWS, running_mean, write_table
 
 from conftest import bits, build_instance, doubling_schedule, generated_runs
 
@@ -207,15 +211,13 @@ def _tenths_points_instance(count):
                      AffineConstraint(coeffs=(-0.9, -0.1, -0.6), offset=1.3)))
 
 
-@pytest.mark.parametrize("count,unrolled", [(8, True), (100, False)])
-def test_run_matches_composed_updates_on_both_sides_of_the_unroll(count, unrolled):
-    # 8 points in 3-D are scored in the step loop's own lines, 100 by the
-    # linear_argmin call; both equal the public updates bit for bit
+@pytest.mark.parametrize("count", [8, 100, 1000])
+def test_run_matches_composed_updates_on_explicit_sets(count):
+    # the step loop scores every point of a set of any size; its picks and
+    # states equal the public updates bit for bit
     spec = _tenths_points_instance(count)
     A, b = spec.constraint_matrix()
     cfg = SolverConfig(v=3.0, horizon=200)
-    assert (count * 3 <= _UNROLLED_SCORE_TERMS) == unrolled
-    assert ("pick_x(" not in _step_loop_source(spec, cfg)) == unrolled
     trace = run(spec, cfg)
     w, z = np.zeros(2), np.zeros(3)
     for t in range(cfg.horizon):
@@ -240,15 +242,30 @@ def test_run_matches_composed_updates_on_both_sides_of_the_unroll(count, unrolle
 ])
 def test_unrolled_scores_break_exact_ties_lexicographically(points, expected):
     # at z = (1, 1) the tied points score exactly equal; the lexicographically
-    # smallest of them wins, in the step loop as in x_update
+    # smallest of them wins, in the step loop's scores as in x_update
     pts = ExplicitPoints(points=points)
     spec = ProblemSpec(
         decision_set=pts, box=tight_box(pts),
         objective=SeparableConvexObjective(pieces=(LinearPiece(1.0), LinearPiece(1.0))))
     cfg = SolverConfig(v=1.0, horizon=1, initial_z=(1.0, 1.0))
-    assert "pick_x(" not in _step_loop_source(spec, cfg)
     trace = run(spec, cfg)
     assert bits(trace.x[0]) == bits(expected) == bits(x_update(spec, (1.0, 1.0)))
+
+
+def test_a_nan_score_is_the_minimum_as_in_argmin():
+    # at z = (1e300, -1e300) the first point scores 0 + -inf = -inf and the
+    # second inf + -inf = nan, which numpy's argmin, and so x_update, takes
+    # as the minimum; there x = y, so the state never changes and d stays 0
+    pts = ExplicitPoints(points=[[0.0, 1e10], [1e10, 1e10]])
+    spec = ProblemSpec(
+        decision_set=pts, box=tight_box(pts),
+        objective=SeparableConvexObjective(pieces=(LinearPiece(0.0), LinearPiece(0.0))))
+    cfg = SolverConfig(v=1.0, horizon=3, initial_z=(1e300, -1e300))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert bits(x_update(spec, cfg.initial_z)) == bits([1e10, 1e10])
+    trace = run(spec, cfg)
+    assert bits(trace.x) == bits([[1e10, 1e10]] * 3)
+    assert bits(trace.z_final) == bits(cfg.initial_z) and bits(trace.d) == bits([0.0] * 3)
 
 
 @pytest.mark.parametrize("name", ["polyhedral", "smooth"])
@@ -405,8 +422,8 @@ TRACE_ARRAYS = ("x", "y", "w", "z", "d", "w_final", "z_final")
 
 @pytest.mark.parametrize("spec,horizon", [
     (build_instance("smooth-extra"), 9000),
-    (_tenths_points_instance(8), 5000),     # scored in the step loop's lines
-    (_tenths_points_instance(100), 3000),   # scored by linear_argmin
+    (_tenths_points_instance(8), 5000),
+    (_tenths_points_instance(100), 3000),
 ], ids=["demo", "8-points", "100-points"])
 def test_trace_does_not_depend_on_the_chunk_length(monkeypatch, spec, horizon):
     cfg = SolverConfig(v=7.0, horizon=horizon)
@@ -419,19 +436,23 @@ def test_trace_does_not_depend_on_the_chunk_length(monkeypatch, spec, horizon):
         assert bits(getattr(traces[2], name)) == bits(getattr(traces[0], name)), name
 
 
-@pytest.mark.parametrize("rows", [None, 3])
-def test_numeric_failure_past_the_first_chunk_reports_its_iteration(monkeypatch, rows):
+def _blow_up_case():
     # x = y = 0, z = 0 and g = b = 2**505 at every step, so with V = 1
     # w(t) = (6384 + t) * 2**505 and d(t) = w(t) * b, both exact, until d
-    # reaches 2**1024 = inf at t = 16384 - 6384 = 10000, past the first chunk
-    if rows is not None:
-        monkeypatch.setattr(tavopt.engine, "_CHUNK_ROWS", rows)
+    # reaches 2**1024 = inf at t = 16384 - 6384 = 10000
     grid = GridProduct(values=((0.0, 1.0),))
     spec = ProblemSpec(decision_set=grid, box=tight_box(grid),
                        objective=SeparableConvexObjective(pieces=(LinearPiece(0.0),)),
                        constraints=(AffineConstraint(coeffs=(1.0,), offset=2.0 ** 505),))
-    assert tavopt.engine._CHUNK_ROWS < 10000
-    cfg = SolverConfig(v=1.0, horizon=10**6, initial_w=(6384 * 2.0 ** 505,))
+    return spec, SolverConfig(v=1.0, horizon=10**6, initial_w=(6384 * 2.0 ** 505,))
+
+
+@pytest.mark.parametrize("rows", [None, 3])
+def test_numeric_failure_past_the_first_chunk_reports_its_iteration(monkeypatch, rows):
+    if rows is not None:
+        monkeypatch.setattr(tavopt.engine, "_CHUNK_ROWS", rows)
+    spec, cfg = _blow_up_case()
+    assert tavopt.engine._CHUNK_ROWS < 10000  # t = 10000 lies past the first chunk
     with pytest.raises(NumericError) as err:
         run(spec, cfg)
     assert err.value.iteration == 10000
@@ -450,7 +471,7 @@ SUBNORMAL_FRAME = (
     SolverConfig(v=1.0, horizon=9))
 
 
-# pieces whose step-loop lines meet overflow, subnormals and signed zeros
+# pieces whose minimizers meet overflow, subnormals and signed zeros
 EXTREME_PIECES = (
     ProblemSpec(decision_set=GridProduct(values=((-1.0, 1.0),) * 5),
                 box=ExtendedBox([-1.0] * 5, [1.0] * 5),
@@ -461,10 +482,44 @@ EXTREME_PIECES = (
     SolverConfig(v=2.0, horizon=40))
 
 
+# piecewise-linear pieces on boxes with signed-zero ends: -0.0 slopes, no
+# breakpoint inside the box, and 3000 breakpoints inside it
+PIECEWISE_EDGES = (
+    ProblemSpec(decision_set=GridProduct(values=((-1.0, 1.0), (0.0, 1.0), (-1.0, -0.0),
+                                                 (-1.0, 1.0), (-1.0, 1.0))),
+                box=ExtendedBox([-1.0, 0.0, -1.0, -1.0, -1.0], [1.0, 1.0, -0.0, 1.0, 1.0]),
+                objective=SeparableConvexObjective(pieces=[
+                    PiecewiseLinearPiece((0.5,), (-0.0, 1.0)), PiecewiseLinearPiece((), (-0.0,)),
+                    PiecewiseLinearPiece((), (0.5,)),
+                    PiecewiseLinearPiece((-3.0, 2.0), (-1.0, 0.3, 2.0)),
+                    PiecewiseLinearPiece(tuple(np.linspace(-0.999, 0.999, 3000)),
+                                         tuple(np.linspace(-2.5, 2.5, 3001)))]),
+                constraints=[AffineConstraint(coeffs=[0.5, -1.0, 0.25, 1.0, -0.5], offset=0.1)]),
+    SolverConfig(v=2.0, horizon=60))
+
+
+# c = -slope exactly at t = 0 on every coordinate (z starts at the slope and
+# there is no constraint): ties go to lo on the linear pieces, and to the
+# breakpoint whose right slope ties on the piecewise-linear ones
+SLOPE_TIES = (
+    ProblemSpec(decision_set=GridProduct(values=((-1.0, 1.0),) * 4),
+                box=ExtendedBox([-1.0] * 4, [1.0] * 4),
+                objective=SeparableConvexObjective(pieces=[
+                    LinearPiece(0.5), QuadraticPiece(0.0, -0.25),
+                    PiecewiseLinearPiece((0.5,), (-0.0, 1.0)),
+                    PiecewiseLinearPiece((-0.5, 0.0, 0.5), (-1.5, -0.5, 0.5, 1.5))])),
+    SolverConfig(v=4.0, horizon=30, initial_z=(0.5, -0.25, 1.0, 0.5)))
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=generated_runs())
 @example(case=SUBNORMAL_FRAME)
 @example(case=EXTREME_PIECES)
+@example(case=PIECEWISE_EDGES)
+@example(case=SLOPE_TIES)
+# every score ties at z = 0, so the first point must win at t = 0
+@example(case=(_tenths_points_instance(8), SolverConfig(v=3.0, horizon=40)))
+@example(case=(_tenths_points_instance(100), SolverConfig(v=3.0, horizon=40)))
 def test_run_matches_public_updates_on_generated_specs(case):
     spec, cfg = case
     trace = run(spec, cfg)
@@ -538,6 +593,118 @@ def test_solver_config_validation():
         SolverConfig(v=1.0, horizon=10, initial_w=(-1.0,))
     with pytest.raises(ValueError):
         run(build_instance("polyhedral"), SolverConfig(v=1.0, horizon=2, initial_w=(0.0,)))
+
+
+# ---------------------------------------------------------------------------
+# the compiled step loop: its cache and the fallback without it
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def reload_kernel():
+    """Forget the loaded step kernel before and after the test, so that
+    run() loads it again under the cache and PATH the test sets."""
+    tavopt.engine._kernel.cache_clear()
+    yield
+    tavopt.engine._kernel.cache_clear()
+
+
+def _counting_cc(tmp_path, monkeypatch):
+    """Put a cc that logs each call before running the real one first on an
+    otherwise empty PATH; returns the log."""
+    real, log = shutil.which("cc"), tmp_path / "cc.log"
+    assert real is not None
+    cc = tmp_path / "bin" / "cc"
+    cc.parent.mkdir()
+    cc.write_text(f'#!/bin/sh\necho cc >> "{log}"\n'
+                  f'PATH="{os.environ["PATH"]}" exec "{real}" "$@"\n')
+    cc.chmod(0o755)
+    monkeypatch.setenv("PATH", str(cc.parent))
+    log.write_text("")
+    return log
+
+
+def test_an_empty_cache_is_compiled_into_once(reload_kernel, tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    log = _counting_cc(tmp_path, monkeypatch)
+    spec, cfg = build_instance("smooth-extra"), SolverConfig(v=7.0, horizon=500)
+    first = run(spec, cfg)
+    tavopt.engine._kernel.cache_clear()  # as a new process would, load it again
+    second = run(spec, cfg)
+    assert log.read_text() == "cc\n"
+    cache = tmp_path / "cache" / "tavopt"
+    assert [p.suffix for p in cache.iterdir()] == [".so"]
+    assert cache.stat().st_mode & 0o777 == 0o700
+    for name in TRACE_ARRAYS:
+        assert bits(getattr(first, name)) == bits(getattr(second, name)), name
+
+
+def test_an_unwritable_cache_still_gives_the_compiled_loop(reload_kernel, tmp_path, monkeypatch,
+                                                           caplog):
+    # a file where the cache's parent directory should be: no directory can
+    # be made there, whoever runs the test
+    (tmp_path / "file").write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
+    log = _counting_cc(tmp_path, monkeypatch)
+    with caplog.at_level(logging.WARNING, logger="tavopt.engine"):
+        run(build_instance("smooth"), SolverConfig(v=7.0, horizon=50))
+    assert tavopt.engine._kernel() is not None
+    assert log.read_text() == "cc\n" and caplog.records == []
+
+
+def test_a_truncated_cached_library_is_rebuilt(reload_kernel, tmp_path, monkeypatch):
+    spec, cfg = _tenths_points_instance(8), SolverConfig(v=7.0, horizon=500)
+    log = _counting_cc(tmp_path, monkeypatch)  # the compiler is part of the name
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "first"))
+    expected = run(spec, cfg)
+    [built] = (tmp_path / "first" / "tavopt").iterdir()
+    # the first half of it, in another cache: the loaded file is never written
+    cache = tmp_path / "second" / "tavopt"
+    cache.mkdir(parents=True)
+    data = built.read_bytes()
+    (cache / built.name).write_bytes(data[:len(data) // 2])
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "second"))
+    tavopt.engine._kernel.cache_clear()
+    log.write_text("")
+    trace = run(spec, cfg)
+    assert tavopt.engine._kernel() is not None and log.read_text() == "cc\n"
+    assert (cache / built.name).stat().st_size > len(data) // 2
+    for name in TRACE_ARRAYS:
+        assert bits(getattr(trace, name)) == bits(getattr(expected, name)), name
+
+
+@pytest.mark.parametrize("case", [
+    EXTREME_PIECES, SUBNORMAL_FRAME, (_tenths_points_instance(100), SolverConfig(v=3.0, horizon=300)),
+], ids=["extreme-pieces", "subnormal-frame", "100-points"])
+def test_without_a_compiler_run_composes_the_public_updates(reload_kernel, tmp_path, monkeypatch,
+                                                            caplog, case):
+    spec, cfg = case
+    compiled = run(spec, cfg)
+    blow_up, blow_cfg = _blow_up_case()
+    with pytest.raises(NumericError) as compiled_err:
+        run(blow_up, blow_cfg)
+    tavopt.engine._kernel.cache_clear()
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setenv("PATH", str(tmp_path))  # no cc on it
+    with caplog.at_level(logging.WARNING, logger="tavopt.engine"):
+        composed = run(spec, cfg)
+        with pytest.raises(NumericError) as composed_err:
+            run(blow_up, blow_cfg)
+    assert [r.levelno for r in caplog.records] == [logging.WARNING]  # once per process
+    assert tavopt.engine._kernel() is None
+    for name in TRACE_ARRAYS:
+        assert bits(getattr(composed, name)) == bits(getattr(compiled, name)), name
+    assert composed_err.value.iteration == compiled_err.value.iteration == 10000
+
+
+def test_importing_tavopt_compiles_nothing(tmp_path):
+    src = os.path.dirname(os.path.dirname(tavopt.__file__))
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, tavopt\n"
+            "assert 'subprocess' not in sys.modules\n"
+            "assert tavopt.engine._kernel.cache_info().currsize == 0\n")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
