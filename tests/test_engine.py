@@ -696,6 +696,28 @@ def test_without_a_compiler_run_composes_the_public_updates(reload_kernel, tmp_p
     assert composed_err.value.iteration == compiled_err.value.iteration == 10000
 
 
+def test_a_failing_compiler_gives_the_composed_updates(reload_kernel, tmp_path, monkeypatch,
+                                                        caplog):
+    cc = tmp_path / "bin" / "cc"
+    cc.parent.mkdir()
+    cc.write_text('#!/bin/sh\necho "cc: no space left" >&2\nexit 1\n')
+    cc.chmod(0o755)
+    monkeypatch.setenv("PATH", str(cc.parent))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    spec, cfg = build_instance("smooth-extra"), SolverConfig(v=7.0, horizon=300)
+    with caplog.at_level(logging.WARNING, logger="tavopt.engine"):
+        trace = run(spec, cfg)
+    assert tavopt.engine._kernel() is None
+    assert [r.levelno for r in caplog.records] == [logging.WARNING]
+    assert "cc: no space left" in caplog.records[0].getMessage()
+    assert list((tmp_path / "cache" / "tavopt").iterdir()) == []  # no partial file left
+    tavopt.engine._kernel.cache_clear()
+    monkeypatch.undo()
+    expected = run(spec, cfg)
+    for name in TRACE_ARRAYS:
+        assert bits(getattr(trace, name)) == bits(getattr(expected, name)), name
+
+
 def test_importing_tavopt_compiles_nothing(tmp_path):
     src = os.path.dirname(os.path.dirname(tavopt.__file__))
     env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), PYTHONPATH=os.pathsep.join(
