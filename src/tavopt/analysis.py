@@ -202,6 +202,8 @@ def default_search_region(spec: ProblemSpec) -> float:
 
 
 def _grid_dual_max(spec: ProblemSpec, region: float, center_shift: float = 0.0):
+    """(lam, d(lam)): the end of a coarse-to-fine grid ascent of the dual,
+    started center_shift * region off the region's centre."""
     J = spec.constraint_count
     I = spec.dimension
     dims = J + I
@@ -235,7 +237,7 @@ def _grid_dual_max(spec: ProblemSpec, region: float, center_shift: float = 0.0):
         half = 1.5 * spacing
         if np.max(spacing) <= _RESOLUTION_TARGET:
             break
-    return best_lam
+    return best_lam, best_d
 
 
 def _residual_probes(spec: ProblemSpec, lam_hat, region: float, seed: int, extra=None):
@@ -372,10 +374,11 @@ def estimate_multiplier(spec: ProblemSpec, method: str = "grid-dual-max", *,
     """Estimate the dual maximizer.
 
     tail-average runs the engine with a 10x larger V and averages the dual
-    trajectory over its final stretch; grid-dual-max runs a coarse-to-fine
-    grid ascent of the dual over a bounded region.  The residual reports the
-    largest probed dual value above the estimate (clipped at zero) and must
-    stay below 1e-2.
+    trajectory over its final stretch; grid-dual-max runs two coarse-to-fine
+    grid ascents of the dual over a bounded region, from its centre and from
+    a shifted one, and takes the end with the higher dual value.  The
+    residual reports the largest probed dual value above the estimate
+    (clipped at zero) and must stay below 1e-2.
     """
     J = spec.constraint_count
     reg = default_search_region(spec)
@@ -395,7 +398,12 @@ def estimate_multiplier(spec: ProblemSpec, method: str = "grid-dual-max", *,
         lam_hat = _project_dual(rows.mean(axis=0), J)
         extra_probes = rows[::max(1, tail // 512)]
     elif method == "grid-dual-max":
-        lam_hat = _grid_dual_max(spec, reg)
+        # two ascents, the second from a shifted centre; the one that ends
+        # higher gives the estimate (a tie keeps the first), and the offset
+        # to the other end is a flat-face candidate below
+        (lam_hat, d_hat), (alt, d_alt) = (_grid_dual_max(spec, reg, s) for s in (0.0, 0.31))
+        if d_alt > d_hat:
+            lam_hat, alt = alt, lam_hat
     else:
         raise ValueError(f"unknown estimation method {method!r}")
 
@@ -407,12 +415,11 @@ def estimate_multiplier(spec: ProblemSpec, method: str = "grid-dual-max", *,
 
     # A flat optimal face means the maximizer is not unique.  Candidate flat
     # directions come from the decay probes themselves and, for the grid
-    # method, from the offset to a restarted search (which lands elsewhere on
-    # a flat face); each candidate is verified by its probed decay rate.
-    # Faces shorter than the probe distances can go undetected.
+    # method, from the offset to the other ascent's end (which can land
+    # elsewhere on a flat face); each candidate is verified by its probed
+    # decay rate.  Faces shorter than the probe distances can go undetected.
     extra_dirs = []
     if method == "grid-dual-max":
-        alt = _grid_dual_max(spec, reg, center_shift=0.31)
         gap = float(np.linalg.norm(alt - lam_hat))
         if gap > 10.0 * _RESOLUTION_TARGET:
             extra_dirs.append((alt - lam_hat) / gap)

@@ -151,9 +151,9 @@ class RunTrace:
     and the dual function value.  w_final/z_final hold the dual variables
     after the last step, which close the telescoping identities at
     T = horizon.  lambda_path holds (w, z) at t = 0..horizon, one per row;
-    w, z, w_final and z_final are views of it, and x is a view of the same
-    buffer, whose rows hold x after (w, z), as the step loop writes them;
-    y and d come from the dual formula.  Everything else is derived
+    w, z, w_final and z_final are views of it, and x and y are views of the
+    same buffer, whose rows hold x and y after (w, z), as the step loop
+    writes them; d comes from the dual formula.  Everything else is derived
     after the run, on first use: the restart schedule and the frame of each
     row, and the time averages.  xbar and ybar average iterations 0..t
     inclusive and xbar_frame the current staggered frame; all three, like
@@ -208,14 +208,14 @@ class RunTrace:
         return np.concatenate([running_mean(f) for f in np.split(self.x, self.restart_times)])
 
 
-# run() steps this many rows at a time, then derives their y and d in numpy:
-# enough rows to amortise the ~10 numpy calls per coordinate and constraint
-# of _dual_columns (0.1-0.3 ms a chunk), few enough that a blow-up stops
-# soon.  No result depends on it.
+# run() steps this many rows at a time, then sums their d in numpy: enough
+# rows to amortise the numpy calls of _dual_columns' d sum (0.14-0.34 ms a
+# chunk on the demos and the benchmark problems), few enough that a blow-up
+# stops soon.  No result depends on it.
 _CHUNK_ROWS = 4096
 
 
-def _dual_columns(spec: ProblemSpec, w, z, x=None):
+def _dual_columns(spec: ProblemSpec, w, z, xy=None):
     """Dual value d and minimizers x, y from multiplier columns.
 
     w holds J arrays and z holds I arrays, of any shapes that broadcast
@@ -225,23 +225,25 @@ def _dual_columns(spec: ProblemSpec, w, z, x=None):
     sum z_i*(x_i - y_i) with g_j = b_j + A_j0*y_0 + ....  So every entry
     has the same bits, whatever batch or grid it sits in, and a term that
     depends on (w, z_i) only keeps that smaller shape: on a product grid,
-    y_i is computed once per (w, z_i) pair.  x, when given, holds the I
-    columns of x_update's points at z: run() passes the points its step
-    loop chose, and without it they come from the decision set's
-    linear_argmin_columns.  This is the one dual formula: run() records y
-    and d through it, and the analysis evaluates the dual with it.  Returns
-    d and the lists of x_i and y_i columns.
+    y_i is computed once per (w, z_i) pair.  xy, when given, is the pair of
+    the I columns of x_update's and y_update's points at (w, z): run()
+    passes the points its step loop stepped with, and only the d sum runs.
+    Without it, x comes from the decision set's linear_argmin_columns and y
+    from each piece's argmin_shifted_batch.  This is the one dual formula:
+    run() records d through it, and the analysis evaluates the dual with
+    it.  Returns d and the lists of x_i and y_i columns.
     """
     A, b = (m.tolist() for m in spec.constraint_matrix())
-    if x is None:
-        x = spec.decision_set.linear_argmin_columns(z)
-    y = []
-    for i, (piece, lo, hi) in enumerate(zip(spec.objective.pieces, spec.box.lower.tolist(),
-                                            spec.box.upper.tolist())):
-        c = -z[i]
-        for wj, Aj in zip(w, A):
-            c = c + wj * Aj[i]
-        y.append(piece.argmin_shifted_batch(c, lo, hi))
+    if xy is not None:
+        x, y = xy
+    else:
+        x, y = spec.decision_set.linear_argmin_columns(z), []
+        for i, (piece, lo, hi) in enumerate(zip(spec.objective.pieces, spec.box.lower.tolist(),
+                                                spec.box.upper.tolist())):
+            c = -z[i]
+            for wj, Aj in zip(w, A):
+                c = c + wj * Aj[i]
+            y.append(piece.argmin_shifted_batch(c, lo, hi))
     d = 0.0
     for piece, yi in zip(spec.objective.pieces, y):
         d = d + piece.values(yi)
@@ -339,7 +341,7 @@ def _kernel():
         return None
     fn.restype = None
     fn.argtypes = [ctypes.c_int64, ctypes.c_int64, ctypes.c_double, *[ctypes.c_void_p] * 2,
-                   ctypes.c_int64, *[ctypes.c_void_p] * 6, ctypes.c_int64, ctypes.c_int64]
+                   ctypes.c_int64, *[ctypes.c_void_p] * 5, ctypes.c_int64, ctypes.c_int64]
     return fn
 
 
@@ -350,7 +352,7 @@ def _composed_steps(spec, A, b, v, state, rows, start, stop):
     w, z = state[:J].tolist(), state[J:].tolist()
     for t in range(start, stop):
         x, y = x_update(spec, z).tolist(), y_update(spec, w, z).tolist()
-        rows[t] = w + z + x
+        rows[t] = w + z + x + y
         for j, (Aj, bj) in enumerate(zip(A, b)):
             g = bj
             for Aji, yi in zip(Aj, y):
@@ -363,8 +365,8 @@ def _composed_steps(spec, A, b, v, state, rows, start, stop):
 def _step_loop(spec: ProblemSpec, v: float, state: np.ndarray, rows: np.ndarray):
     """steps(start, stop), which runs steps start..stop-1 from the dual
     state held in state, (w, z), and leaves the state after them there; row
-    t of rows gets (w, z) before step t, then the step's x.  It calls the
-    compiled kernel with the spec's numbers as arrays (each piece and the
+    t of rows gets (w, z) before step t, then the step's x and y.  It calls
+    the compiled kernel with the spec's numbers as arrays (each piece and the
     decision set give theirs through kernel_params), or, without one, the
     composed public updates, with the same bits."""
     A, b = spec.constraint_matrix()
@@ -379,8 +381,7 @@ def _step_loop(spec: ProblemSpec, v: float, state: np.ndarray, rows: np.ndarray)
     points = np.ascontiguousarray(points, dtype=float)
     # each ndarray's .ctypes holds its array, so the partial keeps them alive
     return partial(kernel, spec.dimension, spec.constraint_count, v, A.ctypes, b.ctypes,
-                   npoints, points.ctypes, off.ctypes, par.ctypes,
-                   np.empty(spec.dimension).ctypes, state.ctypes, rows.ctypes)
+                   npoints, points.ctypes, off.ctypes, par.ctypes, state.ctypes, rows.ctypes)
 
 
 def run(spec: ProblemSpec, config: SolverConfig) -> RunTrace:
@@ -391,12 +392,12 @@ def run(spec: ProblemSpec, config: SolverConfig) -> RunTrace:
     as arrays; without a working compiler they run as the composed public
     updates, more slowly.  Both use exactly the per-coordinate closed forms
     and summation order of the public update operations, so composing those
-    reproduces the trace bit for bit.  The loop stores only the dual path
-    (w, z) and the chosen points x, one row of one buffer per step, a chunk
-    of rows at a time; after each chunk, y and d of its rows come from the
-    one dual formula, _dual_columns, with the bits of the public updates.
-    A non-finite d raises NumericError at the iteration that shows it,
-    before the chunk after it runs.
+    reproduces the trace bit for bit.  The loop stores the dual path (w, z)
+    and the points x and y it steps with, one row of one buffer per step, a
+    chunk of rows at a time; after each chunk, d of its rows comes from the
+    one dual formula, _dual_columns, summed from the recorded columns.  A
+    non-finite d raises NumericError at the iteration that shows it, before
+    the chunk after it runs.
     """
     I, J = spec.dimension, spec.constraint_count
     T = int(config.horizon)
@@ -407,33 +408,32 @@ def run(spec: ProblemSpec, config: SolverConfig) -> RunTrace:
     if len(z) != I:
         raise ValueError(f"initial_z has length {len(z)}, expected {I}")
 
-    # rows of (w, z, x); row T holds the final (w, z), its x left unset
-    rows = np.empty((T + 1, J + 2 * I))
+    # rows of (w, z, x, y); row T holds the final (w, z), its x and y unset
+    rows = np.empty((T + 1, J + 3 * I))
     state = np.array(w + z, dtype=float)
     steps = _step_loop(spec, float(config.v), state, rows)
-    y, d = np.empty((T, I)), np.empty(T)
+    d = np.empty(T)
     # past a blow-up the values turn inf and nan, quietly, as in the step loop
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, T, _CHUNK_ROWS):
             stop = min(T, start + _CHUNK_ROWS)
             steps(start, stop)
             cols = rows[start:stop].T
-            d[start:stop], _, ys = _dual_columns(spec, cols[:J], cols[J:J + I], cols[J + I:])
+            d[start:stop], _, _ = _dual_columns(spec, cols[:J], cols[J:J + I],
+                                               (cols[J + I:J + 2 * I], cols[J + 2 * I:]))
             # every w_j, z_i and y_i enters d times a finite factor, so a
             # non-finite value anywhere in a row makes its d non-finite
             bad = np.flatnonzero(~np.isfinite(d[start:stop]))
             if len(bad):
                 raise NumericError("non-finite value", start + int(bad[0]))
-            for i in range(I):
-                y[start:stop, i] = ys[i]
 
     lam = rows[:, :J + I]
     lam[T] = state
     if not np.all(np.isfinite(lam[T])):
         raise NumericError("non-finite dual state", T)
-    return RunTrace(x=rows[:T, J + I:], y=y, w=lam[:T, :J], z=lam[:T, J:], d=d,
-                    w_final=lam[T, :J], z_final=lam[T, J:], lambda_path=lam,
-                    v=float(config.v), horizon=T, spec=spec)
+    return RunTrace(x=rows[:T, J + I:J + 2 * I], y=rows[:T, J + 2 * I:], d=d,
+                    w=lam[:T, :J], z=lam[:T, J:], w_final=lam[T, :J], z_final=lam[T, J:],
+                    lambda_path=lam, v=float(config.v), horizon=T, spec=spec)
 
 
 def staggered_average(trace: RunTrace, start: int, count) -> np.ndarray:

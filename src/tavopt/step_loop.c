@@ -1,9 +1,10 @@
 /* run()'s step loop: the dual subgradient iteration of engine.py, step for
  * step, with the bits of the public updates x_update, y_update and the dual
- * step.  Every sum runs left to right with one rounding per operation, as
- * Python floats do; engine._CFLAGS keeps the compiler from fusing or
- * reordering them.  engine._kernel compiles this file once per machine and
- * loads it through ctypes. */
+ * step.  Each step's row records the x and y it stepped with; run() derives
+ * only d from the rows.  Every sum runs left to right with one rounding per
+ * operation, as Python floats do; engine._CFLAGS keeps the compiler from
+ * fusing or reordering them.  engine._kernel compiles this file once per
+ * machine and loads it through ctypes. */
 
 #include <math.h>
 #include <stdint.h>
@@ -14,7 +15,7 @@ typedef char double_expressions_are_double[sizeof(double_t) == sizeof(double) ? 
 
 /* Runs steps start..stop-1 from the dual state held in state, w (J values)
  * then z (I values), and leaves the state after them there.  Row t of rows
- * (J + 2I doubles) gets w and z before step t, then the step's x.
+ * (J + 3I doubles) gets w and z before step t, then the step's x and y.
  *
  * A (J x I, row-major) and b give the constraints g = b + A y.
  * The decision set: npoints == 0 is a grid, xset its lowest values (I) then
@@ -23,16 +24,15 @@ typedef char double_expressions_are_double[sizeof(double_t) == sizeof(double) ? 
  * Piece i: par[off[i]..off[i+1]) holds lo, hi (its box), its curvature a
  * and, for a != 0, its slope; for a == 0 the chain of its slopes and
  * breakpoints inside (lo, hi): the slope right of lo, then each interior
- * breakpoint, increasing, followed by the slope right of it.
- * y is scratch for I values. */
+ * breakpoint, increasing, followed by the slope right of it. */
 void step_loop(int64_t I, int64_t J, double v, const double *A, const double *b,
                int64_t npoints, const double *xset,
-               const int64_t *off, const double *par, double *y,
+               const int64_t *off, const double *par,
                double *state, double *rows, int64_t start, int64_t stop)
 {
     double *w = state, *z = state + J;
     for (int64_t t = start; t < stop; t++) {
-        double *row = rows + t * (J + 2 * I), *x = row + J + I;
+        double *row = rows + t * (J + 3 * I), *x = row + J + I, *y = x + I;
         for (int64_t j = 0; j < J; j++)
             row[j] = w[j];
         for (int64_t i = 0; i < I; i++)

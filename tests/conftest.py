@@ -42,6 +42,16 @@ POINTS_PROBLEM = (
     '"constraints": [{"coeffs": [1.5, 1.0, 0.5], "offset": 3.7, "sense": ">="}, '
     '{"coeffs": [0.5, 0.5, 1.0], "offset": 1.906, "sense": ">="}]}')
 
+# the diagnose-grid benchmark problem of seed 7: the grid {0..3}^3, two
+# quadratic pieces and a linear one, three >= constraints (a 6-D dual)
+GRID_PROBLEM = (
+    '{"dimension": 3, "decision_set": {"grid": [[0, 1, 2, 3], [0, 1, 2, 3], [0, 1, 2, 3]]}, '
+    '"objective": [{"kind": "quadratic", "curvature": 0.5, "slope": 0.0}, {"kind": "linear", '
+    '"slope": 1.75}, {"kind": "quadratic", "curvature": 1.75, "slope": 0.0}], "constraints": '
+    '[{"coeffs": [1.0, 2.0, 2.5], "offset": 3.318, "sense": ">="}, '
+    '{"coeffs": [1.5, 2.0, 1.0], "offset": 3.522, "sense": ">="}, '
+    '{"coeffs": [1.5, 0.5, 2.5], "offset": 3.16, "sense": ">="}]}')
+
 
 def build_instance(name):
     objective = "linear" if name.startswith("polyhedral") else "quadratic"
