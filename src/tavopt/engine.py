@@ -92,23 +92,15 @@ def y_update(spec: ProblemSpec, w, z) -> np.ndarray:
     """Box point minimizing f(y) + w . g(y) - z . y.
 
     With affine constraints and a separable objective the problem decouples
-    per coordinate and is solved in closed form.
+    per coordinate and is solved in closed form by _y_columns, the dual
+    formula's y-step, on the entries of w and z; run()'s step loop gives the
+    same bits.
     """
     w = np.asarray(w, dtype=float)
     z = np.asarray(z, dtype=float)
     if np.any(w < 0.0):
         raise ValueError("w components must be nonnegative")
-    # Python floats: numpy scalars would warn where a subnormal curvature
-    # sends a vertex to +-inf before the clip
-    A = spec.constraint_matrix()[0].tolist()
-    w, z = w.tolist(), z.tolist()
-    out = np.empty(spec.dimension)
-    for i, piece in enumerate(spec.objective.pieces):
-        c = -z[i]
-        for j, Aj in enumerate(A):
-            c += w[j] * Aj[i]
-        out[i] = piece.argmin_shifted(c, float(spec.box.lower[i]), float(spec.box.upper[i]))
-    return out
+    return np.array(_y_columns(spec, spec.constraint_matrix()[0].tolist(), w, z))
 
 
 def dual_update(w, z, x, y, g_of_y, v: float) -> tuple[np.ndarray, np.ndarray]:
@@ -215,42 +207,57 @@ class RunTrace:
 _CHUNK_ROWS = 4096
 
 
+def _y_columns(spec: ProblemSpec, A, w, z) -> list:
+    """The I columns y_i of the y-step at multiplier columns w (J) and z
+    (I): each piece's argmin_shifted on its box at c_i = -z_i + w_0*A_0i +
+    ..., summed left to right as step_loop.c sums it.  A is the constraint
+    matrix as lists; w_j and z_i are floats or arrays that broadcast."""
+    y = []
+    for i, (piece, lo, hi) in enumerate(zip(spec.objective.pieces, spec.box.lower.tolist(),
+                                            spec.box.upper.tolist())):
+        c = -z[i]
+        for wj, Aj in zip(w, A):
+            c = c + wj * Aj[i]
+        y.append(piece.argmin_shifted(c, lo, hi))
+    return y
+
+
+def _constraint_values(A, b, y):
+    """g_j = b_j + A_j0*y_0 + ..., summed left to right as step_loop.c sums
+    it, for each constraint j in turn; y_i are floats or arrays."""
+    for Aj, bj in zip(A, b):
+        g = bj
+        for Aji, yi in zip(Aj, y):
+            g = g + Aji * yi
+        yield g
+
+
 def _dual_columns(spec: ProblemSpec, w, z, xy=None):
     """Dual value d and minimizers x, y from multiplier columns.
 
     w holds J arrays and z holds I arrays, of any shapes that broadcast
-    together.  The arithmetic is elementwise and follows the public updates
-    term by term: x_i is x_update's, y_i is y_update's minimizer at c_i =
-    -z_i + w_0*A_0i + ..., and d = 0.0 + sum value_i(y_i) + sum w_j*g_j +
-    sum z_i*(x_i - y_i) with g_j = b_j + A_j0*y_0 + ....  So every entry
-    has the same bits, whatever batch or grid it sits in, and a term that
-    depends on (w, z_i) only keeps that smaller shape: on a product grid,
-    y_i is computed once per (w, z_i) pair.  xy, when given, is the pair of
-    the I columns of x_update's and y_update's points at (w, z): run()
-    passes the points its step loop stepped with, and only the d sum runs.
-    Without it, x comes from the decision set's linear_argmin_columns and y
-    from each piece's argmin_shifted_batch.  This is the one dual formula:
-    run() records d through it, and the analysis evaluates the dual with
-    it.  Returns d and the lists of x_i and y_i columns.
+    together.  The arithmetic is elementwise, with the public updates'
+    terms: x_i from the decision set's linear_argmin_columns (x_update's
+    x), y_i from _y_columns (y_update's y), and d = 0.0 + sum value_i(y_i)
+    + sum w_j*g_j + sum z_i*(x_i - y_i) with g_j from _constraint_values
+    (the composed step loop's g).  So every entry has the same bits,
+    whatever batch or grid it sits in, and a term that depends on (w, z_i)
+    only keeps that smaller shape: on a product grid, y_i is computed once
+    per (w, z_i) pair.  xy, when given, is the pair of the I columns of
+    x_update's and y_update's points at (w, z): run() passes the points its
+    step loop stepped with, and only the d sum runs.  This is the one dual
+    formula: run() records d through it, and the analysis evaluates the
+    dual with it.  Returns d and the lists of x_i and y_i columns.
     """
     A, b = (m.tolist() for m in spec.constraint_matrix())
     if xy is not None:
         x, y = xy
     else:
-        x, y = spec.decision_set.linear_argmin_columns(z), []
-        for i, (piece, lo, hi) in enumerate(zip(spec.objective.pieces, spec.box.lower.tolist(),
-                                                spec.box.upper.tolist())):
-            c = -z[i]
-            for wj, Aj in zip(w, A):
-                c = c + wj * Aj[i]
-            y.append(piece.argmin_shifted_batch(c, lo, hi))
+        x, y = spec.decision_set.linear_argmin_columns(z), _y_columns(spec, A, w, z)
     d = 0.0
     for piece, yi in zip(spec.objective.pieces, y):
         d = d + piece.values(yi)
-    for wj, Aj, bj in zip(w, A, b):
-        g = bj
-        for Aji, yi in zip(Aj, y):
-            g = g + Aji * yi
+    for wj, g in zip(w, _constraint_values(A, b, y)):
         d = d + wj * g
     for zi, xi, yi in zip(z, x, y):
         d = d + zi * (xi - yi)
@@ -347,17 +354,14 @@ def _kernel():
 
 def _composed_steps(spec, A, b, v, state, rows, start, stop):
     """The step loop without the kernel: x_update and y_update composed
-    with the kernel's g and dual step, in Python floats in its order."""
+    with the dual formula's g and the kernel's dual step, in Python floats
+    in its order."""
     J = len(b)
     w, z = state[:J].tolist(), state[J:].tolist()
     for t in range(start, stop):
         x, y = x_update(spec, z).tolist(), y_update(spec, w, z).tolist()
         rows[t] = w + z + x + y
-        for j, (Aj, bj) in enumerate(zip(A, b)):
-            g = bj
-            for Aji, yi in zip(Aj, y):
-                g = g + Aji * yi
-            w[j] = max(0.0, w[j] + g / v)
+        w = [max(0.0, wj + g / v) for wj, g in zip(w, _constraint_values(A, b, y))]
         z = [zi + (xi - yi) / v for zi, xi, yi in zip(z, x, y)]
     state[:] = w + z
 

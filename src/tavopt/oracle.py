@@ -116,15 +116,14 @@ def _grid_search(spec: ProblemSpec, resolution: float) -> OracleResult:
 
 
 def _simplex_compositions(total: int, parts: int) -> np.ndarray:
-    """All nonnegative integer vectors of the given length summing to total."""
-    combos = itertools.combinations(range(total + parts - 1), parts - 1)
-    out = np.empty((math.comb(total + parts - 1, parts - 1), parts), dtype=float)
-    for r, bars in enumerate(combos):
-        prev = -1
-        for k, bar in enumerate(bars):
-            out[r, k] = bar - prev - 1
-            prev = bar
-        out[r, parts - 1] = total + parts - 2 - prev
+    """All nonnegative integer vectors of the given length summing to total,
+    in increasing lexicographic order: the gaps between parts - 1 bars
+    placed among total + parts - 1 slots, and the two ends."""
+    n, slots = math.comb(total + parts - 1, parts - 1), total + parts - 1
+    bars = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(slots), parts - 1)),
+                       dtype=float, count=n * (parts - 1)).reshape(n, parts - 1)
+    out = np.diff(bars, axis=1, prepend=-1.0, append=float(slots))
+    out -= 1.0
     return out
 
 

@@ -59,12 +59,12 @@ def _as_float_vector(values, name: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # Every piece kind offers the same closed forms: argmin_shifted(c, lo, hi),
-# the minimizer of piece(y) + c*y over [lo, hi]; kernel_params(lo, hi), the
-# numbers (lo and hi first) from which run()'s compiled step loop
-# (step_loop.c) takes the same minimizer each step; argmin_shifted_batch,
-# the same minimizer for an array of c values, equal element by element,
-# from which the engine records y; max_abs_value(lo, hi), a bound on
-# |piece| over [lo, hi].  Its JSON form, {"kind": kind, <fields>}, is read
+# the minimizer of piece(y) + c*y over [lo, hi] for a float c or elementwise
+# for an array of c, the one Python form, which y_update and the dual
+# formula take; kernel_params(lo, hi), the numbers (lo and hi first) from
+# which run()'s compiled step loop (step_loop.c) takes the same minimizer,
+# with the same bits, each step; max_abs_value(lo, hi), a bound on |piece|
+# over [lo, hi].  Its JSON form, {"kind": kind, <fields>}, is read
 # and written from its dataclass fields by tavopt.config.  A new kind is
 # one class here plus its entry in PIECE_KINDS (and a branch in
 # step_loop.c if its minimizer is neither of the kernel's two).
@@ -99,28 +99,19 @@ class QuadraticPiece:
         return max(abs(2.0 * self.curvature * lo + self.slope),
                    abs(2.0 * self.curvature * hi + self.slope))
 
-    def argmin_shifted(self, c: float, lo: float, hi: float) -> float:
-        if self.curvature == 0.0:
-            return lo if self.slope + c >= 0.0 else hi
-        vertex = -(self.slope + c) / (2.0 * self.curvature)
-        if vertex < lo:
-            return lo
-        if vertex > hi:
-            return hi
-        return vertex
-
     def kernel_params(self, lo: float, hi: float) -> tuple:
         # zero curvature is the kernel's linear case: a chain of one slope
         return lo, hi, self.curvature, self.slope
 
-    def argmin_shifted_batch(self, c: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    def argmin_shifted(self, c, lo: float, hi: float) -> np.ndarray:
         if self.curvature == 0.0:
             return np.where(self.slope + c >= 0.0, lo, hi)
         # a subnormal curvature sends the vertex to +-inf, which the clip
-        # maps to the box end just as the scalar form does
+        # maps to the box end, as step_loop.c's comparisons do
         with np.errstate(over="ignore"):
             vertex = -(self.slope + c) / (2.0 * self.curvature)
-        return np.clip(vertex, lo, hi)
+        # the clip method: np.clip's dispatch costs 4 us a call on one c
+        return np.asarray(vertex).clip(lo, hi)
 
     def max_abs_value(self, lo: float, hi: float) -> float:
         cands = [self.value(lo), self.value(hi)]
@@ -208,17 +199,6 @@ class PiecewiseLinearPiece:
         # slopes are monotone, so the extremes sit at the interval ends
         return max(abs(self._slope_right_of(lo)), abs(self._slope_left_of(hi)))
 
-    def argmin_shifted(self, c: float, lo: float, hi: float) -> float:
-        # shifted slopes are nondecreasing: stop at the first nonnegative one
-        if self._slope_right_of(lo) + c >= 0.0:
-            return lo
-        for k, b in enumerate(self.breakpoints):
-            if b >= hi:
-                break
-            if b > lo and self.slopes[k + 1] + c >= 0.0:
-                return b
-        return hi
-
     def kernel_params(self, lo: float, hi: float) -> tuple:
         # zero curvature, then the slope right of lo and each breakpoint
         # inside (lo, hi) followed by the slope right of it
@@ -226,12 +206,15 @@ class PiecewiseLinearPiece:
                  for u in (b, s)]
         return (lo, hi, 0.0, self._slope_right_of(lo), *chain)
 
-    def argmin_shifted_batch(self, c: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    def argmin_shifted(self, c, lo: float, hi: float) -> np.ndarray:
         # k is the first segment whose shifted slope is nonnegative (for
         # doubles s + c >= 0.0 exactly when s >= -c); its left end is the
-        # minimizer, lo for the first segment and hi past the last one
-        k = np.searchsorted(self.slopes, -c, side="left")
-        return np.clip(np.array((lo, *self.breakpoints, hi))[k], lo, hi)
+        # minimizer: lo for the first segment, hi past the last one, and the
+        # box end itself, with its bits, for a breakpoint outside (lo, hi),
+        # which step_loop.c's chain skips
+        bps = np.array(self.breakpoints)
+        ends = np.concatenate(([lo], np.where(bps <= lo, lo, np.where(bps < hi, bps, hi)), [hi]))
+        return ends[np.searchsorted(self.slopes, -c, side="left")]
 
     def max_abs_value(self, lo: float, hi: float) -> float:
         cands = [self.value(lo), self.value(hi)]

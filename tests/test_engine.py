@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -745,6 +746,19 @@ def test_without_a_compiler_run_composes_the_public_updates(reload_kernel, tmp_p
     for name in TRACE_ARRAYS:
         assert bits(getattr(composed, name)) == bits(getattr(compiled, name)), name
     assert composed_err.value.iteration == compiled_err.value.iteration == 10000
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=generated_runs())
+def test_without_a_compiler_generated_specs_give_the_compiled_trace(case):
+    # _kernel() is None exactly when there is no working compiler
+    spec, cfg = case
+    assert tavopt.engine._kernel() is not None
+    compiled = run(spec, cfg)
+    with mock.patch.object(tavopt.engine, "_kernel", lambda: None):
+        composed = run(spec, cfg)
+    for name in TRACE_ARRAYS:
+        assert bits(getattr(composed, name)) == bits(getattr(compiled, name)), name
 
 
 def test_a_failing_compiler_gives_the_composed_updates(reload_kernel, tmp_path, monkeypatch,

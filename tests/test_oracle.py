@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,15 @@ def test_explicit_points_polish_leaves_the_lattice():
     assert np.all(A @ res.argmin + b <= FEASIBILITY_TOL)
     assert res.f_opt == spec.objective.value(res.argmin)
     np.testing.assert_allclose(res.argmin, [0.42, 0.08], atol=1e-9)
+
+
+@pytest.mark.parametrize("total,parts", [(0, 1), (5, 1), (0, 3), (1, 2), (4, 3), (6, 4), (3, 6)])
+def test_simplex_compositions_are_every_composition_in_order(total, parts):
+    expected = sorted(p for p in itertools.product(range(total + 1), repeat=parts)
+                      if sum(p) == total)
+    got = _simplex_compositions(total, parts)
+    assert got.shape == (len(expected), parts) and got.dtype == float
+    assert got.tolist() == [list(p) for p in expected]
 
 
 def test_explicit_points_single_point():

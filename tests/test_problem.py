@@ -6,7 +6,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tavopt import (
@@ -46,14 +46,24 @@ def shifted_value(piece, c, y):
     return piece.value(y) + c * y
 
 
-def assert_batch_forms_agree(piece, c, lo, hi, slopes):
-    """The batch minimizer equals the scalar one element by element (on c,
-    on the tie points c = -slope and on a sweep), and max_abs_value bounds
-    the scanned |piece|."""
+def kernel_argmin(piece, cs, lo, hi):
+    """The compiled step loop's minimizer of piece(y) + c*y on [lo, hi] at
+    each c of cs, one c at a time: one run() step of a spec with one
+    coordinate per c, no constraints and z = -c, so that the loop's c = -z
+    is c, signed zeros included."""
+    grid = GridProduct(((lo, hi),) * len(cs))
+    spec = ProblemSpec(decision_set=grid, box=tight_box(grid),
+                       objective=SeparableConvexObjective((piece,) * len(cs)))
+    return run(spec, SolverConfig(v=1.0, horizon=1, initial_z=[-c for c in cs])).y[0]
+
+
+def assert_forms_agree(piece, c, lo, hi, slopes):
+    """argmin_shifted on an array of c equals the compiled step loop's
+    minimizer bit for bit (on c, on the tie points c = -slope and on a
+    sweep), and max_abs_value bounds the scanned |piece|."""
     cs = np.concatenate([[c], -np.asarray(slopes, dtype=float),
                          np.linspace(-12.0, 12.0, 49)])
-    expected = np.array([piece.argmin_shifted(float(u), lo, hi) for u in cs])
-    np.testing.assert_array_equal(piece.argmin_shifted_batch(cs, lo, hi), expected)
+    assert bits(piece.argmin_shifted(cs, lo, hi)) == bits(kernel_argmin(piece, cs, lo, hi))
     scanned = float(np.max(np.abs(piece.values(np.linspace(lo, hi, 4001)))))
     assert piece.max_abs_value(lo, hi) >= scanned - 1e-12 * max(1.0, scanned)
 
@@ -67,10 +77,10 @@ def assert_batch_forms_agree(piece, c, lo, hi, slopes):
 def test_linear_piece_argmin_matches_scan(slope, c, lo, width):
     piece = LinearPiece(slope=slope)
     hi = lo + width
-    y = piece.argmin_shifted(c, lo, hi)
+    y = float(piece.argmin_shifted(c, lo, hi))
     assert lo <= y <= hi
     assert shifted_value(piece, c, y) <= scan_min(piece, c, lo, hi) + 1e-9
-    assert_batch_forms_agree(piece, c, lo, hi, [slope])
+    assert_forms_agree(piece, c, lo, hi, [slope])
 
 
 @given(curv=st.floats(0.0, 5.0), slope=finite_floats, c=finite_floats,
@@ -78,21 +88,22 @@ def test_linear_piece_argmin_matches_scan(slope, c, lo, width):
 def test_quadratic_piece_argmin_matches_scan(curv, slope, c, lo, width):
     piece = QuadraticPiece(curvature=curv, slope=slope)
     hi = lo + width
-    y = piece.argmin_shifted(c, lo, hi)
+    y = float(piece.argmin_shifted(c, lo, hi))
     assert lo <= y <= hi
     assert shifted_value(piece, c, y) <= scan_min(piece, c, lo, hi) + 1e-9
-    assert_batch_forms_agree(piece, c, lo, hi, [slope])
+    assert_forms_agree(piece, c, lo, hi, [slope])
 
 
 def test_quadratic_batch_with_subnormal_curvature_matches_scalar():
-    # the vertex overflows to +-inf before the clip; the batch form must not
-    # warn, and must return what the scalar form returns
+    # the vertex overflows to +-inf before the clip; the array form must not
+    # warn, and must return what the step loop's scalar code returns
     piece = QuadraticPiece(curvature=5e-324, slope=1.0)
     cs = np.array([1.0, -2.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        got = piece.argmin_shifted_batch(cs, 0.0, 3.0)
-    np.testing.assert_array_equal(got, [piece.argmin_shifted(float(c), 0.0, 3.0) for c in cs])
+        got = piece.argmin_shifted(cs, 0.0, 3.0)
+        one = [piece.argmin_shifted(c, 0.0, 3.0) for c in cs.tolist()]
+    assert bits(got) == bits(one) == bits(kernel_argmin(piece, cs, 0.0, 3.0))
     np.testing.assert_array_equal(got, [0.0, 3.0])
 
 
@@ -106,21 +117,25 @@ def test_quadratic_batch_with_subnormal_curvature_matches_scalar():
     PiecewiseLinearPiece((), (-0.0,)),      # no breakpoints
     PiecewiseLinearPiece((), (0.5,)),
     PiecewiseLinearPiece((-3.0, 2.0), (-1.0, 0.3, 2.0)),  # none inside any box
+    # a breakpoint at a box end of the other sign: the box end's bits
+    PiecewiseLinearPiece((-0.0,), (0.0, 1.0)),
+    PiecewiseLinearPiece((0.0,), (-1.0, 1.0)),
     # 3000 breakpoints inside the box
     pytest.param(PiecewiseLinearPiece(tuple(np.linspace(-0.999, 0.999, 3000)),
                                       tuple(np.linspace(-2.5, 2.5, 3001))),
                  id="PiecewiseLinearPiece(3000 breakpoints)"),
 ], ids=repr)
 def test_extreme_pieces_give_the_scalar_bits(piece):
-    # the batch form against argmin_shifted, bit for bit, with signed zeros
-    # on both sides of the box's interior; run() meets the same pieces in
-    # test_engine's PIECEWISE_EDGES and EXTREME_PIECES
+    # argmin_shifted on an array of c against the step loop's scalar code,
+    # bit for bit, with signed zeros on both sides of the box's interior;
+    # run() meets most of these pieces in test_engine's PIECEWISE_EDGES and
+    # EXTREME_PIECES
     cs = [-2.0, -1.0, -0.5, -0.3, -0.0, 0.0, 0.3, 0.5, 1.0, 2.0, 5e-324, -5e-324]
     for lo, hi in ((-1.0, 1.0), (0.0, 1.0), (-1.0, -0.0)):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = piece.argmin_shifted_batch(np.array(cs), lo, hi)
-        assert bits(got) == bits([piece.argmin_shifted(c, lo, hi) for c in cs])
+            got = piece.argmin_shifted(np.array(cs), lo, hi)
+        assert bits(got) == bits(kernel_argmin(piece, cs, lo, hi))
 
 
 def test_linear_piece_is_the_zero_curvature_quadratic():
@@ -162,12 +177,13 @@ def pwl_pieces(draw):
 @settings(max_examples=200)
 @given(piece=pwl_pieces(), c=finite_floats,
        lo=st.floats(-5.0, 4.0), width=st.floats(0.01, 8.0))
+@example(piece=PiecewiseLinearPiece((-1.0, -0.0), (0.0, 0.0, 1.0)), c=0.0, lo=0.0, width=1.0)
 def test_pwl_piece_argmin_matches_scan(piece, c, lo, width):
     hi = lo + width
-    y = piece.argmin_shifted(c, lo, hi)
+    y = float(piece.argmin_shifted(c, lo, hi))
     assert lo <= y <= hi
     assert shifted_value(piece, c, y) <= scan_min(piece, c, lo, hi) + 1e-9
-    assert_batch_forms_agree(piece, c, lo, hi, piece.slopes)
+    assert_forms_agree(piece, c, lo, hi, piece.slopes)
 
 
 @given(piece=pwl_pieces())
@@ -184,7 +200,7 @@ def test_pwl_hand_values():
     assert piece.value(-1.0) == 1.0
     assert piece.max_abs_derivative(-1.0, 1.0) == 2.0
     # right slope applies when the interval starts exactly at the kink
-    assert piece.argmin_shifted(0.0, 0.0, 1.0) == 0.0
+    assert piece.argmin_shifted(0.0, 0.0, 1.0) == kernel_argmin(piece, [0.0], 0.0, 1.0)[0] == 0.0
     assert piece.max_abs_derivative(0.0, 1.0) == 2.0
 
 
