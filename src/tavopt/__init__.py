@@ -5,8 +5,9 @@ sequence whose running average minimizes a convex separable objective subject
 to affine constraints on the average.  The engine runs a fixed-step dual
 subgradient iteration whose primal time averages converge to the optimum;
 the analysis layer estimates the dual maximizer, detects the transient and
-steady-state phases, and evaluates the convergence bounds; brute-force
-oracles provide independent reference optima.
+steady-state phases, and evaluates the convergence bounds; an
+interior-point solve gives the exact optimum and multipliers, and
+brute-force oracles cross-check it.
 """
 
 from .analysis import (
@@ -41,7 +42,8 @@ from .engine import (
     x_update,
     y_update,
 )
-from .oracle import InfeasibilityError, OracleResult, solve_reference, solve_reference_lp
+from .oracle import (ExactSolution, InfeasibilityError, OracleResult, solve_exact, solve_reference,
+                     solve_reference_lp)
 from .problem import (
     AffineConstraint,
     DecisionSet,

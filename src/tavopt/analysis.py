@@ -2,9 +2,10 @@
 certificates, transient/steady-state phase detection, and evaluation of the
 convergence bounds that the averaged iterates are expected to satisfy.
 
-The true maximizer of the dual function is never assumed known.  Every
-diagnostic runs against an estimate with an explicit residual, and region
-radii get twice the residual added as estimation slack.
+Every diagnostic runs against a multiplier estimate with an explicit
+residual, f_opt - d(estimate), where f_opt comes from the exact solve of
+tavopt.oracle; region radii get twice the residual added as estimation
+slack.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from typing import Optional
 import numpy as np
 
 from .engine import RunTrace, SolverConfig, _dual_columns, run
-from .problem import ProblemSpec, evaluate_constraints, squared_norm_bound
+from .oracle import solve_exact
+from .problem import ProblemSpec, evaluate_constraints
 
 __all__ = [
     "BoundSet",
@@ -45,13 +47,10 @@ __all__ = [
 # face, i.e. a possibly non-unique multiplier.
 NONUNIQUE_DECAY_TOL = 5e-4
 
-# Multiplier estimation: largest accepted probe residual, the grid ascent's
-# final spacing, the share of a tail-average run that is averaged, and the
-# number of random residual probes.
+# Multiplier estimation: largest accepted residual, and the share of a
+# tail-average run that is averaged.
 _RESIDUAL_THRESHOLD = 1e-2
-_RESOLUTION_TARGET = 1e-4
 _TAIL_FRACTION = 0.2
-_PROBE_COUNT = 256
 
 # Sharpness estimation: probe distance from the estimate and ray count.
 _SHARPNESS_DISTANCE = 0.1
@@ -175,7 +174,7 @@ class BoundSet:
 
 @dataclass(frozen=True)
 class MultiplierEstimate:
-    """An estimated dual maximizer with a probe-based quality residual."""
+    """An estimated dual maximizer with its residual f_opt - d(lam)."""
 
     lam: np.ndarray
     j_dim: int
@@ -193,70 +192,6 @@ def _project_dual(lam: np.ndarray, j_dim: int) -> np.ndarray:
     out = np.array(lam, dtype=float)
     out[..., :j_dim] = np.maximum(0.0, out[..., :j_dim])
     return out
-
-
-def default_search_region(spec: ProblemSpec) -> float:
-    """Heuristic max-norm bound for the dual search."""
-    bound = spec.objective.max_abs_value(spec.box.lower, spec.box.upper)
-    return 10.0 * (squared_norm_bound(spec) + bound)
-
-
-def _grid_dual_max(spec: ProblemSpec, region: float, center_shift: float = 0.0):
-    """(lam, d(lam)): the end of a coarse-to-fine grid ascent of the dual,
-    started center_shift * region off the region's centre."""
-    J = spec.constraint_count
-    I = spec.dimension
-    dims = J + I
-    points_per_dim = 9 if dims <= 4 else (7 if dims == 5 else 5)
-    center = np.concatenate([np.full(J, region / 2.0), np.zeros(I)])
-    center += center_shift * region * np.cos(np.arange(1, dims + 1))
-    center[:J] = np.maximum(0.0, center[:J])
-    half = np.concatenate([np.full(J, region / 2.0), np.full(I, region)])
-
-    best_lam = None
-    best_d = -np.inf
-    for _ in range(80):
-        # one broadcast view per axis of the product grid
-        axes = []
-        for k in range(dims):
-            lo = center[k] - half[k]
-            hi = center[k] + half[k]
-            if k < J:
-                lo = max(0.0, lo)
-                hi = max(hi, lo)
-            shape = [1] * dims
-            shape[k] = points_per_dim
-            axes.append(np.linspace(lo, hi, points_per_dim).reshape(shape))
-        d, _, _ = _dual_columns(spec, axes[:J], axes[J:])
-        k = np.unravel_index(np.argmax(d), d.shape)
-        if d[k] > best_d:
-            best_d = float(d[k])
-            best_lam = np.array([axis.flat[i] for axis, i in zip(axes, k)])
-        spacing = 2.0 * half / (points_per_dim - 1)
-        center = best_lam.copy()
-        half = 1.5 * spacing
-        if np.max(spacing) <= _RESOLUTION_TARGET:
-            break
-    return best_lam, best_d
-
-
-def _residual_probes(spec: ProblemSpec, lam_hat, region: float, seed: int, extra=None):
-    """(residual, d(lam_hat)): how far the best probe's dual value rises above
-    the estimate's, clipped at zero.  lam_hat is row 0 of the probe batch; it
-    lies in the dual domain, so the projection leaves it as it is."""
-    rng = np.random.default_rng(seed)
-    dims = lam_hat.shape[0]
-    blocks = [lam_hat[None, :]]
-    n_uni = _PROBE_COUNT // 2
-    blocks.append(rng.uniform(-region, region, size=(n_uni, dims)))
-    for scale in (1e-3, 1e-2, 1e-1, 1.0):
-        blocks.append(lam_hat + scale * rng.standard_normal(((_PROBE_COUNT - n_uni) // 4 + 1,
-                                                            dims)))
-    if extra is not None and len(extra):
-        blocks.append(np.atleast_2d(extra))
-    D, _, _ = dual_function_batch(spec, _project_dual(np.vstack(blocks), spec.constraint_count))
-    d_hat = float(D[0])
-    return max(0.0, float(np.max(D)) - d_hat), d_hat
 
 
 def _flat_direction_candidates(spec: ProblemSpec, lam_hat: np.ndarray,
@@ -286,7 +221,7 @@ def _flat_direction_candidates(spec: ProblemSpec, lam_hat: np.ndarray,
 
 def minimal_decay_rate(spec: ProblemSpec, lam_hat: np.ndarray, j_dim: int,
                        distances: tuple = (0.1,), n_probes: int = 2048,
-                       seed: int = 0, extra_directions=None) -> float:
+                       seed: int = 0) -> float:
     """Smallest probed decrease of the dual per unit distance from lam_hat,
     over all the given probe distances.
 
@@ -301,8 +236,6 @@ def minimal_decay_rate(spec: ProblemSpec, lam_hat: np.ndarray, j_dim: int,
     dirs = rng.standard_normal((n_probes, dims))
     dirs = np.vstack([dirs, np.eye(dims), -np.eye(dims)])
     dirs = np.vstack([dirs, _flat_direction_candidates(spec, lam_hat, j_dim, seed)])
-    if extra_directions is not None and len(extra_directions):
-        dirs = np.vstack([dirs, np.atleast_2d(extra_directions)])
     dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
     d_hat, _, _ = dual_function(spec, lam_hat[:j_dim], lam_hat[j_dim:])
 
@@ -373,17 +306,18 @@ def estimate_multiplier(spec: ProblemSpec, method: str = "grid-dual-max", *,
                         tail_horizon: int = 1_000_000) -> MultiplierEstimate:
     """Estimate the dual maximizer.
 
-    tail-average runs the engine with a 10x larger V and averages the dual
-    trajectory over its final stretch; grid-dual-max runs two coarse-to-fine
-    grid ascents of the dual over a bounded region, from its centre and from
-    a shifted one, and takes the end with the higher dual value.  The
-    residual reports the largest probed dual value above the estimate
-    (clipped at zero) and must stay below 1e-2.
+    grid-dual-max (the name is kept) is now exact: it takes the multipliers
+    of oracle.solve_exact.  tail-average runs the engine with a 10x larger
+    V and averages the dual trajectory over its final stretch.  For both,
+    the residual is f_opt - d(estimate) with f_opt from solve_exact,
+    clipped at zero; it must stay below 1e-2, and d(estimate) may exceed
+    f_opt by no more than 1e-9 * max(1, |f_opt|), where the solver's
+    f(y*) and the engine's dual meet.
     """
+    if method not in ("grid-dual-max", "tail-average"):
+        raise ValueError(f"unknown estimation method {method!r}")
     J = spec.constraint_count
-    reg = default_search_region(spec)
-    extra_probes = None
-
+    exact = solve_exact(spec)
     if method == "tail-average":
         # the head is only stepped through, in runs no longer than the tail,
         # each starting from the state the one before ended in
@@ -396,35 +330,25 @@ def estimate_multiplier(spec: ProblemSpec, method: str = "grid-dual-max", *,
         rows = run(spec, SolverConfig(v=10.0 * v, horizon=tail, initial_w=w,
                                       initial_z=z)).lambda_path[:-1]
         lam_hat = _project_dual(rows.mean(axis=0), J)
-        extra_probes = rows[::max(1, tail // 512)]
-    elif method == "grid-dual-max":
-        # two ascents, the second from a shifted centre; the one that ends
-        # higher gives the estimate (a tie keeps the first), and the offset
-        # to the other end is a flat-face candidate below
-        (lam_hat, d_hat), (alt, d_alt) = (_grid_dual_max(spec, reg, s) for s in (0.0, 0.31))
-        if d_alt > d_hat:
-            lam_hat, alt = alt, lam_hat
     else:
-        raise ValueError(f"unknown estimation method {method!r}")
+        lam_hat = exact.lam
 
-    residual, d_value = _residual_probes(spec, lam_hat, reg, seed, extra=extra_probes)
+    d_value, _, _ = dual_function(spec, lam_hat[:J], lam_hat[J:])
+    if d_value > exact.f_opt + 1e-9 * max(1.0, abs(exact.f_opt)):
+        raise EstimationError(f"weak duality fails: d = {d_value!r} at the {method} estimate "
+                              f"exceeds the exact optimum {exact.f_opt!r}")
+    residual = max(0.0, exact.f_opt - d_value)
     if residual > _RESIDUAL_THRESHOLD:
         raise EstimationError(
             f"{method} estimate has residual {residual:.3g} above threshold "
             f"{_RESIDUAL_THRESHOLD:.3g}")
 
     # A flat optimal face means the maximizer is not unique.  Candidate flat
-    # directions come from the decay probes themselves and, for the grid
-    # method, from the offset to the other ascent's end (which can land
-    # elsewhere on a flat face); each candidate is verified by its probed
-    # decay rate.  Faces shorter than the probe distances can go undetected.
-    extra_dirs = []
-    if method == "grid-dual-max":
-        gap = float(np.linalg.norm(alt - lam_hat))
-        if gap > 10.0 * _RESOLUTION_TARGET:
-            extra_dirs.append((alt - lam_hat) / gap)
+    # directions come from the decay probes themselves; each candidate is
+    # verified by its probed decay rate.  Faces shorter than the probe
+    # distances can go undetected.
     decay = minimal_decay_rate(spec, lam_hat, J, distances=(0.1, 0.05), seed=seed,
-                               n_probes=512, extra_directions=extra_dirs)
+                               n_probes=512)
     nonunique = bool(decay < NONUNIQUE_DECAY_TOL)
 
     lam_hat = lam_hat.copy()

@@ -11,7 +11,6 @@ Problem instances are JSON files; tavopt.config holds their schema.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -23,7 +22,7 @@ from . import analysis
 from .config import parse_problem_config
 from .engine import (NumericError, SolverConfig, run, staggered_average, write_table,
                      write_trace_csv)
-from .oracle import InfeasibilityError, solve_reference, solve_reference_lp
+from .oracle import InfeasibilityError, solve_exact, solve_reference, solve_reference_lp
 from .problem import (
     AffineConstraint,
     GridProduct,
@@ -48,6 +47,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
 EXIT_CHECK_FAILED = 3
+
+# Resolution of reproduce's grid-oracle cross-check, f_opt_oracle_grid.
+_ORACLE_RESOLUTION = 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +106,6 @@ class ExperimentConfig:
     figure: Optional[int] = None
     method: str = "grid-dual-max"
     geometry: str = "both"
-    oracle_resolution: float = 0.01
     log_every: int = 1
 
     def __post_init__(self):
@@ -122,8 +123,6 @@ class ExperimentConfig:
             raise ValueError("V values must be distinct")
         if self.log_every < 1:
             raise ValueError("log_every must be >= 1")
-        if not 0.0 < self.oracle_resolution < math.inf:
-            raise ValueError("--oracle-resolution must be a positive finite number")
 
 
 def _load_spec(cfg: ExperimentConfig) -> ProblemSpec:
@@ -164,19 +163,9 @@ def _do_solve(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _reference_optimum(spec: ProblemSpec, resolution: float, grid_oracle=None) -> float:
-    """The optimum that accuracy is measured against: the LP oracle's exact
-    vertex value when every piece is linear on a grid set, else the grid
-    oracle's at resolution (grid_oracle, when the caller already has it)."""
-    if (isinstance(spec.decision_set, GridProduct)
-            and all(isinstance(p, LinearPiece) for p in spec.objective.pieces)):
-        return solve_reference_lp(spec).f_opt
-    return (solve_reference(spec, resolution) if grid_oracle is None else grid_oracle).f_opt
-
-
 def _do_sweep(cfg: ExperimentConfig) -> int:
     spec = _load_spec(cfg)
-    f_opt = _reference_optimum(spec, cfg.oracle_resolution)
+    f_opt = solve_exact(spec).f_opt
     os.makedirs(cfg.out_dir, exist_ok=True)
     vs = np.array(cfg.v_list)
     epss = 0.01 * 100.0 / vs
@@ -277,8 +266,11 @@ def _do_reproduce(cfg: ExperimentConfig) -> int:
         objective, extra, geometry, fixed_start = FIGURE_SETUPS[fig]
         spec = reference_instance(objective, extra)
         trace = run(spec, SolverConfig(v=v, horizon=cfg.horizon))
-        grid_oracle = solve_reference(spec, cfg.oracle_resolution)
-        f_opt = _reference_optimum(spec, cfg.oracle_resolution, grid_oracle)
+        f_opt = solve_exact(spec).f_opt
+        # the brute-force references, as independent cross-checks
+        oracles = {"f_opt_oracle_grid": solve_reference(spec, _ORACLE_RESOLUTION).f_opt}
+        if objective == "linear":
+            oracles["f_opt_oracle_lp"] = solve_reference_lp(spec).f_opt
         estimate, _, bounds = _estimate_bounds(spec, cfg)
         report = analysis.phase_detect(trace, estimate, bounds, geometry)
         detected = report.t_hit if report.t_hit is not None else 0
@@ -323,16 +315,13 @@ def _do_reproduce(cfg: ExperimentConfig) -> int:
             "detected_t_hit": report.t_hit,
             "absorbed": report.absorbed,
             "multiplier_possibly_nonunique": estimate.possibly_nonunique,
-            "f_opt_oracle_grid": grid_oracle.f_opt,
-        }
-        if objective == "linear":
-            fields["f_opt_oracle_lp"] = f_opt
-        fields.update({
+            "f_opt_exact": f_opt,
+            **oracles,
             "f_xbar_final": f_final,
             "max_violation_final": float(np.max(g_final)) if J else 0.0,
             "csv": fig_csv,
             "check": "PASS" if ok else "FAIL",
-        })
+        }
         _write_summary(os.path.join(cfg.out_dir, f"figure{fig}_summary.txt"), fields)
         print(f"figure {fig}: {'PASS' if ok else 'FAIL'} "
               f"(f_final={f_final:.4f}, f_opt={f_opt:.4f})")
@@ -356,7 +345,6 @@ _FLAGS = {
     "--horizon": dict(type=int),
     "--seed": dict(type=int),
     "--log-every": dict(type=int, help="write every k-th trace row"),
-    "--oracle-resolution": dict(type=float),
     "--method": dict(choices=["grid-dual-max", "tail-average"]),
     "--geometry": dict(choices=["polyhedral", "smooth", "both"]),
     "--figure": dict(type=int, choices=sorted(FIGURE_SETUPS)),
@@ -367,12 +355,12 @@ _MODES = {
     "solve": ("one run, trace CSV + summary",
               ("--problem", "--out", "--V", "--horizon", "--log-every")),
     "sweep": ("iterations-to-accuracy over a V list",
-              ("--problem", "--out", "--V", "--horizon", "--oracle-resolution")),
+              ("--problem", "--out", "--V", "--horizon")),
     "diagnose": ("multiplier estimate and certificates",
                  ("--problem", "--out", "--V", "--horizon", "--seed", "--method",
                   "--geometry")),
     "reproduce": ("bundled demo instances, per-figure CSVs",
-                  ("--out", "--V", "--horizon", "--seed", "--figure", "--oracle-resolution")),
+                  ("--out", "--V", "--horizon", "--seed", "--figure")),
 }
 
 

@@ -1,9 +1,11 @@
-"""Independent brute-force reference solvers for desk-scale verification.
+"""Reference solvers of the hull-relaxed problem, independent of the engine.
 
-These deliberately share no machinery with the iterative engine: the grid
-oracle scans the hull of the decision set directly, and the LP oracle
-enumerates polytope vertices.  Both exist to cross-check the solver and each
-other.
+solve_exact gives the optimum and its Lagrange multipliers by a primal-dual
+interior-point method; accuracy is measured against it and the multiplier
+estimate is judged by it.  Two brute-force references cross-check it: the
+grid oracle scans the hull of the decision set directly, and the LP oracle
+enumerates polytope vertices.  None shares machinery with the iterative
+engine.
 """
 
 from __future__ import annotations
@@ -14,11 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import ExplicitPoints, GridProduct, LinearPiece, ProblemSpec
+from .problem import ExplicitPoints, GridProduct, LinearPiece, PiecewiseLinearPiece, ProblemSpec
 
 __all__ = [
     "OracleResult",
+    "ExactSolution",
     "InfeasibilityError",
+    "solve_exact",
     "solve_reference",
     "solve_reference_lp",
     "FEASIBILITY_TOL",
@@ -28,9 +32,18 @@ FEASIBILITY_TOL = 1e-9
 
 _MAX_GRID_POINTS = 4_000_000
 
+# Interior-point stop: each residual entry relative to the summed magnitudes
+# of its terms, and the complementarity relative to the objective, below this.
+_IPM_TOL = 1e-12
+_IPM_MAX_ITER = 100
+# Least depth, per unit of a row's largest coefficient, by which some hull
+# point holds every constraint row in the final solve.
+_IPM_MARGIN = 1e-11
+
 
 class InfeasibilityError(RuntimeError):
-    """No feasible candidate found (resolution too coarse or problem infeasible)."""
+    """No feasible point: the problem is infeasible (or, for the brute-force
+    searches, the resolution too coarse)."""
 
 
 @dataclass(frozen=True)
@@ -39,6 +52,13 @@ class OracleResult:
     argmin: np.ndarray
     grid_resolution: float
     certificate: float  # max positive constraint violation at argmin
+
+
+@dataclass(frozen=True)
+class ExactSolution:
+    f_opt: float
+    argmin: np.ndarray  # x* (= y*)
+    lam: np.ndarray  # (w*, z*), a maximizer of the dual, in dual_function's order
 
 
 def _best_feasible(spec: ProblemSpec, points: np.ndarray):
@@ -250,3 +270,157 @@ def solve_reference_lp(spec: ProblemSpec) -> OracleResult:
     point = ties[order[0]].copy()
     return OracleResult(f_opt=float(best), argmin=point, grid_resolution=0.0,
                         certificate=_certificate(spec, point))
+
+
+def _interior_point(Q, c, G, h, E, e):
+    """(v, lam, nu) of min 0.5 v.Qv + c.v subject to Gv <= h (multipliers
+    lam) and Ev = e (multipliers nu), by Mehrotra's predictor-corrector
+    from an infeasible start: one KKT matrix per iteration, solved for the
+    predictor and then for the corrector."""
+    n, m, p = len(c), len(h), len(e)
+    v, s, lam, nu = np.zeros(n), np.ones(m), np.ones(m), np.zeros(p)
+    aQ, aG, aE = np.abs(Q), np.abs(G), np.abs(E)
+    for _ in range(_IPM_MAX_ITER):
+        r_d = Q @ v + c + G.T @ lam + E.T @ nu
+        r_p, r_e = G @ v + s - h, E @ v - e
+        gap = lam @ s
+        # each residual entry against the sum of its terms' magnitudes
+        av = np.abs(v)
+        if (_negligible(r_d, aQ @ av + np.abs(c) + aG.T @ np.abs(lam) + aE.T @ np.abs(nu))
+                and _negligible(r_p, aG @ av + np.abs(h)) and _negligible(r_e, aE @ av + np.abs(e))
+                and _negligible(gap, abs(v @ (0.5 * Q @ v + c)))):
+            return v, lam, nu
+        ratio = lam / s
+        K = np.block([[Q + G.T @ (ratio[:, None] * G), E.T], [E, np.zeros((p, p))]])
+
+        def direction(r_c):
+            # the Newton step towards lam * s = r_c's target, with ds and
+            # dlam eliminated
+            q = (lam * r_p - r_c) / s
+            step = np.linalg.solve(K, np.concatenate([-r_d - G.T @ q, -r_e]))
+            dv = step[:n]
+            return dv, -r_p - G @ dv, ratio * (G @ dv) + q, step[n:]
+
+        def longest(ds, dl):
+            # the largest step in (0, 1] that keeps s and lam nonnegative
+            cur, dirs = np.concatenate([s, lam]), np.concatenate([ds, dl])
+            with np.errstate(over="ignore"):  # a subnormal direction allows any step
+                return min(1.0, np.min(-cur[dirs < 0.0] / dirs[dirs < 0.0], initial=np.inf))
+
+        dv, ds, dl, dn = direction(lam * s)
+        a = longest(ds, dl)
+        sigma = ((s + a * ds) @ (lam + a * dl) / gap) ** 3 if gap > 0.0 else 0.0
+        dv, ds, dl, dn = direction(lam * s + ds * dl - sigma * gap / max(m, 1))
+        a = min(1.0, 0.99 * longest(ds, dl))
+        v, s, lam, nu = v + a * dv, s + a * ds, lam + a * dl, nu + a * dn
+    raise ValueError(f"interior-point solve did not converge in {_IPM_MAX_ITER} iterations")
+
+
+def _negligible(residual, scale) -> bool:
+    return bool(np.all(np.abs(residual) <= _IPM_TOL * np.maximum(1.0, scale)))
+
+
+def _relaxation(spec: ProblemSpec, A, b, phase_one: bool = False):
+    """(Q, c, G, h, E, e) of the hull-relaxed problem over v = (y, t, u),
+    or of its phase-one problem over v = (y, u, s).
+
+    x = x0 + M u is the hull point: u in [0, 1]^I with M = diag(hi - lo)
+    for a grid's hull box, u on the simplex with M = P^T for explicit
+    points P.  The rows of G are the constraints A y + b <= 0 first
+    (A y + b <= s in phase one), then one per slope of each
+    piecewise-linear piece, whose epigraph variable t lies on or above it,
+    then the hull's.  The rows of E are x - y = 0 first, so that their
+    multipliers are z, then the simplex's.  y is not held to the box: y = x
+    lies in the hull, which the box contains.  Phase one minimizes s and
+    has no pieces.
+    """
+    I, J = spec.dimension, len(b)
+    ds = spec.decision_set
+    if isinstance(ds, GridProduct):
+        lo, hi = ds.hull_bounds()
+        M, x0 = np.diag(hi - lo), lo
+        hull_G, hull_h = np.vstack([-np.eye(I), np.eye(I)]), np.repeat([0.0, 1.0], I)
+        simplex = np.zeros((0, I))
+    else:
+        M, x0 = ds.points.T, np.zeros(I)
+        hull_G, hull_h = -np.eye(M.shape[1]), np.zeros(M.shape[1])
+        simplex = np.ones((1, M.shape[1]))
+    pwl = [] if phase_one else [i for i, p in enumerate(spec.objective.pieces)
+                                if isinstance(p, PiecewiseLinearPiece)]
+    T, U = len(pwl), M.shape[1]
+    n = I + T + U + phase_one
+    cols = slice(I + T, I + T + U)
+
+    Q, c = np.zeros((n, n)), np.zeros(n)
+    rows = [np.hstack([A, np.zeros((J, n - I))])]
+    h = [-b]
+    if phase_one:
+        rows[0][:, -1], c[-1] = -1.0, 1.0
+    else:
+        for i, piece in enumerate(spec.objective.pieces):
+            if not isinstance(piece, PiecewiseLinearPiece):
+                Q[i, i], c[i] = 2.0 * piece.curvature, piece.slope
+    for k, i in enumerate(pwl):
+        piece = spec.objective.pieces[i]
+        # each segment's line, through the segment's left end (the first
+        # segment's through its right end, or through 0 without breakpoints)
+        anchors = piece.breakpoints[:1] + piece.breakpoints or (0.0,)
+        seg = np.zeros((len(piece.slopes), n))
+        seg[:, i], seg[:, I + k] = piece.slopes, -1.0
+        rows.append(seg)
+        h.append([s * a - piece.value(a) for s, a in zip(piece.slopes, anchors)])
+        c[I + k] = 1.0
+    rows.append(np.zeros((len(hull_h), n)))
+    rows[-1][:, cols] = hull_G
+    h.append(hull_h)
+
+    E = np.zeros((I + len(simplex), n))
+    E[:I, :I], E[:I, cols], E[I:, cols] = -np.eye(I), M, simplex
+    return Q, c, np.vstack(rows), np.concatenate(h), E, np.concatenate([-x0, np.ones(len(simplex))])
+
+
+def solve_exact(spec: ProblemSpec) -> ExactSolution:
+    """Optimum, minimizer and multipliers of the hull-relaxed problem
+    min sum_i f_i(y_i) subject to A y + b <= 0, y = x, x in the hull.
+
+    One interior-point solve (see _relaxation for the formulation), after a
+    phase-one solve when constraints cross the hull's box: the smallest s
+    with A x + b <= s on the hull, rows scaled to max-norm 1, must be at
+    most FEASIBILITY_TOL, or the spec raises InfeasibilityError; a positive
+    s below it relaxes the constraints by s, as the brute-force references
+    accept such points.  f_opt is the objective at y*.  lam holds the multipliers w* of the
+    constraints and z* of y = x: a maximizer of the dual, since strong
+    duality holds for this convex problem with affine constraints.
+    """
+    I, J = spec.dimension, spec.constraint_count
+    A, b = spec.constraint_matrix()
+    # each row's least and largest value on the hull's bounding box: a row
+    # above FEASIBILITY_TOL all over it is infeasible, and one at most
+    # FEASIBILITY_TOL all over it holds as the brute-force references count
+    # it, so it is dropped with multiplier 0
+    lo, hi = spec.decision_set.hull_bounds()
+    least = np.minimum(A * lo, A * hi).sum(axis=1) + b
+    if np.any(least > FEASIBILITY_TOL):
+        raise InfeasibilityError(f"infeasible: constraint {int(np.argmax(least))} "
+                                 "is violated on the whole hull")
+    keep = np.flatnonzero(np.maximum(A * lo, A * hi).sum(axis=1) + b > FEASIBILITY_TOL)
+    # the kept rows scaled to max-norm 1, so that the phase-one s is a
+    # violation per unit coefficient and every row's residual counts alike
+    norms = np.abs(A[keep]).max(axis=1)
+    A, b = A[keep] / norms[:, None], b[keep] / norms
+    Q, c, G, h, E, e = _relaxation(spec, A, b)
+    if len(keep):
+        s = _interior_point(*_relaxation(spec, A, b, phase_one=True))[0][-1]
+        if s > FEASIBILITY_TOL:
+            raise InfeasibilityError(
+                f"infeasible: every hull point violates a constraint by at least {s:.3g} "
+                "per unit of its largest coefficient")
+        # relaxed, if need be, so that some hull point holds every row with
+        # _IPM_MARGIN to spare: without such a point the multipliers can
+        # grow without bound
+        h[:len(keep)] += max(s + _IPM_MARGIN, 0.0)
+    v, lam, nu = _interior_point(Q, c, G, h, E, e)
+    w = np.zeros(J)
+    w[keep] = lam[:len(keep)] / norms
+    return ExactSolution(f_opt=spec.objective.value(v[:I]), argmin=v[:I],
+                         lam=np.concatenate([w, nu[:I]]))

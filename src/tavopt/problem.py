@@ -63,10 +63,9 @@ def _as_float_vector(values, name: str) -> np.ndarray:
 # for an array of c, the one Python form, which y_update and the dual
 # formula take; kernel_params(lo, hi), the numbers (lo and hi first) from
 # which run()'s compiled step loop (step_loop.c) takes the same minimizer,
-# with the same bits, each step; max_abs_value(lo, hi), a bound on |piece|
-# over [lo, hi].  Its JSON form, {"kind": kind, <fields>}, is read
-# and written from its dataclass fields by tavopt.config.  A new kind is
-# one class here plus its entry in PIECE_KINDS (and a branch in
+# with the same bits, each step.  Its JSON form, {"kind": kind, <fields>},
+# is read and written from its dataclass fields by tavopt.config.  A new
+# kind is one class here plus its entry in PIECE_KINDS (and a branch in
 # step_loop.c if its minimizer is neither of the kernel's two).
 # LinearPiece is QuadraticPiece with its curvature fixed at 0 as a class
 # constant: the zero-curvature branches are the one home of the linear
@@ -112,14 +111,6 @@ class QuadraticPiece:
             vertex = -(self.slope + c) / (2.0 * self.curvature)
         # the clip method: np.clip's dispatch costs 4 us a call on one c
         return np.asarray(vertex).clip(lo, hi)
-
-    def max_abs_value(self, lo: float, hi: float) -> float:
-        cands = [self.value(lo), self.value(hi)]
-        if self.curvature > 0.0:
-            vertex = -self.slope / (2.0 * self.curvature)
-            if lo <= vertex <= hi:
-                cands.append(self.value(vertex))
-        return max(abs(v) for v in cands)
 
 
 @dataclass(frozen=True)
@@ -216,11 +207,6 @@ class PiecewiseLinearPiece:
         ends = np.concatenate(([lo], np.where(bps <= lo, lo, np.where(bps < hi, bps, hi)), [hi]))
         return ends[np.searchsorted(self.slopes, -c, side="left")]
 
-    def max_abs_value(self, lo: float, hi: float) -> float:
-        cands = [self.value(lo), self.value(hi)]
-        cands.extend(self.value(b) for b in self.breakpoints if lo <= b <= hi)
-        return max(abs(v) for v in cands)
-
 
 PIECE_KINDS = {cls.kind: cls for cls in (LinearPiece, QuadraticPiece, PiecewiseLinearPiece)}
 
@@ -258,11 +244,6 @@ class SeparableConvexObjective:
         """Supremum of the gradient norm over the box (coordinates decouple)."""
         return math.sqrt(sum(p.max_abs_derivative(lo, hi) ** 2
                              for p, lo, hi in zip(self.pieces, lower, upper)))
-
-    def max_abs_value(self, lower: np.ndarray, upper: np.ndarray) -> float:
-        """Upper bound on |objective| over the box: the sum of the piece bounds."""
-        return sum(p.max_abs_value(float(lo), float(hi))
-                   for p, lo, hi in zip(self.pieces, lower, upper))
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +296,7 @@ class GridProduct:
         return np.where(np.asarray(weights, dtype=float) >= 0.0, lo, hi)
 
     def linear_argmin_columns(self, z) -> list:
-        # x_i keeps z_i's shape, which the grid ascent's broadcasting relies on
+        # x_i keeps z_i's shape, so that the columns broadcast as the z_i do
         lo, hi = self.hull_bounds()
         return [np.where(zi >= 0.0, l, h) for zi, l, h in zip(z, lo, hi)]
 
@@ -482,6 +463,11 @@ class ProblemSpec:
         lo, hi = self.decision_set.hull_bounds()
         if np.any(lo < self.box.lower - _BOX_ATOL) or np.any(hi > self.box.upper + _BOX_ATOL):
             raise ValueError("decision set is not contained in the box")
+        A = np.array([g.coeffs for g in self.constraints], dtype=float).reshape(-1, I)
+        b = np.array([g.offset for g in self.constraints], dtype=float)
+        A.setflags(write=False)
+        b.setflags(write=False)
+        object.__setattr__(self, "_matrix", (A, b))
 
     @property
     def dimension(self) -> int:
@@ -492,13 +478,8 @@ class ProblemSpec:
         return len(self.constraints)
 
     def constraint_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """(A, b) with constraint values A @ x + b."""
-        I = self.dimension
-        if not self.constraints:
-            return np.zeros((0, I)), np.zeros(0)
-        A = np.array([g.coeffs for g in self.constraints], dtype=float)
-        b = np.array([g.offset for g in self.constraints], dtype=float)
-        return A, b
+        """(A, b) with constraint values A @ x + b, built once and read-only."""
+        return self._matrix
 
 
 def _require_in_box(spec: ProblemSpec, x) -> np.ndarray:

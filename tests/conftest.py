@@ -42,6 +42,18 @@ POINTS_PROBLEM = (
     '"constraints": [{"coeffs": [1.5, 1.0, 0.5], "offset": 3.7, "sense": ">="}, '
     '{"coeffs": [0.5, 0.5, 1.0], "offset": 1.906, "sense": ">="}]}')
 
+# the solve-trace benchmark problem of seed 1: eight 3-D points
+POINTS_PROBLEM_SEED_1 = """{"dimension": 3,
+ "decision_set": {"points": [[0.5, 2.25, 0.75], [0.75, 2.25, 2.25], [1.0, 2.75, 2.5],
+                             [2.0, 2.5, 2.25], [2.0, 2.75, 0.75], [2.5, 0.25, 2.5],
+                             [2.5, 1.25, 2.25], [3.0, 2.5, 1.25]]},
+ "objective": [{"kind": "quadratic", "curvature": 1.0, "slope": -0.75},
+               {"kind": "piecewise_linear", "breakpoints": [1.0, 2.0],
+                "slopes": [-1.0, 0.25, 1.5]},
+               {"kind": "linear", "slope": 0.5}],
+ "constraints": [{"coeffs": [1.5, 1.0, 1.5], "offset": 7.137, "sense": ">="},
+                 {"coeffs": [1.5, 1.5, 1.0], "offset": 6.882, "sense": ">="}]}"""
+
 # the diagnose-grid benchmark problem of seed 7: the grid {0..3}^3, two
 # quadratic pieces and a linear one, three >= constraints (a 6-D dual)
 GRID_PROBLEM = (

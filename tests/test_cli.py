@@ -14,7 +14,7 @@ from tavopt.cli import _FLAGS, _MODES, ExperimentConfig, reference_instance
 from tavopt.oracle import solve_reference_lp
 from tavopt.problem import GridProduct, PiecewiseLinearPiece, QuadraticPiece
 
-from conftest import POINTS_PROBLEM, doubling_schedule
+from conftest import GRID_PROBLEM, POINTS_PROBLEM, POINTS_PROBLEM_SEED_1, doubling_schedule
 
 DEMO_CONFIG = json.dumps({
     "dimension": 2,
@@ -331,8 +331,8 @@ def test_sweep_flat_series_has_slope_zero(tmp_path):
 
 
 def test_sweep_on_a_3d_linear_grid_uses_the_lp_optimum(tmp_path):
-    # the grid oracle refuses this grid at the default resolution (27M
-    # points); the LP oracle's vertex value is exact
+    # the exact optimum sweep measures against is the LP oracle's vertex
+    # value to the 12 digits the summary prints
     doc = json.loads(DEMO_CONFIG)
     doc.update(dimension=3, decision_set={"grid": [[0, 1, 2, 3]] * 3},
                objective=[{"kind": "linear", "slope": s} for s in (1.5, 1.0, 1.25)],
@@ -343,6 +343,19 @@ def test_sweep_on_a_3d_linear_grid_uses_the_lp_optimum(tmp_path):
     out = tmp_path / "out"
     assert run_cli(["sweep", "--problem", str(path), "--out", str(out), "--V", "10,100"]) == 0
     f_opt = solve_reference_lp(parse_problem_config(path.read_text())).f_opt
+    assert f"f_opt_oracle: {f_opt:.12g}" in (out / "summary.txt").read_text().splitlines()
+
+
+@pytest.mark.parametrize("problem", [GRID_PROBLEM, POINTS_PROBLEM_SEED_1], ids=["grid", "points"])
+def test_sweep_at_default_flags_on_3d_problems(problem, tmp_path):
+    # the {0..3}^3 grid with quadratic pieces and the eight-point set, where
+    # no brute-force oracle runs at a fine resolution; f_opt is exact
+    path = tmp_path / "prob.json"
+    path.write_text(problem)
+    out = tmp_path / "out"
+    assert run_cli(["sweep", "--problem", str(path), "--out", str(out), "--V", "10,100",
+                    "--horizon", "20000"]) == 0
+    f_opt = tavopt.solve_exact(parse_problem_config(problem)).f_opt
     assert f"f_opt_oracle: {f_opt:.12g}" in (out / "summary.txt").read_text().splitlines()
 
 
@@ -430,10 +443,15 @@ def test_readme_flag_table_is_the_parsers():
     paragraph = re.search(r"^Defaults \(declared once.*?\n\n", text, flags=re.M | re.S).group()
     assert set(re.findall(r"`(--[\w-]+)", paragraph)) <= set(_FLAGS)
     defaults = re.findall(r"`(--[\w-]+)\s+([^`]+)`", paragraph)
-    assert len(defaults) >= 7
+
+    def default(flag):
+        return getattr(ExperimentConfig, _FLAGS[flag].get("dest", flag[2:].replace("-", "_")))
+
+    # every flag with a default that is not None is documented
+    assert {flag for flag, _ in defaults} == {
+        flag for flag, kw in _FLAGS.items() if not kw.get("required") and default(flag) is not None}
     for flag, value in defaults:
-        dest = _FLAGS[flag].get("dest", flag[2:].replace("-", "_"))
-        assert _FLAGS[flag].get("type", str)(value) == getattr(ExperimentConfig, dest), flag
+        assert _FLAGS[flag].get("type", str)(value) == default(flag), flag
 
 
 def test_python_dash_m_runs_the_cli_without_warnings():
@@ -480,10 +498,13 @@ def test_exit_codes_for_bad_inputs(tmp_path, capsys):
         "constraints": [{"coeffs": [1.0], "offset": 5.0, "sense": ">="}]}))
     assert run_cli(["sweep", "--problem", str(infeasible), "--out", str(tmp_path / "o"),
                     "--V", "10,20"]) == 1  # nor on a single infeasible point
-    for flag, value in (("--oracle-resolution", "nan"), ("--oracle-resolution", "0")):
-        assert run_cli(["sweep", "--problem", str(good), "--out", str(tmp_path / "o"),
-                        "--V", "10,20", "--horizon", "64", flag, value]) == 1
-        assert flag in capsys.readouterr().err
+    for mode in ("sweep", "reproduce"):  # f_opt is exact: no oracle resolution to pick
+        argv = [mode, "--out", str(tmp_path / "o"), "--horizon", "64",
+                "--oracle-resolution", "0.01"]
+        if mode == "sweep":
+            argv += ["--problem", str(good), "--V", "10,20"]
+        assert run_cli(argv) == 1
+        assert "unrecognized arguments: --oracle-resolution" in capsys.readouterr().err
     for mode in ("reproduce", "diagnose"):  # only sweep takes a V list
         argv = [mode, "--V", "50,100", "--horizon", "64", "--out", str(tmp_path / "o")]
         assert run_cli(argv + (["--problem", str(good)] if mode == "diagnose" else [])) == 1

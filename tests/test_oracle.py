@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from tavopt import (
     AffineConstraint,
@@ -17,6 +18,7 @@ from tavopt import (
     estimate_multiplier,
     parse_problem_config,
     run,
+    solve_exact,
     solve_reference,
     solve_reference_lp,
     tight_box,
@@ -24,7 +26,7 @@ from tavopt import (
 
 from tavopt.oracle import FEASIBILITY_TOL, _simplex_compositions
 
-from conftest import POINTS_PROBLEM, build_instance
+from conftest import GRID_PROBLEM, POINTS_PROBLEM, build_instance, generated_runs
 
 
 def test_grid_oracle_on_linear_instance():
@@ -248,3 +250,116 @@ def test_sandwich_between_dual_trajectory_and_penalized_average(oracle_values):
     A, b = spec.constraint_matrix()
     penalty = float(est.lam[:est.j_dim] @ np.maximum(A @ xbar + b, 0.0))
     assert f_opt <= spec.objective.value(xbar) + penalty + 1e-3 + 10.0 * est.residual
+
+
+# ---------------------------------------------------------------------------
+# Exact solve
+# ---------------------------------------------------------------------------
+
+def _gap(spec, exact):
+    J = spec.constraint_count
+    return exact.f_opt - dual_function(spec, exact.lam[:J], exact.lam[J:])[0]
+
+
+@pytest.mark.parametrize("name,f_opt", [("polyhedral", 1.25), ("smooth", 0.5),
+                                        ("polyhedral-extra", 1.25), ("smooth-extra", 0.5)])
+def test_exact_optimum_of_the_demos(name, f_opt):
+    spec = build_instance(name)
+    exact = solve_exact(spec)
+    assert exact.f_opt == pytest.approx(f_opt, abs=1e-9)
+    np.testing.assert_allclose(exact.argmin, [0.5, 0.5], rtol=0.0, atol=1e-8)
+    assert abs(_gap(spec, exact)) <= 1e-9
+
+
+@pytest.mark.parametrize("problem,f_opt", [(GRID_PROBLEM, 2.1227447012),
+                                           (POINTS_PROBLEM, 1.7068431002)],
+                         ids=["diagnose-grid", "solve-trace"])
+def test_exact_optimum_of_the_benchmark_problems(problem, f_opt):
+    # both lie below every brute-force value, and the engine's dual at the
+    # multipliers closes the gap
+    spec = parse_problem_config(problem)
+    exact = solve_exact(spec)
+    assert exact.f_opt == pytest.approx(f_opt, abs=1e-9)
+    assert abs(_gap(spec, exact)) <= 1e-9
+    assert exact.f_opt <= solve_reference(spec, resolution=0.25).f_opt
+    A, b = spec.constraint_matrix()
+    assert np.max(A @ exact.argmin + b) <= 1e-9
+    assert np.all(exact.lam[:spec.constraint_count] >= 0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=generated_runs())
+def test_exact_solve_on_generated_specs(case):
+    """Weak duality and a closed gap at lam*, and f_opt at most the
+    brute-force value, whose point may violate a constraint by up to
+    FEASIBILITY_TOL; lam* prices that violation.
+
+    Where no hull point holds every constraint strictly, solve_exact
+    relaxes each row by 1e-11 per unit of its largest coefficient, which
+    moves f_opt by up to that relaxation's price at lam*; the gap bound
+    allows ten times it, which is below 1e-10 while lam* is of order 1."""
+    spec, _ = case
+    try:
+        exact = solve_exact(spec)
+    except InfeasibilityError:
+        return
+    w = exact.lam[:spec.constraint_count]
+    A, b = spec.constraint_matrix()
+    tol = 1e-8 * max(1.0, abs(exact.f_opt)) + 1e-10 * float(w @ np.abs(A).max(axis=1, initial=0.0))
+    assert abs(_gap(spec, exact)) <= tol
+    assert np.all(w >= 0.0)
+    try:
+        ref = solve_reference(spec, resolution=0.25)
+    except InfeasibilityError:
+        return
+    price = float(w @ np.maximum(A @ ref.argmin + b, 0.0))
+    assert exact.f_opt <= ref.f_opt + price + tol
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=generated_runs())
+def test_both_solvers_refuse_infeasible_specs(case):
+    # one more constraint asks for x_0 >= 1 past the hull's top
+    spec, _ = case
+    top = spec.decision_set.hull_bounds()[1][0]
+    coeffs = np.zeros(spec.dimension)
+    coeffs[0] = -1.0
+    spec = ProblemSpec(decision_set=spec.decision_set, box=spec.box, objective=spec.objective,
+                       constraints=spec.constraints + (AffineConstraint(coeffs, top + 1.0),))
+    with pytest.raises(InfeasibilityError):
+        solve_exact(spec)
+    with pytest.raises(InfeasibilityError):
+        solve_reference(spec, resolution=0.25)
+
+
+def test_exact_solve_refuses_a_hull_that_misses_the_constraints_jointly():
+    # each constraint alone holds somewhere on [0, 3]^2, not both together,
+    # so the phase-one solve decides
+    grid = GridProduct(values=((0.0, 3.0), (0.0, 3.0)))
+    spec = ProblemSpec(
+        decision_set=grid, box=tight_box(grid),
+        objective=SeparableConvexObjective(pieces=(LinearPiece(1.0), LinearPiece(1.0))),
+        constraints=(AffineConstraint(coeffs=(1.0, 1.0), offset=-1.0),     # x1 + x2 <= 1
+                     AffineConstraint(coeffs=(-1.0, -1.0), offset=2.0)))   # x1 + x2 >= 2
+    with pytest.raises(InfeasibilityError, match="at least 0.5"):
+        solve_exact(spec)
+
+
+def test_exact_solve_when_the_constraints_leave_almost_no_interior():
+    # the first and third constraints hold only for x1 in [-8e-79, 0]: the
+    # final solve's relaxation keeps the multipliers bounded (without it
+    # they grow to 1.5e13 and the solve stops at f = -1.16); the optimum is
+    # at x = (0, 2.105474185783068 / 2.94746216), where the second binds
+    pts = ExplicitPoints(points=[[-1.0, 2.58508902e-05], [-1.0, 0.454650237], [0.0, 0.0],
+                                 [-0.815894331, 2.29753937], [1.30549676, 0.273591806]])
+    spec = ProblemSpec(
+        decision_set=pts, box=tight_box(pts),
+        objective=SeparableConvexObjective(pieces=(LinearPiece(-3.0), LinearPiece(-3.0))),
+        constraints=(AffineConstraint(coeffs=(1.7559403, 4.25609995e-13), offset=0.0),
+                     AffineConstraint(coeffs=(-1.51296612e-86, 2.94746216),
+                                      offset=-2.105474185783068),
+                     AffineConstraint(coeffs=(-0.82068731, 4.83069078e-296),
+                                      offset=-6.545157868296244e-79)))
+    exact = solve_exact(spec)
+    assert exact.f_opt == pytest.approx(-3.0 * 2.105474185783068 / 2.94746216, abs=1e-9)
+    assert abs(_gap(spec, exact)) <= 1e-9

@@ -60,12 +60,10 @@ def kernel_argmin(piece, cs, lo, hi):
 def assert_forms_agree(piece, c, lo, hi, slopes):
     """argmin_shifted on an array of c equals the compiled step loop's
     minimizer bit for bit (on c, on the tie points c = -slope and on a
-    sweep), and max_abs_value bounds the scanned |piece|."""
+    sweep)."""
     cs = np.concatenate([[c], -np.asarray(slopes, dtype=float),
                          np.linspace(-12.0, 12.0, 49)])
     assert bits(piece.argmin_shifted(cs, lo, hi)) == bits(kernel_argmin(piece, cs, lo, hi))
-    scanned = float(np.max(np.abs(piece.values(np.linspace(lo, hi, 4001)))))
-    assert piece.max_abs_value(lo, hi) >= scanned - 1e-12 * max(1.0, scanned)
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +233,24 @@ def test_constraint_examples():
     assert g0[0] == pytest.approx(1.5, abs=1e-12)
     g3 = evaluate_constraints(poly, (3.0, 3.0))
     assert g3[1] == pytest.approx(-7.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["polyhedral", "smooth-extra"])
+def test_constraint_matrix_is_built_once_and_read_only(name):
+    spec = build_instance(name)
+    A, b = spec.constraint_matrix()
+    again = spec.constraint_matrix()
+    assert again[0] is A and again[1] is b
+    assert not A.flags.writeable and not b.flags.writeable
+    with pytest.raises(ValueError):
+        A[0, 0] = 0.0
+    np.testing.assert_array_equal(A, [g.coeffs for g in spec.constraints])
+    np.testing.assert_array_equal(b, [g.offset for g in spec.constraints])
+
+
+def test_constraint_matrix_without_constraints():
+    A, b = replace(build_instance("smooth"), constraints=()).constraint_matrix()
+    assert A.shape == (0, 2) and b.shape == (0,)
 
 
 def test_points_outside_box_rejected():
