@@ -52,9 +52,11 @@ NONUNIQUE_DECAY_TOL = 5e-4
 _RESIDUAL_THRESHOLD = 1e-2
 _TAIL_FRACTION = 0.2
 
-# Sharpness estimation: probe distance from the estimate and ray count.
+# The decay searches of an estimate, as (distances, random rays): the
+# flat-face check, and the sharpness search feeding the region geometry.
+_FLAT_FACE_SEARCH = ((0.1, 0.05), 512)
 _SHARPNESS_DISTANCE = 0.1
-_SHARPNESS_PROBES = 256
+_SHARPNESS_SEARCH = ((_SHARPNESS_DISTANCE,), 256)
 
 
 class EstimationError(RuntimeError):
@@ -174,13 +176,16 @@ class BoundSet:
 
 @dataclass(frozen=True)
 class MultiplierEstimate:
-    """An estimated dual maximizer with its residual f_opt - d(lam)."""
+    """An estimated dual maximizer with its residual f_opt - d(lam), and the
+    smallest decay rate of the dual at distance 0.1 from it."""
 
     lam: np.ndarray
     j_dim: int
     method: str
     residual: float
     d_value: float
+    f_opt: float
+    sharpness_decay: float
     possibly_nonunique: bool = False
 
     @property
@@ -219,24 +224,21 @@ def _flat_direction_candidates(spec: ProblemSpec, lam_hat: np.ndarray,
     return np.vstack([cand, -cand])
 
 
-def minimal_decay_rate(spec: ProblemSpec, lam_hat: np.ndarray, j_dim: int,
-                       distances: tuple = (0.1,), n_probes: int = 2048,
-                       seed: int = 0) -> float:
+def _decay_searches(spec: ProblemSpec, lam_hat: np.ndarray, j_dim: int,
+                    searches, seed: int) -> list:
     """Smallest probed decrease of the dual per unit distance from lam_hat,
-    over all the given probe distances.
+    for each (distances, n_probes) of `searches`, all in one pass.
 
-    Random ray probes at each distance, augmented with subgradient
-    null-space candidates and refined by a multi-start coordinate pattern
-    search over the direction; this is what exposes the flat face of a
-    non-unique maximizer.  May return a small negative value when lam_hat is
-    itself suboptimal.
+    A search probes its n_probes random rays, the axes both ways and the
+    shared flat-face candidates at each of its distances, then refines the
+    directions of smallest decay by multi-start coordinate pattern search;
+    this exposes the flat face of a non-unique maximizer.  All pattern
+    searches run side by side, one batch of proposals per sweep; a row's
+    dual value does not depend on its batch, so each search returns what it
+    would alone.  A rate may be slightly negative when lam_hat is suboptimal.
     """
     dims = lam_hat.shape[0]
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((n_probes, dims))
-    dirs = np.vstack([dirs, np.eye(dims), -np.eye(dims)])
-    dirs = np.vstack([dirs, _flat_direction_candidates(spec, lam_hat, j_dim, seed)])
-    dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+    flat = _flat_direction_candidates(spec, lam_hat, j_dim, seed)
     d_hat, _, _ = dual_function(spec, lam_hat[:j_dim], lam_hat[j_dim:])
 
     def decay_of(directions, rho):
@@ -251,52 +253,65 @@ def minimal_decay_rate(spec: ProblemSpec, lam_hat: np.ndarray, j_dim: int,
             out[ok] = (d_hat - D) / dist[ok]
         return out
 
-    decays = decay_of(np.tile(dirs, (len(distances), 1)),
-                      np.repeat(distances, len(dirs))).reshape(len(distances), -1)
-    # four pattern searches per distance, from its directions of smallest
-    # decay, all run side by side with one batch of proposals per sweep; a
-    # row's dual value does not depend on its batch, so every search moves
-    # as it would alone.  A search's value only falls, so the smallest
-    # decay of each distance is its first search's start value.
-    starts = [[dirs[k], float(row[k]), 0.5, rho]  # u0, val, step, distance
-              for rho, row in zip(distances, decays) for k in np.argsort(row)[:4]]
+    blocks = []  # (search, unit directions, distance), one per distance of each search
+    for s, (distances, n_probes) in enumerate(searches):
+        dirs = np.vstack([np.random.default_rng(seed).standard_normal((n_probes, dims)),
+                          np.eye(dims), -np.eye(dims), flat])
+        dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+        blocks += [(s, dirs, rho) for rho in distances]
+    decays = decay_of(np.vstack([dirs for _, dirs, _ in blocks]),
+                      np.concatenate([np.full(len(dirs), rho) for _, dirs, rho in blocks]))
+    # four pattern searches per block, from its directions of smallest decay
+    starts, end = [], 0
+    for s, dirs, rho in blocks:
+        row, end = decays[end:end + len(dirs)], end + len(dirs)
+        starts += [(s, dirs[k], row[k], rho) for k in np.argsort(row)[:4]]
+    owner, u, val, rho = (np.array(col) for col in zip(*starts))
+    step = np.full(len(starts), 0.5)
     axes = np.arange(dims)
     for _ in range(80):
-        active = [s for s in starts if s[2] > 1e-4]
-        if not active:
+        active = np.flatnonzero(step > 1e-4)
+        if not len(active):
             break
-        # proposal 2*axis (2*axis + 1) moves u0 by +step (-step) along axis;
-        # u0 is a unit vector and step <= 0.5, so no proposal is zero
-        step = np.array([s[2] for s in active])[:, None]
-        props = np.repeat(np.array([s[0] for s in active])[:, None, :], 2 * dims, axis=1)
-        props[:, 2 * axes, axes] += step
-        props[:, 2 * axes + 1, axes] -= step
+        # proposal 2*axis (2*axis + 1) moves u by +step (-step) along axis;
+        # u is a unit vector and step <= 0.5, so no proposal is zero
+        props = np.repeat(u[active, None, :], 2 * dims, axis=1)
+        props[:, 2 * axes, axes] += step[active, None]
+        props[:, 2 * axes + 1, axes] -= step[active, None]
         props = props.reshape(-1, dims)
         # vecdot runs, per row, the ddot that np.linalg.norm(u) takes, so
         # each norm keeps its bits
         props /= np.sqrt(np.vecdot(props, props))[:, None]
-        vals = decay_of(props, np.repeat([s[3] for s in active], 2 * dims))
-        for start, cand, v in zip(active, props.reshape(len(active), 2 * dims, dims),
-                                  vals.reshape(len(active), 2 * dims)):
-            k = int(np.argmin(v))
-            if v[k] < start[1] - 1e-12:
-                start[0], start[1] = cand[k], float(v[k])
-            else:
-                start[2] *= 0.5
-    return min(val for _, val, _, _ in starts)
+        vals = decay_of(props, np.repeat(rho[active], 2 * dims)).reshape(len(active), -1)
+        rows = np.arange(len(active))
+        k = np.argmin(vals, axis=1)
+        best = vals[rows, k]
+        # a NaN decay compares false, so its start halves its step
+        better = best < val[active] - 1e-12
+        u[active[better]] = props[(2 * dims * rows + k)[better]]
+        val[active[better]] = best[better]
+        step[active[~better]] *= 0.5
+    # Python's min over the starts in order, so a NaN wins only as the first value
+    return [min(val[owner == s].tolist()) for s in range(len(searches))]
 
 
-def estimate_sharpness(spec: ProblemSpec, estimate: "MultiplierEstimate",
-                       seed: int = 0) -> dict:
+def minimal_decay_rate(spec: ProblemSpec, lam_hat: np.ndarray, j_dim: int,
+                       distances: tuple = (0.1,), n_probes: int = 2048,
+                       seed: int = 0) -> float:
+    """Smallest probed decrease of the dual per unit distance from lam_hat,
+    over all the given probe distances: one search of _decay_searches."""
+    return _decay_searches(spec, lam_hat, j_dim, [(distances, n_probes)], seed)[0]
+
+
+def estimate_sharpness(spec: ProblemSpec, estimate: "MultiplierEstimate") -> dict:
     """Decay-rate estimates feeding the region geometry, keyed by geometry.
 
-    One decay search serves both: "polyhedral" is (d(lam_hat) - d(probe)) /
-    distance, "smooth" divides by the squared distance.  Each rate is floored
-    at a tiny positive value so the region formulas stay defined.
+    Both come from the estimate's sharpness search at distance 0.1:
+    "polyhedral" is (d(lam_hat) - d(probe)) / distance, "smooth" divides by
+    the squared distance.  Each rate is floored at a tiny positive value so
+    the region formulas stay defined.
     """
-    rate = minimal_decay_rate(spec, estimate.lam, estimate.j_dim,
-                              distances=(_SHARPNESS_DISTANCE,), n_probes=_SHARPNESS_PROBES,
-                              seed=seed)
+    rate = estimate.sharpness_decay
     return {"polyhedral": max(rate, 1e-9), "smooth": max(rate / _SHARPNESS_DISTANCE, 1e-9)}
 
 
@@ -312,7 +327,8 @@ def estimate_multiplier(spec: ProblemSpec, method: str = "grid-dual-max", *,
     the residual is f_opt - d(estimate) with f_opt from solve_exact,
     clipped at zero; it must stay below 1e-2, and d(estimate) may exceed
     f_opt by no more than 1e-9 * max(1, |f_opt|), where the solver's
-    f(y*) and the engine's dual meet.
+    f(y*) and the engine's dual meet.  seed draws the rays of the flat-face
+    and sharpness decay searches, run in one pass.
     """
     if method not in ("grid-dual-max", "tail-average"):
         raise ValueError(f"unknown estimation method {method!r}")
@@ -346,16 +362,16 @@ def estimate_multiplier(spec: ProblemSpec, method: str = "grid-dual-max", *,
     # A flat optimal face means the maximizer is not unique.  Candidate flat
     # directions come from the decay probes themselves; each candidate is
     # verified by its probed decay rate.  Faces shorter than the probe
-    # distances can go undetected.
-    decay = minimal_decay_rate(spec, lam_hat, J, distances=(0.1, 0.05), seed=seed,
-                               n_probes=512)
-    nonunique = bool(decay < NONUNIQUE_DECAY_TOL)
+    # distances can go undetected.  The sharpness search runs in the same pass.
+    flat, sharpness = _decay_searches(spec, lam_hat, J, [_FLAT_FACE_SEARCH, _SHARPNESS_SEARCH],
+                                      seed)
 
     lam_hat = lam_hat.copy()
     lam_hat.setflags(write=False)
     return MultiplierEstimate(lam=lam_hat, j_dim=J, method=method,
-                              residual=residual, d_value=d_value,
-                              possibly_nonunique=nonunique)
+                              residual=residual, d_value=d_value, f_opt=exact.f_opt,
+                              sharpness_decay=sharpness,
+                              possibly_nonunique=bool(flat < NONUNIQUE_DECAY_TOL))
 
 
 # ---------------------------------------------------------------------------

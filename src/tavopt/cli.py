@@ -197,7 +197,7 @@ def _estimate_bounds(spec: ProblemSpec, cfg: ExperimentConfig):
     of M, C and V with both rates."""
     v = cfg.v_list[0]
     estimate = analysis.estimate_multiplier(spec, cfg.method, v=v, seed=cfg.seed)
-    rates = analysis.estimate_sharpness(spec, estimate, seed=cfg.seed)
+    rates = analysis.estimate_sharpness(spec, estimate)
     bounds = analysis.BoundSet(m=lipschitz_bound(spec), c=squared_norm_bound(spec), v=v,
                                l_poly=rates["polyhedral"], l_smooth=rates["smooth"])
     return estimate, rates, bounds
@@ -266,12 +266,12 @@ def _do_reproduce(cfg: ExperimentConfig) -> int:
         objective, extra, geometry, fixed_start = FIGURE_SETUPS[fig]
         spec = reference_instance(objective, extra)
         trace = run(spec, SolverConfig(v=v, horizon=cfg.horizon))
-        f_opt = solve_exact(spec).f_opt
         # the brute-force references, as independent cross-checks
         oracles = {"f_opt_oracle_grid": solve_reference(spec, _ORACLE_RESOLUTION).f_opt}
         if objective == "linear":
             oracles["f_opt_oracle_lp"] = solve_reference_lp(spec).f_opt
         estimate, _, bounds = _estimate_bounds(spec, cfg)
+        f_opt = estimate.f_opt
         report = analysis.phase_detect(trace, estimate, bounds, geometry)
         detected = report.t_hit if report.t_hit is not None else 0
 

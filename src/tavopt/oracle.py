@@ -61,6 +61,18 @@ class ExactSolution:
     lam: np.ndarray  # (w*, z*), a maximizer of the dual, in dual_function's order
 
 
+def _feasible(spec: ProblemSpec, points: np.ndarray) -> np.ndarray:
+    """Mask of the rows of points at which every constraint is at most
+    FEASIBILITY_TOL: one product, then one column of it per constraint."""
+    A, b = spec.constraint_matrix()
+    feas = np.ones(points.shape[0], dtype=bool)
+    if A.shape[0] > 0:
+        lhs = points @ A.T
+        for j in range(len(b)):
+            feas &= lhs[:, j] + b[j] <= FEASIBILITY_TOL
+    return feas
+
+
 def _best_feasible(spec: ProblemSpec, points: np.ndarray):
     """(value, point) of the best feasible candidate, or None.
 
@@ -69,13 +81,10 @@ def _best_feasible(spec: ProblemSpec, points: np.ndarray):
     """
     if points.shape[0] == 0:
         return None
-    A, b = spec.constraint_matrix()
-    feas = np.ones(points.shape[0], dtype=bool)
-    if A.shape[0] > 0:
-        feas = np.all(points @ A.T + b <= FEASIBILITY_TOL, axis=1)
+    feas = _feasible(spec, points)
     if not np.any(feas):
         return None
-    cand = points[feas]
+    cand = np.compress(feas, points, axis=0)
     vals = spec.objective.values(cand)
     best = np.min(vals)
     ties = cand[vals == best]
@@ -157,18 +166,16 @@ def _simplex_search(spec: ProblemSpec, resolution: float) -> OracleResult:
         raise ValueError("simplex lattice too large; coarsen the resolution")
     weights = _simplex_compositions(steps, m) / steps
     lattice = weights @ pts
-    A, b = spec.constraint_matrix()
-    feas = np.ones(lattice.shape[0], dtype=bool)
-    if A.shape[0] > 0:
-        feas = np.all(lattice @ A.T + b <= FEASIBILITY_TOL, axis=1)
+    feas = _feasible(spec, lattice)
     if not np.any(feas):
         raise InfeasibilityError(
             f"no feasible simplex lattice point at resolution {resolution}")
     vals = np.full(lattice.shape[0], np.inf)
-    vals[feas] = spec.objective.values(lattice[feas])
+    vals[feas] = spec.objective.values(np.compress(feas, lattice, axis=0))
     k = int(np.argmin(vals))
     val = float(vals[k])
     wts = weights[k].copy()
+    A, b = spec.constraint_matrix()
 
     # local polish: greedy pairwise mass transfers at two finer step sizes
     for delta in (0.1 / steps, 0.01 / steps):

@@ -39,13 +39,14 @@ from tavopt import (
     tight_box,
 )
 import tavopt.analysis
-from tavopt.analysis import minimal_decay_rate, sample_multipliers
+from tavopt.analysis import (NONUNIQUE_DECAY_TOL, _decay_searches, _flat_direction_candidates,
+                             _project_dual, minimal_decay_rate, sample_multipliers)
 from tavopt.config import parse_problem_config
 from tavopt.engine import _dual_columns
 from tavopt.problem import EPS_C
 
-from conftest import (GRID_PROBLEM, INSTANCE_NAMES, MAIN_HORIZON, MAIN_V, bits, build_instance,
-                      generated_runs)
+from conftest import (GRID_PROBLEM, INSTANCE_NAMES, MAIN_HORIZON, MAIN_V, POINTS_PROBLEM_SEED_1,
+                      bits, build_instance, generated_runs)
 
 POLY_OPT = 1.25
 SMOOTH_OPT = 0.5
@@ -271,13 +272,112 @@ def test_tail_average_fails_the_default_threshold():
 
 def _assert_joint_decay_search_is_the_min(spec, lam, distances):
     # the searches of all distances run side by side; each must move as it
-    # would in a call of its own
-    joint = minimal_decay_rate(spec, lam, spec.constraint_count, distances=distances,
-                               n_probes=64, seed=3)
-    alone = [minimal_decay_rate(spec, lam, spec.constraint_count, distances=(rho,),
-                                n_probes=64, seed=3)
+    # would in a call of its own, and so must a search of another probe
+    # count run in the same pass
+    J = spec.constraint_count
+    joint = minimal_decay_rate(spec, lam, J, distances=distances, n_probes=64, seed=3)
+    alone = [minimal_decay_rate(spec, lam, J, distances=(rho,), n_probes=64, seed=3)
              for rho in distances]
     assert bits(joint) == bits(min(alone))
+    fewer = minimal_decay_rate(spec, lam, J, distances=distances[1:], n_probes=32, seed=3)
+    both = _decay_searches(spec, lam, J, [(distances, 64), (distances[1:], 32)], seed=3)
+    assert bits(both) == bits([joint, fewer])
+
+
+def _list_decay_rate(spec, lam_hat, j_dim, distances, n_probes, seed):
+    """The decay search as it was before its starts became arrays: a Python
+    list of [u0, val, step, distance] per start.  The reference that
+    _decay_searches must match bit for bit."""
+    dims = lam_hat.shape[0]
+    rng = np.random.default_rng(seed)
+    dirs = rng.standard_normal((n_probes, dims))
+    dirs = np.vstack([dirs, np.eye(dims), -np.eye(dims)])
+    dirs = np.vstack([dirs, _flat_direction_candidates(spec, lam_hat, j_dim, seed)])
+    dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+    d_hat, _, _ = dual_function(spec, lam_hat[:j_dim], lam_hat[j_dim:])
+
+    def decay_of(directions, rho):
+        probes = _project_dual(lam_hat[None, :] + rho[:, None] * directions, j_dim)
+        deltas = probes - lam_hat[None, :]
+        dist = np.linalg.norm(deltas, axis=1)
+        ok = dist >= 0.25 * rho
+        out = np.full(len(directions), np.inf)
+        if np.any(ok):
+            D, _, _ = dual_function_batch(spec, probes[ok])
+            out[ok] = (d_hat - D) / dist[ok]
+        return out
+
+    decays = decay_of(np.tile(dirs, (len(distances), 1)),
+                      np.repeat(distances, len(dirs))).reshape(len(distances), -1)
+    starts = [[dirs[k], float(row[k]), 0.5, rho]
+              for rho, row in zip(distances, decays) for k in np.argsort(row)[:4]]
+    axes = np.arange(dims)
+    for _ in range(80):
+        active = [s for s in starts if s[2] > 1e-4]
+        if not active:
+            break
+        step = np.array([s[2] for s in active])[:, None]
+        props = np.repeat(np.array([s[0] for s in active])[:, None, :], 2 * dims, axis=1)
+        props[:, 2 * axes, axes] += step
+        props[:, 2 * axes + 1, axes] -= step
+        props = props.reshape(-1, dims)
+        props /= np.sqrt(np.vecdot(props, props))[:, None]
+        vals = decay_of(props, np.repeat([s[3] for s in active], 2 * dims))
+        for start, cand, v in zip(active, props.reshape(len(active), 2 * dims, dims),
+                                  vals.reshape(len(active), 2 * dims)):
+            k = int(np.argmin(v))
+            if v[k] < start[1] - 1e-12:
+                start[0], start[1] = cand[k], float(v[k])
+            else:
+                start[2] *= 0.5
+    return min(val for _, val, _, _ in starts)
+
+
+def _assert_estimate_matches_the_list_search(spec, est, seed):
+    J = spec.constraint_count
+    flat = _list_decay_rate(spec, est.lam, J, (0.1, 0.05), 512, seed)
+    sharp = _list_decay_rate(spec, est.lam, J, (0.1,), 256, seed)
+    assert bits([est.sharpness_decay]) == bits([sharp])
+    assert est.possibly_nonunique == (flat < NONUNIQUE_DECAY_TOL)
+    rates = estimate_sharpness(spec, est)
+    assert bits([rates["polyhedral"], rates["smooth"]]) == bits([max(sharp, 1e-9),
+                                                                max(sharp / 0.1, 1e-9)])
+    both = _decay_searches(spec, est.lam, J, [((0.1, 0.05), 512), ((0.1,), 256)], seed)
+    assert bits(both) == bits([flat, sharp])
+
+
+@pytest.mark.parametrize("name", INSTANCE_NAMES)
+def test_estimate_decay_searches_match_the_list_search_on_the_demos(name, main_estimates):
+    _assert_estimate_matches_the_list_search(build_instance(name), main_estimates[name], 0)
+
+
+@pytest.mark.parametrize("problem", [GRID_PROBLEM, POINTS_PROBLEM_SEED_1], ids=["grid", "points"])
+def test_estimate_decay_searches_match_the_list_search_on_3d_problems(problem):
+    spec = parse_problem_config(problem)
+    _assert_estimate_matches_the_list_search(spec, estimate_multiplier(spec, seed=7), 7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=generated_runs(), seed=st.integers(0, 2 ** 16))
+def test_estimate_decay_searches_match_the_list_search_on_generated_specs(case, seed):
+    spec, _ = case
+    try:
+        est = estimate_multiplier(spec, seed=seed)
+    except (InfeasibilityError, EstimationError):
+        return
+    _assert_estimate_matches_the_list_search(spec, est, seed)
+
+
+def test_estimate_sharpness_makes_no_dual_evaluation(main_estimates, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("estimate_sharpness evaluated the dual")
+
+    monkeypatch.setattr(tavopt.analysis, "dual_function_batch", refuse)
+    monkeypatch.setattr(tavopt.analysis, "_dual_columns", refuse)
+    est = main_estimates["smooth"]
+    rates = estimate_sharpness(build_instance("smooth"), est)
+    assert rates == {"polyhedral": max(est.sharpness_decay, 1e-9),
+                     "smooth": max(est.sharpness_decay / 0.1, 1e-9)}
 
 
 @pytest.mark.parametrize("name", INSTANCE_NAMES)
@@ -470,7 +570,7 @@ def test_phase_absorption_on_linear_instance(main_traces, main_estimates):
     trace, _ = main_traces["polyhedral"]
     spec = trace.spec
     est = main_estimates["polyhedral"]
-    l_hat = estimate_sharpness(spec, est, seed=0)["polyhedral"]
+    l_hat = estimate_sharpness(spec, est)["polyhedral"]
     bounds = BoundSet(m=lipschitz_bound(spec), c=squared_norm_bound(spec),
                       v=MAIN_V, l_poly=l_hat)
     report = phase_detect(trace, est, bounds, "polyhedral")
@@ -485,7 +585,8 @@ def test_phase_region_never_entered():
     spec = build_instance("polyhedral")
     trace = run(spec, SolverConfig(v=MAIN_V, horizon=64))
     est = MultiplierEstimate(lam=np.array([50.0, 50.0, 50.0, 50.0]), j_dim=2,
-                             method="grid-dual-max", residual=0.0, d_value=0.0)
+                             method="grid-dual-max", residual=0.0, d_value=0.0, f_opt=0.0,
+                             sharpness_decay=1.0)
     bounds = BoundSet(m=2.0, c=1.0, v=MAIN_V, l_poly=100.0)
     report = phase_detect(trace, est, bounds, "polyhedral")
     assert report.t_hit is None and not report.absorbed
@@ -496,7 +597,7 @@ def test_smooth_region_absorption(main_traces, main_estimates):
     trace, _ = main_traces["smooth"]
     spec = trace.spec
     est = main_estimates["smooth"]
-    l_hat = estimate_sharpness(spec, est, seed=0)["smooth"]
+    l_hat = estimate_sharpness(spec, est)["smooth"]
     bounds = BoundSet(m=lipschitz_bound(spec), c=squared_norm_bound(spec),
                       v=MAIN_V, l_smooth=l_hat)
     report = phase_detect(trace, est, bounds, "smooth")
@@ -508,7 +609,7 @@ def test_smooth_region_absorption(main_traces, main_estimates):
 def test_transient_entry_grows_at_most_linearly(main_estimates):
     spec = build_instance("polyhedral")
     est = main_estimates["polyhedral"]
-    l_hat = estimate_sharpness(spec, est, seed=0)["polyhedral"]
+    l_hat = estimate_sharpness(spec, est)["polyhedral"]
     c = squared_norm_bound(spec)
     m = lipschitz_bound(spec)
     vs = [25.0, 50.0, 100.0, 200.0]
@@ -528,7 +629,7 @@ def test_steady_entry_growth_stays_subpolynomial_smooth(main_estimates):
     # floor at one iteration and fit as constant)
     spec = build_instance("smooth")
     est = main_estimates["smooth"]
-    l_hat = estimate_sharpness(spec, est, seed=0)["smooth"]
+    l_hat = estimate_sharpness(spec, est)["smooth"]
     c = squared_norm_bound(spec)
     m = lipschitz_bound(spec)
     vs = [25.0, 50.0, 100.0, 200.0]
@@ -582,7 +683,7 @@ def test_steady_state_bound_dominates_after_entry(main_traces, main_estimates,
     spec = trace.spec
     est = main_estimates["polyhedral"]
     f_opt = oracle_values["polyhedral"]
-    l_hat = estimate_sharpness(spec, est, seed=0)["polyhedral"]
+    l_hat = estimate_sharpness(spec, est)["polyhedral"]
     bounds = BoundSet(m=lipschitz_bound(spec), c=squared_norm_bound(spec),
                       v=MAIN_V, l_poly=l_hat)
     start = phase_detect(trace, est, bounds, "polyhedral").t_hit
@@ -638,7 +739,7 @@ def test_outside_region_distance_shrinks(main_estimates):
     est = main_estimates["polyhedral"]
     v = 1000.0
     trace = run(spec, SolverConfig(v=v, horizon=3000))
-    l_hat = estimate_sharpness(spec, est, seed=0)["polyhedral"]
+    l_hat = estimate_sharpness(spec, est)["polyhedral"]
     b_poly = BoundSet(m=lipschitz_bound(spec), c=squared_norm_bound(spec),
                       v=v, l_poly=l_hat).b_poly
     lam = trace.lambda_path

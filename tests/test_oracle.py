@@ -24,7 +24,7 @@ from tavopt import (
     tight_box,
 )
 
-from tavopt.oracle import FEASIBILITY_TOL, _simplex_compositions
+from tavopt.oracle import FEASIBILITY_TOL, _feasible, _simplex_compositions
 
 from conftest import GRID_PROBLEM, POINTS_PROBLEM, build_instance, generated_runs
 
@@ -34,6 +34,22 @@ def test_grid_oracle_on_linear_instance():
     assert res.f_opt == pytest.approx(1.25, abs=1e-3)
     np.testing.assert_allclose(res.argmin, [0.5, 0.5], atol=1e-2)
     assert res.certificate <= 1e-9
+
+
+@pytest.mark.parametrize("problem,count", [("polyhedral", 301), ("polyhedral-extra", 301),
+                                           (GRID_PROBLEM, 61)],
+                         ids=["figure2", "figure4", "grid"])
+def test_feasibility_mask_is_the_all_constraints_test(problem, count):
+    # _feasible compares one column of the product at a time; on a mesh of
+    # the hull (301 x 301 is the grid oracle's first mesh on the demos) it
+    # must keep exactly the rows the all-constraints test of the sum keeps
+    spec = build_instance(problem) if count == 301 else parse_problem_config(problem)
+    lo, hi = spec.decision_set.hull_bounds()
+    axes = [np.linspace(l, h, count) for l, h in zip(lo, hi)]
+    points = np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+    A, b = spec.constraint_matrix()
+    assert np.array_equal(_feasible(spec, points),
+                          np.all(points @ A.T + b <= FEASIBILITY_TOL, axis=1))
 
 
 def test_grid_oracle_on_quadratic_instance():
