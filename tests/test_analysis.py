@@ -285,8 +285,8 @@ def _assert_joint_decay_search_is_the_min(spec, lam, distances):
 
 
 def _list_decay_rate(spec, lam_hat, j_dim, distances, n_probes, seed):
-    """The decay search as it was before its starts became arrays: a Python
-    list of [u0, val, step, distance] per start.  The reference that
+    """One decay search with its starts in a Python list of [u0, val, step,
+    distance], updated one start at a time: the reference that
     _decay_searches must match bit for bit."""
     dims = lam_hat.shape[0]
     rng = np.random.default_rng(seed)

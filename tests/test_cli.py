@@ -410,6 +410,23 @@ def test_reproduce_single_figure_deterministic(tmp_path):
     assert "check: PASS" in summary
 
 
+def test_reproduce_solves_each_figure_exactly_once(tmp_path, monkeypatch):
+    # the summary's f_opt_exact is the optimum the estimate was judged by
+    solved = []
+
+    def counted(spec):
+        solved.append(tavopt.oracle.solve_exact(spec))
+        return solved[-1]
+
+    monkeypatch.setattr(tavopt.analysis, "solve_exact", counted)
+    monkeypatch.setattr(tavopt.cli, "solve_exact", counted)
+    assert run_cli(["reproduce", "--out", str(tmp_path), "--horizon", "20000"]) == 0
+    assert len(solved) == 4
+    for fig, exact in zip((2, 3, 4, 5), solved):
+        summary = (tmp_path / f"figure{fig}_summary.txt").read_text().splitlines()
+        assert f"f_opt_exact: {exact.f_opt:.12g}" in summary
+
+
 @pytest.mark.parametrize("horizon", [1, 2, 64, 1000, 1024])
 def test_reproduce_marks_the_restarts_and_the_horizon(horizon, tmp_path):
     # t runs over the restarts 1, 2, 4, ... below the horizon, then the
