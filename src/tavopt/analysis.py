@@ -2,10 +2,10 @@
 certificates, transient/steady-state phase detection, and evaluation of the
 convergence bounds that the averaged iterates are expected to satisfy.
 
-Every diagnostic runs against a multiplier estimate with an explicit
-residual, f_opt - d(estimate), where f_opt comes from the exact solve of
-tavopt.oracle; region radii get twice the residual added as estimation
-slack.
+Every diagnostic runs against a multiplier estimate, the multipliers of the
+exact solve of tavopt.oracle, with an explicit residual f_opt - d(estimate)
+between the solver's optimum and the engine's dual; region radii get twice
+the residual added as estimation slack.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import RunTrace, SolverConfig, _dual_columns, run
+from .engine import RunTrace, _dual_columns
 from .oracle import solve_exact
 from .problem import ProblemSpec, evaluate_constraints
 
@@ -40,23 +40,15 @@ __all__ = [
     "iterations_to_accuracy",
     "fit_loglog_slope",
     "sample_multipliers",
-    "NONUNIQUE_DECAY_TOL",
 ]
 
-# Refined minimal directional decay below this rate marks a flat optimal
-# face, i.e. a possibly non-unique multiplier.
-NONUNIQUE_DECAY_TOL = 5e-4
-
-# Multiplier estimation: largest accepted residual, and the share of a
-# tail-average run that is averaged.
+# Largest accepted multiplier-estimate residual.
 _RESIDUAL_THRESHOLD = 1e-2
-_TAIL_FRACTION = 0.2
 
-# The decay searches of an estimate, as (distances, random rays): the
-# flat-face check, and the sharpness search feeding the region geometry.
-_FLAT_FACE_SEARCH = ((0.1, 0.05), 512)
+# The sharpness search feeding the region geometry: its probe distance and
+# random rays.
 _SHARPNESS_DISTANCE = 0.1
-_SHARPNESS_SEARCH = ((_SHARPNESS_DISTANCE,), 256)
+_SHARPNESS_PROBES = 256
 
 
 class EstimationError(RuntimeError):
@@ -176,12 +168,12 @@ class BoundSet:
 
 @dataclass(frozen=True)
 class MultiplierEstimate:
-    """An estimated dual maximizer with its residual f_opt - d(lam), and the
-    smallest decay rate of the dual at distance 0.1 from it."""
+    """The exact dual maximizer with its residual f_opt - d(lam), the
+    smallest decay rate of the dual at distance 0.1 from it, and whether
+    the dual may have other maximizers."""
 
     lam: np.ndarray
     j_dim: int
-    method: str
     residual: float
     d_value: float
     f_opt: float
@@ -205,7 +197,8 @@ def _flat_direction_candidates(spec: ProblemSpec, lam_hat: np.ndarray,
 
     Along a flat optimal face the dual is constant, so every active
     subgradient is orthogonal to the face; the small singular directions of a
-    stack of sampled subgradients are therefore face candidates.
+    stack of sampled subgradients are therefore face candidates, and the
+    directions along which the dual decays slowest.
     """
     dims = lam_hat.shape[0]
     rng = np.random.default_rng(seed)
@@ -214,31 +207,26 @@ def _flat_direction_candidates(spec: ProblemSpec, lam_hat: np.ndarray,
     A, b = spec.constraint_matrix()
     H = np.hstack([Y @ A.T + b, X - Y])
     _, sv, vt = np.linalg.svd(H)
-    take = [vt[-1]]
-    if dims >= 2:
-        take.append(vt[-2])
-    for k, s in enumerate(sv):
-        if s <= 1e-8 * max(sv[0], 1.0):
-            take.append(vt[k])
-    cand = np.vstack(take)
+    # the last two right singular vectors, last first, then every small one
+    cand = np.vstack([vt[:-3:-1], vt[:len(sv)][sv <= 1e-8 * max(sv[0], 1.0)]])
     return np.vstack([cand, -cand])
 
 
-def _decay_searches(spec: ProblemSpec, lam_hat: np.ndarray, j_dim: int,
-                    searches, seed: int) -> list:
+def minimal_decay_rate(spec: ProblemSpec, lam_hat: np.ndarray, j_dim: int,
+                       distances: tuple = (0.1,), n_probes: int = 2048,
+                       seed: int = 0) -> float:
     """Smallest probed decrease of the dual per unit distance from lam_hat,
-    for each (distances, n_probes) of `searches`, all in one pass.
+    over all the given probe distances.
 
-    A search probes its n_probes random rays, the axes both ways and the
-    shared flat-face candidates at each of its distances, then refines the
-    directions of smallest decay by multi-start coordinate pattern search;
-    this exposes the flat face of a non-unique maximizer.  All pattern
-    searches run side by side, one batch of proposals per sweep; a row's
-    dual value does not depend on its batch, so each search returns what it
-    would alone.  A rate may be slightly negative when lam_hat is suboptimal.
+    The search probes n_probes random rays, the axes both ways and the flat
+    directions of _flat_direction_candidates at each distance, then refines
+    the directions of smallest decay by multi-start coordinate pattern
+    search.  The pattern searches run side by side, one batch of proposals
+    per sweep; a row's dual value does not depend on its batch, so each
+    start moves as it would alone.  A rate may be slightly negative when
+    lam_hat is suboptimal.
     """
     dims = lam_hat.shape[0]
-    flat = _flat_direction_candidates(spec, lam_hat, j_dim, seed)
     d_hat, _, _ = dual_function(spec, lam_hat[:j_dim], lam_hat[j_dim:])
 
     def decay_of(directions, rho):
@@ -253,21 +241,18 @@ def _decay_searches(spec: ProblemSpec, lam_hat: np.ndarray, j_dim: int,
             out[ok] = (d_hat - D) / dist[ok]
         return out
 
-    blocks = []  # (search, unit directions, distance), one per distance of each search
-    for s, (distances, n_probes) in enumerate(searches):
-        dirs = np.vstack([np.random.default_rng(seed).standard_normal((n_probes, dims)),
-                          np.eye(dims), -np.eye(dims), flat])
-        dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-        blocks += [(s, dirs, rho) for rho in distances]
-    decays = decay_of(np.vstack([dirs for _, dirs, _ in blocks]),
-                      np.concatenate([np.full(len(dirs), rho) for _, dirs, rho in blocks]))
-    # four pattern searches per block, from its directions of smallest decay
-    starts, end = [], 0
-    for s, dirs, rho in blocks:
-        row, end = decays[end:end + len(dirs)], end + len(dirs)
-        starts += [(s, dirs[k], row[k], rho) for k in np.argsort(row)[:4]]
-    owner, u, val, rho = (np.array(col) for col in zip(*starts))
-    step = np.full(len(starts), 0.5)
+    dirs = np.vstack([np.random.default_rng(seed).standard_normal((n_probes, dims)),
+                      np.eye(dims), -np.eye(dims),
+                      _flat_direction_candidates(spec, lam_hat, j_dim, seed)])
+    dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+    decays = decay_of(np.tile(dirs, (len(distances), 1)),
+                      np.repeat(distances, len(dirs))).reshape(len(distances), -1)
+    # four pattern searches per distance, from its directions of smallest decay
+    first = [np.argsort(row)[:4] for row in decays]
+    u = np.vstack([dirs[k] for k in first])
+    val = np.concatenate([row[k] for row, k in zip(decays, first)])
+    rho = np.repeat(distances, [len(k) for k in first])
+    step = np.full(len(val), 0.5)
     axes = np.arange(dims)
     for _ in range(80):
         active = np.flatnonzero(step > 1e-4)
@@ -292,18 +277,10 @@ def _decay_searches(spec: ProblemSpec, lam_hat: np.ndarray, j_dim: int,
         val[active[better]] = best[better]
         step[active[~better]] *= 0.5
     # Python's min over the starts in order, so a NaN wins only as the first value
-    return [min(val[owner == s].tolist()) for s in range(len(searches))]
+    return min(val.tolist())
 
 
-def minimal_decay_rate(spec: ProblemSpec, lam_hat: np.ndarray, j_dim: int,
-                       distances: tuple = (0.1,), n_probes: int = 2048,
-                       seed: int = 0) -> float:
-    """Smallest probed decrease of the dual per unit distance from lam_hat,
-    over all the given probe distances: one search of _decay_searches."""
-    return _decay_searches(spec, lam_hat, j_dim, [(distances, n_probes)], seed)[0]
-
-
-def estimate_sharpness(spec: ProblemSpec, estimate: "MultiplierEstimate") -> dict:
+def estimate_sharpness(estimate: MultiplierEstimate) -> dict:
     """Decay-rate estimates feeding the region geometry, keyed by geometry.
 
     Both come from the estimate's sharpness search at distance 0.1:
@@ -315,63 +292,32 @@ def estimate_sharpness(spec: ProblemSpec, estimate: "MultiplierEstimate") -> dic
     return {"polyhedral": max(rate, 1e-9), "smooth": max(rate / _SHARPNESS_DISTANCE, 1e-9)}
 
 
-def estimate_multiplier(spec: ProblemSpec, method: str = "grid-dual-max", *,
-                        v: float = 100.0,
-                        seed: int = 0,
-                        tail_horizon: int = 1_000_000) -> MultiplierEstimate:
-    """Estimate the dual maximizer.
+def estimate_multiplier(spec: ProblemSpec, *, seed: int = 0) -> MultiplierEstimate:
+    """The dual maximizer: the multipliers of oracle.solve_exact.
 
-    grid-dual-max (the name is kept) is now exact: it takes the multipliers
-    of oracle.solve_exact.  tail-average runs the engine with a 10x larger
-    V and averages the dual trajectory over its final stretch.  For both,
-    the residual is f_opt - d(estimate) with f_opt from solve_exact,
-    clipped at zero; it must stay below 1e-2, and d(estimate) may exceed
-    f_opt by no more than 1e-9 * max(1, |f_opt|), where the solver's
-    f(y*) and the engine's dual meet.  seed draws the rays of the flat-face
-    and sharpness decay searches, run in one pass.
+    The residual is f_opt - d(estimate), clipped at zero; it must stay below
+    1e-2, and d(estimate) may exceed f_opt by no more than
+    1e-9 * max(1, |f_opt|), where the solver's f(y*) and the engine's dual
+    meet.  possibly_nonunique is the exact solve's rank test, negated.
+    seed draws the rays of the sharpness search.
     """
-    if method not in ("grid-dual-max", "tail-average"):
-        raise ValueError(f"unknown estimation method {method!r}")
     J = spec.constraint_count
     exact = solve_exact(spec)
-    if method == "tail-average":
-        # the head is only stepped through, in runs no longer than the tail,
-        # each starting from the state the one before ended in
-        start = int((1.0 - _TAIL_FRACTION) * tail_horizon)
-        tail = tail_horizon - start
-        w = z = None
-        for done in range(0, start, tail):
-            w, z = np.split(run(spec, SolverConfig(v=10.0 * v, horizon=min(tail, start - done),
-                                                   initial_w=w, initial_z=z)).lambda_path[-1], [J])
-        rows = run(spec, SolverConfig(v=10.0 * v, horizon=tail, initial_w=w,
-                                      initial_z=z)).lambda_path[:-1]
-        lam_hat = _project_dual(rows.mean(axis=0), J)
-    else:
-        lam_hat = exact.lam
-
+    lam_hat = exact.lam
+    lam_hat.setflags(write=False)
     d_value, _, _ = dual_function(spec, lam_hat[:J], lam_hat[J:])
     if d_value > exact.f_opt + 1e-9 * max(1.0, abs(exact.f_opt)):
-        raise EstimationError(f"weak duality fails: d = {d_value!r} at the {method} estimate "
+        raise EstimationError(f"weak duality fails: d = {d_value!r} at the estimate "
                               f"exceeds the exact optimum {exact.f_opt!r}")
     residual = max(0.0, exact.f_opt - d_value)
     if residual > _RESIDUAL_THRESHOLD:
-        raise EstimationError(
-            f"{method} estimate has residual {residual:.3g} above threshold "
-            f"{_RESIDUAL_THRESHOLD:.3g}")
-
-    # A flat optimal face means the maximizer is not unique.  Candidate flat
-    # directions come from the decay probes themselves; each candidate is
-    # verified by its probed decay rate.  Faces shorter than the probe
-    # distances can go undetected.  The sharpness search runs in the same pass.
-    flat, sharpness = _decay_searches(spec, lam_hat, J, [_FLAT_FACE_SEARCH, _SHARPNESS_SEARCH],
-                                      seed)
-
-    lam_hat = lam_hat.copy()
-    lam_hat.setflags(write=False)
-    return MultiplierEstimate(lam=lam_hat, j_dim=J, method=method,
-                              residual=residual, d_value=d_value, f_opt=exact.f_opt,
-                              sharpness_decay=sharpness,
-                              possibly_nonunique=bool(flat < NONUNIQUE_DECAY_TOL))
+        raise EstimationError(f"estimate has residual {residual:.3g} above threshold "
+                              f"{_RESIDUAL_THRESHOLD:.3g}")
+    sharpness = minimal_decay_rate(spec, lam_hat, J, (_SHARPNESS_DISTANCE,), _SHARPNESS_PROBES,
+                                   seed)
+    return MultiplierEstimate(lam=lam_hat, j_dim=J, residual=residual, d_value=d_value,
+                              f_opt=exact.f_opt, sharpness_decay=sharpness,
+                              possibly_nonunique=not exact.unique)
 
 
 # ---------------------------------------------------------------------------

@@ -195,11 +195,11 @@ def _do_sweep(cfg: ExperimentConfig) -> int:
 def _estimate_bounds(spec: ProblemSpec, cfg: ExperimentConfig):
     """The multiplier estimate, its decay rates by geometry, and the BoundSet
     of M, C and V with both rates."""
-    v = cfg.v_list[0]
-    estimate = analysis.estimate_multiplier(spec, cfg.method, v=v, seed=cfg.seed)
-    rates = analysis.estimate_sharpness(spec, estimate)
-    bounds = analysis.BoundSet(m=lipschitz_bound(spec), c=squared_norm_bound(spec), v=v,
-                               l_poly=rates["polyhedral"], l_smooth=rates["smooth"])
+    estimate = analysis.estimate_multiplier(spec, seed=cfg.seed)
+    rates = analysis.estimate_sharpness(estimate)
+    bounds = analysis.BoundSet(m=lipschitz_bound(spec), c=squared_norm_bound(spec),
+                               v=cfg.v_list[0], l_poly=rates["polyhedral"],
+                               l_smooth=rates["smooth"])
     return estimate, rates, bounds
 
 
@@ -217,7 +217,7 @@ def _do_diagnose(cfg: ExperimentConfig) -> int:
         "horizon": cfg.horizon,
         "lipschitz_M": bounds.m,
         "norm_bound_C": bounds.c,
-        "estimate_method": estimate.method,
+        "estimate_method": cfg.method,
         "estimate_d": estimate.d_value,
         "estimate_residual": estimate.residual,
         "estimate_lambda": estimate.lam.tolist(),
@@ -345,7 +345,8 @@ _FLAGS = {
     "--horizon": dict(type=int),
     "--seed": dict(type=int),
     "--log-every": dict(type=int, help="write every k-th trace row"),
-    "--method": dict(choices=["grid-dual-max", "tail-average"]),
+    "--method": dict(choices=["grid-dual-max"],
+                     help="multiplier estimate (the one choice: the exact solve's multipliers)"),
     "--geometry": dict(choices=["polyhedral", "smooth", "both"]),
     "--figure": dict(type=int, choices=sorted(FIGURE_SETUPS)),
 }

@@ -280,20 +280,24 @@ def _kernel():
     library does not load.
 
     The library is cached in $XDG_CACHE_HOME/tavopt (or ~/.cache/tavopt),
-    named by the sha256 of the source, the flags, the compiler's path and
-    the machine.  It is built under a temporary name, given the sha256 of
-    its bytes as a 32-byte trailer (which the loader ignores) and moved into
+    named by the checksum of the source, the flags, the compiler's path and
+    the machine.  It is built under a temporary name, given the checksum of
+    its bytes as an 8-byte trailer (which the loader ignores) and moved into
     place by os.replace, so no process sees a partial file.  A cached file
     whose trailer does not match is rebuilt before it is loaded: loading a
     truncated library can crash the process.  If the cache cannot be
     written or loaded from, the library is built in a temporary directory
-    for this process only.
+    for this process only.  The checksum is zlib's CRC-32 and Adler-32, 64
+    bits: numpy loads zlib, while hashlib would load OpenSSL (3.6 MB RSS).
     """
     import ctypes
-    import hashlib
     import platform
     import shutil
     import tempfile
+    import zlib
+
+    def checksum(data: bytes) -> bytes:
+        return zlib.crc32(data).to_bytes(4, "big") + zlib.adler32(data).to_bytes(4, "big")
 
     source = os.path.join(os.path.dirname(os.path.abspath(__file__)), "step_loop.c")
     cc = shutil.which("cc")
@@ -305,7 +309,7 @@ def _kernel():
                 data = fh.read()
         except FileNotFoundError:
             data = b""
-        if len(data) <= 32 or data[-32:] != hashlib.sha256(data[:-32]).digest():
+        if len(data) <= 8 or data[-8:] != checksum(data[:-8]):
             fd, tmp = tempfile.mkstemp(suffix=".so", dir=directory)
             os.close(fd)
             try:
@@ -315,9 +319,9 @@ def _kernel():
                 if built.returncode:
                     raise RuntimeError(built.stderr.strip())
                 with open(tmp, "rb") as fh:
-                    digest = hashlib.sha256(fh.read()).digest()
+                    trailer = checksum(fh.read())
                 with open(tmp, "ab") as fh:
-                    fh.write(digest)
+                    fh.write(trailer)
                 os.replace(tmp, path)
             finally:
                 if os.path.exists(tmp):
@@ -328,10 +332,10 @@ def _kernel():
         if cc is None:
             raise OSError("no C compiler (cc) on PATH")
         with open(source, "rb") as fh:
-            key = hashlib.sha256(fh.read())
+            key = fh.read()
         for part in (*_CFLAGS, cc, platform.machine()):
-            key.update(b"\0" + part.encode())
-        name = key.hexdigest() + ".so"
+            key += b"\0" + part.encode()
+        name = checksum(key).hex() + ".so"
         cache_dir = os.path.join(os.environ.get("XDG_CACHE_HOME")
                                  or os.path.expanduser("~/.cache"), "tavopt")
         try:

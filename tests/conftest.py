@@ -2,8 +2,10 @@
 full-horizon traces reused across the analysis and acceptance tests, and the
 strategy of generated small specs."""
 
+import importlib
 import itertools
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from tavopt import (
     solve_reference_lp,
 )
 from tavopt.cli import reference_instance
+from tavopt.config import parse_problem_config
 
 INSTANCE_NAMES = ("polyhedral", "smooth", "polyhedral-extra", "smooth-extra")
 
@@ -54,6 +57,26 @@ POINTS_PROBLEM_SEED_1 = """{"dimension": 3,
  "constraints": [{"coeffs": [1.5, 1.0, 1.5], "offset": 7.137, "sense": ">="},
                  {"coeffs": [1.5, 1.5, 1.0], "offset": 6.882, "sense": ">="}]}"""
 
+# the solve-trace benchmark problems of seeds 11 and 28, on which the
+# interior-point solve once stalled: in phase one on seed 11, in the final
+# solve on seed 28
+POINTS_PROBLEM_SEED_11 = (
+    '{"dimension": 3, "decision_set": {"points": [[0.75, 2.75, 1.75], [0.75, 3.0, 0.25], '
+    '[1.5, 1.0, 0.75], [1.5, 3.0, 0.0], [1.75, 3.0, 0.0], [2.25, 1.25, 2.5], '
+    '[2.75, 0.75, 2.0], [2.75, 1.25, 0.25]]}, "objective": [{"kind": "quadratic", '
+    '"curvature": 1.75, "slope": -1.0}, {"kind": "piecewise_linear", "breakpoints": '
+    '[1.0, 2.0], "slopes": [-0.25, -0.25, 0.0]}, {"kind": "linear", "slope": 1.0}], '
+    '"constraints": [{"coeffs": [2.0, 2.0, 1.0], "offset": 8.014, "sense": ">="}, '
+    '{"coeffs": [1.0, 1.0, 1.0], "offset": 4.425, "sense": ">="}]}')
+POINTS_PROBLEM_SEED_28 = (
+    '{"dimension": 3, "decision_set": {"points": [[0.0, 2.5, 2.0], [1.0, 0.0, 2.75], '
+    '[1.0, 0.25, 2.0], [1.0, 0.5, 0.25], [1.25, 1.75, 2.75], [1.25, 2.75, 2.25], '
+    '[2.0, 0.0, 2.0], [3.0, 0.25, 2.5]]}, "objective": [{"kind": "quadratic", '
+    '"curvature": 1.25, "slope": 1.0}, {"kind": "piecewise_linear", "breakpoints": '
+    '[1.0, 2.0], "slopes": [0.75, 1.0, 1.5]}, {"kind": "linear", "slope": 1.75}], '
+    '"constraints": [{"coeffs": [1.0, 0.5, 0.5], "offset": 2.624, "sense": ">="}, '
+    '{"coeffs": [1.5, 0.5, 2.0], "offset": 6.253, "sense": ">="}]}')
+
 # the diagnose-grid benchmark problem of seed 7: the grid {0..3}^3, two
 # quadratic pieces and a linear one, three >= constraints (a 6-D dual)
 GRID_PROBLEM = (
@@ -63,6 +86,21 @@ GRID_PROBLEM = (
     '[{"coeffs": [1.0, 2.0, 2.5], "offset": 3.318, "sense": ">="}, '
     '{"coeffs": [1.5, 2.0, 1.0], "offset": 3.522, "sense": ">="}, '
     '{"coeffs": [1.5, 0.5, 2.5], "offset": 3.16, "sense": ">="}]}')
+
+
+@pytest.fixture
+def bench_problem(monkeypatch, tmp_path):
+    """bench_problem(workload, seed): the problem spec that the benchmark's
+    perfbench/workloads.py writes for a workload and seed."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    workloads = importlib.import_module("workloads")
+
+    def make(name, seed):
+        path = workloads.make(name, seed, str(tmp_path)).problem_path
+        with open(path) as fh:
+            return parse_problem_config(fh.read())
+
+    return make
 
 
 def build_instance(name):
@@ -102,7 +140,7 @@ def main_traces(instances):
 def main_estimates(instances):
     from tavopt import estimate_multiplier
 
-    return {name: estimate_multiplier(spec, "grid-dual-max", v=MAIN_V, seed=0)
+    return {name: estimate_multiplier(spec, seed=0)
             for name, spec in instances.items()}
 
 

@@ -783,15 +783,34 @@ def test_a_failing_compiler_gives_the_composed_updates(reload_kernel, tmp_path, 
         assert bits(getattr(trace, name)) == bits(getattr(expected, name)), name
 
 
-def test_importing_tavopt_compiles_nothing(tmp_path):
+def _fresh_python(code, cache):
+    """Run code in a new interpreter that imports tavopt from this tree,
+    with the kernel cache in the given directory."""
     src = os.path.dirname(os.path.dirname(tavopt.__file__))
-    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, XDG_CACHE_HOME=str(cache), PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, tavopt\n"
-            "assert 'subprocess' not in sys.modules\n"
-            "assert tavopt.engine._kernel.cache_info().currsize == 0\n")
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def test_importing_tavopt_compiles_nothing(tmp_path):
+    _fresh_python("import sys, tavopt\n"
+                  "assert 'subprocess' not in sys.modules\n"
+                  "assert tavopt.engine._kernel.cache_info().currsize == 0\n", tmp_path)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_the_kernel_cache_loads_no_hashlib(tmp_path):
+    # the cached library is named and checked with zlib, which numpy loads
+    # anyway; hashlib would load OpenSSL's libcrypto, 3.6 MB of RSS
+    code = ("import sys, tavopt\n"
+            "from tavopt.cli import reference_instance\n"
+            "tavopt.run(reference_instance(), tavopt.SolverConfig(v=7.0, horizon=50))\n"
+            "assert tavopt.engine._kernel() is not None\n"
+            "assert '_hashlib' not in sys.modules\n")
+    _fresh_python(code, tmp_path)  # builds the library into the cache
+    _fresh_python(code, tmp_path)  # and checks the cached one
+    [built] = (tmp_path / "tavopt").iterdir()
+    assert len(built.name) == len("0123456789abcdef.so")
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from tavopt import (
     estimate_multiplier,
     parse_problem_config,
     run,
+    serialize_problem_config,
     solve_exact,
     solve_reference,
     solve_reference_lp,
@@ -26,7 +27,8 @@ from tavopt import (
 
 from tavopt.oracle import FEASIBILITY_TOL, _feasible, _simplex_compositions
 
-from conftest import GRID_PROBLEM, POINTS_PROBLEM, build_instance, generated_runs
+from conftest import (GRID_PROBLEM, POINTS_PROBLEM, POINTS_PROBLEM_SEED_11, POINTS_PROBLEM_SEED_28,
+                      build_instance, generated_runs)
 
 
 def test_grid_oracle_on_linear_instance():
@@ -232,7 +234,7 @@ def test_explicit_points_polish_stays_in_the_hull(resolution):
     dirs = np.vstack([np.eye(3), -np.eye(3), np.random.default_rng(0).standard_normal((256, 3))])
     # a direction u with u . argmin < min over the points of u . p separates them
     assert np.all(dirs @ res.argmin >= np.min(pts @ dirs.T, axis=0))
-    est = estimate_multiplier(spec, "grid-dual-max", seed=0)
+    est = estimate_multiplier(spec, seed=0)
     d, _, _ = dual_function(spec, est.lam[:est.j_dim], est.lam[est.j_dim:])
     assert d <= res.f_opt
 
@@ -261,7 +263,7 @@ def test_sandwich_between_dual_trajectory_and_penalized_average(oracle_values):
     trace = run(spec, SolverConfig(v=50.0, horizon=20000))
     assert float(np.max(trace.d)) - 1e-6 <= f_opt
 
-    est = estimate_multiplier(spec, "grid-dual-max", v=50.0, seed=0)
+    est = estimate_multiplier(spec, seed=0)
     xbar = trace.xbar[-1]
     A, b = spec.constraint_matrix()
     penalty = float(est.lam[:est.j_dim] @ np.maximum(A @ xbar + b, 0.0))
@@ -301,6 +303,34 @@ def test_exact_optimum_of_the_benchmark_problems(problem, f_opt):
     A, b = spec.constraint_matrix()
     assert np.max(A @ exact.argmin + b) <= 1e-9
     assert np.all(exact.lam[:spec.constraint_count] >= 0.0)
+
+
+@pytest.mark.parametrize("workload", ["solve-trace", "diagnose-grid"])
+def test_exact_solve_on_the_benchmark_generators(workload, bench_problem):
+    # seeds 0-59 of both problem generators: the solve converges and the
+    # engine's dual at lam* meets f_opt
+    for seed in range(60):
+        spec = bench_problem(workload, seed)
+        exact = solve_exact(spec)
+        assert abs(_gap(spec, exact)) <= 1e-9 * max(1.0, abs(exact.f_opt)), seed
+
+
+@pytest.mark.parametrize("problem,seed,unique", [(POINTS_PROBLEM_SEED_11, 11, False),
+                                                 (POINTS_PROBLEM_SEED_28, 28, True)],
+                         ids=["11", "28"])
+def test_exact_solve_where_the_reduced_newton_system_stalled(problem, seed, unique,
+                                                             bench_problem):
+    # with dlam eliminated into the v block, the dual residual stalled above
+    # the tolerance until the iteration cap: in phase one on seed 11, in the
+    # final solve on seed 28.  Seed 11's dual is flat at lam* (decay 4e-15
+    # at distance 0.1), so its multiplier is not unique.
+    spec = parse_problem_config(problem)
+    assert (serialize_problem_config(spec)
+            == serialize_problem_config(bench_problem("solve-trace", seed)))
+    exact = solve_exact(spec)
+    assert abs(_gap(spec, exact)) <= 1e-9 * max(1.0, abs(exact.f_opt))
+    assert exact.unique == unique
+    assert exact.f_opt <= solve_reference(spec, resolution=0.25).f_opt
 
 
 @settings(max_examples=100, deadline=None)
