@@ -2,11 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from tavopt import (
     AffineConstraint,
     ExplicitPoints,
+    ExtendedBox,
     GridProduct,
     InfeasibilityError,
     LinearPiece,
@@ -25,7 +26,7 @@ from tavopt import (
     tight_box,
 )
 
-from tavopt.oracle import FEASIBILITY_TOL, _feasible, _simplex_compositions
+from tavopt.oracle import _IPM_MARGIN, FEASIBILITY_TOL, _feasible, _simplex_compositions
 
 from conftest import (GRID_PROBLEM, POINTS_PROBLEM, POINTS_PROBLEM_SEED_11, POINTS_PROBLEM_SEED_28,
                       build_instance, generated_runs)
@@ -333,7 +334,22 @@ def test_exact_solve_where_the_reduced_newton_system_stalled(problem, seed, uniq
     assert exact.f_opt <= solve_reference(spec, resolution=0.25).f_opt
 
 
+# no hull point holds both x_1 <= 0 and x_2 <= 0: the least violation is
+# 1.6e-10, so the final solve relaxes both rows by that much and w* grows
+# to 6e3, a relaxation price of 1e-6, seventeen times the margin's
+_NEARLY_INFEASIBLE = (
+    ProblemSpec(decision_set=ExplicitPoints(points=np.array([[0.0, -0.0625, 1e-5],
+                                                              [0.0, 1e-6, 0.0]])),
+                box=ExtendedBox(np.array([0.0, -0.0625, 0.0]), np.array([0.0, 1e-6, 1e-5])),
+                objective=SeparableConvexObjective((LinearPiece(0.0), LinearPiece(1.0),
+                                                    LinearPiece(0.0))),
+                constraints=(AffineConstraint(np.array([0.0, 0.0, 1.0]), 0.0),
+                             AffineConstraint(np.array([0.0, 1.0, 0.0]), 0.0))),
+    SolverConfig(v=1.0, horizon=1))
+
+
 @settings(max_examples=100, deadline=None)
+@example(case=_NEARLY_INFEASIBLE)
 @given(case=generated_runs())
 def test_exact_solve_on_generated_specs(case):
     """Weak duality and a closed gap at lam*, and f_opt at most the
@@ -341,9 +357,11 @@ def test_exact_solve_on_generated_specs(case):
     FEASIBILITY_TOL; lam* prices that violation.
 
     Where no hull point holds every constraint strictly, solve_exact
-    relaxes each row by 1e-11 per unit of its largest coefficient, which
-    moves f_opt by up to that relaxation's price at lam*; the gap bound
-    allows ten times it, which is below 1e-10 while lam* is of order 1."""
+    relaxes each row by the phase-one violation s <= FEASIBILITY_TOL plus
+    _IPM_MARGIN, per unit of its largest coefficient.  f_opt is then the
+    relaxed optimum, below the dual at lam* by the relaxation's price,
+    which complementary slackness makes lam* . max(A y* + b, 0); the gap
+    must equal it to within the tolerance."""
     spec, _ = case
     try:
         exact = solve_exact(spec)
@@ -351,8 +369,11 @@ def test_exact_solve_on_generated_specs(case):
         return
     w = exact.lam[:spec.constraint_count]
     A, b = spec.constraint_matrix()
-    tol = 1e-8 * max(1.0, abs(exact.f_opt)) + 1e-10 * float(w @ np.abs(A).max(axis=1, initial=0.0))
-    assert abs(_gap(spec, exact)) <= tol
+    scale = float(w @ np.abs(A).max(axis=1, initial=0.0))
+    tol = 1e-8 * max(1.0, abs(exact.f_opt)) + 1e-10 * scale
+    relaxation = float(w @ np.maximum(A @ exact.argmin + b, 0.0))
+    assert relaxation <= (FEASIBILITY_TOL + _IPM_MARGIN) * scale + tol
+    assert abs(_gap(spec, exact) + relaxation) <= tol
     assert np.all(w >= 0.0)
     try:
         ref = solve_reference(spec, resolution=0.25)
