@@ -46,7 +46,7 @@ __all__ = [
 _RESIDUAL_THRESHOLD = 1e-2
 
 # The sharpness search feeding the region geometry: its probe distance and
-# random rays.
+# the number of its random rays, which default_rng(0) draws.
 _SHARPNESS_DISTANCE = 0.1
 _SHARPNESS_PROBES = 256
 
@@ -192,17 +192,16 @@ def _project_dual(lam: np.ndarray, j_dim: int) -> np.ndarray:
 
 
 def _flat_direction_candidates(spec: ProblemSpec, lam_hat: np.ndarray,
-                               j_dim: int, seed: int) -> np.ndarray:
-    """Directions orthogonal to sampled dual subgradients near lam_hat.
+                               j_dim: int, rays: np.ndarray) -> np.ndarray:
+    """Directions orthogonal to dual subgradients sampled 1e-5 from lam_hat
+    along the first 64 rays.
 
     Along a flat optimal face the dual is constant, so every active
     subgradient is orthogonal to the face; the small singular directions of a
     stack of sampled subgradients are therefore face candidates, and the
     directions along which the dual decays slowest.
     """
-    dims = lam_hat.shape[0]
-    rng = np.random.default_rng(seed)
-    pert = _project_dual(lam_hat + 1e-5 * rng.standard_normal((64, dims)), j_dim)
+    pert = _project_dual(lam_hat + 1e-5 * rays[:64], j_dim)
     _, X, Y = dual_function_batch(spec, pert)
     A, b = spec.constraint_matrix()
     H = np.hstack([Y @ A.T + b, X - Y])
@@ -212,46 +211,40 @@ def _flat_direction_candidates(spec: ProblemSpec, lam_hat: np.ndarray,
     return np.vstack([cand, -cand])
 
 
-def minimal_decay_rate(spec: ProblemSpec, lam_hat: np.ndarray, j_dim: int,
-                       distances: tuple = (0.1,), n_probes: int = 2048,
-                       seed: int = 0) -> float:
+def minimal_decay_rate(spec: ProblemSpec, lam_hat: np.ndarray, j_dim: int) -> float:
     """Smallest probed decrease of the dual per unit distance from lam_hat,
-    over all the given probe distances.
+    at probe distance _SHARPNESS_DISTANCE.
 
-    The search probes n_probes random rays, the axes both ways and the flat
-    directions of _flat_direction_candidates at each distance, then refines
-    the directions of smallest decay by multi-start coordinate pattern
-    search.  The pattern searches run side by side, one batch of proposals
-    per sweep; a row's dual value does not depend on its batch, so each
-    start moves as it would alone.  A rate may be slightly negative when
-    lam_hat is suboptimal.
+    The search probes _SHARPNESS_PROBES rays drawn from default_rng(0), the
+    axes both ways and the flat directions of _flat_direction_candidates,
+    then refines the four directions of smallest decay by coordinate pattern
+    search.  The four searches run side by side, one batch of proposals per
+    sweep; a row's dual value does not depend on its batch, so each start
+    moves as it would alone.  A rate may be slightly negative when lam_hat
+    is suboptimal.
     """
     dims = lam_hat.shape[0]
     d_hat, _, _ = dual_function(spec, lam_hat[:j_dim], lam_hat[j_dim:])
 
-    def decay_of(directions, rho):
-        # rho holds each direction's probe distance
-        probes = _project_dual(lam_hat[None, :] + rho[:, None] * directions, j_dim)
+    def decay_of(directions):
+        probes = _project_dual(lam_hat[None, :] + _SHARPNESS_DISTANCE * directions, j_dim)
         deltas = probes - lam_hat[None, :]
         dist = np.linalg.norm(deltas, axis=1)
-        ok = dist >= 0.25 * rho
+        ok = dist >= 0.25 * _SHARPNESS_DISTANCE
         out = np.full(len(directions), np.inf)
         if np.any(ok):
             D, _, _ = dual_function_batch(spec, probes[ok])
             out[ok] = (d_hat - D) / dist[ok]
         return out
 
-    dirs = np.vstack([np.random.default_rng(seed).standard_normal((n_probes, dims)),
-                      np.eye(dims), -np.eye(dims),
-                      _flat_direction_candidates(spec, lam_hat, j_dim, seed)])
+    rays = np.random.default_rng(0).standard_normal((_SHARPNESS_PROBES, dims))
+    dirs = np.vstack([rays, np.eye(dims), -np.eye(dims),
+                      _flat_direction_candidates(spec, lam_hat, j_dim, rays)])
     dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-    decays = decay_of(np.tile(dirs, (len(distances), 1)),
-                      np.repeat(distances, len(dirs))).reshape(len(distances), -1)
-    # four pattern searches per distance, from its directions of smallest decay
-    first = [np.argsort(row)[:4] for row in decays]
-    u = np.vstack([dirs[k] for k in first])
-    val = np.concatenate([row[k] for row, k in zip(decays, first)])
-    rho = np.repeat(distances, [len(k) for k in first])
+    decays = decay_of(dirs)
+    # four pattern searches, from the directions of smallest decay
+    first = np.argsort(decays)[:4]
+    u, val = dirs[first], decays[first]
     step = np.full(len(val), 0.5)
     axes = np.arange(dims)
     for _ in range(80):
@@ -267,7 +260,7 @@ def minimal_decay_rate(spec: ProblemSpec, lam_hat: np.ndarray, j_dim: int,
         # vecdot runs, per row, the ddot that np.linalg.norm(u) takes, so
         # each norm keeps its bits
         props /= np.sqrt(np.vecdot(props, props))[:, None]
-        vals = decay_of(props, np.repeat(rho[active], 2 * dims)).reshape(len(active), -1)
+        vals = decay_of(props).reshape(len(active), -1)
         rows = np.arange(len(active))
         k = np.argmin(vals, axis=1)
         best = vals[rows, k]
@@ -292,14 +285,13 @@ def estimate_sharpness(estimate: MultiplierEstimate) -> dict:
     return {"polyhedral": max(rate, 1e-9), "smooth": max(rate / _SHARPNESS_DISTANCE, 1e-9)}
 
 
-def estimate_multiplier(spec: ProblemSpec, *, seed: int = 0) -> MultiplierEstimate:
+def estimate_multiplier(spec: ProblemSpec) -> MultiplierEstimate:
     """The dual maximizer: the multipliers of oracle.solve_exact.
 
     The residual is f_opt - d(estimate), clipped at zero; it must stay below
     1e-2, and d(estimate) may exceed f_opt by no more than
     1e-9 * max(1, |f_opt|), where the solver's f(y*) and the engine's dual
     meet.  possibly_nonunique is the exact solve's rank test, negated.
-    seed draws the rays of the sharpness search.
     """
     J = spec.constraint_count
     exact = solve_exact(spec)
@@ -313,8 +305,7 @@ def estimate_multiplier(spec: ProblemSpec, *, seed: int = 0) -> MultiplierEstima
     if residual > _RESIDUAL_THRESHOLD:
         raise EstimationError(f"estimate has residual {residual:.3g} above threshold "
                               f"{_RESIDUAL_THRESHOLD:.3g}")
-    sharpness = minimal_decay_rate(spec, lam_hat, J, (_SHARPNESS_DISTANCE,), _SHARPNESS_PROBES,
-                                   seed)
+    sharpness = minimal_decay_rate(spec, lam_hat, J)
     return MultiplierEstimate(lam=lam_hat, j_dim=J, residual=residual, d_value=d_value,
                               f_opt=exact.f_opt, sharpness_decay=sharpness,
                               possibly_nonunique=not exact.unique)

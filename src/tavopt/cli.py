@@ -11,6 +11,7 @@ Problem instances are JSON files; tavopt.config holds their schema.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -102,7 +103,6 @@ class ExperimentConfig:
     problem_path: Optional[str] = None
     v_list: tuple = (100.0,)
     horizon: int = 200_000
-    seed: int = 0
     figure: Optional[int] = None
     method: str = "grid-dual-max"
     geometry: str = "both"
@@ -117,8 +117,8 @@ class ExperimentConfig:
             raise ValueError(f"{self.mode} mode takes exactly one V")
         if self.mode == "sweep" and len(self.v_list) < 2:
             raise ValueError("sweep mode needs at least two V values")
-        if not self.v_list or any(v < 1.0 for v in self.v_list):
-            raise ValueError("V values must be >= 1")
+        if not self.v_list or not all(math.isfinite(v) and v >= 1.0 for v in self.v_list):
+            raise ValueError(f"V values must be finite and >= 1, got {self.v_list}")
         if len(set(self.v_list)) != len(self.v_list):
             raise ValueError("V values must be distinct")
         if self.log_every < 1:
@@ -195,7 +195,7 @@ def _do_sweep(cfg: ExperimentConfig) -> int:
 def _estimate_bounds(spec: ProblemSpec, cfg: ExperimentConfig):
     """The multiplier estimate, its decay rates by geometry, and the BoundSet
     of M, C and V with both rates."""
-    estimate = analysis.estimate_multiplier(spec, seed=cfg.seed)
+    estimate = analysis.estimate_multiplier(spec)
     rates = analysis.estimate_sharpness(estimate)
     bounds = analysis.BoundSet(m=lipschitz_bound(spec), c=squared_norm_bound(spec),
                                v=cfg.v_list[0], l_poly=rates["polyhedral"],
@@ -343,7 +343,6 @@ _FLAGS = {
     "--out": dict(dest="out_dir", required=True, help="output directory"),
     "--V": dict(dest="v_list", type=_v_list, help="V value (comma-separated list for sweep)"),
     "--horizon": dict(type=int),
-    "--seed": dict(type=int),
     "--log-every": dict(type=int, help="write every k-th trace row"),
     "--method": dict(choices=["grid-dual-max"],
                      help="multiplier estimate (the one choice: the exact solve's multipliers)"),
@@ -358,10 +357,9 @@ _MODES = {
     "sweep": ("iterations-to-accuracy over a V list",
               ("--problem", "--out", "--V", "--horizon")),
     "diagnose": ("multiplier estimate and certificates",
-                 ("--problem", "--out", "--V", "--horizon", "--seed", "--method",
-                  "--geometry")),
+                 ("--problem", "--out", "--V", "--horizon", "--method", "--geometry")),
     "reproduce": ("bundled demo instances, per-figure CSVs",
-                  ("--out", "--V", "--horizon", "--seed", "--figure")),
+                  ("--out", "--V", "--horizon", "--figure")),
 }
 
 

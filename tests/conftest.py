@@ -140,7 +140,7 @@ def main_traces(instances):
 def main_estimates(instances):
     from tavopt import estimate_multiplier
 
-    return {name: estimate_multiplier(spec, seed=0)
+    return {name: estimate_multiplier(spec)
             for name, spec in instances.items()}
 
 

@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from tavopt import (
     AffineConstraint,
@@ -65,6 +64,14 @@ def test_dual_at_zero_is_box_minimum():
     value, _, y_star = dual_function(smooth, np.zeros(2), np.zeros(2))
     assert value == pytest.approx(0.0, abs=1e-12)
     np.testing.assert_allclose(y_star, [0.0, 0.0], atol=1e-15)
+
+
+def test_dual_rejects_multipliers_of_the_wrong_shape():
+    spec = build_instance("polyhedral")
+    with pytest.raises(ValueError, match=r"\(w, z\) have shapes \(3,\), \(2,\), expected"):
+        dual_function(spec, np.zeros(3), np.zeros(2))
+    with pytest.raises(ValueError, match="multipliers have width 3, expected 4"):
+        dual_function_batch(spec, np.zeros((5, 3)))
 
 
 def test_dual_rejects_negative_w():
@@ -205,7 +212,7 @@ def test_subgradient_vanishes_at_estimated_maximizer():
         decision_set=grid, box=tight_box(grid),
         objective=SeparableConvexObjective(
             pieces=(QuadraticPiece(1.0, 1.0), QuadraticPiece(1.0, 1.0))))
-    est = estimate_multiplier(spec, seed=3)
+    est = estimate_multiplier(spec)
     sub = dual_subgradient(spec, est.lam[:est.j_dim], est.lam[est.j_dim:])
     assert np.linalg.norm(sub) <= max(1e-9, 2.0 * est.residual)
 
@@ -235,7 +242,7 @@ def test_nonbinding_constraint_gets_zero_multiplier():
         objective=SeparableConvexObjective(
             pieces=(QuadraticPiece(1.0, 0.0), QuadraticPiece(1.0, 0.0))),
         constraints=(AffineConstraint(coeffs=(1.0, 0.0), offset=-10.0),))
-    est = estimate_multiplier(spec, seed=0)
+    est = estimate_multiplier(spec)
     assert np.max(est.lam[:est.j_dim]) <= 1e-3
 
 
@@ -256,8 +263,8 @@ def test_a_duplicated_active_constraint_makes_the_multiplier_nonunique():
     # multiplier 2/3 splits between the copies in any proportion
     spec = build_instance("polyhedral")
     twice = _with_constraints(spec, (spec.constraints[0], *spec.constraints))
-    assert not estimate_multiplier(spec, seed=0).possibly_nonunique
-    assert estimate_multiplier(twice, seed=0).possibly_nonunique
+    assert not estimate_multiplier(spec).possibly_nonunique
+    assert estimate_multiplier(twice).possibly_nonunique
 
 
 @pytest.mark.parametrize("name", ["polyhedral", "polyhedral-extra"])
@@ -265,7 +272,7 @@ def test_scaling_a_constraint_keeps_the_flag_and_halves_its_multiplier(name, mai
     spec = build_instance(name)
     first = spec.constraints[0]
     doubled = AffineConstraint(coeffs=2.0 * first.coeffs, offset=2.0 * first.offset)
-    est = estimate_multiplier(_with_constraints(spec, (doubled, *spec.constraints[1:])), seed=0)
+    est = estimate_multiplier(_with_constraints(spec, (doubled, *spec.constraints[1:])))
     assert est.possibly_nonunique == main_estimates[name].possibly_nonunique
     if not est.possibly_nonunique:
         assert est.lam[0] == pytest.approx(main_estimates[name].lam[0] / 2.0, rel=1e-12)
@@ -280,7 +287,7 @@ def test_a_fixed_coordinate_makes_the_multiplier_nonunique():
                                                                   LinearPiece(1.0))),
                        constraints=(AffineConstraint(coeffs=(-2.0, -1.0), offset=1.5),))
     assert spec.box.lower[1] == spec.box.upper[1]
-    assert estimate_multiplier(spec, seed=0).possibly_nonunique
+    assert estimate_multiplier(spec).possibly_nonunique
 
 
 def test_an_active_dropped_constraint_makes_the_multiplier_nonunique():
@@ -292,9 +299,9 @@ def test_an_active_dropped_constraint_makes_the_multiplier_nonunique():
     spec = ProblemSpec(decision_set=grid, box=ExtendedBox((-1.0, -1.0), (4.0, 4.0)),
                        objective=SeparableConvexObjective(pieces=(LinearPiece(1.0),
                                                                   LinearPiece(1.0))))
-    assert not estimate_multiplier(spec, seed=0).possibly_nonunique
+    assert not estimate_multiplier(spec).possibly_nonunique
     bounded = _with_constraints(spec, (AffineConstraint(coeffs=(-1.0, 0.0), offset=0.0),))
-    est = estimate_multiplier(bounded, seed=0)
+    est = estimate_multiplier(bounded)
     assert est.possibly_nonunique
     for w in (0.0, 0.5, 1.0):
         assert dual_function(bounded, [w], [1.0 - w, 1.0])[0] == pytest.approx(est.f_opt, abs=1e-12)
@@ -303,7 +310,7 @@ def test_an_active_dropped_constraint_makes_the_multiplier_nonunique():
 def test_the_diagnose_grid_seeds_share_one_flag(bench_problem):
     # the benchmark's 15 diagnose-grid seeds relabel the axes and
     # constraints of one problem, whose multiplier is unique
-    flags = {seed: estimate_multiplier(bench_problem("diagnose-grid", seed), seed=seed)
+    flags = {seed: estimate_multiplier(bench_problem("diagnose-grid", seed))
              .possibly_nonunique for seed in (1, 2, 6, 7, 11, *range(1301, 1306),
                                               *range(1801, 1806))}
     assert set(flags.values()) == {False}, flags
@@ -320,30 +327,20 @@ def test_grid_estimate_d_value_is_the_dual_at_the_estimate(name, main_estimates)
     _assert_d_value_is_the_dual_at_the_estimate(build_instance(name), main_estimates[name])
 
 
-def _assert_joint_decay_search_is_the_min(spec, lam, distances):
-    # the searches of all distances run side by side; each must move as it
-    # would in a call of its own
-    J = spec.constraint_count
-    joint = minimal_decay_rate(spec, lam, J, distances=distances, n_probes=64, seed=3)
-    alone = [minimal_decay_rate(spec, lam, J, distances=(rho,), n_probes=64, seed=3)
-             for rho in distances]
-    assert bits(joint) == bits(min(alone))
-
-
-def _list_decay_rate(spec, lam_hat, j_dim, distances, n_probes, seed):
-    """One decay search with its starts in a Python list of [u0, val, step,
-    distance], updated one start at a time: the reference that
+def _list_decay_rate(spec, lam_hat, j_dim):
+    """One decay search at distance 0.1 with its starts in a Python list of
+    [u0, val, step], updated one start at a time: the reference that
     minimal_decay_rate must match bit for bit."""
     dims = lam_hat.shape[0]
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((n_probes, dims))
-    dirs = np.vstack([dirs, np.eye(dims), -np.eye(dims)])
-    dirs = np.vstack([dirs, _flat_direction_candidates(spec, lam_hat, j_dim, seed)])
+    rho = 0.1
+    rays = np.random.default_rng(0).standard_normal((256, dims))
+    dirs = np.vstack([rays, np.eye(dims), -np.eye(dims)])
+    dirs = np.vstack([dirs, _flat_direction_candidates(spec, lam_hat, j_dim, rays)])
     dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
     d_hat, _, _ = dual_function(spec, lam_hat[:j_dim], lam_hat[j_dim:])
 
-    def decay_of(directions, rho):
-        probes = _project_dual(lam_hat[None, :] + rho[:, None] * directions, j_dim)
+    def decay_of(directions):
+        probes = _project_dual(lam_hat[None, :] + rho * directions, j_dim)
         deltas = probes - lam_hat[None, :]
         dist = np.linalg.norm(deltas, axis=1)
         ok = dist >= 0.25 * rho
@@ -353,10 +350,8 @@ def _list_decay_rate(spec, lam_hat, j_dim, distances, n_probes, seed):
             out[ok] = (d_hat - D) / dist[ok]
         return out
 
-    decays = decay_of(np.tile(dirs, (len(distances), 1)),
-                      np.repeat(distances, len(dirs))).reshape(len(distances), -1)
-    starts = [[dirs[k], float(row[k]), 0.5, rho]
-              for rho, row in zip(distances, decays) for k in np.argsort(row)[:4]]
+    decays = decay_of(dirs)
+    starts = [[dirs[k], float(decays[k]), 0.5] for k in np.argsort(decays)[:4]]
     axes = np.arange(dims)
     for _ in range(80):
         active = [s for s in starts if s[2] > 1e-4]
@@ -368,7 +363,7 @@ def _list_decay_rate(spec, lam_hat, j_dim, distances, n_probes, seed):
         props[:, 2 * axes + 1, axes] -= step
         props = props.reshape(-1, dims)
         props /= np.sqrt(np.vecdot(props, props))[:, None]
-        vals = decay_of(props, np.repeat([s[3] for s in active], 2 * dims))
+        vals = decay_of(props)
         for start, cand, v in zip(active, props.reshape(len(active), 2 * dims, dims),
                                   vals.reshape(len(active), 2 * dims)):
             k = int(np.argmin(v))
@@ -376,11 +371,11 @@ def _list_decay_rate(spec, lam_hat, j_dim, distances, n_probes, seed):
                 start[0], start[1] = cand[k], float(v[k])
             else:
                 start[2] *= 0.5
-    return min(val for _, val, _, _ in starts)
+    return min(val for _, val, _ in starts)
 
 
-def _assert_estimate_matches_the_list_search(spec, est, seed):
-    sharp = _list_decay_rate(spec, est.lam, spec.constraint_count, (0.1,), 256, seed)
+def _assert_estimate_matches_the_list_search(spec, est):
+    sharp = _list_decay_rate(spec, est.lam, spec.constraint_count)
     assert bits([est.sharpness_decay]) == bits([sharp])
     rates = estimate_sharpness(est)
     assert bits([rates["polyhedral"], rates["smooth"]]) == bits([max(sharp, 1e-9),
@@ -389,24 +384,24 @@ def _assert_estimate_matches_the_list_search(spec, est, seed):
 
 @pytest.mark.parametrize("name", INSTANCE_NAMES)
 def test_estimate_decay_searches_match_the_list_search_on_the_demos(name, main_estimates):
-    _assert_estimate_matches_the_list_search(build_instance(name), main_estimates[name], 0)
+    _assert_estimate_matches_the_list_search(build_instance(name), main_estimates[name])
 
 
 @pytest.mark.parametrize("problem", [GRID_PROBLEM, POINTS_PROBLEM_SEED_1], ids=["grid", "points"])
 def test_estimate_decay_searches_match_the_list_search_on_3d_problems(problem):
     spec = parse_problem_config(problem)
-    _assert_estimate_matches_the_list_search(spec, estimate_multiplier(spec, seed=7), 7)
+    _assert_estimate_matches_the_list_search(spec, estimate_multiplier(spec))
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=generated_runs(), seed=st.integers(0, 2 ** 16))
-def test_estimate_decay_searches_match_the_list_search_on_generated_specs(case, seed):
+@given(case=generated_runs())
+def test_estimate_decay_searches_match_the_list_search_on_generated_specs(case):
     spec, _ = case
     try:
-        est = estimate_multiplier(spec, seed=seed)
+        est = estimate_multiplier(spec)
     except (InfeasibilityError, EstimationError):
         return
-    _assert_estimate_matches_the_list_search(spec, est, seed)
+    _assert_estimate_matches_the_list_search(spec, est)
 
 
 def test_estimate_sharpness_makes_no_dual_evaluation(main_estimates, monkeypatch):
@@ -421,19 +416,6 @@ def test_estimate_sharpness_makes_no_dual_evaluation(main_estimates, monkeypatch
                      "smooth": max(est.sharpness_decay / 0.1, 1e-9)}
 
 
-@pytest.mark.parametrize("name", INSTANCE_NAMES)
-def test_decay_search_over_distances_is_the_min_of_single_searches(name, main_estimates):
-    _assert_joint_decay_search_is_the_min(build_instance(name), main_estimates[name].lam,
-                                          (0.1, 0.05))
-
-
-@settings(max_examples=40, deadline=None)
-@given(case=generated_runs(), distances=st.lists(st.floats(0.01, 1.0), min_size=2, max_size=2))
-def test_decay_search_over_distances_on_generated_specs(case, distances):
-    spec, cfg = case
-    _assert_joint_decay_search_is_the_min(spec, run(spec, cfg).lambda_path[-1], tuple(distances))
-
-
 def test_estimation_failure_raises(monkeypatch):
     # an optimum 0.1 above the dual's maximum leaves a residual of 0.1, and
     # one 0.1 below it breaks weak duality
@@ -443,7 +425,7 @@ def test_estimation_failure_raises(monkeypatch):
         shifted = dataclasses.replace(exact, f_opt=exact.f_opt + shift)
         monkeypatch.setattr(tavopt.analysis, "solve_exact", lambda spec: shifted)
         with pytest.raises(EstimationError, match=match):
-            estimate_multiplier(spec, seed=0)
+            estimate_multiplier(spec)
 
 
 @pytest.mark.parametrize("name,lam", [("polyhedral", [2.0 / 3.0, 1.0 / 6.0, 0.0, 0.0]),
@@ -469,10 +451,19 @@ def test_unknown_method_rejected(tmp_path):
         estimate_multiplier(build_instance("polyhedral"), "grid-dual-max")
 
 
+def test_the_sharpness_search_takes_no_settings(main_estimates):
+    # its distance, ray count and seed are fixed in tavopt.analysis
+    spec = build_instance("polyhedral")
+    with pytest.raises(TypeError):
+        estimate_multiplier(spec, seed=0)
+    with pytest.raises(TypeError):
+        minimal_decay_rate(spec, main_estimates["polyhedral"].lam, spec.constraint_count, (0.1,))
+
+
 def test_grid_estimate_is_exact_on_the_diagnose_grid_problem():
     # the diagnose-grid problem of seed 7: the estimate's dual value is the
     # exact optimum
-    est = estimate_multiplier(parse_problem_config(GRID_PROBLEM), seed=0)
+    est = estimate_multiplier(parse_problem_config(GRID_PROBLEM))
     assert est.d_value == pytest.approx(2.1227447, abs=1e-7)
     assert est.residual <= 1e-9
 
@@ -515,6 +506,8 @@ def test_bound_set_validation():
         BoundSet(m=1.0, c=1.0, v=0.5)
     with pytest.raises(ValueError):
         BoundSet(m=1.0, c=1.0, v=100.0, l_poly=0.0)
+    with pytest.raises(ValueError, match="l_smooth must be positive"):
+        BoundSet(m=1.0, c=1.0, v=100.0, l_smooth=0.0)
 
 
 # ---------------------------------------------------------------------------

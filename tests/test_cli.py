@@ -538,6 +538,8 @@ def test_exit_codes_for_bad_inputs(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["solve", "--seed", "1"],
     ["sweep", "--V", "25,50", "--seed", "1"],
+    ["diagnose", "--seed", "0"],
+    ["reproduce", "--figure", "2", "--seed", "0"],
     ["reproduce", "--figure", "2", "--restart-base", "3"],
     ["solve", "--restart-base", "2"],
     ["sweep", "--V", "25,50", "--restart-base", "2"],
@@ -550,6 +552,36 @@ def test_flags_a_mode_does_not_read_are_rejected(argv, problem_file, tmp_path):
         argv = argv + ["--problem", problem_file]
     assert run_cli(argv + ["--out", str(tmp_path / "o"), "--horizon", "64"]) == 1
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("mode,v", [("solve", "0.5"), ("solve", "nan"), ("sweep", "10,nan"),
+                                    ("sweep", "10,inf"), ("diagnose", "-inf"),
+                                    ("reproduce", "nan")])
+def test_a_v_below_1_or_not_finite_exits_1_before_any_work(mode, v, problem_file, tmp_path,
+                                                           capsys):
+    # --V=v, since argparse reads a separate "-inf" as a flag
+    argv = [mode, f"--V={v}", "--out", str(tmp_path / "o"), "--horizon", "64"]
+    assert run_cli(argv + (["--problem", problem_file] if mode != "reproduce" else [])) == 1
+    assert not (tmp_path / "o").exists()
+    assert capsys.readouterr().err.startswith("error: V values must be finite and >= 1, got (")
+
+
+def test_a_log_every_below_1_exits_1(problem_file, tmp_path, capsys):
+    assert run_cli(["solve", "--problem", problem_file, "--out", str(tmp_path / "o"),
+                    "--log-every", "0"]) == 1
+    assert not (tmp_path / "o").exists()
+    assert "log_every must be >= 1" in capsys.readouterr().err
+
+
+def test_config_errors_the_parser_cannot_reach():
+    # argparse refuses an unknown mode and a missing --problem first; the
+    # config refuses them too when built directly
+    with pytest.raises(ValueError, match="unknown mode 'frobnicate'"):
+        ExperimentConfig(mode="frobnicate", out_dir="o")
+    with pytest.raises(ValueError, match="mode diagnose needs a problem file"):
+        ExperimentConfig(mode="diagnose", out_dir="o")
+    with pytest.raises(ValueError, match="unknown objective 'cubic'"):
+        reference_instance("cubic")
 
 
 def test_a_horizon_past_the_address_space_exits_1(problem_file, tmp_path, capsys):

@@ -938,3 +938,25 @@ def test_write_table_rejects_columns_of_other_lengths(tmp_path):
         write_table(tmp_path / "bad.csv", ["a", "b", "c"],
                     [np.arange(5), np.zeros((5, 1)), np.zeros(4)])
     assert not (tmp_path / "bad.csv").exists()
+
+
+@pytest.mark.parametrize("kwargs,match", [
+    (dict(initial_w=(math.nan,)), "initial_w must be finite"),
+    (dict(initial_z=(0.0, math.inf)), "initial_z must be finite"),
+], ids=["w-nan", "z-inf"])
+def test_solver_config_refuses_non_finite_starts(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        SolverConfig(v=1.0, horizon=2, **kwargs)
+
+
+def test_run_refuses_an_initial_z_of_the_wrong_length():
+    with pytest.raises(ValueError, match=r"initial_z has length 1, expected 2"):
+        run(build_instance("polyhedral"), SolverConfig(v=1.0, horizon=2, initial_z=(0.0,)))
+
+
+def test_public_updates_refuse_bad_arguments():
+    spec = build_instance("polyhedral")
+    with pytest.raises(ValueError, match=r"z has shape \(3,\), expected \(2,\)"):
+        x_update(spec, np.zeros(3))
+    with pytest.raises(ValueError, match="v must be >= 1"):
+        dual_update(np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2), 0.5)

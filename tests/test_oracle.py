@@ -19,6 +19,7 @@ from tavopt import (
     estimate_multiplier,
     parse_problem_config,
     run,
+    run_cli,
     serialize_problem_config,
     solve_exact,
     solve_reference,
@@ -26,6 +27,7 @@ from tavopt import (
     tight_box,
 )
 
+import tavopt.oracle
 from tavopt.oracle import _IPM_MARGIN, FEASIBILITY_TOL, _feasible, _simplex_compositions
 
 from conftest import (GRID_PROBLEM, POINTS_PROBLEM, POINTS_PROBLEM_SEED_11, POINTS_PROBLEM_SEED_28,
@@ -235,7 +237,7 @@ def test_explicit_points_polish_stays_in_the_hull(resolution):
     dirs = np.vstack([np.eye(3), -np.eye(3), np.random.default_rng(0).standard_normal((256, 3))])
     # a direction u with u . argmin < min over the points of u . p separates them
     assert np.all(dirs @ res.argmin >= np.min(pts @ dirs.T, axis=0))
-    est = estimate_multiplier(spec, seed=0)
+    est = estimate_multiplier(spec)
     d, _, _ = dual_function(spec, est.lam[:est.j_dim], est.lam[est.j_dim:])
     assert d <= res.f_opt
 
@@ -248,6 +250,47 @@ def test_explicit_points_cap():
         objective=SeparableConvexObjective(pieces=(LinearPiece(1.0), LinearPiece(1.0))))
     with pytest.raises(ValueError):
         solve_reference(spec, resolution=0.1)
+
+
+def test_lattices_past_the_point_cap_are_refused():
+    # a 3001 x 3001 grid and the 8-point simplex lattice of step 1/1000 both
+    # hold more than 4M points; each is refused before it is built
+    with pytest.raises(ValueError, match="grid of 9006001 points is too large"):
+        solve_reference(build_instance("polyhedral"), resolution=1e-3)
+    pts = ExplicitPoints(points=np.random.default_rng(0).uniform(0.0, 1.0, size=(8, 2)))
+    spec = ProblemSpec(
+        decision_set=pts, box=tight_box(pts),
+        objective=SeparableConvexObjective(pieces=(LinearPiece(1.0), LinearPiece(1.0))))
+    with pytest.raises(ValueError, match="simplex lattice too large"):
+        solve_reference(spec, resolution=1e-3)
+
+
+class _Cloud:
+    """A decision set the oracles do not know: only its dimension and hull."""
+
+    dimension = 2
+
+    def hull_bounds(self):
+        return np.zeros(2), np.ones(2)
+
+
+def test_the_grid_oracle_refuses_an_unknown_decision_set():
+    spec = ProblemSpec(
+        decision_set=_Cloud(), box=ExtendedBox(lower=(0.0, 0.0), upper=(1.0, 1.0)),
+        objective=SeparableConvexObjective(pieces=(LinearPiece(1.0), LinearPiece(1.0))))
+    with pytest.raises(ValueError, match="unsupported decision set _Cloud"):
+        solve_reference(spec, resolution=0.1)
+
+
+def test_the_interior_point_cap_exits_1(monkeypatch, tmp_path, capsys):
+    # one iteration cannot meet the tolerances on figure 2, so the exact
+    # solve gives up and diagnose reports it as a config error
+    monkeypatch.setattr(tavopt.oracle, "_IPM_MAX_ITER", 1)
+    problem = tmp_path / "problem.json"
+    problem.write_text(serialize_problem_config(build_instance("polyhedral")))
+    assert run_cli(["diagnose", "--problem", str(problem), "--out", str(tmp_path / "o"),
+                    "--horizon", "64"]) == 1
+    assert "did not converge in 1 iterations" in capsys.readouterr().err
 
 
 def test_bad_resolution():
@@ -264,7 +307,7 @@ def test_sandwich_between_dual_trajectory_and_penalized_average(oracle_values):
     trace = run(spec, SolverConfig(v=50.0, horizon=20000))
     assert float(np.max(trace.d)) - 1e-6 <= f_opt
 
-    est = estimate_multiplier(spec, seed=0)
+    est = estimate_multiplier(spec)
     xbar = trace.xbar[-1]
     A, b = spec.constraint_matrix()
     penalty = float(est.lam[:est.j_dim] @ np.maximum(A @ xbar + b, 0.0))

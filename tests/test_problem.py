@@ -495,3 +495,39 @@ def test_spec_dimension_mismatches():
                     objective=SeparableConvexObjective(
                         pieces=(LinearPiece(1.0), LinearPiece(1.0))),
                     constraints=(AffineConstraint(coeffs=(1.0,), offset=0.0),))
+
+
+_GRID2 = GridProduct(values=((0.0, 1.0), (0.0, 1.0)))
+_PIECES2 = SeparableConvexObjective(pieces=(LinearPiece(1.0), LinearPiece(1.0)))
+
+
+@pytest.mark.parametrize("build,match", [
+    (lambda: ExtendedBox(lower=[[0.0]], upper=[[1.0]]), "must be a 1-d vector"),
+    (lambda: PiecewiseLinearPiece(breakpoints=(math.nan,), slopes=(0.0, 1.0)),
+     "piecewise-linear parameters must be finite"),
+    (lambda: SeparableConvexObjective(pieces=()), "objective needs at least one piece"),
+    (lambda: SeparableConvexObjective(pieces=("linear",)), "unsupported objective piece str"),
+    (lambda: GridProduct(values=((0.0, math.inf),)), "coordinate 0 has non-finite values"),
+    (lambda: ExplicitPoints(points=[[0.0, math.nan]]), "points must be finite"),
+    (lambda: ExtendedBox(lower=np.zeros(17), upper=np.ones(17)).vertices(),
+     "vertex enumeration limited to dimension <= 16"),
+    (lambda: AffineConstraint(coeffs=(1.0,), offset=math.inf), "constraint offset must be finite"),
+    (lambda: ProblemSpec(decision_set=_GRID2, box=ExtendedBox(lower=(0.0,), upper=(1.0,)),
+                         objective=SeparableConvexObjective(pieces=(LinearPiece(1.0),))),
+     "decision set dimension does not match box"),
+    (lambda: ProblemSpec(decision_set=_GRID2, box=tight_box(_GRID2), objective=_PIECES2,
+                         constraints=((1.0, 1.0),)),
+     "constraint 0 is not an AffineConstraint"),
+], ids=["box-not-1d", "pwl-nan", "no-pieces", "foreign-piece", "grid-inf", "points-nan",
+        "box-17d-vertices", "offset-inf", "decision-set-dim", "foreign-constraint"])
+def test_malformed_problem_parts_raise_their_named_errors(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+@pytest.mark.parametrize("evaluate", [evaluate_objective, evaluate_constraints])
+def test_evaluating_a_point_of_the_wrong_shape_raises(evaluate):
+    spec = ProblemSpec(decision_set=_GRID2, box=tight_box(_GRID2), objective=_PIECES2,
+                       constraints=(AffineConstraint(coeffs=(1.0, 1.0), offset=-1.0),))
+    with pytest.raises(ValueError, match=r"point has shape \(3,\), expected \(2,\)"):
+        evaluate(spec, [0.0, 0.0, 0.0])
