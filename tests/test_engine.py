@@ -36,9 +36,22 @@ from tavopt import (
 )
 
 import tavopt.engine
-from tavopt.engine import _TABLE_BLOCK_ROWS, running_mean, write_table
+from tavopt.engine import _TABLE_BLOCK_ROWS, _join_rows, running_mean, write_table
 
 from conftest import bits, build_instance, doubling_schedule, generated_runs
+
+
+@pytest.fixture
+def each_path(monkeypatch):
+    """The two forms of the engine's per-row passes, for a test to loop
+    over: first the compiled library, then, with _kernel patched to None
+    until the test ends, the Python forms that run without a compiler."""
+    def paths():
+        assert tavopt.engine._kernel() is not None
+        yield "compiled"
+        monkeypatch.setattr(tavopt.engine, "_kernel", lambda: None)
+        yield "python"
+    return paths()
 
 
 def constant_instance():
@@ -306,7 +319,7 @@ def test_running_average_matches_recomputation():
                                    atol=1e-12)
 
 
-def test_running_mean_matches_fsum_on_wide_magnitudes():
+def test_running_mean_matches_fsum_on_wide_magnitudes(each_path):
     # magnitudes 1e-3..1e3 on an offset of 5: a window deep in the array,
     # taken as the difference of two large plain running sums, is wrong by
     # about 1e-12 of the window's mean |value|; the running mean of the
@@ -314,27 +327,78 @@ def test_running_mean_matches_fsum_on_wide_magnitudes():
     rng = np.random.default_rng(3)
     n = 100_000
     a = 5.0 + rng.choice([-1.0, 1.0], (n, 2)) * 10.0 ** rng.uniform(-3.0, 3.0, (n, 2))
-    whole = running_mean(a)
-    plain = np.concatenate([np.zeros((1, 2)), np.cumsum(a, axis=0)])
-    windows = [(start, start + length) for length in (1, 3, 10)
-               for start in (n // 2, n - 20, n - length)] + [(0, n)]
-    worst_plain = 0.0
-    for start, stop in windows:
-        mean = running_mean(a[start:stop])[-1]
-        plain_mean = (plain[stop] - plain[start]) / (stop - start)
-        for i in range(2):
-            col = a[start:stop, i]
-            exact = math.fsum(col) / len(col)
-            scale = math.fsum(np.abs(col)) / len(col)
-            assert abs(mean[i] - exact) <= 1e-15 * scale
-            worst_plain = max(worst_plain, abs(plain_mean[i] - exact) / scale)
-    assert worst_plain > 1e-15  # the data does break uncompensated sums
-    # whole prefixes, from the one running mean of all rows
-    for k in (1, 2, 10, 1000, n // 2 + 1, n):
-        for i in range(2):
-            col = a[:k, i]
-            scale = math.fsum(np.abs(col)) / k
-            assert abs(whole[k - 1, i] - math.fsum(col) / k) <= 1e-15 * scale
+    for path in each_path:
+        whole = running_mean(a)
+        plain = np.concatenate([np.zeros((1, 2)), np.cumsum(a, axis=0)])
+        windows = [(start, start + length) for length in (1, 3, 10)
+                   for start in (n // 2, n - 20, n - length)] + [(0, n)]
+        worst_plain = 0.0
+        for start, stop in windows:
+            mean = running_mean(a[start:stop])[-1]
+            plain_mean = (plain[stop] - plain[start]) / (stop - start)
+            for i in range(2):
+                col = a[start:stop, i]
+                exact = math.fsum(col) / len(col)
+                scale = math.fsum(np.abs(col)) / len(col)
+                assert abs(mean[i] - exact) <= 1e-15 * scale, path
+                worst_plain = max(worst_plain, abs(plain_mean[i] - exact) / scale)
+        assert worst_plain > 1e-15  # the data does break uncompensated sums
+        # whole prefixes, from the one running mean of all rows
+        for k in (1, 2, 10, 1000, n // 2 + 1, n):
+            for i in range(2):
+                col = a[:k, i]
+                scale = math.fsum(np.abs(col)) / k
+                assert abs(whole[k - 1, i] - math.fsum(col) / k) <= 1e-15 * scale, path
+
+
+def _numpy_running_mean(a):
+    # the sums may overflow and take inf - inf, quietly, as the kernel does
+    with mock.patch.object(tavopt.engine, "_kernel", lambda: None), np.errstate(all="ignore"):
+        return running_mean(a)
+
+
+def assert_same_doubles(got, expected):
+    """Equal shapes and bits, every NaN compared only as a NaN."""
+    assert got.shape == expected.shape
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(got), nan)
+    assert bits(np.where(nan, 0.0, got)) == bits(np.where(nan, 0.0, expected))
+
+
+# signed zeros, subnormals, the extremes and the non-finite values
+SPECIAL_DOUBLES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                   -1.7976931348623157e308, math.inf, -math.inf, math.nan, 1.0, -1.0, 1e-300]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(0, 40), cols=st.integers(1, 11),
+       values=st.lists(st.one_of(st.sampled_from(SPECIAL_DOUBLES), st.floats()),
+                       min_size=1, max_size=64),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_compiled_running_mean_has_the_bits_of_the_numpy_form(rows, cols, values, seed):
+    # values drawn from a pool of specials and any doubles, placed at
+    # random; more than 8 columns takes the kernel's column blocks
+    a = np.random.default_rng(seed).choice(np.array(values), (rows, cols))
+    assert tavopt.engine._kernel() is not None
+    for view in (a, a[::-1, ::-1], np.asfortranarray(a), a[rows // 2:]):
+        assert_same_doubles(running_mean(view), _numpy_running_mean(view))
+
+
+def test_compiled_running_mean_on_run_buffers():
+    # the trace's columns are strided views of run()'s one row buffer
+    trace = run(SUBNORMAL_FRAME[0], SolverConfig(v=1.0, horizon=3000))
+    big = run(EXTREME_PIECES[0], SolverConfig(v=2.0, horizon=3000))
+    assert tavopt.engine._kernel() is not None
+    for a in (trace.x, trace.y, trace.lambda_path, big.x, big.y, big.z, big.lambda_path[:, 1:],
+              trace.x[::7], trace.x[:0], trace.x[:1], trace.x[1:2], trace.x[1237:], big.y[2047:]):
+        assert_same_doubles(running_mean(a), _numpy_running_mean(a))
+    with mock.patch.object(tavopt.engine, "_kernel", lambda: None):
+        composed = run(SUBNORMAL_FRAME[0], SolverConfig(v=1.0, horizon=3000))
+        expected = {name: getattr(composed, name) for name in ("xbar", "ybar", "xbar_frame")}
+        windows = staggered_average(composed, 1000, np.array([1, 17, 2000]))
+    for name, values in expected.items():
+        assert_same_doubles(getattr(trace, name), values)
+    assert_same_doubles(staggered_average(trace, 1000, np.array([1, 17, 2000])), windows)
 
 
 def test_staggered_average_examples():
@@ -774,7 +838,9 @@ def test_a_failing_compiler_gives_the_composed_updates(reload_kernel, tmp_path, 
         trace = run(spec, cfg)
     assert tavopt.engine._kernel() is None
     assert [r.levelno for r in caplog.records] == [logging.WARNING]
-    assert "cc: no space left" in caplog.records[0].getMessage()
+    message = caplog.records[0].getMessage()
+    assert "cc: no space left" in message
+    assert "running means and CSV rows take their Python forms" in message
     assert list((tmp_path / "cache" / "tavopt").iterdir()) == []  # no partial file left
     tavopt.engine._kernel.cache_clear()
     monkeypatch.undo()
@@ -904,7 +970,7 @@ EDGE_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
 
 
 @pytest.mark.parametrize("n", [0, 1, 255, 256, 257])
-def test_write_table_matches_repr_writer(tmp_path, n):
+def test_write_table_matches_repr_writer(tmp_path, each_path, n):
     rng = np.random.default_rng(n)
     floats = np.resize(np.array(EDGE_FLOATS), (n, 3))
     floats[:, 1] = rng.permutation(floats[:, 1])
@@ -913,24 +979,48 @@ def test_write_table_matches_repr_writer(tmp_path, n):
     # edge values (in every column, the last included) are not at the run's
     # first columns; a zero-width block sits inside that run too; two int64
     # columns are adjacent
-    assert_same_table(tmp_path, [
+    columns = [
         np.arange(n), rng.standard_normal(n), floats, rng.standard_normal(n), np.empty((n, 0)),
         rng.standard_normal((n, 2)), ints, ints[::-1],
         np.resize(np.array([np.iinfo(np.uint64).max, 0], dtype=np.uint64), n),
         rng.standard_normal(n) > 0.0,  # bool
         rng.standard_normal(n).astype(np.float32),
         rng.standard_normal(n).astype(">f8"),  # big-endian: orjson misreads it
-        np.empty((n, 0)), rng.standard_normal(n)])
+        np.empty((n, 0)), rng.standard_normal(n)]
+    for _ in each_path:
+        assert_same_table(tmp_path, columns)
 
 
-def test_write_table_matches_repr_writer_on_random_doubles(tmp_path):
+def test_write_table_matches_repr_writer_on_random_doubles(tmp_path, each_path):
     rng = np.random.default_rng(11)
     # random bit patterns: nans, infinities, subnormals and every exponent range
     bit_patterns = rng.integers(0, 2 ** 64, size=100_000, dtype=np.uint64).view(np.float64)
     # magnitudes across repr's switch to exponent form at 1e16
     log_uniform = 10.0 ** rng.uniform(-6.0, 18.0, size=100_000)
     log_uniform[::2] *= -1.0
-    assert_same_table(tmp_path, [bit_patterns, log_uniform])
+    for _ in each_path:
+        assert_same_table(tmp_path, [bit_patterns, log_uniform])
+
+
+def test_the_compiled_join_refuses_malformed_texts():
+    assert tavopt.engine._kernel() is not None
+    lines, ends = _join_rows([b"[[1,2],[3,4]]", b"[[null],[-0.5]]"], 2)
+    assert bytes(lines) == b"1,2,null\n3,4,-0.5\n" and ends.tolist() == [9, 18]
+    for texts, n in [
+            ([b"[[1,2],[3,4]]"], 3),  # fewer rows than asked for
+            ([b"[[1,2],[3,4]]", b"[[5]]"], 2),
+            ([b"[[1,2],[3,4"], 2),  # no closing bracket
+            ([b"[[1,2],[3,4]"], 2),
+            ([b"[[1,2],[3,4]]"], 1),  # more rows than asked for
+            ([b"[[1,2]]x"], 1), ([b""], 1), ([b"["], 1), ([b"[[1,2]]"], 0)]:
+        with pytest.raises(ValueError, match=f"do not hold {n} rows each"):
+            _join_rows(texts, n)
+
+
+def test_write_table_refuses_columns_that_are_not_numbers(tmp_path):
+    with pytest.raises(ValueError, match="column 1 has dtype <U1, not numbers or bools"):
+        write_table(tmp_path / "bad.csv", ["a", "b"], [np.arange(2), np.array(["]", ","])])
+    assert not (tmp_path / "bad.csv").exists()
 
 
 def test_write_table_rejects_columns_of_other_lengths(tmp_path):
