@@ -327,11 +327,11 @@ def test_running_mean_matches_fsum_on_wide_magnitudes(each_path):
     rng = np.random.default_rng(3)
     n = 100_000
     a = 5.0 + rng.choice([-1.0, 1.0], (n, 2)) * 10.0 ** rng.uniform(-3.0, 3.0, (n, 2))
+    plain = np.concatenate([np.zeros((1, 2)), np.cumsum(a, axis=0)])
+    windows = [(start, start + length) for length in (1, 3, 10)
+               for start in (n // 2, n - 20, n - length)] + [(0, n)]
     for path in each_path:
         whole = running_mean(a)
-        plain = np.concatenate([np.zeros((1, 2)), np.cumsum(a, axis=0)])
-        windows = [(start, start + length) for length in (1, 3, 10)
-                   for start in (n // 2, n - 20, n - length)] + [(0, n)]
         worst_plain = 0.0
         for start, stop in windows:
             mean = running_mean(a[start:stop])[-1]
@@ -1012,6 +1012,7 @@ def test_the_compiled_join_refuses_malformed_texts():
             ([b"[[1,2],[3,4"], 2),  # no closing bracket
             ([b"[[1,2],[3,4]"], 2),
             ([b"[[1,2],[3,4]]"], 1),  # more rows than asked for
+            ([b"[[1,2];[3,4]]"], 2),  # a row not opened by ",["
             ([b"[[1,2]]x"], 1), ([b""], 1), ([b"["], 1), ([b"[[1,2]]"], 0)]:
         with pytest.raises(ValueError, match=f"do not hold {n} rows each"):
             _join_rows(texts, n)
