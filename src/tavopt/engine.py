@@ -126,22 +126,23 @@ def running_mean(a: np.ndarray) -> np.ndarray:
     which carries each prefix sum to about twice the working precision.  A
     window that starts later is the running mean of its own slice, so its
     error is relative to its own values, not to the rows before it.  An
-    aligned 2-D float64 array, of any strides, goes through the compiled
-    running_mean of step_loop.c, which takes the same operations in the same
-    order and allocates only its output; without the library, and for other
-    arrays, the NumPy form below gives the same bits.
+    aligned 2-D float64 array, of any strides, is read in place by
+    step_loop.c's running_mean, which allocates only its output; other
+    arrays, and every array without the library, take the NumPy form below.
+    A sum that overflows gives inf or nan in both forms, without a warning.
     """
     kernel = _kernel()
     if kernel is not None and a.ndim == 2 and a.dtype == np.float64 and a.flags.aligned:
         out = np.empty(a.shape)
         kernel.running_mean(*a.shape, a.ctypes, *(s // 8 for s in a.strides), out.ctypes)
         return out
-    zero = np.zeros((1,) + a.shape[1:])
-    hi = np.cumsum(np.concatenate([zero, a]), axis=0)
-    prev, total = hi[:-1], hi[1:]
-    a_part = total - prev
-    err = (prev - (total - a_part)) + (a - a_part)
-    return (total + np.cumsum(err, axis=0)) / np.arange(1, len(a) + 1)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        zero = np.zeros((1,) + a.shape[1:])
+        hi = np.cumsum(np.concatenate([zero, a]), axis=0)
+        prev, total = hi[:-1], hi[1:]
+        a_part = total - prev
+        err = (prev - (total - a_part)) + (a - a_part)
+        return (total + np.cumsum(err, axis=0)) / np.arange(1, len(a) + 1)[:, None]
 
 
 @dataclass(frozen=True)
@@ -284,11 +285,10 @@ _CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
 @cache
 def _kernel():
-    """step_loop.c compiled and loaded once per process, with its three
-    functions typed: step_loop (run()'s steps), running_mean and join_rows
-    (write_table's row join), each of which gives the bits of its Python
-    form here.  None, with one WARNING, when there is no working compiler
-    (cc) or the library does not load; the Python forms then run instead.
+    """step_loop.c compiled and loaded once per process, with its two
+    functions typed: step_loop (run()'s steps) and running_mean.  None, with
+    one WARNING, when there is no working compiler (cc) or the library does
+    not load; the Python forms then run instead.
 
     The library is cached in $XDG_CACHE_HOME/tavopt (or ~/.cache/tavopt),
     named by the checksum of the source, the flags, the compiler's path and
@@ -358,16 +358,13 @@ def _kernel():
     except (OSError, RuntimeError) as exc:  # no compiler, or it failed
         import logging
         logging.getLogger(__name__).warning(
-            "no compiled step loop (%s); run() composes the public updates, and the "
-            "running means and CSV rows take their Python forms: the same results, "
-            "with the same bytes, more slowly", exc)
+            "no compiled step loop (%s); run() composes the public updates and the "
+            "averages take the NumPy running mean: the same results, more slowly", exc)
         return None
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     lib.step_loop.restype = lib.running_mean.restype = None
     lib.step_loop.argtypes = [i64, i64, ctypes.c_double, ptr, ptr, i64, *[ptr] * 5, i64, i64]
     lib.running_mean.argtypes = [i64, i64, ptr, i64, i64, ptr]
-    lib.join_rows.restype = i64
-    lib.join_rows.argtypes = [i64, ctypes.POINTER(ctypes.c_char_p), ptr, i64, ptr, i64, ptr]
     return lib
 
 
@@ -483,93 +480,59 @@ def staggered_average(trace: RunTrace, start: int, count) -> np.ndarray:
 _TABLE_BLOCK_ROWS = 256
 
 
-def _join_rows(texts: list, n: int):
-    """The n CSV lines of one write_table block, line r being row r of each
-    text in turn joined by commas, as bytes, and the offset after each
-    line's newline.  Each text is a 2-D array as orjson writes it,
-    [[c,c,...],[c,...],...], with no bracket inside a cell.  The compiled
-    join_rows of step_loop.c makes one pass and raises ValueError on a text
-    that does not hold exactly n rows; without the library the texts are
-    split on '],[' and joined, with the same bytes."""
-    kernel = _kernel()
-    if kernel is None:
-        lines = [",".join(cells) + "\n"
-                 for cells in zip(*(t[2:-2].decode().split("],[") for t in texts))]
-        return "".join(lines).encode(), np.cumsum([len(line) for line in lines])
-    import ctypes
-    lens = np.array([len(t) for t in texts], dtype=np.int64)
-    out, ends = np.empty(int(lens.sum()), dtype=np.uint8), np.empty(n, dtype=np.int64)
-    size = kernel.join_rows(len(texts), (ctypes.c_char_p * len(texts))(*texts), lens.ctypes, n,
-                            out.ctypes, len(out), ends.ctypes)
-    if size < 0:
-        raise ValueError(f"row texts that do not hold {n} rows each")
-    return out[:size], ends
-
-
 def write_table(path, header, columns) -> None:
     """Write a CSV with one header line and one row per index of columns.
 
     columns are 1-D arrays (one cell per row) or 2-D blocks (one cell per
-    block column) of numbers or bools, all of the same length; a column of
-    another length raises ValueError.  Each cell is the repr of its
-    .tolist() value, so ints print as ints and floats in the shortest
-    decimal form that round-trips the double.  Rows are formatted a fixed
-    number at a time, so memory beyond the arrays stays bounded.  In each
-    such chunk, adjacent blocks of one dtype form a run (zero-width blocks
-    hold no cells and do not split one), stacked into one 2-D array, and
-    _join_rows joins the runs' texts into the lines.  A native float64 or
-    integer run gets its text from one orjson.dumps call: its shortest
-    round-trip digits (Ryu) equal repr's wherever repr writes fixed
-    notation.  The float cells where the two differ are replaced by their
-    repr within their line: nan and +-inf (orjson prints null) and nonzero
-    magnitudes below 1e-4 or from 1e16 on (repr writes 1e-05 and 1e+16,
-    orjson 0.00001 and 1e16).  Runs of any other dtype are written in the
-    same form by repr, one row at a time.
+    block column), all of the same length; a column of another length raises
+    ValueError.  Each cell is the repr of its .tolist() value, so ints print
+    as ints and floats in the shortest decimal form that round-trips the
+    double.  Rows are formatted a fixed number at a time, so memory beyond
+    the arrays stays bounded.  In each such chunk, adjacent blocks of one
+    dtype form a run (zero-width blocks hold no cells and do not split one),
+    stacked into one 2-D array; each row of the file is the join of its
+    runs' row texts.  A native float64 or integer run gets its row texts
+    from one orjson.dumps call: its shortest round-trip digits (Ryu) equal
+    repr's wherever repr writes fixed notation.  The float cells where the
+    two differ are replaced by their repr within their row: nan and +-inf
+    (orjson prints null) and nonzero magnitudes below 1e-4 or from 1e16 on
+    (repr writes 1e-05 and 1e+16, orjson 0.00001 and 1e16).  Runs of any
+    other dtype go through repr alone, one row at a time.
     """
     # imported here, not at module level: it adds ~6.5 ms to `import tavopt`
     from orjson import OPT_SERIALIZE_NUMPY, dumps
 
-    def text(run):
-        """The rows of a stacked run, as orjson writes a 2-D array.  The
+    def row_texts(run):
+        """The cells of each row of a stacked run, joined by commas.  The
         stacking gives native byte order, which orjson needs."""
         dt = run.dtype
-        if dt == np.float64 or dt.kind in "iu":
-            return dumps(run, option=OPT_SERIALIZE_NUMPY)
-        return ("[[" + "],[".join(",".join(map(repr, row)) for row in run.tolist()) + "]]").encode()
+        if not (dt == np.float64 or dt.kind in "iu"):
+            return [",".join(map(repr, row)) for row in run.tolist()]
+        out = dumps(run, option=OPT_SERIALIZE_NUMPY)[2:-2].decode().split("],[")
+        if dt.kind == "f":
+            mag = np.abs(run)
+            rows, cols = np.nonzero(~((mag >= 1e-4) & (mag < 1e16)) & (mag != 0.0))
+            patched = {}
+            for r, c, v in zip(rows.tolist(), cols.tolist(), run[rows, cols].tolist()):
+                if r not in patched:
+                    patched[r] = out[r].split(",")
+                patched[r][c] = repr(v)
+            for r, cells in patched.items():
+                out[r] = ",".join(cells)
+        return out
 
     blocks = [c.reshape(len(c), 1) if c.ndim == 1 else c for c in map(np.asarray, columns)]
     n = len(blocks[0])
     for k, block in enumerate(blocks):
         if len(block) != n:
             raise ValueError(f"column {k} has {len(block)} rows, column 0 has {n}")
-        if block.dtype.kind not in "biufc":
-            raise ValueError(f"column {k} has dtype {block.dtype}, not numbers or bools")
     runs = [list(run) for _, run in groupby((b for b in blocks if b.shape[1]), lambda b: b.dtype)]
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode())
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
         for lo in range(0, n, _TABLE_BLOCK_ROWS):
-            stacked = [np.concatenate([b[lo:lo + _TABLE_BLOCK_ROWS] for b in run], axis=1)
-                       for run in runs]
-            lines, ends = _join_rows(list(map(text, stacked)), min(n - lo, _TABLE_BLOCK_ROWS))
-            patched, first = {}, 0  # line -> {cell: its repr}
-            for run in stacked:
-                if run.dtype == np.float64:
-                    mag = np.abs(run)
-                    rows, cols = np.nonzero(~((mag >= 1e-4) & (mag < 1e16)) & (mag != 0.0))
-                    for r, c, v in zip(rows.tolist(), (cols + first).tolist(),
-                                       run[rows, cols].tolist()):
-                        patched.setdefault(r, {})[c] = repr(v)
-                first += run.shape[1]
-            at = 0
-            for r in sorted(patched):
-                start = ends[r - 1] if r else 0
-                cells = bytes(lines[start:ends[r] - 1]).decode().split(",")
-                for c, cell in patched[r].items():
-                    cells[c] = cell
-                fh.write(lines[at:start])
-                fh.write((",".join(cells) + "\n").encode())
-                at = ends[r]
-            fh.write(lines[at:])
+            texts = [row_texts(np.concatenate([b[lo:lo + _TABLE_BLOCK_ROWS] for b in run], axis=1))
+                     for run in runs]
+            fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
 
 
 def write_trace_csv(trace: RunTrace, path, rows=None):

@@ -1,18 +1,16 @@
-/* The library behind engine.py's per-row passes: run()'s step loop, the
- * running means of the time averages and the row join of write_table.  Each
- * function gives the bits of its Python form in engine.py: step_loop those
- * of the public updates x_update, y_update and the dual step, running_mean
- * those of the NumPy running_mean, join_rows the bytes of the split and
- * join.  Each step's row records the x and y it stepped with; run() derives
- * only d from the rows.  Every sum runs left to right with one rounding per
- * operation, as Python floats and NumPy's elementwise operations do;
- * engine._CFLAGS keeps the compiler from fusing or reordering them.
- * engine._kernel compiles this file once per machine and loads it through
- * ctypes. */
+/* Two of engine.py's loops, compiled: run()'s step loop and the running
+ * mean of the time averages.  Each function gives the bits of its
+ * Python form in engine.py, which runs in its place without a compiler:
+ * step_loop those of the public updates x_update, y_update and the dual
+ * step, running_mean those of the NumPy running_mean.  Each step's row
+ * records the x and y it stepped with; run() derives only d from the rows.
+ * Every sum runs left to right with one rounding per operation, as Python
+ * floats and NumPy's elementwise operations do; engine._CFLAGS keeps the
+ * compiler from fusing or reordering them.  engine._kernel compiles this
+ * file once per machine and loads it through ctypes. */
 
 #include <math.h>
 #include <stdint.h>
-#include <string.h>
 
 /* fails to compile where double expressions are evaluated in a wider type,
  * as on x87 */
@@ -133,40 +131,4 @@ void running_mean(int64_t n, int64_t m, const double *a, int64_t rs, int64_t cs,
             }
         }
     }
-}
-
-/* Joins the texts of nruns runs, each a 2-D array as orjson writes it,
- * [[c,c,...],[c,...],...] with no bracket inside a cell, into nrows CSV
- * lines: line r is row r of each run in turn, joined by commas, and ends
- * with a newline at ends[r].  texts[k] and lens[k] give run k's text and
- * its length; both are advanced past the rows read.  Returns the bytes
- * written to out, which holds cap, or -1 if a text does not hold exactly
- * nrows rows or out is too small.  Every read is within a text's length. */
-int64_t join_rows(int64_t nruns, const char **texts, int64_t *lens, int64_t nrows,
-                  char *out, int64_t cap, int64_t *ends)
-{
-    int64_t o = 0;
-    for (int64_t r = 0; r < nrows; r++) {
-        for (int64_t k = 0; k < nruns; k++) {
-            const char *p = texts[k];
-            if (lens[k] < 2 || p[0] != (r ? ',' : '[') || p[1] != '[')
-                return -1;
-            const char *close = memchr(p + 2, ']', (size_t)(lens[k] - 2));
-            if (close == NULL)
-                return -1;
-            int64_t len = close - (p + 2);
-            if (len + 1 > cap - o)
-                return -1;
-            memcpy(out + o, p + 2, (size_t)len);
-            o += len;
-            out[o++] = k + 1 < nruns ? ',' : '\n';
-            lens[k] -= close + 1 - p;
-            texts[k] = close + 1;
-        }
-        ends[r] = o;
-    }
-    for (int64_t k = 0; k < nruns; k++)
-        if (lens[k] != 1 || texts[k][0] != ']')
-            return -1;
-    return o;
 }

@@ -36,16 +36,16 @@ from tavopt import (
 )
 
 import tavopt.engine
-from tavopt.engine import _TABLE_BLOCK_ROWS, _join_rows, running_mean, write_table
+from tavopt.engine import _TABLE_BLOCK_ROWS, running_mean, write_table
 
 from conftest import bits, build_instance, doubling_schedule, generated_runs
 
 
 @pytest.fixture
 def each_path(monkeypatch):
-    """The two forms of the engine's per-row passes, for a test to loop
-    over: first the compiled library, then, with _kernel patched to None
-    until the test ends, the Python forms that run without a compiler."""
+    """The two forms of running_mean, for a test to loop over: first the
+    compiled one, then, with _kernel patched to None until the test ends,
+    the NumPy form that runs without a compiler."""
     def paths():
         assert tavopt.engine._kernel() is not None
         yield "compiled"
@@ -352,8 +352,9 @@ def test_running_mean_matches_fsum_on_wide_magnitudes(each_path):
 
 
 def _numpy_running_mean(a):
-    # the sums may overflow and take inf - inf, quietly, as the kernel does
-    with mock.patch.object(tavopt.engine, "_kernel", lambda: None), np.errstate(all="ignore"):
+    # warnings are errors here, so this also shows the NumPy form is as
+    # quiet as the compiled one where a sum overflows
+    with mock.patch.object(tavopt.engine, "_kernel", lambda: None):
         return running_mean(a)
 
 
@@ -840,7 +841,7 @@ def test_a_failing_compiler_gives_the_composed_updates(reload_kernel, tmp_path, 
     assert [r.levelno for r in caplog.records] == [logging.WARNING]
     message = caplog.records[0].getMessage()
     assert "cc: no space left" in message
-    assert "running means and CSV rows take their Python forms" in message
+    assert "averages take the NumPy running mean" in message
     assert list((tmp_path / "cache" / "tavopt").iterdir()) == []  # no partial file left
     tavopt.engine._kernel.cache_clear()
     monkeypatch.undo()
@@ -970,7 +971,7 @@ EDGE_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
 
 
 @pytest.mark.parametrize("n", [0, 1, 255, 256, 257])
-def test_write_table_matches_repr_writer(tmp_path, each_path, n):
+def test_write_table_matches_repr_writer(tmp_path, n):
     rng = np.random.default_rng(n)
     floats = np.resize(np.array(EDGE_FLOATS), (n, 3))
     floats[:, 1] = rng.permutation(floats[:, 1])
@@ -979,49 +980,24 @@ def test_write_table_matches_repr_writer(tmp_path, each_path, n):
     # edge values (in every column, the last included) are not at the run's
     # first columns; a zero-width block sits inside that run too; two int64
     # columns are adjacent
-    columns = [
+    assert_same_table(tmp_path, [
         np.arange(n), rng.standard_normal(n), floats, rng.standard_normal(n), np.empty((n, 0)),
         rng.standard_normal((n, 2)), ints, ints[::-1],
         np.resize(np.array([np.iinfo(np.uint64).max, 0], dtype=np.uint64), n),
         rng.standard_normal(n) > 0.0,  # bool
         rng.standard_normal(n).astype(np.float32),
         rng.standard_normal(n).astype(">f8"),  # big-endian: orjson misreads it
-        np.empty((n, 0)), rng.standard_normal(n)]
-    for _ in each_path:
-        assert_same_table(tmp_path, columns)
+        np.empty((n, 0)), rng.standard_normal(n)])
 
 
-def test_write_table_matches_repr_writer_on_random_doubles(tmp_path, each_path):
+def test_write_table_matches_repr_writer_on_random_doubles(tmp_path):
     rng = np.random.default_rng(11)
     # random bit patterns: nans, infinities, subnormals and every exponent range
     bit_patterns = rng.integers(0, 2 ** 64, size=100_000, dtype=np.uint64).view(np.float64)
     # magnitudes across repr's switch to exponent form at 1e16
     log_uniform = 10.0 ** rng.uniform(-6.0, 18.0, size=100_000)
     log_uniform[::2] *= -1.0
-    for _ in each_path:
-        assert_same_table(tmp_path, [bit_patterns, log_uniform])
-
-
-def test_the_compiled_join_refuses_malformed_texts():
-    assert tavopt.engine._kernel() is not None
-    lines, ends = _join_rows([b"[[1,2],[3,4]]", b"[[null],[-0.5]]"], 2)
-    assert bytes(lines) == b"1,2,null\n3,4,-0.5\n" and ends.tolist() == [9, 18]
-    for texts, n in [
-            ([b"[[1,2],[3,4]]"], 3),  # fewer rows than asked for
-            ([b"[[1,2],[3,4]]", b"[[5]]"], 2),
-            ([b"[[1,2],[3,4"], 2),  # no closing bracket
-            ([b"[[1,2],[3,4]"], 2),
-            ([b"[[1,2],[3,4]]"], 1),  # more rows than asked for
-            ([b"[[1,2];[3,4]]"], 2),  # a row not opened by ",["
-            ([b"[[1,2]]x"], 1), ([b""], 1), ([b"["], 1), ([b"[[1,2]]"], 0)]:
-        with pytest.raises(ValueError, match=f"do not hold {n} rows each"):
-            _join_rows(texts, n)
-
-
-def test_write_table_refuses_columns_that_are_not_numbers(tmp_path):
-    with pytest.raises(ValueError, match="column 1 has dtype <U1, not numbers or bools"):
-        write_table(tmp_path / "bad.csv", ["a", "b"], [np.arange(2), np.array(["]", ","])])
-    assert not (tmp_path / "bad.csv").exists()
+    assert_same_table(tmp_path, [bit_patterns, log_uniform])
 
 
 def test_write_table_rejects_columns_of_other_lengths(tmp_path):
