@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import RunTrace, _dual_columns
+from .engine import RunTrace, _check_v, _dual_columns
 from .oracle import solve_exact
 from .problem import ProblemSpec, evaluate_constraints
 
@@ -96,7 +96,8 @@ def dual_function_batch(spec: ProblemSpec, lam: np.ndarray):
     if J and lam.size and np.min(lam[:, :J]) < 0.0:
         raise ValueError("w components must be nonnegative")
     d, x, y = _dual_columns(spec, lam.T[:J], lam.T[J:])
-    return d, np.stack(x, axis=-1), np.stack(y, axis=-1)
+    # x is linear_argmin's rows, transposed twice; y is a list of columns
+    return d, np.transpose(x), np.stack(y, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +120,9 @@ class BoundSet:
     l_smooth: Optional[float] = None
 
     def __post_init__(self):
-        if self.c <= 0.0 or self.v < 1.0 or self.m < 0.0:
-            raise ValueError("need c > 0, v >= 1, m >= 0")
+        _check_v(self.v)
+        if self.c <= 0.0 or self.m < 0.0:
+            raise ValueError("need c > 0, m >= 0")
         if self.l_poly is not None and self.l_poly <= 0.0:
             raise ValueError("l_poly must be positive")
         if self.l_smooth is not None and self.l_smooth <= 0.0:
@@ -203,8 +205,7 @@ def _flat_direction_candidates(spec: ProblemSpec, lam_hat: np.ndarray,
     """
     pert = _project_dual(lam_hat + 1e-5 * rays[:64], j_dim)
     _, X, Y = dual_function_batch(spec, pert)
-    A, b = spec.constraint_matrix()
-    H = np.hstack([Y @ A.T + b, X - Y])
+    H = np.hstack([spec.constraint_values(Y), X - Y])
     _, sv, vt = np.linalg.svd(H)
     # the last two right singular vectors, last first, then every small one
     cand = np.vstack([vt[:-3:-1], vt[:len(sv)][sv <= 1e-8 * max(sv[0], 1.0)]])
@@ -427,22 +428,16 @@ def convergence_bounds(trace: RunTrace, bounds: BoundSet, start: int, length: in
 def optimality_error(spec: ProblemSpec, point, f_opt: float) -> float:
     """Max of objective gap and constraint violations at a point (0 if optimal)."""
     point = np.asarray(point, dtype=float)
-    A, b = spec.constraint_matrix()
-    err = spec.objective.value(point) - f_opt
-    if A.shape[0] > 0:
-        err = max(err, float(np.max(A @ point + b)))
-    return max(err, 0.0)
+    return max(spec.objective.value(point) - f_opt, float(spec.max_violation(point)), 0.0)
 
 
 def error_series(trace: RunTrace, f_opt: float):
     """Optimality error of the plain and staggered averages at each iteration."""
-    A, b = trace.spec.constraint_matrix()
+    spec = trace.spec
 
     def errs(avg):
-        e = trace.spec.objective.values(avg) - f_opt
-        if A.shape[0] > 0:
-            e = np.maximum(e, np.max(avg @ A.T + b, axis=1))
-        return np.maximum(e, 0.0)
+        return np.maximum(np.maximum(spec.objective.values(avg) - f_opt,
+                                     spec.max_violation(avg)), 0.0)
 
     return errs(trace.xbar), errs(trace.xbar_frame)
 

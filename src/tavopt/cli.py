@@ -275,12 +275,11 @@ def _do_reproduce(cfg: ExperimentConfig) -> int:
         report = analysis.phase_detect(trace, estimate, bounds, geometry)
         detected = report.t_hit if report.t_hit is not None else 0
 
-        A, b = spec.constraint_matrix()
-        J = len(b)
+        J = spec.constraint_count
         marks = np.append(trace.restart_times, cfg.horizon)
 
         def stats(avgs):
-            return [spec.objective.values(avgs), avgs @ A.T + b]
+            return [spec.objective.values(avgs), spec.constraint_values(avgs)]
 
         # one column group per average: the plain one, then the windows from
         # the fixed and the detected start (nan at marks before the start)
@@ -298,9 +297,10 @@ def _do_reproduce(cfg: ExperimentConfig) -> int:
         fig_csv = os.path.join(cfg.out_dir, f"figure{fig}.csv")
         write_table(fig_csv, header, columns)
 
-        # the last mark is the horizon: the last plain row holds the final average's f and g
-        f_final, g_final = float(plain[0][-1]), plain[1][-1]
-        ok = abs(f_final - f_opt) <= 0.02 and (J == 0 or np.max(g_final) <= 0.02)
+        # the last mark is the horizon: the last plain row holds the final average's f and g;
+        # the max is that row's, since max_violation(xbar[-1]) may differ from it in its bits
+        f_final, worst = float(plain[0][-1]), float(np.max(plain[1][-1], initial=-np.inf))
+        ok = abs(f_final - f_opt) <= 0.02 and worst <= 0.02
         if not ok:
             failed.append(fig)
 
@@ -318,7 +318,7 @@ def _do_reproduce(cfg: ExperimentConfig) -> int:
             "f_opt_exact": f_opt,
             **oracles,
             "f_xbar_final": f_final,
-            "max_violation_final": float(np.max(g_final)) if J else 0.0,
+            "max_violation_final": worst,
             "csv": fig_csv,
             "check": "PASS" if ok else "FAIL",
         }

@@ -58,8 +58,7 @@ class SolverConfig:
     initial_z: Optional[tuple] = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.v) and self.v >= 1.0):
-            raise ValueError("v must be finite and >= 1")
+        _check_v(self.v)
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         for name in ("initial_w", "initial_z"):
@@ -73,14 +72,19 @@ class SolverConfig:
             raise ValueError("initial_w must be nonnegative")
 
 
+def _check_v(v: float) -> None:
+    if not (math.isfinite(v) and v >= 1.0):
+        raise ValueError("v must be finite and >= 1")
+
+
 def x_update(spec: ProblemSpec, z) -> np.ndarray:
     """Decision-set point minimizing z . x over the hull.
 
     The decision set's linear_argmin: a grid decides each coordinate by the
     sign of z (ties take the smallest value); explicit sets take the first
     minimum of ExplicitPoints.scores, so ties go to the lexicographically
-    smallest point.  run()'s compiled step loop and the dual formula take x
-    from the set's other two forms of it, with the same bits.
+    smallest point.  The dual formula takes x from it too, and run()'s
+    compiled step loop from the set's kernel_params, with the same bits.
     """
     z = np.asarray(z, dtype=float)
     if z.shape != (spec.dimension,):
@@ -105,8 +109,7 @@ def y_update(spec: ProblemSpec, w, z) -> np.ndarray:
 
 def dual_update(w, z, x, y, g_of_y, v: float) -> tuple[np.ndarray, np.ndarray]:
     """One dual step: w <- [w + g(y)/V]+, z <- z + (x - y)/V; returns (w, z)."""
-    if v < 1.0:
-        raise ValueError("v must be >= 1")
+    _check_v(v)
     w = np.asarray(w, dtype=float)
     if np.any(w < 0.0):
         raise ValueError("w components must be nonnegative")
@@ -221,7 +224,7 @@ def _y_columns(spec: ProblemSpec, A, w, z) -> list:
     """The I columns y_i of the y-step at multiplier columns w (J) and z
     (I): each piece's argmin_shifted on its box at c_i = -z_i + w_0*A_0i +
     ..., summed left to right as step_loop.c sums it.  A is the constraint
-    matrix as lists; w_j and z_i are floats or arrays that broadcast."""
+    matrix as lists; w_j and z_i are floats or arrays of one length."""
     y = []
     for i, (piece, lo, hi) in enumerate(zip(spec.objective.pieces, spec.box.lower.tolist(),
                                             spec.box.upper.tolist())):
@@ -245,25 +248,24 @@ def _constraint_values(A, b, y):
 def _dual_columns(spec: ProblemSpec, w, z, xy=None):
     """Dual value d and minimizers x, y from multiplier columns.
 
-    w holds J arrays and z holds I arrays, of any shapes that broadcast
-    together.  The arithmetic is elementwise, with the public updates'
-    terms: x_i from the decision set's linear_argmin_columns (x_update's
-    x), y_i from _y_columns (y_update's y), and d = 0.0 + sum value_i(y_i)
-    + sum w_j*g_j + sum z_i*(x_i - y_i) with g_j from _constraint_values
-    (the composed step loop's g).  So every entry has the same bits,
-    whatever batch or grid it sits in, and a term that depends on (w, z_i)
-    only keeps that smaller shape: on a product grid, y_i is computed once
-    per (w, z_i) pair.  xy, when given, is the pair of the I columns of
-    x_update's and y_update's points at (w, z): run() passes the points its
-    step loop stepped with, and only the d sum runs.  This is the one dual
-    formula: run() records d through it, and the analysis evaluates the
-    dual with it.  Returns d and the lists of x_i and y_i columns.
+    w holds J arrays and z holds I arrays, all of one length, one entry per
+    multiplier.  x is the decision set's linear_argmin (x_update's x) on the
+    rows of the z_i, as columns; the rest is elementwise, with the public
+    updates' terms: y_i from _y_columns (y_update's y), and d = 0.0 + sum
+    value_i(y_i) + sum w_j*g_j + sum z_i*(x_i - y_i) with g_j from
+    _constraint_values (the composed step loop's g).  So every entry has
+    the same bits, whatever batch it sits in.  xy, when given, is the pair
+    of the I columns of x_update's and y_update's points at (w, z): run()
+    passes the points its step loop stepped with, and only the d sum runs.
+    This is the one dual formula: run() records d through it, and the
+    analysis evaluates the dual with it.  Returns d and the x_i and y_i
+    columns.
     """
     A, b = (m.tolist() for m in spec.constraint_matrix())
     if xy is not None:
         x, y = xy
     else:
-        x, y = spec.decision_set.linear_argmin_columns(z), _y_columns(spec, A, w, z)
+        x, y = spec.decision_set.linear_argmin(np.transpose(z)).T, _y_columns(spec, A, w, z)
     d = 0.0
     for piece, yi in zip(spec.objective.pieces, y):
         d = d + piece.values(yi)
@@ -544,11 +546,10 @@ def write_trace_csv(trace: RunTrace, path, rows=None):
     indices; without it every row is written from views of the trace, with
     no copies of its columns.  The derived columns are built once for the
     selected rows: f_xbar by objective.values (equal to objective.value row
-    by row) and g_*_xbar as the one batch product xbar @ A.T + b, the one
-    error_series uses; frame_id and xbar_frame come from the trace.
+    by row) and g_*_xbar by constraint_values on the xbar rows, as
+    error_series takes them; frame_id and xbar_frame come from the trace.
     """
     spec = trace.spec
-    A, b = spec.constraint_matrix()
     idx = slice(None) if rows is None else np.asarray(rows)
     xbar = trace.xbar[idx]
 
@@ -559,7 +560,7 @@ def write_trace_csv(trace: RunTrace, path, rows=None):
     header = (["t", *names("x", I), *names("y", I), *names("w", J), *names("z", I), "d_lambda",
                *names("xbar", I), "f_xbar", *names("g", J, "_xbar"), "frame_id",
                *names("xbar_frame", I)])
-    f_xbar, g_xbar = spec.objective.values(xbar), xbar @ A.T + b
+    f_xbar, g_xbar = spec.objective.values(xbar), spec.constraint_values(xbar)
     write_table(path, header, [
         trace.ts[idx], trace.x[idx], trace.y[idx], trace.w[idx], trace.z[idx], trace.d[idx],
         xbar, f_xbar, g_xbar, trace.frame_id[idx], trace.xbar_frame[idx]])

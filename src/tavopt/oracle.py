@@ -74,10 +74,9 @@ def _feasible(spec: ProblemSpec, points: np.ndarray) -> np.ndarray:
     FEASIBILITY_TOL: one product, then one column of it per constraint."""
     A, b = spec.constraint_matrix()
     feas = np.ones(points.shape[0], dtype=bool)
-    if A.shape[0] > 0:
-        lhs = points @ A.T
-        for j in range(len(b)):
-            feas &= lhs[:, j] + b[j] <= FEASIBILITY_TOL
+    lhs = points @ A.T
+    for j in range(len(b)):
+        feas &= lhs[:, j] + b[j] <= FEASIBILITY_TOL
     return feas
 
 
@@ -118,10 +117,7 @@ def _mesh(axes) -> np.ndarray:
 
 
 def _certificate(spec: ProblemSpec, x: np.ndarray) -> float:
-    A, b = spec.constraint_matrix()
-    if A.shape[0] == 0:
-        return 0.0
-    return float(max(0.0, np.max(A @ x + b)))
+    return float(max(0.0, spec.max_violation(x)))
 
 
 def _grid_search(spec: ProblemSpec, resolution: float) -> OracleResult:
@@ -183,7 +179,6 @@ def _simplex_search(spec: ProblemSpec, resolution: float) -> OracleResult:
     k = int(np.argmin(vals))
     val = float(vals[k])
     wts = weights[k].copy()
-    A, b = spec.constraint_matrix()
 
     # local polish: greedy pairwise mass transfers at two finer step sizes
     for delta in (0.1 / steps, 0.01 / steps):
@@ -201,7 +196,7 @@ def _simplex_search(spec: ProblemSpec, resolution: float) -> OracleResult:
                     trial[src] -= delta
                     trial[dst] += delta
                     x = trial @ pts
-                    if A.shape[0] > 0 and np.max(A @ x + b) > FEASIBILITY_TOL:
+                    if spec.max_violation(x) > FEASIBILITY_TOL:
                         continue
                     v = spec.objective.value(x)
                     if v < val - 1e-15:
@@ -243,7 +238,6 @@ def solve_reference_lp(spec: ProblemSpec) -> OracleResult:
     for i, p in enumerate(spec.objective.pieces):
         if not isinstance(p, LinearPiece):
             raise ValueError(f"objective piece {i} is not linear")
-    slope = np.array([p.slope for p in spec.objective.pieces])
 
     lo, hi = spec.decision_set.hull_bounds()
     A, b = spec.constraint_matrix()
@@ -254,8 +248,7 @@ def solve_reference_lp(spec: ProblemSpec) -> OracleResult:
         planes.append((e, lo[i]))
         if hi[i] > lo[i]:
             planes.append((e.copy(), hi[i]))
-    for j in range(A.shape[0]):
-        planes.append((A[j], -b[j]))
+    planes.extend(zip(A, -b))
 
     candidates = []
     for combo in itertools.combinations(range(len(planes)), I):
@@ -271,19 +264,15 @@ def solve_reference_lp(spec: ProblemSpec) -> OracleResult:
             continue  # nearly singular system
         if np.any(x < lo - FEASIBILITY_TOL) or np.any(x > hi + FEASIBILITY_TOL):
             continue
-        if A.shape[0] > 0 and np.max(A @ x + b) > FEASIBILITY_TOL:
+        if spec.max_violation(x) > FEASIBILITY_TOL:
             continue
         candidates.append(x)
 
-    if not candidates:
+    best = _best_feasible(spec, np.array(candidates).reshape(-1, I))
+    if best is None:
         raise InfeasibilityError("no feasible vertex (infeasible or degenerate problem)")
-    cand = np.array(candidates)
-    vals = cand @ slope
-    best = np.min(vals)
-    ties = cand[vals == best]
-    order = np.lexsort(ties.T[::-1])
-    point = ties[order[0]].copy()
-    return OracleResult(f_opt=float(best), argmin=point, grid_resolution=0.0,
+    val, point = best
+    return OracleResult(f_opt=val, argmin=point, grid_resolution=0.0,
                         certificate=_certificate(spec, point))
 
 

@@ -250,11 +250,11 @@ class SeparableConvexObjective:
 # Decision sets and the extended box
 # ---------------------------------------------------------------------------
 
-# Every decision set offers its x-step, the point minimizing z . x, in the
-# forms the engine uses, with the same bits: linear_argmin, for one z or the
-# rows of a batch; linear_argmin_columns(z), for I arrays z_i that broadcast
-# together, as the I columns x_i; kernel_params(), the point count (0 for a
-# grid) and the values from which run()'s compiled step loop takes it.
+# Every decision set offers its x-step, the point minimizing z . x, in two
+# forms with the same bits, as each piece offers its y-step: linear_argmin,
+# for one z or the rows of a batch, which x_update and the dual formula
+# take; kernel_params(), the point count (0 for a grid) and the values from
+# which run()'s compiled step loop takes it.
 
 
 @dataclass(frozen=True)
@@ -294,11 +294,6 @@ class GridProduct:
         for each row of an (n, dimension) batch; ties pick the smallest value."""
         lo, hi = self.hull_bounds()
         return np.where(np.asarray(weights, dtype=float) >= 0.0, lo, hi)
-
-    def linear_argmin_columns(self, z) -> list:
-        # x_i keeps z_i's shape, so that the columns broadcast as the z_i do
-        lo, hi = self.hull_bounds()
-        return [np.where(zi >= 0.0, l, h) for zi, l, h in zip(z, lo, hi)]
 
     def kernel_params(self) -> tuple:
         # no points: the kernel's sign rule, from the lowest and highest values
@@ -358,12 +353,6 @@ class ExplicitPoints:
         # points are stored lexicographically sorted, so the first minimum
         # is the lexicographically smallest tie
         return self.points[self.scores(weights).argmin(axis=-1)].copy()
-
-    def linear_argmin_columns(self, z) -> list:
-        # scored jointly: one linear_argmin row per entry of the broadcast shape
-        Z = np.stack(np.broadcast_arrays(*z), axis=-1)
-        X = self.linear_argmin(Z.reshape(-1, len(z)))
-        return list(np.moveaxis(X.reshape(Z.shape), -1, 0))
 
     def kernel_params(self) -> tuple:
         return len(self.points), self.points
@@ -481,6 +470,19 @@ class ProblemSpec:
         """(A, b) with constraint values A @ x + b, built once and read-only."""
         return self._matrix
 
+    def constraint_values(self, points) -> np.ndarray:
+        """g(x) = A x + b at one point (shape (J,)) or at each row of an
+        (n, dimension) batch (shape (n, J)), as points @ A.T + b.  At one
+        point this has the bits of A @ x + b; a row of a batch may not have
+        the bits of the same point alone, so a caller keeps to one form."""
+        A, b = self._matrix
+        return points @ A.T + b
+
+    def max_violation(self, points):
+        """Largest constraint value at one point, or at each row of a batch;
+        -inf without constraints."""
+        return np.max(self.constraint_values(points), axis=-1, initial=-np.inf)
+
 
 def _require_in_box(spec: ProblemSpec, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
@@ -498,9 +500,7 @@ def evaluate_objective(spec: ProblemSpec, x) -> float:
 
 def evaluate_constraints(spec: ProblemSpec, x) -> np.ndarray:
     """All constraint values at a point of the extended box (g <= 0 is feasible)."""
-    x = _require_in_box(spec, x)
-    A, b = spec.constraint_matrix()
-    return A @ x + b
+    return spec.constraint_values(_require_in_box(spec, x))
 
 
 def lipschitz_bound(spec: ProblemSpec) -> float:
@@ -524,11 +524,9 @@ def squared_norm_bound(spec: ProblemSpec) -> float:
     ||x - y||^2.  Floored at EPS_C for degenerate single-point problems.
     """
     box_verts = spec.box.vertices()
-    A, b = spec.constraint_matrix()
-    sup_g = 0.0
-    if len(spec.constraints) > 0:
-        gv = box_verts @ A.T + b
-        sup_g = float(np.max(np.sum(gv * gv, axis=1)))
+    # without constraints each row of gv is empty, with squared norm 0.0
+    gv = spec.constraint_values(box_verts)
+    sup_g = float(np.max(np.sum(gv * gv, axis=1)))
     hull_verts = spec.decision_set.hull_vertices()
     diff = hull_verts[:, None, :] - box_verts[None, :, :]
     sup_dist = float(np.max(np.sum(diff * diff, axis=2)))

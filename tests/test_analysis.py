@@ -45,7 +45,6 @@ import tavopt.analysis
 from tavopt.analysis import (_flat_direction_candidates, _project_dual, minimal_decay_rate,
                              sample_multipliers)
 from tavopt.config import parse_problem_config
-from tavopt.engine import _dual_columns
 from tavopt.problem import EPS_C
 
 from conftest import (GRID_PROBLEM, INSTANCE_NAMES, MAIN_HORIZON, MAIN_V, POINTS_PROBLEM_SEED_1,
@@ -168,31 +167,18 @@ def test_batch_of_a_concatenation_is_the_concatenation(spec_maker):
         assert bits(whole[k]) == bits(np.concatenate([p[k] for p in parts]))
 
 
-def _six_dim_instance():
-    grid = GridProduct(values=((0.0, 1.0, 2.0, 3.0),) * 3)
-    return ProblemSpec(
-        decision_set=grid, box=tight_box(grid),
-        objective=SeparableConvexObjective(
-            pieces=(QuadraticPiece(0.75, 0.0), LinearPiece(1.25), QuadraticPiece(1.5, -0.5))),
-        constraints=tuple(AffineConstraint(coeffs=c, offset=o) for c, o in (
-            ((-1.0, -2.5, -0.5), 1.9), ((-3.0, -0.5, -1.0), 2.4), ((-0.5, -1.5, -2.0), 1.7))))
-
-
-@pytest.mark.parametrize("spec_maker,points", [(_six_dim_instance, 5),
-                                               (lambda: build_instance("smooth-extra"), 9)])
-def test_broadcast_grid_equals_batch_rows(spec_maker, points):
-    # a product grid of multipliers, one broadcast view per axis, against
-    # the same grid written out row by row
-    spec = spec_maker()
-    J, dims = spec.constraint_count, spec.constraint_count + spec.dimension
-    axes = [np.linspace(0.0, 1.5, points) if k < J else np.linspace(-2.0, 2.0, points)
-            for k in range(dims)]
-    views = [ax.reshape([points if m == k else 1 for m in range(dims)])
-             for k, ax in enumerate(axes)]
-    d, _, _ = _dual_columns(spec, views[:J], views[J:])
-    assert d.shape == (points,) * dims
-    rows = np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
-    assert bits(d.ravel()) == bits(dual_function_batch(spec, rows)[0])
+def test_batch_x_on_explicit_points_is_linear_argmin_of_each_row():
+    # the batch scores every z row at once; each x row keeps the bits of
+    # linear_argmin on that z alone; z in tenths, like the points, makes
+    # exact and near score ties common
+    spec = _points_instance()
+    J = spec.constraint_count
+    tenths = np.random.default_rng(9).integers(-3, 4, size=(200, J + spec.dimension)) / 10
+    lam = np.vstack([sample_multipliers(spec, scale=1.0, count=200, seed=9),
+                     _project_dual(tenths, J)])
+    _, x, _ = dual_function_batch(spec, lam)
+    for k in range(len(lam)):
+        assert bits(x[k]) == bits(spec.decision_set.linear_argmin(lam[k, J:]))
 
 
 def test_zero_problem_subgradient_is_zero():
@@ -508,6 +494,13 @@ def test_bound_set_validation():
         BoundSet(m=1.0, c=1.0, v=100.0, l_poly=0.0)
     with pytest.raises(ValueError, match="l_smooth must be positive"):
         BoundSet(m=1.0, c=1.0, v=100.0, l_smooth=0.0)
+
+
+@pytest.mark.parametrize("v", [math.nan, math.inf])
+def test_bound_set_refuses_a_v_that_is_not_finite(v):
+    # v < 1.0 is false for both, so only the finiteness test catches them
+    with pytest.raises(ValueError, match="v must be finite and >= 1"):
+        BoundSet(m=1.0, c=1.0, v=v)
 
 
 # ---------------------------------------------------------------------------

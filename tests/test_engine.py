@@ -1025,5 +1025,14 @@ def test_public_updates_refuse_bad_arguments():
     spec = build_instance("polyhedral")
     with pytest.raises(ValueError, match=r"z has shape \(3,\), expected \(2,\)"):
         x_update(spec, np.zeros(3))
-    with pytest.raises(ValueError, match="v must be >= 1"):
+    with pytest.raises(ValueError, match="v must be finite and >= 1"):
         dual_update(np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2), 0.5)
+
+
+@pytest.mark.parametrize("v", [math.nan, math.inf])
+def test_dual_update_refuses_a_v_that_is_not_finite(v):
+    # v < 1.0 is false for both: SolverConfig's test refuses them
+    with pytest.raises(ValueError, match="v must be finite and >= 1"):
+        dual_update(np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2), v)
+    with pytest.raises(ValueError, match="v must be finite and >= 1"):
+        SolverConfig(v=v, horizon=2)

@@ -31,7 +31,7 @@ from tavopt import (
 )
 from tavopt.problem import EPS_C
 
-from conftest import bits, build_instance
+from conftest import bits, build_instance, generated_runs
 
 finite_floats = st.floats(-10.0, 10.0, allow_nan=False)
 
@@ -253,6 +253,26 @@ def test_constraint_matrix_without_constraints():
     assert A.shape == (0, 2) and b.shape == (0,)
 
 
+@settings(max_examples=100, deadline=None)
+@given(case=generated_runs())
+def test_constraint_map_at_points_and_on_batches(case):
+    spec, _ = case
+    A, b = spec.constraint_matrix()
+    box = spec.box
+    points = np.vstack([box.vertices(), spec.decision_set.hull_vertices(),
+                        np.random.default_rng(0).uniform(box.lower, box.upper, (8, spec.dimension))])
+    # one point at a time: the bits of A @ x + b
+    for x in points:
+        assert bits(spec.constraint_values(x)) == bits(A @ x + b)
+    # a batch: each row's max of the batch's values; -inf without constraints
+    worst, values = spec.max_violation(points), spec.constraint_values(points)
+    assert values.shape == (len(points), spec.constraint_count)
+    if spec.constraint_count:
+        assert bits(worst) == bits([np.max(row) for row in values])
+    else:
+        assert np.all(worst == -np.inf) and spec.max_violation(points[0]) == -np.inf
+
+
 def test_points_outside_box_rejected():
     poly = build_instance("polyhedral")
     with pytest.raises(ValueError):
@@ -443,16 +463,6 @@ def test_decision_set_forms_give_the_linear_argmin_bits(ds):
     for z in zs.tolist():
         trace = run(spec, SolverConfig(v=1.0, horizon=1, initial_z=z))
         assert bits(trace.x[0]) == bits(ds.linear_argmin(z)), z
-    # the columns on broadcast shapes, entry by entry
-    z_cols = [zs[-7:, 0].reshape(7, 1, 1), zs[7:12, 1].reshape(1, 5, 1),
-              zs[12:16, 2].reshape(1, 1, 4)]
-    cols = ds.linear_argmin_columns(z_cols)
-    if isinstance(ds, GridProduct):
-        assert [c.shape for c in cols] == [z.shape for z in z_cols]
-    cols = np.stack(np.broadcast_arrays(*cols), axis=-1)
-    for idx in np.ndindex(7, 5, 4):
-        z = [float(zc[tuple(min(k, n - 1) for k, n in zip(idx, zc.shape))]) for zc in z_cols]
-        assert bits(cols[idx]) == bits(ds.linear_argmin(z)), z
 
 
 def test_explicit_points_validation_and_ordering():
