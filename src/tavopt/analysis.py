@@ -108,9 +108,9 @@ def dual_function_batch(spec: ProblemSpec, lam: np.ndarray):
 class BoundSet:
     """Structural constants plus the convergence-region geometry they imply.
 
-    b_poly/radius_poly need the polyhedral decay rate l_poly; b_smooth and
-    radius_smooth need the quadratic decay rate l_smooth.  Each is None
-    without its rate.
+    b_poly and radius("polyhedral") need the polyhedral decay rate l_poly;
+    b_smooth and radius("smooth") need the quadratic decay rate l_smooth.
+    Without its rate a b is None and its radius raises ValueError.
     """
 
     m: float
@@ -141,22 +141,14 @@ class BoundSet:
         v, ls, c = self.v, self.l_smooth, self.c
         return max(v ** -1.5, (math.sqrt(v) + math.sqrt(v + 4.0 * ls * c * v)) / (2.0 * ls * v))
 
-    @property
-    def radius_poly(self) -> Optional[float]:
-        return None if self.l_poly is None else self.b_poly + self.step_bound
-
-    @property
-    def radius_smooth(self) -> Optional[float]:
-        return None if self.l_smooth is None else self.b_smooth + self.step_bound
-
     def radius(self, geometry: str) -> float:
-        """Region radius for "polyhedral" or "smooth" geometry."""
-        radii = {"polyhedral": self.radius_poly, "smooth": self.radius_smooth}
-        if geometry not in radii:
+        """Region radius b + step_bound for "polyhedral" or "smooth" geometry."""
+        bs = {"polyhedral": self.b_poly, "smooth": self.b_smooth}
+        if geometry not in bs:
             raise ValueError(f"unknown geometry {geometry!r}")
-        if radii[geometry] is None:
+        if bs[geometry] is None:
             raise ValueError(f"bounds carry no radius for {geometry} geometry")
-        return radii[geometry]
+        return bs[geometry] + self.step_bound
 
     @property
     def step_bound(self) -> float:
@@ -425,21 +417,21 @@ def convergence_bounds(trace: RunTrace, bounds: BoundSet, start: int, length: in
 # Accuracy measurement
 # ---------------------------------------------------------------------------
 
-def optimality_error(spec: ProblemSpec, point, f_opt: float) -> float:
-    """Max of objective gap and constraint violations at a point (0 if optimal)."""
-    point = np.asarray(point, dtype=float)
-    return max(spec.objective.value(point) - f_opt, float(spec.max_violation(point)), 0.0)
+def optimality_error(spec: ProblemSpec, points, f_opt: float):
+    """Max of objective gap, constraint violations and 0 (0 if optimal): a
+    float at one point, an array at the rows of an (n, dimension) batch.
+    A point's gap is row 0 of a one-row batch; its violation keeps the
+    single-point product."""
+    points = np.asarray(points, dtype=float)
+    gap = spec.objective.values(points.reshape(-1, points.shape[-1])) - f_opt
+    err = np.maximum(np.maximum(gap.reshape(points.shape[:-1]), spec.max_violation(points)), 0.0)
+    return float(err) if points.ndim == 1 else err
 
 
 def error_series(trace: RunTrace, f_opt: float):
     """Optimality error of the plain and staggered averages at each iteration."""
-    spec = trace.spec
-
-    def errs(avg):
-        return np.maximum(np.maximum(spec.objective.values(avg) - f_opt,
-                                     spec.max_violation(avg)), 0.0)
-
-    return errs(trace.xbar), errs(trace.xbar_frame)
+    return (optimality_error(trace.spec, trace.xbar, f_opt),
+            optimality_error(trace.spec, trace.xbar_frame, f_opt))
 
 
 def iterations_to_accuracy(trace: RunTrace, f_opt: float, eps: float):

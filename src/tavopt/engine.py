@@ -117,7 +117,9 @@ def dual_update(w, z, x, y, g_of_y, v: float) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     g_of_y = np.asarray(g_of_y, dtype=float)
-    return np.maximum(0.0, w + g_of_y / v), z + (x - y) / v
+    # the step loop's clamp u > 0 ? u : 0, which maps a nan to 0
+    u = w + g_of_y / v
+    return np.where(u > 0.0, u, 0.0), z + (x - y) / v
 
 
 def running_mean(a: np.ndarray) -> np.ndarray:

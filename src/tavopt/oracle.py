@@ -264,8 +264,6 @@ def solve_reference_lp(spec: ProblemSpec) -> OracleResult:
             continue  # nearly singular system
         if np.any(x < lo - FEASIBILITY_TOL) or np.any(x > hi + FEASIBILITY_TOL):
             continue
-        if spec.max_violation(x) > FEASIBILITY_TOL:
-            continue
         candidates.append(x)
 
     best = _best_feasible(spec, np.array(candidates).reshape(-1, I))
@@ -373,7 +371,7 @@ def _relaxation(spec: ProblemSpec, A, b, phase_one: bool = False):
         seg = np.zeros((len(piece.slopes), n))
         seg[:, i], seg[:, I + k] = piece.slopes, -1.0
         rows.append(seg)
-        h.append([s * a - piece.value(a) for s, a in zip(piece.slopes, anchors)])
+        h.append(np.multiply(piece.slopes, anchors) - piece.values(np.array(anchors)))
         c[I + k] = 1.0
     rows.append(np.zeros((len(hull_h), n)))
     rows[-1][:, cols] = hull_G

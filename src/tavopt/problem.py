@@ -87,9 +87,6 @@ class QuadraticPiece:
         if self.curvature < 0.0:
             raise ValueError("non-convex piece: quadratic curvature must be >= 0")
 
-    def value(self, y: float) -> float:
-        return self.curvature * y * y + self.slope * y
-
     def values(self, ys: np.ndarray) -> np.ndarray:
         return self.curvature * ys * ys + self.slope * ys
 
@@ -149,7 +146,7 @@ class PiecewiseLinearPiece:
             raise ValueError("breakpoints must be strictly increasing")
         if any(s2 < s1 for s1, s2 in zip(sls, sls[1:])):
             raise ValueError("non-convex piece: slopes must be nondecreasing")
-        # (slope, lower node, upper node) of each segment, for value's loop
+        # (slope, lower node, upper node) of each segment, for values' loop
         nodes = (-math.inf,) + bps + (math.inf,)
         object.__setattr__(self, "_segments", tuple(zip(sls, nodes, nodes[1:])))
 
@@ -160,22 +157,10 @@ class PiecewiseLinearPiece:
     def _slope_left_of(self, y: float) -> float:
         return self.slopes[bisect_left(self.breakpoints, y)]
 
-    def value(self, y: float) -> float:
-        # integral of the slope function from 0 to y; each segment is
-        # clipped to [a, b] as max(a, node_lo) and min(b, node_hi) would
-        # (the first argument wins a tie, so signed zeros keep their bits)
-        total = 0.0
-        a, b = (0.0, y) if y >= 0.0 else (y, 0.0)
-        for s, node_lo, node_hi in self._segments:
-            seg_lo = node_lo if node_lo > a else a
-            seg_hi = node_hi if node_hi < b else b
-            if seg_hi > seg_lo:
-                total += s * (seg_hi - seg_lo)
-        return total if y >= 0.0 else -1.0 * total
-
     def values(self, ys: np.ndarray) -> np.ndarray:
-        # value's integral, elementwise, with the same operations in the
-        # same order, so each entry equals value(y) bit for bit
+        # the integral of the slope function from 0 to each y: each
+        # segment's slope times its length inside [min(0, y), max(0, y)],
+        # summed from the left
         ys = np.asarray(ys, dtype=float)
         nonneg = ys >= 0.0
         a, b = np.where(nonneg, 0.0, ys), np.where(nonneg, ys, 0.0)
@@ -230,10 +215,12 @@ class SeparableConvexObjective:
         return len(self.pieces)
 
     def value(self, x) -> float:
-        return float(sum(p.value(float(v)) for p, v in zip(self.pieces, x)))
+        """Objective at one point: row 0 of values, with its bits."""
+        return float(self.values(np.reshape(x, (1, -1)))[0])
 
     def values(self, points: np.ndarray) -> np.ndarray:
-        """Objective at each row of an (n, dimension) array."""
+        """Objective at each row of an (n, dimension) array, the pieces
+        summed from the left."""
         points = np.asarray(points, dtype=float)
         total = np.zeros(points.shape[0])
         for i, p in enumerate(self.pieces):
@@ -242,8 +229,11 @@ class SeparableConvexObjective:
 
     def max_gradient_norm(self, lower: np.ndarray, upper: np.ndarray) -> float:
         """Supremum of the gradient norm over the box (coordinates decouple)."""
-        return math.sqrt(sum(p.max_abs_derivative(lo, hi) ** 2
-                             for p, lo, hi in zip(self.pieces, lower, upper)))
+        # summed from the left, as the builtin sum did before Python 3.12
+        total = 0.0
+        for p, lo, hi in zip(self.pieces, lower, upper):
+            total += p.max_abs_derivative(lo, hi) ** 2
+        return math.sqrt(total)
 
 
 # ---------------------------------------------------------------------------

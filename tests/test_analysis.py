@@ -475,14 +475,16 @@ def test_bound_set_formulas():
     bounds = BoundSet(m=m, c=c, v=v, l_poly=0.5, l_smooth=0.25)
     assert bounds.step_bound == pytest.approx(math.sqrt(2 * c) / v, abs=0)
     assert bounds.b_poly == pytest.approx(max(0.5 / (2 * v), 2 * c / (v * 0.5)), abs=0)
-    assert bounds.radius_poly == pytest.approx(bounds.b_poly + bounds.step_bound, abs=0)
+    assert bounds.radius("polyhedral") == pytest.approx(bounds.b_poly + bounds.step_bound, abs=0)
     expected_bs = max(v ** -1.5,
                       (math.sqrt(v) + math.sqrt(v + 4 * 0.25 * c * v)) / (2 * 0.25 * v))
     assert bounds.b_smooth == pytest.approx(expected_bs, abs=0)
-    assert bounds.radius_smooth == pytest.approx(expected_bs + bounds.step_bound, abs=0)
+    assert bounds.radius("smooth") == pytest.approx(expected_bs + bounds.step_bound, abs=0)
 
     plain = BoundSet(m=m, c=c, v=v)
-    assert plain.b_poly is None and plain.radius_smooth is None
+    assert plain.b_poly is None
+    with pytest.raises(ValueError, match="no radius for smooth geometry"):
+        plain.radius("smooth")
 
 
 def test_bound_set_validation():

@@ -167,6 +167,10 @@ def test_dual_update_examples():
     w, z = dual_update(np.array([1.0]), np.zeros(1), np.zeros(1), np.zeros(1), np.array([0.5]), 10.0)
     np.testing.assert_allclose(w, [1.05], atol=0)
 
+    # a nan g(y) clamps to 0, as run()'s step loop and composed steps clamp it
+    w, z = dual_update([1.0], [0.0], [0.0], [0.0], [math.nan], 1.0)
+    np.testing.assert_array_equal(w, [0.0])
+
 
 def test_dual_update_rejects_negative_w():
     with pytest.raises(ValueError, match="w components must be nonnegative"):
@@ -614,7 +618,7 @@ def test_run_matches_public_updates_on_generated_specs(case):
         # d from the updates' own values, summed as run() sums it
         d = 0.0
         for piece, yi in zip(spec.objective.pieces, y):
-            d += piece.value(yi)
+            d += float(piece.values(np.array(yi)))
         for wj, gj in zip(w, g):
             d += wj * gj
         for xi, yi, zi in zip(x, y, z):

@@ -29,6 +29,7 @@ from tavopt import (
     squared_norm_bound,
     tight_box,
 )
+import tavopt.problem
 from tavopt.problem import EPS_C
 
 from conftest import bits, build_instance, generated_runs
@@ -43,7 +44,23 @@ def scan_min(piece, c, lo, hi, n=4001):
 
 
 def shifted_value(piece, c, y):
-    return piece.value(y) + c * y
+    return float(piece.values(np.array(y))) + c * y
+
+
+def pwl_integral(piece, y):
+    """Scalar reference for PiecewiseLinearPiece.values: the integral of
+    the slope function from 0 to y in Python floats.  Each segment is
+    clipped to [a, b] as max(a, node_lo) and min(b, node_hi) would (the
+    first argument wins a tie, so signed zeros keep their bits)."""
+    nodes = (-math.inf,) + piece.breakpoints + (math.inf,)
+    total = 0.0
+    a, b = (0.0, y) if y >= 0.0 else (y, 0.0)
+    for s, node_lo, node_hi in zip(piece.slopes, nodes, nodes[1:]):
+        seg_lo = node_lo if node_lo > a else a
+        seg_hi = node_hi if node_hi < b else b
+        if seg_hi > seg_lo:
+            total += s * (seg_hi - seg_lo)
+    return total if y >= 0.0 else -1.0 * total
 
 
 def kernel_argmin(piece, cs, lo, hi):
@@ -187,15 +204,13 @@ def test_pwl_piece_argmin_matches_scan(piece, c, lo, width):
 @given(piece=pwl_pieces())
 def test_pwl_vectorized_values_match_scalar(piece):
     ys = np.concatenate([np.linspace(-6.0, 6.0, 101), piece.breakpoints, [0.0, -0.0]])
-    expected = np.array([piece.value(float(y)) for y in ys])
+    expected = np.array([pwl_integral(piece, float(y)) for y in ys])
     np.testing.assert_array_equal(piece.values(ys), expected)
 
 
 def test_pwl_hand_values():
     piece = PiecewiseLinearPiece(breakpoints=(0.0,), slopes=(-1.0, 2.0))
-    assert piece.value(0.0) == 0.0
-    assert piece.value(1.0) == 2.0
-    assert piece.value(-1.0) == 1.0
+    np.testing.assert_array_equal(piece.values(np.array([0.0, 1.0, -1.0])), [0.0, 2.0, 1.0])
     assert piece.max_abs_derivative(-1.0, 1.0) == 2.0
     # right slope applies when the interval starts exactly at the kink
     assert piece.argmin_shifted(0.0, 0.0, 1.0) == kernel_argmin(piece, [0.0], 0.0, 1.0)[0] == 0.0
@@ -223,6 +238,28 @@ def test_objective_examples():
     assert evaluate_objective(poly, (0.5, 0.5)) == pytest.approx(1.25, abs=1e-12)
     assert evaluate_objective(smooth, (0.0, 0.0)) == 0.0
     assert evaluate_objective(smooth, (0.5, 0.5)) == pytest.approx(0.5, abs=1e-12)
+
+
+def neumaier_sum(values, start=0):
+    """Compensated sum, as Python 3.12's builtin sum adds floats."""
+    total, comp = float(start), 0.0
+    for v in values:
+        t = total + v
+        comp += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+        total = t
+    return total + comp
+
+
+def test_objective_value_is_row_zero_of_values(monkeypatch):
+    # pieces worth 0.1, 0.2 and 0.3 at p: 0.6000000000000001 summed from the
+    # left, 0.6 compensated; value must keep values' bits whichever way the
+    # builtin sum adds, so problem's sum is made the compensated one
+    assert neumaier_sum([0.1, 0.2, 0.3]) != 0.1 + 0.2 + 0.3
+    monkeypatch.setattr(tavopt.problem, "sum", neumaier_sum, raising=False)
+    objective = SeparableConvexObjective((LinearPiece(0.1), QuadraticPiece(0.2, 0.0),
+                                          PiecewiseLinearPiece((), (0.3,))))
+    p = np.ones(3)
+    assert bits(objective.value(p)) == bits(objective.values(p[None])[0]) == bits(0.1 + 0.2 + 0.3)
 
 
 def test_constraint_examples():
