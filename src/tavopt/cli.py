@@ -109,7 +109,7 @@ class ExperimentConfig:
     log_every: int = 1
 
     def __post_init__(self):
-        if self.mode not in ("solve", "sweep", "diagnose", "reproduce"):
+        if self.mode not in _MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode != "reproduce" and self.problem_path is None:
             raise ValueError(f"mode {self.mode} needs a problem file")
@@ -278,28 +278,24 @@ def _do_reproduce(cfg: ExperimentConfig) -> int:
         J = spec.constraint_count
         marks = np.append(trace.restart_times, cfg.horizon)
 
-        def stats(avgs):
-            return [spec.objective.values(avgs), spec.constraint_values(avgs)]
-
-        # one column group per average: the plain one, then the windows from
-        # the fixed and the detected start (nan at marks before the start)
-        plain = stats(trace.xbar[marks - 1])
-        columns = [marks, *plain]
-        for start in (fixed_start, detected):
+        # one column group per window: from 0 (the plain average, bit for bit
+        # xbar's rows), the fixed and the detected start (nan before the start)
+        header, columns = ["t"], [marks]
+        for label, start in (("plain", 0), ("staggered_fixed", fixed_start),
+                             ("staggered_detected", detected)):
             later = marks > start
             f, g = np.full(len(marks), np.nan), np.full((len(marks), J), np.nan)
             if later.any():
-                f[later], g[later] = stats(staggered_average(trace, start, marks[later] - start))
-            columns += [f, g]
-        header = ["t"]
-        for label in ("plain", "staggered_fixed", "staggered_detected"):
+                avgs = staggered_average(trace, start, marks[later] - start)
+                f[later], g[later] = spec.objective.values(avgs), spec.constraint_values(avgs)
             header += [f"f_{label}"] + [f"g_{j + 1}_{label}" for j in range(J)]
+            columns += [f, g]
         fig_csv = os.path.join(cfg.out_dir, f"figure{fig}.csv")
         write_table(fig_csv, header, columns)
 
         # the last mark is the horizon: the last plain row holds the final average's f and g;
         # the max is that row's, since max_violation(xbar[-1]) may differ from it in its bits
-        f_final, worst = float(plain[0][-1]), float(np.max(plain[1][-1], initial=-np.inf))
+        f_final, worst = float(columns[1][-1]), float(np.max(columns[2][-1], initial=-np.inf))
         ok = abs(f_final - f_opt) <= 0.02 and worst <= 0.02
         if not ok:
             failed.append(fig)
@@ -350,15 +346,15 @@ _FLAGS = {
     "--figure": dict(type=int, choices=sorted(FIGURE_SETUPS)),
 }
 
-# mode -> (help, the flags it reads)
+# mode -> (handler, help, the flags it reads)
 _MODES = {
-    "solve": ("one run, trace CSV + summary",
+    "solve": (_do_solve, "one run, trace CSV + summary",
               ("--problem", "--out", "--V", "--horizon", "--log-every")),
-    "sweep": ("iterations-to-accuracy over a V list",
+    "sweep": (_do_sweep, "iterations-to-accuracy over a V list",
               ("--problem", "--out", "--V", "--horizon")),
-    "diagnose": ("multiplier estimate and certificates",
+    "diagnose": (_do_diagnose, "multiplier estimate and certificates",
                  ("--problem", "--out", "--V", "--horizon", "--method", "--geometry")),
-    "reproduce": ("bundled demo instances, per-figure CSVs",
+    "reproduce": (_do_reproduce, "bundled demo instances, per-figure CSVs",
                   ("--out", "--V", "--horizon", "--figure")),
 }
 
@@ -368,7 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="tavopt",
         description="Time-average optimization solver and diagnostics")
     sub = parser.add_subparsers(dest="mode", required=True)
-    for mode, (help_text, flags) in _MODES.items():
+    for mode, (_, help_text, flags) in _MODES.items():
         p = sub.add_parser(mode, help=help_text, argument_default=argparse.SUPPRESS)
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
@@ -384,13 +380,7 @@ def run_cli(argv) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
     try:
         cfg = ExperimentConfig(**vars(args))
-        if cfg.mode == "solve":
-            return _do_solve(cfg)
-        if cfg.mode == "sweep":
-            return _do_sweep(cfg)
-        if cfg.mode == "diagnose":
-            return _do_diagnose(cfg)
-        return _do_reproduce(cfg)
+        return _MODES[cfg.mode][0](cfg)
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

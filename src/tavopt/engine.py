@@ -300,12 +300,16 @@ def _kernel():
     its bytes as an 8-byte trailer (which the loader ignores) and moved into
     place by os.replace, so no process sees a partial file.  A cached file
     whose trailer does not match is rebuilt before it is loaded: loading a
-    truncated library can crash the process.  If the cache cannot be
+    truncated library can crash the process.  A build keeps the 8 newest
+    <16 hex>.so files, itself among them, and a hit deletes none, so
+    checkouts that alternate never evict each other.  If the cache cannot be
     written or loaded from, the library is built in a temporary directory
     for this process only.  The checksum is zlib's CRC-32 and Adler-32, 64
     bits: numpy loads zlib, while hashlib would load OpenSSL (3.6 MB RSS).
     """
+    import contextlib
     import ctypes
+    import glob
     import platform
     import shutil
     import tempfile
@@ -341,6 +345,10 @@ def _kernel():
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
+            with contextlib.suppress(OSError):  # another process pruned first
+                libs = glob.glob(os.path.join(glob.escape(directory), "[0-9a-f]" * 16 + ".so"))
+                for old in sorted(set(libs) - {path}, key=os.path.getmtime)[:-7]:
+                    os.unlink(old)
         return ctypes.CDLL(path)
 
     try:

@@ -69,15 +69,9 @@ class ExactSolution:
     unique: bool  # False when the dual may have other maximizers
 
 
-def _feasible(spec: ProblemSpec, points: np.ndarray) -> np.ndarray:
-    """Mask of the rows of points at which every constraint is at most
-    FEASIBILITY_TOL: one product, then one column of it per constraint."""
-    A, b = spec.constraint_matrix()
-    feas = np.ones(points.shape[0], dtype=bool)
-    lhs = points @ A.T
-    for j in range(len(b)):
-        feas &= lhs[:, j] + b[j] <= FEASIBILITY_TOL
-    return feas
+def _feasible(spec: ProblemSpec, points: np.ndarray):
+    """Whether every constraint is at most FEASIBILITY_TOL, at one point or per row of a batch."""
+    return spec.max_violation(points) <= FEASIBILITY_TOL
 
 
 def _best_feasible(spec: ProblemSpec, points: np.ndarray):
@@ -196,7 +190,7 @@ def _simplex_search(spec: ProblemSpec, resolution: float) -> OracleResult:
                     trial[src] -= delta
                     trial[dst] += delta
                     x = trial @ pts
-                    if spec.max_violation(x) > FEASIBILITY_TOL:
+                    if not _feasible(spec, x):
                         continue
                     v = spec.objective.value(x)
                     if v < val - 1e-15:

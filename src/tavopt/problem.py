@@ -372,9 +372,9 @@ class ExtendedBox:
     def dimension(self) -> int:
         return int(self.lower.shape[0])
 
-    def contains(self, x, atol: float = _BOX_ATOL) -> bool:
+    def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lower - atol) and np.all(x <= self.upper + atol))
+        return bool(np.all(x >= self.lower - _BOX_ATOL) and np.all(x <= self.upper + _BOX_ATOL))
 
     def vertices(self) -> np.ndarray:
         if self.dimension > 16:
@@ -439,8 +439,7 @@ class ProblemSpec:
                 raise ValueError(f"constraint {j} is not an AffineConstraint")
             if g.coeffs.shape[0] != I:
                 raise ValueError(f"constraint {j} dimension does not match box")
-        lo, hi = self.decision_set.hull_bounds()
-        if np.any(lo < self.box.lower - _BOX_ATOL) or np.any(hi > self.box.upper + _BOX_ATOL):
+        if not all(map(self.box.contains, self.decision_set.hull_bounds())):
             raise ValueError("decision set is not contained in the box")
         A = np.array([g.coeffs for g in self.constraints], dtype=float).reshape(-1, I)
         b = np.array([g.offset for g in self.constraints], dtype=float)
@@ -469,9 +468,16 @@ class ProblemSpec:
         return points @ A.T + b
 
     def max_violation(self, points):
-        """Largest constraint value at one point, or at each row of a batch;
-        -inf without constraints."""
-        return np.max(self.constraint_values(points), axis=-1, initial=-np.inf)
+        """Largest constraint value at one point (a NumPy float) or at each row
+        of a batch; -inf without constraints.  A running maximum over the
+        columns of points @ A.T plus b_j, with no second (n, J) array: np.max
+        along a last axis of two or three is 8x slower on a 90,601-row mesh."""
+        A, b = self._matrix
+        lhs = points @ A.T
+        worst = np.full(lhs.shape[:-1], -np.inf)
+        for j in range(len(b)):
+            np.maximum(worst, lhs[..., j] + b[j], out=worst)
+        return worst[()]
 
 
 def _require_in_box(spec: ProblemSpec, x) -> np.ndarray:

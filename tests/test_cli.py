@@ -454,7 +454,7 @@ def test_readme_flag_table_is_the_parsers():
         text = fh.read()
     rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", text, flags=re.M)
     documented = {mode: tuple(re.findall(r"`(--[\w-]+)`", flags)) for mode, flags in rows}
-    assert documented == {mode: flags for mode, (_, flags) in _MODES.items()}
+    assert documented == {mode: flags for mode, (*_, flags) in _MODES.items()}
     # the defaults paragraph names only flags the parsers have, each default
     # read as its flag reads it and equal to the ExperimentConfig field's
     paragraph = re.search(r"^Defaults \(declared once.*?\n\n", text, flags=re.M | re.S).group()

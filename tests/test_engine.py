@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from unittest import mock
 
 import numpy as np
@@ -406,16 +407,23 @@ def test_compiled_running_mean_on_run_buffers():
     assert_same_doubles(staggered_average(trace, 1000, np.array([1, 17, 2000])), windows)
 
 
-def test_staggered_average_examples():
+def test_staggered_average_examples(each_path):
     spec = build_instance("polyhedral")
     trace = run(spec, SolverConfig(v=25.0, horizon=2048))
-    np.testing.assert_allclose(staggered_average(trace, 0, 512), trace.xbar[511],
-                               atol=1e-12)
     window = staggered_average(trace, 300, 700)
     np.testing.assert_allclose(window, trace.x[300:1000].mean(axis=0), atol=1e-12)
 
     const = run(constant_instance(), SolverConfig(v=10.0, horizon=64))
     np.testing.assert_array_equal(staggered_average(const, 17, 31), [1.0, 2.0])
+
+    # the window from 0 is the plain average, bit for bit, in both forms:
+    # row k of the running mean reads only rows 0..k
+    counts = np.array([1, 2, 17, 511, 512, 2047, 2048])
+    for _ in each_path:
+        trace = run(spec, SolverConfig(v=25.0, horizon=2048))
+        assert bits(staggered_average(trace, 0, counts)) == bits(trace.xbar[counts - 1])
+        assert bits(staggered_average(trace, 0, 512)) == bits(trace.xbar[511])
+        assert bits(staggered_average(trace, 0, counts[:3])) == bits(trace.xbar[counts[:3] - 1])
 
 
 def test_staggered_average_range_errors():
@@ -757,6 +765,31 @@ def test_an_empty_cache_is_compiled_into_once(reload_kernel, tmp_path, monkeypat
     assert cache.stat().st_mode & 0o777 == 0o700
     for name in TRACE_ARRAYS:
         assert bits(getattr(first, name)) == bits(getattr(second, name)), name
+
+
+def test_a_build_keeps_the_eight_newest_libraries(reload_kernel, tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    log = _counting_cc(tmp_path, monkeypatch)
+    cache = tmp_path / "cache" / "tavopt"
+    cache.mkdir(parents=True)
+    # nine libraries of older builds, fakes[0] the newest, back-dated by an hour and more
+    fakes = [f"{k:016x}.so" for k in range(9)]
+    for k, name in enumerate(fakes):
+        (cache / name).write_bytes(b"old")
+        os.utime(cache / name, (time.time() - 3600 * (k + 1),) * 2)
+    (cache / "notes.txt").write_text("not a library")
+    spec, cfg = build_instance("smooth"), SolverConfig(v=7.0, horizon=50)
+    run(spec, cfg)
+    assert log.read_text() == "cc\n"
+    [built] = set(os.listdir(cache)) - set(fakes) - {"notes.txt"}
+    assert sorted(os.listdir(cache)) == sorted([*fakes[:7], built, "notes.txt"])
+    # a cache hit deletes nothing, not even with a tenth library in the way
+    (cache / fakes[8]).write_bytes(b"old")
+    os.utime(cache / fakes[8], (time.time() - 36000,) * 2)
+    tavopt.engine._kernel.cache_clear()
+    run(spec, cfg)
+    assert log.read_text() == "cc\n"
+    assert sorted(os.listdir(cache)) == sorted([*fakes[:7], fakes[8], built, "notes.txt"])
 
 
 def test_an_unwritable_cache_still_gives_the_compiled_loop(reload_kernel, tmp_path, monkeypatch,

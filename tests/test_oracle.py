@@ -53,8 +53,11 @@ def test_feasibility_mask_is_the_all_constraints_test(problem, count):
     axes = [np.linspace(l, h, count) for l, h in zip(lo, hi)]
     points = np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
     A, b = spec.constraint_matrix()
-    assert np.array_equal(_feasible(spec, points),
-                          np.all(points @ A.T + b <= FEASIBILITY_TOL, axis=1))
+    mask = np.all(points @ A.T + b <= FEASIBILITY_TOL, axis=1)
+    assert np.array_equal(_feasible(spec, points), mask)
+    # and at one point, as the explicit-point oracle's polish calls it
+    for k in np.linspace(0, len(points) - 1, 97).astype(int):
+        assert _feasible(spec, points[k]) == mask[k]
 
 
 def test_grid_oracle_on_quadratic_instance():

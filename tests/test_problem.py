@@ -298,11 +298,17 @@ def test_constraint_map_at_points_and_on_batches(case):
     box = spec.box
     points = np.vstack([box.vertices(), spec.decision_set.hull_vertices(),
                         np.random.default_rng(0).uniform(box.lower, box.upper, (8, spec.dimension))])
-    # one point at a time: the bits of A @ x + b
-    for x in points:
-        assert bits(spec.constraint_values(x)) == bits(A @ x + b)
-    # a batch: each row's max of the batch's values; -inf without constraints
-    worst, values = spec.max_violation(points), spec.constraint_values(points)
+    # and a row with a nan coordinate
+    points = np.vstack([points, np.where(np.arange(spec.dimension) == 0, np.nan, box.lower)])
+    # one point at a time: the bits of A @ x + b, and its max a NumPy float
+    with np.errstate(invalid="ignore"):
+        for x in points:
+            assert bits(spec.constraint_values(x)) == bits(A @ x + b)
+            worst = spec.max_violation(x)
+            assert type(worst) is np.float64
+            assert bits(worst) == bits(np.max(A @ x + b, initial=-np.inf))
+        # a batch: each row's max of the batch's values; -inf without constraints
+        worst, values = spec.max_violation(points), spec.constraint_values(points)
     assert values.shape == (len(points), spec.constraint_count)
     if spec.constraint_count:
         assert bits(worst) == bits([np.max(row) for row in values])
