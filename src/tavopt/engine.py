@@ -15,6 +15,7 @@ from functools import cache, cached_property, partial
 from itertools import groupby
 from typing import Optional
 
+import ctypes  # numpy loads it anyway
 import math
 import os
 
@@ -289,10 +290,11 @@ _CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
 @cache
 def _kernel():
-    """step_loop.c compiled and loaded once per process, with its two
-    functions typed: step_loop (run()'s steps) and running_mean.  None, with
-    one WARNING, when there is no working compiler (cc) or the library does
-    not load; the Python forms then run instead.
+    """step_loop.c compiled and loaded once per process, with its three
+    functions typed: step_loop (run()'s steps), running_mean and join_rows
+    (write_table's lines).  None, with one WARNING, when there is no working
+    compiler (cc) or the library does not load; the Python forms then run
+    instead.
 
     The library is cached in $XDG_CACHE_HOME/tavopt (or ~/.cache/tavopt),
     named by the checksum of the source, the flags, the compiler's path and
@@ -308,7 +310,6 @@ def _kernel():
     bits: numpy loads zlib, while hashlib would load OpenSSL (3.6 MB RSS).
     """
     import contextlib
-    import ctypes
     import glob
     import platform
     import shutil
@@ -370,13 +371,15 @@ def _kernel():
     except (OSError, RuntimeError) as exc:  # no compiler, or it failed
         import logging
         logging.getLogger(__name__).warning(
-            "no compiled step loop (%s); run() composes the public updates and the "
-            "averages take the NumPy running mean: the same results, more slowly", exc)
+            "no compiled step loop (%s); run() composes the public updates, the averages "
+            "take the NumPy running mean and write_table joins its rows in Python: the "
+            "same results, more slowly", exc)
         return None
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     lib.step_loop.restype = lib.running_mean.restype = None
     lib.step_loop.argtypes = [i64, i64, ctypes.c_double, ptr, ptr, i64, *[ptr] * 5, i64, i64]
     lib.running_mean.argtypes = [i64, i64, ptr, i64, i64, ptr]
+    lib.join_rows.restype, lib.join_rows.argtypes = i64, [i64, ptr, ptr, i64, ptr, i64]
     return lib
 
 
@@ -492,59 +495,83 @@ def staggered_average(trace: RunTrace, start: int, count) -> np.ndarray:
 _TABLE_BLOCK_ROWS = 256
 
 
+def _join_rows(texts: list, m: int):
+    """The m CSV lines of one write_table chunk, line r joining row r of each
+    text by commas.  Each text is bytes, m rows separated by '],[' and no
+    other ']' (orjson's 2-D array without its outer brackets), or ValueError.
+    step_loop.c's join_rows makes one pass; without it, split and join."""
+    kernel = _kernel()
+    if kernel is None:
+        rows = [t.split(b"],[") for t in texts]
+        out = b"".join(b",".join(cells) + b"\n" for cells in zip(*rows))
+        size = len(out) if all(len(r) == m for r in rows) else -1
+    else:
+        n = len(texts)
+        out = ctypes.create_string_buffer(sum(map(len, texts)) + n)  # a text's lines: <= len + 1
+        size = kernel.join_rows(n, (ctypes.c_char_p * n)(*texts),
+                                (ctypes.c_int64 * n)(*map(len, texts)), m, out, len(out))
+    if size < 0:
+        raise ValueError(f"row texts that do not hold {m} rows each")
+    return memoryview(out)[:size]
+
+
 def write_table(path, header, columns) -> None:
     """Write a CSV with one header line and one row per index of columns.
 
     columns are 1-D arrays (one cell per row) or 2-D blocks (one cell per
-    block column), all of the same length; a column of another length raises
-    ValueError.  Each cell is the repr of its .tolist() value, so ints print
-    as ints and floats in the shortest decimal form that round-trips the
-    double.  Rows are formatted a fixed number at a time, so memory beyond
-    the arrays stays bounded.  In each such chunk, adjacent blocks of one
-    dtype form a run (zero-width blocks hold no cells and do not split one),
-    stacked into one 2-D array; each row of the file is the join of its
-    runs' row texts.  A native float64 or integer run gets its row texts
-    from one orjson.dumps call: its shortest round-trip digits (Ryu) equal
-    repr's wherever repr writes fixed notation.  The float cells where the
-    two differ are replaced by their repr within their row: nan and +-inf
-    (orjson prints null) and nonzero magnitudes below 1e-4 or from 1e16 on
-    (repr writes 1e-05 and 1e+16, orjson 0.00001 and 1e16).  Runs of any
-    other dtype go through repr alone, one row at a time.
+    block column) of numbers or bools, all of one length, with one header
+    name per cell column and at least one; any other table raises ValueError
+    before the file is opened.  Each cell is the repr of its .tolist() value,
+    so ints print as ints and floats in the shortest decimal form that
+    round-trips the double.  Rows are formatted a fixed number at a time, so
+    memory beyond the arrays stays bounded.  In each such chunk, adjacent
+    blocks of one dtype form a run (zero-width blocks do not split one),
+    stacked into one 2-D array, and _join_rows joins the runs' texts.  A
+    native float64 or integer run's text is one orjson.dumps call: its
+    shortest round-trip digits (Ryu) equal repr's wherever repr writes fixed
+    notation.  A row with a float where the two differ, nan and +-inf (orjson
+    prints null) or a nonzero magnitude below 1e-4 or from 1e16 on (repr
+    writes 1e-05 and 1e+16, orjson 0.00001 and 1e16), is written by repr in
+    that text, as every row of a run of another dtype is.
     """
     # imported here, not at module level: it adds ~6.5 ms to `import tavopt`
     from orjson import OPT_SERIALIZE_NUMPY, dumps
 
-    def row_texts(run):
-        """The cells of each row of a stacked run, joined by commas.  The
+    def text(run):
+        """The rows of a stacked run as bytes, separated by '],['.  The
         stacking gives native byte order, which orjson needs."""
         dt = run.dtype
         if not (dt == np.float64 or dt.kind in "iu"):
-            return [",".join(map(repr, row)) for row in run.tolist()]
-        out = dumps(run, option=OPT_SERIALIZE_NUMPY)[2:-2].decode().split("],[")
+            return "],[".join(",".join(map(repr, row)) for row in run.tolist()).encode()
+        out = dumps(run, option=OPT_SERIALIZE_NUMPY)[2:-2]
         if dt.kind == "f":
             mag = np.abs(run)
-            rows, cols = np.nonzero(~((mag >= 1e-4) & (mag < 1e16)) & (mag != 0.0))
-            patched = {}
-            for r, c, v in zip(rows.tolist(), cols.tolist(), run[rows, cols].tolist()):
-                if r not in patched:
-                    patched[r] = out[r].split(",")
-                patched[r][c] = repr(v)
-            for r, cells in patched.items():
-                out[r] = ",".join(cells)
+            rows = np.flatnonzero((~((mag >= 1e-4) & (mag < 1e16)) & (mag != 0.0)).any(axis=1))
+            if len(rows):  # the text is split into rows only then
+                lines = out.split(b"],[")
+                for r, row in zip(rows.tolist(), run[rows].tolist()):
+                    lines[r] = ",".join(map(repr, row)).encode()
+                out = b"],[".join(lines)
         return out
 
     blocks = [c.reshape(len(c), 1) if c.ndim == 1 else c for c in map(np.asarray, columns)]
+    width = sum(b.shape[1] for b in blocks)
+    if not width or len(header) != width:
+        raise ValueError(f"header has {len(header)} names for {width} cell columns; a table "
+                         "needs one name per cell column and at least one cell column")
     n = len(blocks[0])
     for k, block in enumerate(blocks):
         if len(block) != n:
             raise ValueError(f"column {k} has {len(block)} rows, column 0 has {n}")
+        if block.dtype.kind not in "biufc":
+            raise ValueError(f"column {k} has dtype {block.dtype}, not numbers or bools")
     runs = [list(run) for _, run in groupby((b for b in blocks if b.shape[1]), lambda b: b.dtype)]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         for lo in range(0, n, _TABLE_BLOCK_ROWS):
-            texts = [row_texts(np.concatenate([b[lo:lo + _TABLE_BLOCK_ROWS] for b in run], axis=1))
+            texts = [text(np.concatenate([b[lo:lo + _TABLE_BLOCK_ROWS] for b in run], axis=1))
                      for run in runs]
-            fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
+            fh.write(_join_rows(texts, min(n - lo, _TABLE_BLOCK_ROWS)))
 
 
 def write_trace_csv(trace: RunTrace, path, rows=None):

@@ -1,16 +1,17 @@
-/* Two of engine.py's loops, compiled: run()'s step loop and the running
- * mean of the time averages.  Each function gives the bits of its
- * Python form in engine.py, which runs in its place without a compiler:
- * step_loop those of the public updates x_update, y_update and the dual
- * step, running_mean those of the NumPy running_mean.  Each step's row
- * records the x and y it stepped with; run() derives only d from the rows.
- * Every sum runs left to right with one rounding per operation, as Python
- * floats and NumPy's elementwise operations do; engine._CFLAGS keeps the
- * compiler from fusing or reordering them.  engine._kernel compiles this
- * file once per machine and loads it through ctypes. */
+/* Three of engine.py's loops, compiled: run()'s step loop, the running
+ * mean of the time averages and write_table's row join.  Each gives the
+ * bits of its Python form in engine.py, which runs in its place without a
+ * compiler: step_loop those of the public updates x_update, y_update and
+ * the dual step, running_mean and join_rows those of running_mean's NumPy
+ * form and of _join_rows.  Each step's row records the x and y it stepped
+ * with; run() derives only d from the rows.  Every sum runs left to right
+ * with one rounding per operation, as Python floats and NumPy's elementwise
+ * operations do; engine._CFLAGS keeps the compiler from fusing or reordering
+ * them.  engine._kernel compiles it once per machine, loads it via ctypes. */
 
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 /* fails to compile where double expressions are evaluated in a wider type,
  * as on x87 */
@@ -131,4 +132,31 @@ void running_mean(int64_t n, int64_t m, const double *a, int64_t rs, int64_t cs,
             }
         }
     }
+}
+
+/* Line r < m of one CSV chunk: row r of each of the n texts in turn, joined
+ * by ',' and ended by '\n'.  Text k (lens[k] bytes; both advance as rows are
+ * read) holds rows separated by "],[" and no other ']'.  Returns the bytes
+ * written to out (cap bytes), or -1 if a text holds other than m rows (at
+ * least one, as split counts them) or out is too small; it never reads or
+ * writes past either. */
+int64_t join_rows(int64_t n, const char **texts, int64_t *lens, int64_t m, char *out, int64_t cap)
+{
+    int64_t o = 0;
+    if (m == 0 && n > 0)
+        return -1;
+    for (int64_t r = 0; r < m; r++)
+        for (int64_t k = 0; k < n; k++) {
+            const char *p = texts[k], *close = memchr(p, ']', (size_t)lens[k]);
+            int64_t len = close ? close - p : lens[k], skip = close ? len + 3 : 0;
+            if ((close == NULL) != (r == m - 1) || skip > lens[k] || len + 1 > cap - o
+                || (close && (close[1] != ',' || close[2] != '[')))
+                return -1;
+            memcpy(out + o, p, (size_t)len);
+            o += len;
+            out[o++] = k + 1 < n ? ',' : '\n';
+            texts[k] += skip;
+            lens[k] -= skip;
+        }
+    return o;
 }

@@ -1,3 +1,4 @@
+import ctypes
 import itertools
 import logging
 import math
@@ -37,16 +38,17 @@ from tavopt import (
 )
 
 import tavopt.engine
-from tavopt.engine import _TABLE_BLOCK_ROWS, running_mean, write_table
+from tavopt.engine import _TABLE_BLOCK_ROWS, _join_rows, running_mean, write_table
 
 from conftest import bits, build_instance, doubling_schedule, generated_runs
 
 
 @pytest.fixture
 def each_path(monkeypatch):
-    """The two forms of running_mean, for a test to loop over: first the
-    compiled one, then, with _kernel patched to None until the test ends,
-    the NumPy form that runs without a compiler."""
+    """The two forms of the compiled helpers, running_mean and write_table's
+    row join (_join_rows), for a test to loop over: first the compiled ones,
+    then, with _kernel patched to None until the test ends, the Python forms
+    that run without a compiler."""
     def paths():
         assert tavopt.engine._kernel() is not None
         yield "compiled"
@@ -879,6 +881,7 @@ def test_a_failing_compiler_gives_the_composed_updates(reload_kernel, tmp_path, 
     message = caplog.records[0].getMessage()
     assert "cc: no space left" in message
     assert "averages take the NumPy running mean" in message
+    assert "write_table joins its rows in Python" in message
     assert list((tmp_path / "cache" / "tavopt").iterdir()) == []  # no partial file left
     tavopt.engine._kernel.cache_clear()
     monkeypatch.undo()
@@ -921,65 +924,66 @@ def test_the_kernel_cache_loads_no_hashlib(tmp_path):
 # CSV export
 # ---------------------------------------------------------------------------
 
-def test_trace_csv_roundtrip(tmp_path):
-    spec = build_instance("polyhedral")
-    trace = run(spec, SolverConfig(v=7.0, horizon=50))
-    path = tmp_path / "trace.csv"
-    write_trace_csv(trace, path)
-    lines = path.read_text().splitlines()
-    header = lines[0].split(",")
-    assert header == [
-        "t", "x_1", "x_2", "y_1", "y_2", "w_1", "w_2", "z_1", "z_2", "d_lambda",
-        "xbar_1", "xbar_2", "f_xbar", "g_1_xbar", "g_2_xbar",
-        "frame_id", "xbar_frame_1", "xbar_frame_2"]
-    assert len(lines) == 51
-    row = lines[23].split(",")
-    t = int(row[0])
-    assert t == 22
-    assert float(row[1]) == trace.x[t, 0]
-    assert float(row[10]) == trace.xbar[t, 0]
-    assert float(row[9]) == trace.d[t]
+def test_trace_csv_roundtrip(tmp_path, each_path):
+    for _ in each_path:
+        spec = build_instance("polyhedral")
+        trace = run(spec, SolverConfig(v=7.0, horizon=50))
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, path)
+        lines = path.read_text().splitlines()
+        header = lines[0].split(",")
+        assert header == [
+            "t", "x_1", "x_2", "y_1", "y_2", "w_1", "w_2", "z_1", "z_2", "d_lambda",
+            "xbar_1", "xbar_2", "f_xbar", "g_1_xbar", "g_2_xbar",
+            "frame_id", "xbar_frame_1", "xbar_frame_2"]
+        assert len(lines) == 51
+        row = lines[23].split(",")
+        t = int(row[0])
+        assert t == 22
+        assert float(row[1]) == trace.x[t, 0]
+        assert float(row[10]) == trace.xbar[t, 0]
+        assert float(row[9]) == trace.d[t]
 
-    path2 = tmp_path / "again.csv"
-    write_trace_csv(trace, path2)
-    assert path.read_bytes() == path2.read_bytes()
+        path2 = tmp_path / "again.csv"
+        write_trace_csv(trace, path2)
+        assert path.read_bytes() == path2.read_bytes()
 
-    # explicit points in 3-D with one piece of each kind, a row subset that
-    # spans more than one block of write_table, every cell checked
-    pts = ExplicitPoints(points=[[0.0, 0.25, 3.0], [0.5, 2.75, 1.0], [1.25, 0.0, 2.5],
-                                 [2.0, 1.5, 0.0], [3.0, 3.0, 0.75], [0.1, 1.0, 0.3]])
-    spec = ProblemSpec(
-        decision_set=pts, box=tight_box(pts),
-        objective=SeparableConvexObjective(pieces=(
-            QuadraticPiece(curvature=1.25, slope=-0.5),
-            PiecewiseLinearPiece(breakpoints=(1.0, 2.0), slopes=(-0.75, 0.5, 1.5)),
-            LinearPiece(0.75))),
-        constraints=(AffineConstraint(coeffs=(-1.0, -0.5, -1.5), offset=2.1),
-                     AffineConstraint(coeffs=(-0.5, -2.0, -1.0), offset=1.7)))
-    trace = run(spec, SolverConfig(v=30.0, horizon=3001))
-    rows = np.append(np.arange(0, 3000, 2), 3000)
-    path = tmp_path / "points.csv"
-    write_trace_csv(trace, path, rows=rows)
-    lines = path.read_text().splitlines()
-    header = lines[0].split(",")
-    assert len(lines) == len(rows) + 1
-    A, b = spec.constraint_matrix()
-    exact = {"x": trace.x, "y": trace.y, "w": trace.w, "z": trace.z,
-             "xbar": trace.xbar, "xbar_frame": trace.xbar_frame}
-    for line, k in zip(lines[1:], rows.tolist()):
-        cells = dict(zip(header, line.split(",")))
-        assert len(cells) == len(header) == len(line.split(","))
-        assert int(cells["t"]) == trace.ts[k] == k
-        assert int(cells["frame_id"]) == trace.frame_id[k]
-        for name, values in exact.items():
-            for i, value in enumerate(values[k]):
-                assert float(cells[f"{name}_{i + 1}"]) == value
-        assert float(cells["d_lambda"]) == trace.d[k]
-        assert float(cells["f_xbar"]) == spec.objective.value(trace.xbar[k])
-        for j in range(len(b)):
-            terms = [float(b[j])] + [float(A[j, i] * trace.xbar[k, i]) for i in range(3)]
-            g = float(cells[f"g_{j + 1}_xbar"])
-            assert abs(g - math.fsum(terms)) <= 1e-12 * math.fsum(map(abs, terms))
+        # explicit points in 3-D with one piece of each kind, a row subset that
+        # spans more than one block of write_table, every cell checked
+        pts = ExplicitPoints(points=[[0.0, 0.25, 3.0], [0.5, 2.75, 1.0], [1.25, 0.0, 2.5],
+                                     [2.0, 1.5, 0.0], [3.0, 3.0, 0.75], [0.1, 1.0, 0.3]])
+        spec = ProblemSpec(
+            decision_set=pts, box=tight_box(pts),
+            objective=SeparableConvexObjective(pieces=(
+                QuadraticPiece(curvature=1.25, slope=-0.5),
+                PiecewiseLinearPiece(breakpoints=(1.0, 2.0), slopes=(-0.75, 0.5, 1.5)),
+                LinearPiece(0.75))),
+            constraints=(AffineConstraint(coeffs=(-1.0, -0.5, -1.5), offset=2.1),
+                         AffineConstraint(coeffs=(-0.5, -2.0, -1.0), offset=1.7)))
+        trace = run(spec, SolverConfig(v=30.0, horizon=3001))
+        rows = np.append(np.arange(0, 3000, 2), 3000)
+        path = tmp_path / "points.csv"
+        write_trace_csv(trace, path, rows=rows)
+        lines = path.read_text().splitlines()
+        header = lines[0].split(",")
+        assert len(lines) == len(rows) + 1
+        A, b = spec.constraint_matrix()
+        exact = {"x": trace.x, "y": trace.y, "w": trace.w, "z": trace.z,
+                 "xbar": trace.xbar, "xbar_frame": trace.xbar_frame}
+        for line, k in zip(lines[1:], rows.tolist()):
+            cells = dict(zip(header, line.split(",")))
+            assert len(cells) == len(header) == len(line.split(","))
+            assert int(cells["t"]) == trace.ts[k] == k
+            assert int(cells["frame_id"]) == trace.frame_id[k]
+            for name, values in exact.items():
+                for i, value in enumerate(values[k]):
+                    assert float(cells[f"{name}_{i + 1}"]) == value
+            assert float(cells["d_lambda"]) == trace.d[k]
+            assert float(cells["f_xbar"]) == spec.objective.value(trace.xbar[k])
+            for j in range(len(b)):
+                terms = [float(b[j])] + [float(A[j, i] * trace.xbar[k, i]) for i in range(3)]
+                g = float(cells[f"g_{j + 1}_xbar"])
+                assert abs(g - math.fsum(terms)) <= 1e-12 * math.fsum(map(abs, terms))
 
 
 def reference_write_table(path, header, columns):
@@ -1008,7 +1012,7 @@ EDGE_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
 
 
 @pytest.mark.parametrize("n", [0, 1, 255, 256, 257])
-def test_write_table_matches_repr_writer(tmp_path, n):
+def test_write_table_matches_repr_writer(tmp_path, each_path, n):
     rng = np.random.default_rng(n)
     floats = np.resize(np.array(EDGE_FLOATS), (n, 3))
     floats[:, 1] = rng.permutation(floats[:, 1])
@@ -1017,24 +1021,27 @@ def test_write_table_matches_repr_writer(tmp_path, n):
     # edge values (in every column, the last included) are not at the run's
     # first columns; a zero-width block sits inside that run too; two int64
     # columns are adjacent
-    assert_same_table(tmp_path, [
+    columns = [
         np.arange(n), rng.standard_normal(n), floats, rng.standard_normal(n), np.empty((n, 0)),
         rng.standard_normal((n, 2)), ints, ints[::-1],
         np.resize(np.array([np.iinfo(np.uint64).max, 0], dtype=np.uint64), n),
         rng.standard_normal(n) > 0.0,  # bool
         rng.standard_normal(n).astype(np.float32),
         rng.standard_normal(n).astype(">f8"),  # big-endian: orjson misreads it
-        np.empty((n, 0)), rng.standard_normal(n)])
+        np.empty((n, 0)), rng.standard_normal(n)]
+    for _ in each_path:
+        assert_same_table(tmp_path, columns)
 
 
-def test_write_table_matches_repr_writer_on_random_doubles(tmp_path):
+def test_write_table_matches_repr_writer_on_random_doubles(tmp_path, each_path):
     rng = np.random.default_rng(11)
     # random bit patterns: nans, infinities, subnormals and every exponent range
     bit_patterns = rng.integers(0, 2 ** 64, size=100_000, dtype=np.uint64).view(np.float64)
     # magnitudes across repr's switch to exponent form at 1e16
     log_uniform = 10.0 ** rng.uniform(-6.0, 18.0, size=100_000)
     log_uniform[::2] *= -1.0
-    assert_same_table(tmp_path, [bit_patterns, log_uniform])
+    for _ in each_path:
+        assert_same_table(tmp_path, [bit_patterns, log_uniform])
 
 
 def test_write_table_rejects_columns_of_other_lengths(tmp_path):
@@ -1042,6 +1049,88 @@ def test_write_table_rejects_columns_of_other_lengths(tmp_path):
         write_table(tmp_path / "bad.csv", ["a", "b", "c"],
                     [np.arange(5), np.zeros((5, 1)), np.zeros(4)])
     assert not (tmp_path / "bad.csv").exists()
+
+
+@pytest.mark.parametrize("header,columns,match", [
+    ([], [], "header has 0 names for 0 cell columns"),
+    (["a", "b", "c"], [np.zeros(4)], "header has 3 names for 1 cell columns"),
+    ([], [np.empty((600, 0)), np.empty((600, 0))], "header has 0 names for 0 cell columns"),
+    (["a", "b"], [np.zeros(2), np.array(["x", "y"])], r"column 1 has dtype <U1"),
+    (["a"], [np.array([None, 1.0])], "column 0 has dtype object"),
+    (["a"], [np.array(["2026-01-01"], dtype="datetime64[D]")], "column 0 has dtype datetime64"),
+], ids=["no-columns", "long-header", "zero-width", "str", "object", "datetime"])
+def test_write_table_refuses_malformed_tables(tmp_path, header, columns, match):
+    with pytest.raises(ValueError, match=match):
+        write_table(tmp_path / "bad.csv", header, columns)
+    assert not (tmp_path / "bad.csv").exists()
+
+
+def test_the_row_join_refuses_texts_of_other_row_counts(each_path):
+    for path in each_path:
+        assert bytes(_join_rows([b"1,2],[3,4", b"null],[-0.5"], 2)) == b"1,2,null\n3,4,-0.5\n"
+        for texts, m in [([b"1,2],[3,4"], 3), ([b"1,2],[3,4"], 1), ([b"1],[2", b"3"], 2),
+                         ([b"1],[2", b"3],[4],[5"], 2), ([b"1"], 0)]:
+            with pytest.raises(ValueError, match=f"do not hold {m} rows each"):
+                _join_rows(texts, m)
+
+
+def test_the_compiled_join_stays_within_its_texts_and_buffer():
+    kernel = tavopt.engine._kernel()
+
+    def join(texts, lens, m, cap):
+        # eight guard bytes past the capacity, which must stay as they are
+        out = ctypes.create_string_buffer(b"#" * (cap + 8), cap + 8)
+        size = kernel.join_rows(len(texts), (ctypes.c_char_p * len(texts))(*texts),
+                                (ctypes.c_int64 * len(lens))(*lens), m, out, cap)
+        assert out.raw[cap:] == b"#" * 8
+        return size, out.raw[:max(size, 0)]
+
+    texts = [b"1,2],[3,4", b"null],[-0.5"]
+    assert join(texts, [9, 11], 2, 18) == (18, b"1,2,null\n3,4,-0.5\n")
+    assert join(texts, [9, 11], 2, 17)[0] == -1  # one byte short
+    assert join(texts, [9, 11], 2, 0)[0] == -1
+    # lengths that end inside a text whose bytes past them would make it valid
+    assert join([b"1],[2"], [3], 2, 64)[0] == -1
+    assert join([b"1],[2"], [2], 2, 64)[0] == -1
+    assert join([b"1],[2"], [1], 1, 64) == (2, b"1\n")
+    assert join([b"1],[2"], [4], 2, 64) == (3, b"1\n\n")  # "1],[" holds "1" and ""
+    # too few rows in the second text, too many in the first
+    assert join([b"1],[2", b"3"], [5, 1], 2, 64)[0] == -1
+    assert join([b"1],[2],[3", b"4],[5"], [9, 5], 2, 64)[0] == -1
+
+
+# cells that orjson and repr write differently, for the join property below
+PATCHED_FLOATS = [math.nan, math.inf, -math.inf, 1e-5, -5e-324, np.nextafter(1e-4, 0.0), 1e16,
+                  -1e300]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([0, 1, 255, 256, 257]),
+       widths=st.lists(st.integers(0, 3), min_size=1, max_size=4).filter(any),
+       seed=st.integers(0, 2 ** 32 - 1),
+       corners=st.lists(st.sampled_from(PATCHED_FLOATS), min_size=4, max_size=4))
+def test_compiled_join_has_the_bytes_of_the_python_join(tmp_path_factory, n, widths, seed,
+                                                        corners):
+    # one float run of the drawn block widths (zero-width ones included),
+    # whose first and last row and column hold cells that need repr, between
+    # an int run and a bool run
+    rng = np.random.default_rng(seed)
+    floats = [rng.standard_normal((n, w)) * 10.0 ** rng.integers(-6, 18, (n, w))
+              for w in widths]
+    run = np.concatenate(floats, axis=1)
+    if n:
+        run[[0, 0, -1, -1], [0, -1, 0, -1]] = corners
+    at = np.cumsum([0] + widths)
+    columns = [np.arange(n), *(run[:, a:b] for a, b in zip(at, at[1:])), rng.random(n) > 0.5]
+    header = [f"c{k}" for k in range(2 + run.shape[1])]
+    out = tmp_path_factory.mktemp("join")
+    write_table(out / "compiled.csv", header, columns)
+    with mock.patch.object(tavopt.engine, "_kernel", lambda: None):
+        write_table(out / "python.csv", header, columns)
+    reference_write_table(out / "ref.csv", header, columns)
+    compiled = (out / "compiled.csv").read_bytes()
+    assert compiled == (out / "python.csv").read_bytes() == (out / "ref.csv").read_bytes()
+    assert compiled.count(b"\n") == n + 1
 
 
 @pytest.mark.parametrize("kwargs,match", [
