@@ -507,7 +507,8 @@ def _join_rows(texts: list, m: int):
         size = len(out) if all(len(r) == m for r in rows) else -1
     else:
         n = len(texts)
-        out = ctypes.create_string_buffer(sum(map(len, texts)) + n)  # a text's lines: <= len + 1
+        # m rows of a text, "],[" out and a separator each in, are at most its length + 1
+        out = ctypes.create_string_buffer(sum(map(len, texts)) + n)
         size = kernel.join_rows(n, (ctypes.c_char_p * n)(*texts),
                                 (ctypes.c_int64 * n)(*map(len, texts)), m, out, len(out))
     if size < 0:
@@ -529,10 +530,10 @@ def write_table(path, header, columns) -> None:
     stacked into one 2-D array, and _join_rows joins the runs' texts.  A
     native float64 or integer run's text is one orjson.dumps call: its
     shortest round-trip digits (Ryu) equal repr's wherever repr writes fixed
-    notation.  A row with a float where the two differ, nan and +-inf (orjson
-    prints null) or a nonzero magnitude below 1e-4 or from 1e16 on (repr
-    writes 1e-05 and 1e+16, orjson 0.00001 and 1e16), is written by repr in
-    that text, as every row of a run of another dtype is.
+    notation.  The floats where the two differ, nan and +-inf (orjson prints
+    null) and nonzero magnitudes below 1e-4 or from 1e16 on (repr writes
+    1e-05 and 1e+16, orjson 0.00001 and 1e16), are replaced by their repr in
+    that text; runs of any other dtype get their text from repr alone.
     """
     # imported here, not at module level: it adds ~6.5 ms to `import tavopt`
     from orjson import OPT_SERIALIZE_NUMPY, dumps
@@ -546,11 +547,15 @@ def write_table(path, header, columns) -> None:
         out = dumps(run, option=OPT_SERIALIZE_NUMPY)[2:-2]
         if dt.kind == "f":
             mag = np.abs(run)
-            rows = np.flatnonzero((~((mag >= 1e-4) & (mag < 1e16)) & (mag != 0.0)).any(axis=1))
-            if len(rows):  # the text is split into rows only then
+            rows, cols = np.nonzero(~((mag >= 1e-4) & (mag < 1e16)) & (mag != 0.0))
+            if len(rows):  # the text is split into rows only then; nonzero goes row by row
                 lines = out.split(b"],[")
-                for r, row in zip(rows.tolist(), run[rows].tolist()):
-                    lines[r] = ",".join(map(repr, row)).encode()
+                found = zip(rows.tolist(), cols.tolist(), run[rows, cols].tolist())
+                for r, cells in groupby(found, lambda cell: cell[0]):
+                    row = lines[r].split(b",")
+                    for _, c, v in cells:
+                        row[c] = repr(v).encode()
+                    lines[r] = b",".join(row)
                 out = b"],[".join(lines)
         return out
 

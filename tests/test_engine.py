@@ -1094,6 +1094,7 @@ def test_the_compiled_join_stays_within_its_texts_and_buffer():
     assert join([b"1],[2"], [2], 2, 64)[0] == -1
     assert join([b"1],[2"], [1], 1, 64) == (2, b"1\n")
     assert join([b"1],[2"], [4], 2, 64) == (3, b"1\n\n")  # "1],[" holds "1" and ""
+    assert join([b"1]x[2"], [5], 2, 64)[0] == -1  # a ']' that does not start "],["
     # too few rows in the second text, too many in the first
     assert join([b"1],[2", b"3"], [5, 1], 2, 64)[0] == -1
     assert join([b"1],[2],[3", b"4],[5"], [9, 5], 2, 64)[0] == -1
