@@ -507,7 +507,7 @@ def _join_rows(texts: list, m: int):
         size = len(out) if all(len(r) == m for r in rows) else -1
     else:
         n = len(texts)
-        # m rows of a text, "],[" out and a separator each in, are at most its length + 1
+        # a text of length L and m >= 1 rows gives L - 3(m - 1) + m <= L + 1 bytes
         out = ctypes.create_string_buffer(sum(map(len, texts)) + n)
         size = kernel.join_rows(n, (ctypes.c_char_p * n)(*texts),
                                 (ctypes.c_int64 * n)(*map(len, texts)), m, out, len(out))
