@@ -540,24 +540,25 @@ def write_table(path, header, columns) -> None:
 
     def text(run):
         """The rows of a stacked run as bytes, separated by '],['.  The
-        stacking gives native byte order, which orjson needs."""
+        stacking gives a fresh array in native byte order, which orjson needs
+        and which may be overwritten."""
         dt = run.dtype
         if not (dt == np.float64 or dt.kind in "iu"):
             return "],[".join(",".join(map(repr, row)) for row in run.tolist()).encode()
-        out = dumps(run, option=OPT_SERIALIZE_NUMPY)[2:-2]
         if dt.kind == "f":
             mag = np.abs(run)
-            rows, cols = np.nonzero(~((mag >= 1e-4) & (mag < 1e16)) & (mag != 0.0))
-            if len(rows):  # the text is split into rows only then; nonzero goes row by row
-                lines = out.split(b"],[")
-                found = zip(rows.tolist(), cols.tolist(), run[rows, cols].tolist())
-                for r, cells in groupby(found, lambda cell: cell[0]):
-                    row = lines[r].split(b",")
-                    for _, c, v in cells:
-                        row[c] = repr(v).encode()
-                    lines[r] = b",".join(row)
-                out = b"],[".join(lines)
-        return out
+            need = ~((mag >= 1e-4) & (mag < 1e16)) & (mag != 0.0)
+            cells = [repr(v).encode() for v in run[need].tolist()]
+            if cells:  # written as nan: orjson's null holds the text's only b"n"s
+                run[need] = np.nan
+                out, pieces, j = dumps(run, option=OPT_SERIALIZE_NUMPY)[2:-2], [], 0
+                for cell in cells:
+                    i = out.index(b"n", j)
+                    pieces += out[j:i], cell
+                    j = i + 4
+                pieces.append(out[j:])
+                return b"".join(pieces)
+        return dumps(run, option=OPT_SERIALIZE_NUMPY)[2:-2]
 
     blocks = [c.reshape(len(c), 1) if c.ndim == 1 else c for c in map(np.asarray, columns)]
     width = sum(b.shape[1] for b in blocks)
