@@ -18,7 +18,7 @@ import numpy as np
 
 from .engine import RunTrace, _check_v, _dual_columns
 from .oracle import solve_exact
-from .problem import ProblemSpec, evaluate_constraints
+from .problem import ProblemSpec, evaluate_constraints, squared_norm_bound
 
 __all__ = [
     "BoundSet",
@@ -186,7 +186,7 @@ def _project_dual(lam: np.ndarray, j_dim: int) -> np.ndarray:
 
 
 def _flat_direction_candidates(spec: ProblemSpec, lam_hat: np.ndarray,
-                               j_dim: int, rays: np.ndarray) -> np.ndarray:
+                               rays: np.ndarray) -> np.ndarray:
     """Directions orthogonal to dual subgradients sampled 1e-5 from lam_hat
     along the first 64 rays.
 
@@ -195,7 +195,7 @@ def _flat_direction_candidates(spec: ProblemSpec, lam_hat: np.ndarray,
     stack of sampled subgradients are therefore face candidates, and the
     directions along which the dual decays slowest.
     """
-    pert = _project_dual(lam_hat + 1e-5 * rays[:64], j_dim)
+    pert = _project_dual(lam_hat + 1e-5 * rays[:64], spec.constraint_count)
     _, X, Y = dual_function_batch(spec, pert)
     H = np.hstack([spec.constraint_values(Y), X - Y])
     _, sv, vt = np.linalg.svd(H)
@@ -204,7 +204,7 @@ def _flat_direction_candidates(spec: ProblemSpec, lam_hat: np.ndarray,
     return np.vstack([cand, -cand])
 
 
-def minimal_decay_rate(spec: ProblemSpec, lam_hat: np.ndarray, j_dim: int) -> float:
+def minimal_decay_rate(spec: ProblemSpec, lam_hat: np.ndarray) -> float:
     """Smallest probed decrease of the dual per unit distance from lam_hat,
     at probe distance _SHARPNESS_DISTANCE.
 
@@ -216,11 +216,11 @@ def minimal_decay_rate(spec: ProblemSpec, lam_hat: np.ndarray, j_dim: int) -> fl
     moves as it would alone.  A rate may be slightly negative when lam_hat
     is suboptimal.
     """
-    dims = lam_hat.shape[0]
-    d_hat, _, _ = dual_function(spec, lam_hat[:j_dim], lam_hat[j_dim:])
+    dims, J = lam_hat.shape[0], spec.constraint_count
+    d_hat, _, _ = dual_function(spec, lam_hat[:J], lam_hat[J:])
 
     def decay_of(directions):
-        probes = _project_dual(lam_hat[None, :] + _SHARPNESS_DISTANCE * directions, j_dim)
+        probes = _project_dual(lam_hat[None, :] + _SHARPNESS_DISTANCE * directions, J)
         deltas = probes - lam_hat[None, :]
         dist = np.linalg.norm(deltas, axis=1)
         ok = dist >= 0.25 * _SHARPNESS_DISTANCE
@@ -232,7 +232,7 @@ def minimal_decay_rate(spec: ProblemSpec, lam_hat: np.ndarray, j_dim: int) -> fl
 
     rays = np.random.default_rng(0).standard_normal((_SHARPNESS_PROBES, dims))
     dirs = np.vstack([rays, np.eye(dims), -np.eye(dims),
-                      _flat_direction_candidates(spec, lam_hat, j_dim, rays)])
+                      _flat_direction_candidates(spec, lam_hat, rays)])
     dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
     decays = decay_of(dirs)
     # four pattern searches, from the directions of smallest decay
@@ -298,7 +298,7 @@ def estimate_multiplier(spec: ProblemSpec) -> MultiplierEstimate:
     if residual > _RESIDUAL_THRESHOLD:
         raise EstimationError(f"estimate has residual {residual:.3g} above threshold "
                               f"{_RESIDUAL_THRESHOLD:.3g}")
-    sharpness = minimal_decay_rate(spec, lam_hat, J)
+    sharpness = minimal_decay_rate(spec, lam_hat)
     return MultiplierEstimate(lam=lam_hat, j_dim=J, residual=residual, d_value=d_value,
                               f_opt=exact.f_opt, sharpness_decay=sharpness,
                               possibly_nonunique=not exact.unique)
@@ -322,16 +322,17 @@ class DriftReport:
         return len(self.violations) == 0
 
 
-def drift_certificate(trace: RunTrace, lambda_star, v: float, c: float) -> DriftReport:
+def drift_certificate(trace: RunTrace, lambda_star) -> DriftReport:
     """Verify, for every step, that the squared distance to lambda_star grows
     by at most (2/V)(d(lambda(t)) - d(lambda_star)) + 2C/V^2.
 
+    V is the run's own, trace.v, and C is squared_norm_bound of its spec.
     The inequality relies only on concavity of the dual, so lambda_star may
     be any fixed multiplier, not necessarily optimal.  Violations are
     reported, not raised.
     """
     lam_star = np.asarray(lambda_star, dtype=float)
-    J = trace.spec.constraint_count
+    J, v, c = trace.spec.constraint_count, trace.v, squared_norm_bound(trace.spec)
     d_star, _, _ = dual_function(trace.spec, lam_star[:J], lam_star[J:])
     diff = trace.lambda_path - lam_star
     dist2 = np.sum(diff * diff, axis=1)
@@ -356,26 +357,27 @@ class PhaseReport:
     violation_count: int
 
 
+def _check_bounds_v(trace: RunTrace, bounds: BoundSet) -> None:
+    if bounds.v != trace.v:
+        raise ValueError(f"bounds are for V = {bounds.v!r}, the run has V = {trace.v!r}")
+
+
 def phase_detect(trace: RunTrace, estimate: MultiplierEstimate,
                  bounds: BoundSet, geometry: str) -> PhaseReport:
     """Find the first iteration t = 0..horizon whose dual variables are within
     the region radius (plus twice the estimation residual) of the estimated
     maximizer, and check that membership persists afterwards.
     """
+    _check_bounds_v(trace, bounds)
     radius = bounds.radius(geometry)
     slack = 2.0 * estimate.residual
     dists = np.linalg.norm(trace.lambda_path - estimate.lam, axis=1)
     inside = dists <= radius + slack
-    max_dist = float(np.max(dists))
-    if not np.any(inside):
-        return PhaseReport(geometry=geometry, radius=radius, slack=slack,
-                           t_hit=None, absorbed=False, max_distance=max_dist,
-                           violation_count=0)
-    k0 = int(np.argmax(inside))
-    outside_after = int(np.sum(~inside[k0:]))
-    return PhaseReport(geometry=geometry, radius=radius, slack=slack,
-                       t_hit=k0, absorbed=outside_after == 0,
-                       max_distance=max_dist, violation_count=outside_after)
+    t_hit = int(np.argmax(inside)) if np.any(inside) else None
+    outside_after = 0 if t_hit is None else int(np.sum(~inside[t_hit:]))
+    return PhaseReport(geometry=geometry, radius=radius, slack=slack, t_hit=t_hit,
+                       absorbed=t_hit is not None and outside_after == 0,
+                       max_distance=float(np.max(dists)), violation_count=outside_after)
 
 
 def convergence_bounds(trace: RunTrace, bounds: BoundSet, start: int, length: int,
@@ -391,6 +393,7 @@ def convergence_bounds(trace: RunTrace, bounds: BoundSet, start: int, length: in
     """
     if length < 1 or start < 0 or start + length > trace.horizon:
         raise ValueError(f"window [{start}, {start + length}) out of range")
+    _check_bounds_v(trace, bounds)
     J = trace.spec.constraint_count
     v, m, c = bounds.v, bounds.m, bounds.c
     if regime == "general":

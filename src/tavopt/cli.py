@@ -207,7 +207,7 @@ def _do_diagnose(cfg: ExperimentConfig) -> int:
     spec = _load_spec(cfg)
     trace = run(spec, SolverConfig(v=cfg.v_list[0], horizon=cfg.horizon))
     estimate, rates, bounds = _estimate_bounds(spec, cfg)
-    drift = analysis.drift_certificate(trace, estimate.lam, bounds.v, bounds.c)
+    drift = analysis.drift_certificate(trace, estimate.lam)
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     fields = {

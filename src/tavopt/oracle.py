@@ -80,8 +80,6 @@ def _best_feasible(spec: ProblemSpec, points: np.ndarray):
     Ties by value resolve to the lexicographically smallest point, which keeps
     partitioned evaluation deterministic.
     """
-    if points.shape[0] == 0:
-        return None
     feas = _feasible(spec, points)
     if not np.any(feas):
         return None
@@ -254,8 +252,6 @@ def solve_reference_lp(spec: ProblemSpec) -> OracleResult:
             continue
         if not np.all(np.isfinite(x)):
             continue
-        if np.max(np.abs(M @ x - rhs)) > 1e-8:
-            continue  # nearly singular system
         if np.any(x < lo - FEASIBILITY_TOL) or np.any(x > hi + FEASIBILITY_TOL):
             continue
         candidates.append(x)

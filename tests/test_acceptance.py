@@ -181,7 +181,7 @@ def test_criterion_5_invariant_suite(main_traces, main_estimates, oracle_values)
         if np.max(telescope) > 1e-9:
             failures.append(f"{name}: constraint telescope violated")
 
-        drift = drift_certificate(trace, est.lam, v, c)
+        drift = drift_certificate(trace, est.lam)
         if not drift.passed:
             failures.append(f"{name}: drift certificate has {len(drift.violations)} violations")
 

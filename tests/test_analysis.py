@@ -321,7 +321,7 @@ def _list_decay_rate(spec, lam_hat, j_dim):
     rho = 0.1
     rays = np.random.default_rng(0).standard_normal((256, dims))
     dirs = np.vstack([rays, np.eye(dims), -np.eye(dims)])
-    dirs = np.vstack([dirs, _flat_direction_candidates(spec, lam_hat, j_dim, rays)])
+    dirs = np.vstack([dirs, _flat_direction_candidates(spec, lam_hat, rays)])
     dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
     d_hat, _, _ = dual_function(spec, lam_hat[:j_dim], lam_hat[j_dim:])
 
@@ -443,7 +443,7 @@ def test_the_sharpness_search_takes_no_settings(main_estimates):
     with pytest.raises(TypeError):
         estimate_multiplier(spec, seed=0)
     with pytest.raises(TypeError):
-        minimal_decay_rate(spec, main_estimates["polyhedral"].lam, spec.constraint_count, (0.1,))
+        minimal_decay_rate(spec, main_estimates["polyhedral"].lam, (0.1,))
 
 
 def test_grid_estimate_is_exact_on_the_diagnose_grid_problem():
@@ -512,8 +512,7 @@ def test_bound_set_refuses_a_v_that_is_not_finite(v):
 def test_drift_certificate_passes_on_reference_run(main_traces, main_estimates):
     trace, _ = main_traces["polyhedral"]
     est = main_estimates["polyhedral"]
-    spec = trace.spec
-    report = drift_certificate(trace, est.lam, MAIN_V, squared_norm_bound(spec))
+    report = drift_certificate(trace, est.lam)
     assert report.passed
     assert report.max_slack <= report.tolerance
 
@@ -521,11 +520,10 @@ def test_drift_certificate_passes_on_reference_run(main_traces, main_estimates):
 def test_drift_certificate_holds_for_arbitrary_probe(main_traces):
     trace, _ = main_traces["smooth"]
     rng = np.random.default_rng(17)
-    c = squared_norm_bound(trace.spec)
     for _ in range(3):
         probe = rng.standard_normal(4)
         probe[:2] = np.abs(probe[:2])
-        report = drift_certificate(trace, probe, MAIN_V, c)
+        report = drift_certificate(trace, probe)
         assert report.passed
 
 
@@ -538,7 +536,7 @@ def test_drift_certificate_degenerate_single_point():
     trace = run(spec, SolverConfig(v=v, horizon=50))
     c = squared_norm_bound(spec)
     assert c == EPS_C
-    report = drift_certificate(trace, np.zeros(2), v, c)
+    report = drift_certificate(trace, np.zeros(2))
     # both sides agree up to exactly the 2C/V**2 allowance
     np.testing.assert_allclose(report.slack, -2.0 * c / v ** 2, atol=1e-15)
 
@@ -564,7 +562,7 @@ def test_paper_inequalities_on_generated_specs(case):
     scale = 1.0 + np.abs(b) + np.abs(trace.ybar) @ np.abs(A).T + v / T * (lam[1:, :J] + lam[0, :J])
     assert np.all(g_ybar <= rise + 1e-12 * T * scale)
     for probe in sample_multipliers(spec, 1.0, 4, seed=1):
-        assert drift_certificate(trace, probe, v, c).passed
+        assert drift_certificate(trace, probe).passed
     # weak duality against the oracle's upper bound on the hull optimum
     try:
         f_opt = solve_reference(spec, 0.1).f_opt
@@ -740,6 +738,21 @@ def test_convergence_bounds_argument_errors(main_traces, main_estimates):
                            lambda_star=main_estimates["polyhedral"])  # no radius
     with pytest.raises(ValueError):
         convergence_bounds(trace, bounds, 0, 100, "sharp")
+
+
+def test_bounds_of_another_v_are_refused(main_traces, main_estimates):
+    # the radius and bounds depend on V: a BoundSet for V = 10 must not be
+    # read against a run at V = 100
+    trace, _ = main_traces["polyhedral"]
+    est = main_estimates["polyhedral"]
+    bounds = BoundSet(m=2.0, c=112.5, v=10.0, l_poly=0.5, l_smooth=0.5)
+    message = "bounds are for V = 10.0, the run has V = 100.0"
+    for geometry in ("polyhedral", "smooth"):
+        with pytest.raises(ValueError, match=message):
+            phase_detect(trace, est, bounds, geometry)
+    for regime in ("general", "polyhedral", "smooth"):
+        with pytest.raises(ValueError, match=message):
+            convergence_bounds(trace, bounds, 0, 100, regime, lambda_star=est)
 
 
 # ---------------------------------------------------------------------------

@@ -544,6 +544,50 @@ def test_numeric_failure_past_the_first_chunk_reports_its_iteration(monkeypatch,
     assert trace.d[-1] == 16383 * 2.0 ** 1010
 
 
+@st.composite
+def extreme_runs(draw):
+    """A spec and config with data near the largest doubles: coefficients,
+    offsets, slopes and grid values up to 1e300, initial multipliers near
+    +-1e308 and V from 1 to 1e300."""
+    I, J = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    big = st.floats(-1e300, 1e300) | st.sampled_from([-1e300, -1.0, 0.0, 1.0, 1e300])
+    edge = st.floats(-1.7e308, 1.7e308) | st.sampled_from([-1.7e308, -1e308, 0.0, 1e308, 1.7e308])
+    coord = st.floats(-1e3, 1e3) | st.sampled_from([-1e300, 1e300])
+    values = [tuple(sorted(draw(st.lists(coord, min_size=1, max_size=3, unique=True))))
+              for _ in range(I)]
+    grid = GridProduct(values=values)
+    pieces = [draw(st.builds(LinearPiece, big)
+                   | st.builds(QuadraticPiece, st.floats(0.0, 1e300), big)
+                   | st.builds(PiecewiseLinearPiece, st.just((0.0,)),
+                               st.tuples(big, big).map(sorted)))
+              for _ in range(I)]
+    constraints = [AffineConstraint(coeffs=draw(st.lists(big, min_size=I, max_size=I).filter(any)),
+                                    offset=draw(big)) for _ in range(J)]
+    spec = ProblemSpec(decision_set=grid, box=tight_box(grid),
+                       objective=SeparableConvexObjective(pieces=pieces), constraints=constraints)
+    cfg = SolverConfig(v=draw(st.floats(1.0, 1e300) | st.sampled_from([1.0, 1e300])),
+                       horizon=draw(st.integers(1, 6)),
+                       initial_w=[abs(u) for u in draw(st.lists(edge, min_size=J, max_size=J))],
+                       initial_z=draw(st.lists(edge, min_size=I, max_size=I)))
+    return spec, cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=extreme_runs())
+def test_a_run_either_raises_or_ends_at_a_finite_multiplier(case):
+    # run() checks d only: a final multiplier that overflows would have made
+    # d of the last row non-finite first, so a run that returns ends finite
+    spec, cfg = case
+    assert tavopt.engine._kernel() is not None
+    for kernel in (tavopt.engine._kernel(), None):
+        with mock.patch.object(tavopt.engine, "_kernel", lambda: kernel):
+            try:
+                trace = run(spec, cfg)
+            except NumericError:
+                continue
+        assert np.all(np.isfinite(trace.lambda_path))
+
+
 # a frame starting with the smallest subnormal after a prefix summing to
 # about 2.4: its average must not lose that value to earlier rounding errors
 SUBNORMAL_FRAME = (

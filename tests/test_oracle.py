@@ -130,6 +130,42 @@ def test_cross_oracle_agreement(name):
     assert abs(grid.f_opt - lp.f_opt) <= 1e-3
 
 
+def _overflows(M, rhs, x):
+    return not np.all(np.isfinite(x))
+
+
+def _misses_its_planes(M, rhs, x):
+    return np.all(np.isfinite(x)) and np.max(np.abs(M @ x - rhs)) > 1e-8
+
+
+@pytest.mark.parametrize("slopes,coeffs,offset,solved", [
+    # the vertices on the constraint and x_2 = 0 or 2 overflow, and are skipped
+    ((1.0, 1.0), (1e-308, -1.0), 0.5, _overflows),
+    # the optimal vertex, on the constraint and x_2 = 2, is solved with a
+    # rounding residual above 1e-8 (its terms are near 3.4e9), and is kept
+    ((1.0, -1.0), (-3e11, 1.7e9), 0.0, _misses_its_planes),
+], ids=["overflow", "rounding"])
+def test_lp_oracle_on_badly_scaled_constraints(monkeypatch, slopes, coeffs, offset, solved):
+    grid = GridProduct(values=((0.0, 1.0, 2.0),) * 2)
+    spec = ProblemSpec(
+        decision_set=grid, box=tight_box(grid),
+        objective=SeparableConvexObjective(pieces=tuple(map(LinearPiece, slopes))),
+        constraints=(AffineConstraint(coeffs=coeffs, offset=offset),))
+    solve, solves = np.linalg.solve, []
+
+    def recorded_solve(M, rhs):
+        x = solve(M, rhs)
+        with np.errstate(invalid="ignore"):  # M @ x at an inf vertex
+            solves.append(solved(M, rhs, x))
+        return x
+
+    monkeypatch.setattr(np.linalg, "solve", recorded_solve)
+    lp = solve_reference_lp(spec)
+    monkeypatch.undo()
+    assert any(solves)
+    assert abs(lp.f_opt - solve_exact(spec).f_opt) <= 1e-9
+
+
 def test_lp_oracle_refusals():
     with pytest.raises(ValueError):
         solve_reference_lp(build_instance("smooth"))  # quadratic pieces
