@@ -12,6 +12,7 @@ brute-force oracles cross-check it.
 
 from .analysis import (
     BoundSet,
+    DecayModel,
     DriftReport,
     EstimationError,
     MultiplierEstimate,

@@ -10,18 +10,21 @@ the residual added as estimation slack.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .engine import RunTrace, _check_v, _dual_columns
-from .oracle import solve_exact
-from .problem import ProblemSpec, evaluate_constraints, squared_norm_bound
+from .oracle import _ACTIVE_TOL, solve_exact
+from .problem import (GridProduct, PiecewiseLinearPiece, ProblemSpec, QuadraticPiece,
+                      evaluate_constraints, squared_norm_bound)
 
 __all__ = [
     "BoundSet",
+    "DecayModel",
     "MultiplierEstimate",
     "PhaseReport",
     "DriftReport",
@@ -31,7 +34,6 @@ __all__ = [
     "dual_function_batch",
     "estimate_multiplier",
     "estimate_sharpness",
-    "minimal_decay_rate",
     "drift_certificate",
     "phase_detect",
     "convergence_bounds",
@@ -44,11 +46,6 @@ __all__ = [
 
 # Largest accepted multiplier-estimate residual.
 _RESIDUAL_THRESHOLD = 1e-2
-
-# The sharpness search feeding the region geometry: its probe distance and
-# the number of its random rays, which default_rng(0) draws.
-_SHARPNESS_DISTANCE = 0.1
-_SHARPNESS_PROBES = 256
 
 
 class EstimationError(RuntimeError):
@@ -162,16 +159,13 @@ class BoundSet:
 
 @dataclass(frozen=True)
 class MultiplierEstimate:
-    """The exact dual maximizer with its residual f_opt - d(lam), the
-    smallest decay rate of the dual at distance 0.1 from it, and whether
-    the dual may have other maximizers."""
+    """The exact dual maximizer with its residual f_opt - d(lam), and
+    whether the dual may have other maximizers."""
 
     lam: np.ndarray
-    j_dim: int
     residual: float
     d_value: float
     f_opt: float
-    sharpness_decay: float
     possibly_nonunique: bool = False
 
     @property
@@ -185,97 +179,157 @@ def _project_dual(lam: np.ndarray, j_dim: int) -> np.ndarray:
     return out
 
 
-def _flat_direction_candidates(spec: ProblemSpec, lam_hat: np.ndarray,
-                               rays: np.ndarray) -> np.ndarray:
-    """Directions orthogonal to dual subgradients sampled 1e-5 from lam_hat
-    along the first 64 rays.
+@dataclass(frozen=True)
+class DecayModel:
+    """The dual's exact local model at a maximizer lam*: for a unit u and
+    small t > 0, d* - d(lam* + t u) = t support(-u) + t^2/2 u.hessian.u.
 
-    Along a flat optimal face the dual is constant, so every active
-    subgradient is orthogonal to the face; the small singular directions of a
-    stack of sampled subgradients are therefore face candidates, and the
-    directions along which the dual decays slowest.
+    support is the support function of the superdifferential of d at lam*,
+    the set of (A y + b, x - y) over the tied minimizers: centre plus the
+    segments [-1/2, 1/2] * generators, plus the hull of tied_points in its
+    x part.  directions is an orthonormal basis (rows) of the directions in
+    which the maximizer set leaves lam*.  polyhedral is the inradius of the
+    superdifferential about 0, where it spans the dual space; smooth is
+    half the least eigenvalue of the hessian on the directions the set
+    could take, where there are some and none is flat.  Either is None
+    where it is not positive: that geometry has no region.
     """
-    pert = _project_dual(lam_hat + 1e-5 * rays[:64], spec.constraint_count)
-    _, X, Y = dual_function_batch(spec, pert)
-    H = np.hstack([spec.constraint_values(Y), X - Y])
-    _, sv, vt = np.linalg.svd(H)
-    # the last two right singular vectors, last first, then every small one
-    cand = np.vstack([vt[:-3:-1], vt[:len(sv)][sv <= 1e-8 * max(sv[0], 1.0)]])
-    return np.vstack([cand, -cand])
+
+    centre: np.ndarray
+    generators: np.ndarray
+    tied_points: np.ndarray
+    hessian: np.ndarray
+    polyhedral: Optional[float]
+    smooth: Optional[float]
+    directions: np.ndarray
+
+    def support(self, normals) -> np.ndarray:
+        """max of g . n over the superdifferential, for each row n."""
+        normals = np.atleast_2d(normals)
+        x_part = normals[:, len(self.centre) - self.tied_points.shape[1]:]
+        return (normals @ self.centre + 0.5 * np.abs(normals @ self.generators.T).sum(axis=1)
+                + np.max(x_part @ self.tied_points.T, axis=1))
 
 
-def minimal_decay_rate(spec: ProblemSpec, lam_hat: np.ndarray) -> float:
-    """Smallest probed decrease of the dual per unit distance from lam_hat,
-    at probe distance _SHARPNESS_DISTANCE.
+def _tied_interval(piece, c: float, lo: float, hi: float, tol: float):
+    """The interval of y in [lo, hi] minimizing piece(y) + c y where that is
+    more than one point: a linear piece or a piecewise-linear segment whose
+    slope is -c to within tol.  None elsewhere.  A quadratic piece whose
+    curvature moves it by at most tol over the box counts as linear."""
+    width = float(hi - lo)
+    if isinstance(piece, PiecewiseLinearPiece):
+        bps, slopes = piece.breakpoints, piece.slopes
+    elif piece.curvature == 0.0 or piece.curvature * width * width <= tol:
+        bps, slopes = (), (piece.slope,)
+    else:
+        return None
+    tied = [k for k, s in enumerate(slopes) if abs(s + c) <= tol]
+    if not tied:
+        return None
+    nodes = (-math.inf,) + bps + (math.inf,)
+    left, right = max(lo, nodes[tied[0]]), min(hi, nodes[tied[-1] + 1])
+    return (left, right) if right > left else None
 
-    The search probes _SHARPNESS_PROBES rays drawn from default_rng(0), the
-    axes both ways and the flat directions of _flat_direction_candidates,
-    then refines the four directions of smallest decay by coordinate pattern
-    search.  The four searches run side by side, one batch of proposals per
-    sweep; a row's dual value does not depend on its batch, so each start
-    moves as it would alone.  A rate may be slightly negative when lam_hat
-    is suboptimal.
+
+def _facet_normals(edges: np.ndarray) -> np.ndarray:
+    """Unit vectors orthogonal to dims - 1 independent rows of edges, both
+    signs: every facet normal of a full-dimensional polytope whose edges are
+    parallel to rows of edges (Ziegler, Lectures on Polytopes, ch. 7)."""
+    dims = edges.shape[1]
+    subsets = list(itertools.combinations(range(len(edges)), dims - 1))
+    rows = edges[np.array(subsets, dtype=int).reshape(len(subsets), dims - 1)]
+    # the generalized cross product: signed maximal minors, which a singular
+    # subset may leave 0 or nan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        normals = np.stack([(-1) ** k * np.linalg.det(np.delete(rows, k, axis=2))
+                            for k in range(dims)], axis=1)
+    norms = np.linalg.norm(normals, axis=1)
+    keep = norms > _ACTIVE_TOL
+    normals = normals[keep] / norms[keep, None]
+    return np.vstack([normals, -normals])
+
+
+def estimate_sharpness(spec: ProblemSpec, estimate: MultiplierEstimate) -> DecayModel:
+    """The dual's local model at the estimate, from one dual evaluation.
+
+    A coordinate ties where its minimizer is not unique to within
+    _ACTIVE_TOL: a grid coordinate with z_i = 0 takes every value from its
+    lowest to its highest, explicit points tie where their scores z . p
+    meet the least, and a linear or piecewise-linear y_i is free on an
+    interval where a slope is -c_i, c = A^T w - z.  Each tie of y_i is a
+    generator a_i * length, a_i = (A[:, i], -e_i), and each tie of a grid's
+    x_i one (0, e_i) * length; a quadratic y_i strictly inside its box adds
+    a_i a_i^T / (2 curvature_i) to the hessian.  Where w_j = 0 the dual
+    moves only to w_j >= 0, so the set gains the ray e_j.  The inradius is
+    the least support over the facet normals, those orthogonal to rank - 1
+    of the generators, the edges between tied points and the rays, less
+    those facing a ray: the weak-sharp-maximum constant (Burke & Ferris,
+    SIAM J. Control Optim. 31, 1993).  The maximizer set leaves lam* along
+    the complement of their span and inward across each facet through 0,
+    where the hessian is 0.  A quadratic y_i at a box end with its vertex
+    there curves d on one side only and is left out: there the rates bound
+    the decay from below, and the directions may count that side.
     """
-    dims, J = lam_hat.shape[0], spec.constraint_count
-    d_hat, _, _ = dual_function(spec, lam_hat[:J], lam_hat[J:])
-
-    def decay_of(directions):
-        probes = _project_dual(lam_hat[None, :] + _SHARPNESS_DISTANCE * directions, J)
-        deltas = probes - lam_hat[None, :]
-        dist = np.linalg.norm(deltas, axis=1)
-        ok = dist >= 0.25 * _SHARPNESS_DISTANCE
-        out = np.full(len(directions), np.inf)
-        if np.any(ok):
-            D, _, _ = dual_function_batch(spec, probes[ok])
-            out[ok] = (d_hat - D) / dist[ok]
-        return out
-
-    rays = np.random.default_rng(0).standard_normal((_SHARPNESS_PROBES, dims))
-    dirs = np.vstack([rays, np.eye(dims), -np.eye(dims),
-                      _flat_direction_candidates(spec, lam_hat, rays)])
-    dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-    decays = decay_of(dirs)
-    # four pattern searches, from the directions of smallest decay
-    first = np.argsort(decays)[:4]
-    u, val = dirs[first], decays[first]
-    step = np.full(len(val), 0.5)
-    axes = np.arange(dims)
-    for _ in range(80):
-        active = np.flatnonzero(step > 1e-4)
-        if not len(active):
-            break
-        # proposal 2*axis (2*axis + 1) moves u by +step (-step) along axis;
-        # u is a unit vector and step <= 0.5, so no proposal is zero
-        props = np.repeat(u[active, None, :], 2 * dims, axis=1)
-        props[:, 2 * axes, axes] += step[active, None]
-        props[:, 2 * axes + 1, axes] -= step[active, None]
-        props = props.reshape(-1, dims)
-        # vecdot runs, per row, the ddot that np.linalg.norm(u) takes, so
-        # each norm keeps its bits
-        props /= np.sqrt(np.vecdot(props, props))[:, None]
-        vals = decay_of(props).reshape(len(active), -1)
-        rows = np.arange(len(active))
-        k = np.argmin(vals, axis=1)
-        best = vals[rows, k]
-        # a NaN decay compares false, so its start halves its step
-        better = best < val[active] - 1e-12
-        u[active[better]] = props[(2 * dims * rows + k)[better]]
-        val[active[better]] = best[better]
-        step[active[~better]] *= 0.5
-    # Python's min over the starts in order, so a NaN wins only as the first value
-    return min(val.tolist())
-
-
-def estimate_sharpness(estimate: MultiplierEstimate) -> dict:
-    """Decay-rate estimates feeding the region geometry, keyed by geometry.
-
-    Both come from the estimate's sharpness search at distance 0.1:
-    "polyhedral" is (d(lam_hat) - d(probe)) / distance, "smooth" divides by
-    the squared distance.  Each rate is floored at a tiny positive value so
-    the region formulas stay defined.
-    """
-    rate = estimate.sharpness_decay
-    return {"polyhedral": max(rate, 1e-9), "smooth": max(rate / _SHARPNESS_DISTANCE, 1e-9)}
+    J, I = spec.constraint_count, spec.dimension
+    w, z = estimate.lam[:J], estimate.lam[J:]
+    _, x0, y0 = dual_function(spec, w, z)
+    A, b = spec.constraint_matrix()
+    cols = np.vstack([A, -np.eye(I)])  # column i is a_i
+    c = w @ A - z
+    lo, hi = spec.box.lower, spec.box.upper
+    ylo, yhi, curvature = y0.copy(), y0.copy(), np.zeros(I)
+    for i, piece in enumerate(spec.objective.pieces):
+        tol = _ACTIVE_TOL * max(1.0, abs(c[i]))
+        tie = _tied_interval(piece, c[i], lo[i], hi[i], tol)
+        if tie is not None:
+            ylo[i], yhi[i] = tie
+        elif isinstance(piece, QuadraticPiece) and piece.curvature > 0.0 \
+                and lo[i] + tol < y0[i] < hi[i] - tol:
+            curvature[i] = piece.curvature
+    ds = spec.decision_set
+    ztol = _ACTIVE_TOL * max(1.0, float(np.max(np.abs(z))))
+    if isinstance(ds, GridProduct):
+        free = np.abs(z) <= ztol
+        xlo, xhi = (np.where(free, end, x0) for end in ds.hull_bounds())
+        points = ((xlo + xhi) / 2.0)[None, :]
+        x_gens = np.hstack([np.zeros((I, J)), np.diag(xhi - xlo)])
+    else:
+        scores = ds.scores(z)
+        points = ds.points[scores <= scores.min() + ztol * max(1.0, abs(scores.min()))]
+        x_gens = np.zeros((0, J + I))
+    y_mid = (ylo + yhi) / 2.0
+    generators = np.vstack([(cols * (yhi - ylo)).T, x_gens])
+    generators = generators[np.any(generators != 0.0, axis=1)]
+    inner = curvature > 0.0
+    model = DecayModel(centre=np.concatenate([A @ y_mid + b, points[0] - y_mid]),
+                       generators=generators, tied_points=points - points[0],
+                       hessian=(cols[:, inner] / (2.0 * curvature[inner])) @ cols[:, inner].T,
+                       polyhedral=None, smooth=None, directions=np.zeros((0, J + I)))
+    # where w_j = 0 the dual only moves to w_j >= 0: the set gains the ray e_j
+    at_zero = np.flatnonzero(w <= _ACTIVE_TOL * max(1.0, float(np.max(w, initial=0.0))))
+    left, right = np.triu_indices(len(points), 1)
+    edges = np.vstack([generators, np.hstack([np.zeros((len(left), J)),
+                                              points[right] - points[left]]),
+                       np.eye(J + I)[at_zero]])
+    lengths = np.linalg.norm(edges, axis=1)
+    edges = edges[lengths > 0.0] / lengths[lengths > 0.0, None]
+    # a zero row keeps the SVD defined without edges
+    _, sv, vt = np.linalg.svd(np.vstack([edges, np.zeros(J + I)]))
+    rank = int(np.count_nonzero(sv > _ACTIVE_TOL))
+    normals = _facet_normals(edges @ vt[:rank].T) @ vt[:rank] if rank else vt[:0]
+    normals = normals[np.all(normals[:, at_zero] <= _ACTIVE_TOL, axis=1)]
+    support = model.support(normals)
+    radius = float(np.min(support, initial=np.inf))
+    # the maximizer set leaves lam* along the complement of the span and
+    # inward across each facet through 0, where the hessian is 0
+    _, sv, cone = np.linalg.svd(np.vstack([vt[rank:], normals[support <= _ACTIVE_TOL],
+                                           np.zeros(J + I)]))
+    cone = cone[:np.count_nonzero(sv > _ACTIVE_TOL)]
+    curv, vecs = np.linalg.eigh(cone @ model.hessian @ cone.T)
+    flat = curv <= _ACTIVE_TOL * max(1.0, float(curv.max(initial=0.0)))
+    return replace(model, polyhedral=radius if rank == J + I and radius > _ACTIVE_TOL else None,
+                   smooth=0.5 * float(curv[0]) if len(curv) and not flat.any() else None,
+                   directions=vecs[:, flat].T @ cone)
 
 
 def estimate_multiplier(spec: ProblemSpec) -> MultiplierEstimate:
@@ -298,10 +352,8 @@ def estimate_multiplier(spec: ProblemSpec) -> MultiplierEstimate:
     if residual > _RESIDUAL_THRESHOLD:
         raise EstimationError(f"estimate has residual {residual:.3g} above threshold "
                               f"{_RESIDUAL_THRESHOLD:.3g}")
-    sharpness = minimal_decay_rate(spec, lam_hat)
-    return MultiplierEstimate(lam=lam_hat, j_dim=J, residual=residual, d_value=d_value,
-                              f_opt=exact.f_opt, sharpness_decay=sharpness,
-                              possibly_nonunique=not exact.unique)
+    return MultiplierEstimate(lam=lam_hat, residual=residual, d_value=d_value,
+                              f_opt=exact.f_opt, possibly_nonunique=not exact.unique)
 
 
 # ---------------------------------------------------------------------------

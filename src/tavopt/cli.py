@@ -193,20 +193,20 @@ def _do_sweep(cfg: ExperimentConfig) -> int:
 
 
 def _estimate_bounds(spec: ProblemSpec, cfg: ExperimentConfig):
-    """The multiplier estimate, its decay rates by geometry, and the BoundSet
-    of M, C and V with both rates."""
+    """The multiplier estimate, the dual's local model at it, and the
+    BoundSet of M, C and V with the model's two rates (None for a geometry
+    without a positive rate, which then has no region)."""
     estimate = analysis.estimate_multiplier(spec)
-    rates = analysis.estimate_sharpness(estimate)
+    model = analysis.estimate_sharpness(spec, estimate)
     bounds = analysis.BoundSet(m=lipschitz_bound(spec), c=squared_norm_bound(spec),
-                               v=cfg.v_list[0], l_poly=rates["polyhedral"],
-                               l_smooth=rates["smooth"])
-    return estimate, rates, bounds
+                               v=cfg.v_list[0], l_poly=model.polyhedral, l_smooth=model.smooth)
+    return estimate, model, bounds
 
 
 def _do_diagnose(cfg: ExperimentConfig) -> int:
     spec = _load_spec(cfg)
     trace = run(spec, SolverConfig(v=cfg.v_list[0], horizon=cfg.horizon))
-    estimate, rates, bounds = _estimate_bounds(spec, cfg)
+    estimate, model, bounds = _estimate_bounds(spec, cfg)
     drift = analysis.drift_certificate(trace, estimate.lam)
 
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -222,13 +222,21 @@ def _do_diagnose(cfg: ExperimentConfig) -> int:
         "estimate_residual": estimate.residual,
         "estimate_lambda": estimate.lam.tolist(),
         "multiplier_possibly_nonunique": estimate.possibly_nonunique,
+        "multiplier_set_dim": len(model.directions),
         "drift_certificate_violations": len(drift.violations),
         "drift_certificate_max_slack": drift.max_slack,
     }
     for geometry in ("polyhedral", "smooth") if cfg.geometry == "both" else (cfg.geometry,):
+        rate = getattr(model, geometry)
+        if rate is None:
+            # no positive rate: no region, no entry and no steady-state bound
+            keys = ["decay_rate", "region_radius", "t_hit", "absorbed", "violations_after_hit",
+                    "steady_objective_bound"] + ["steady_violation_bound"] * bool(spec.constraints)
+            fields.update((f"{geometry}_{key}", "none") for key in keys)
+            continue
         report = analysis.phase_detect(trace, estimate, bounds, geometry)
         fields.update({
-            f"{geometry}_decay_rate": rates[geometry],
+            f"{geometry}_decay_rate": rate,
             f"{geometry}_region_radius": bounds.radius(geometry),
             f"{geometry}_t_hit": report.t_hit,
             f"{geometry}_absorbed": report.absorbed,
@@ -270,10 +278,12 @@ def _do_reproduce(cfg: ExperimentConfig) -> int:
         oracles = {"f_opt_oracle_grid": solve_reference(spec, _ORACLE_RESOLUTION).f_opt}
         if objective == "linear":
             oracles["f_opt_oracle_lp"] = solve_reference_lp(spec).f_opt
-        estimate, _, bounds = _estimate_bounds(spec, cfg)
+        estimate, model, bounds = _estimate_bounds(spec, cfg)
         f_opt = estimate.f_opt
-        report = analysis.phase_detect(trace, estimate, bounds, geometry)
-        detected = report.t_hit if report.t_hit is not None else 0
+        # without a rate there is no region, and the detected start is 0
+        report = (None if getattr(model, geometry) is None
+                  else analysis.phase_detect(trace, estimate, bounds, geometry))
+        detected = 0 if report is None or report.t_hit is None else report.t_hit
 
         J = spec.constraint_count
         marks = np.append(trace.restart_times, cfg.horizon)
@@ -308,9 +318,10 @@ def _do_reproduce(cfg: ExperimentConfig) -> int:
             "V": v,
             "horizon": cfg.horizon,
             "fixed_staggered_start": fixed_start,
-            "detected_t_hit": report.t_hit,
-            "absorbed": report.absorbed,
+            "detected_t_hit": "none" if report is None else report.t_hit,
+            "absorbed": "none" if report is None else report.absorbed,
             "multiplier_possibly_nonunique": estimate.possibly_nonunique,
+            "multiplier_set_dim": len(model.directions),
             "f_opt_exact": f_opt,
             **oracles,
             "f_xbar_final": f_final,

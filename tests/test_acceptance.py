@@ -91,7 +91,7 @@ def test_criterion_3_staggered_speedup(main_traces, main_estimates, oracle_value
     est = main_estimates["polyhedral"]
     f_opt = oracle_values["polyhedral"]
 
-    l_hat = estimate_sharpness(est)["polyhedral"]
+    l_hat = estimate_sharpness(spec, est).polyhedral
     bounds = BoundSet(m=lipschitz_bound(spec), c=squared_norm_bound(spec),
                       v=MAIN_V, l_poly=l_hat)
     detected = phase_detect(trace, est, bounds, "polyhedral").t_hit
@@ -229,7 +229,7 @@ def test_criterion_7_absorption(main_traces, main_estimates):
     trace, _ = main_traces["polyhedral"]
     spec = trace.spec
     est = main_estimates["polyhedral"]
-    l_hat = estimate_sharpness(est)["polyhedral"]
+    l_hat = estimate_sharpness(spec, est).polyhedral
     bounds = BoundSet(m=lipschitz_bound(spec), c=squared_norm_bound(spec),
                       v=MAIN_V, l_poly=l_hat)
     result = phase_detect(trace, est, bounds, "polyhedral")

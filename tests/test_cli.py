@@ -375,6 +375,30 @@ def test_diagnose_summary_and_certificates(problem_file, tmp_path):
     assert len(cert_lines) == 1 + 4096
 
 
+def test_a_geometry_without_a_rate_has_no_region(tmp_path):
+    # figure 5's maximizers form a segment, so neither geometry has a rate:
+    # diagnose writes none for each region line and reproduce starts its
+    # detected window at 0
+    path = tmp_path / "prob.json"
+    path.write_text(serialize_problem_config(reference_instance("quadratic", True)))
+    assert run_cli(["diagnose", "--problem", str(path), "--out", str(tmp_path / "diag"),
+                    "--horizon", "2048"]) == 0
+    summary = (tmp_path / "diag" / "summary.txt").read_text().splitlines()
+    assert "multiplier_set_dim: 1" in summary
+    for geometry in ("polyhedral", "smooth"):
+        for key in ("decay_rate", "region_radius", "t_hit", "absorbed", "violations_after_hit",
+                    "steady_objective_bound", "steady_violation_bound"):
+            assert f"{geometry}_{key}: none" in summary
+    out = tmp_path / "rep"
+    assert run_cli(["reproduce", "--out", str(out), "--figure", "5", "--horizon", "8192"]) == 0
+    summary = (out / "figure5_summary.txt").read_text().splitlines()
+    for line in ("detected_t_hit: none", "absorbed: none", "multiplier_set_dim: 1", "check: PASS"):
+        assert line in summary
+    # the detected window is then the plain average's, from 0
+    rows = np.genfromtxt(out / "figure5.csv", delimiter=",", names=True)
+    assert np.array_equal(rows["f_staggered_detected"], rows["f_plain"])
+
+
 @pytest.mark.parametrize("decision_set,extra", [
     ({"grid": [[0, 1, 2, 3], [0, 1, 2, 3]]}, []),  # unconstrained
     ({"points": [[0, 1], [1, 0], [2, 2]]}, []),  # unconstrained

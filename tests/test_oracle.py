@@ -277,7 +277,7 @@ def test_explicit_points_polish_stays_in_the_hull(resolution):
     # a direction u with u . argmin < min over the points of u . p separates them
     assert np.all(dirs @ res.argmin >= np.min(pts @ dirs.T, axis=0))
     est = estimate_multiplier(spec)
-    d, _, _ = dual_function(spec, est.lam[:est.j_dim], est.lam[est.j_dim:])
+    d, _, _ = dual_function(spec, est.lam[:spec.constraint_count], est.lam[spec.constraint_count:])
     assert d <= res.f_opt
 
 
@@ -349,7 +349,7 @@ def test_sandwich_between_dual_trajectory_and_penalized_average(oracle_values):
     est = estimate_multiplier(spec)
     xbar = trace.xbar[-1]
     A, b = spec.constraint_matrix()
-    penalty = float(est.lam[:est.j_dim] @ np.maximum(A @ xbar + b, 0.0))
+    penalty = float(est.lam[:spec.constraint_count] @ np.maximum(A @ xbar + b, 0.0))
     assert f_opt <= spec.objective.value(xbar) + penalty + 1e-3 + 10.0 * est.residual
 
 
