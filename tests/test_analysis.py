@@ -366,19 +366,22 @@ def test_model_rates_are_at_most_the_probed_rates_on_the_demos(name, main_estima
     _assert_the_model_is_the_dual_near_lam(spec, est, model)
 
 
-@pytest.mark.parametrize("problem,smooth", [(GRID_PROBLEM, 0.21358022145446837),
-                                            (POINTS_PROBLEM_SEED_1, 0.30654603512506673)],
-                         ids=["grid", "points"])
-def test_the_local_model_on_3d_problems(problem, smooth):
-    # smooth rates only: the tied generators span 4 of the grid's 6 and 3
-    # of the points' 5 dual dimensions.  The probe read 0.0214265 and
-    # 0.0076888; on the points its distance 0.1 lies past the model's reach,
-    # where first-order directions of slope near 0.0077 decay slower
+@pytest.mark.parametrize("problem,smooth,probed,distance", [
+    (GRID_PROBLEM, 0.21358022145446837, 0.021426523605487795, 0.1),
+    (POINTS_PROBLEM_SEED_1, 0.30654603512506673, 0.007688798725966522, 0.025)],
+    ids=["grid", "points"])
+def test_the_local_model_on_3d_problems(problem, smooth, probed, distance):
+    # smooth rates only: the edges span 4 of the grid's 6 dual dimensions,
+    # and on the points one segment, the three tied points and the ray of
+    # w2 = 0 span 4 of 5.  There the probe's smallest decay was a probe that
+    # w >= 0 cut to 0.025 from lam*, which the deleted search still divided
+    # by 0.1: its second-order rate is the probed rate over 0.025
     spec = parse_problem_config(problem)
     est = estimate_multiplier(spec)
     model = estimate_sharpness(spec, est)
     assert model.polyhedral is None and len(model.directions) == 0
     assert model.smooth == pytest.approx(smooth, rel=1e-9)
+    assert model.smooth <= probed / distance
     _assert_the_model_is_the_dual_near_lam(spec, est, model)
 
 
@@ -429,7 +432,7 @@ def test_relabelled_copies_of_one_problem_share_their_rates(bench_problem):
                                        .radius("smooth"), rel=1e-12, abs=0.0)
 
 
-def test_the_nonunique_flag_is_a_multiplier_set_direction(bench_problem):
+def test_the_model_and_the_rank_test_agree_on_uniqueness(bench_problem):
     # the exact solve's rank test and the model's directions of the
     # maximizer set agree on the solve-trace problems of seeds 1, 7, 11 and 28
     for seed in (1, 7, 11, 28):
