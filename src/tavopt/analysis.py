@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -192,7 +192,8 @@ class DecayModel:
     superdifferential about 0, where it spans the dual space; smooth is
     half the least eigenvalue of the hessian on the directions the set
     could take, where there are some and none is flat.  Either is None
-    where it is not positive: that geometry has no region.
+    where it is not positive, or where the facets are too many to count
+    (see estimate_sharpness): that geometry has no region.
     """
 
     centre: np.ndarray
@@ -205,10 +206,26 @@ class DecayModel:
 
     def support(self, normals) -> np.ndarray:
         """max of g . n over the superdifferential, for each row n."""
-        normals = np.atleast_2d(normals)
-        x_part = normals[:, len(self.centre) - self.tied_points.shape[1]:]
-        return (normals @ self.centre + 0.5 * np.abs(normals @ self.generators.T).sum(axis=1)
-                + np.max(x_part @ self.tied_points.T, axis=1))
+        return _support(normals, self.centre, self.generators, self.tied_points)
+
+
+def _support(normals, centre, generators, tied_points) -> np.ndarray:
+    """max of g . n over centre + [-1/2, 1/2] * generators + the hull of
+    tied_points in the x part, for each row n of normals."""
+    normals = np.atleast_2d(normals)
+    x_part = normals[:, len(centre) - tied_points.shape[1]:]
+    return (normals @ centre + 0.5 * np.abs(normals @ generators.T).sum(axis=1)
+            + np.max(x_part @ tied_points.T, axis=1))
+
+
+# Most work estimate_sharpness spends on facet normals, counted as the
+# (rank - 1)-subsets of the edges times rank^3 for each subset's rank
+# minors (about 0.2 s on a 2-core Xeon), and the subsets taken at a time.
+# The count C(edges, rank - 1) grows without bound: 20 tied 3-D points with
+# two constraints give about 5.6e7 subsets.  Past the limit the model
+# reports no rate.
+_FACET_WORK = 10 ** 7
+_FACET_CHUNK = 4096
 
 
 def _tied_interval(piece, c: float, lo: float, hi: float, tol: float):
@@ -231,22 +248,24 @@ def _tied_interval(piece, c: float, lo: float, hi: float, tol: float):
     return (left, right) if right > left else None
 
 
-def _facet_normals(edges: np.ndarray) -> np.ndarray:
+def _facet_normals(edges: np.ndarray):
     """Unit vectors orthogonal to dims - 1 independent rows of edges, both
-    signs: every facet normal of a full-dimensional polytope whose edges are
-    parallel to rows of edges (Ziegler, Lectures on Polytopes, ch. 7)."""
+    signs, one array per _FACET_CHUNK subsets: every facet normal of a
+    full-dimensional polytope whose edges are parallel to rows of edges
+    (Ziegler, Lectures on Polytopes, ch. 7)."""
     dims = edges.shape[1]
-    subsets = list(itertools.combinations(range(len(edges)), dims - 1))
-    rows = edges[np.array(subsets, dtype=int).reshape(len(subsets), dims - 1)]
-    # the generalized cross product: signed maximal minors, which a singular
-    # subset may leave 0 or nan
-    with np.errstate(divide="ignore", invalid="ignore"):
-        normals = np.stack([(-1) ** k * np.linalg.det(np.delete(rows, k, axis=2))
-                            for k in range(dims)], axis=1)
-    norms = np.linalg.norm(normals, axis=1)
-    keep = norms > _ACTIVE_TOL
-    normals = normals[keep] / norms[keep, None]
-    return np.vstack([normals, -normals])
+    subsets = itertools.combinations(range(len(edges)), dims - 1)
+    while chunk := list(itertools.islice(subsets, _FACET_CHUNK)):
+        rows = edges[np.array(chunk, dtype=int).reshape(len(chunk), dims - 1)]
+        # the generalized cross product: signed maximal minors, which a
+        # singular subset may leave 0 or nan
+        with np.errstate(divide="ignore", invalid="ignore"):
+            normals = np.stack([(-1) ** k * np.linalg.det(np.delete(rows, k, axis=2))
+                                for k in range(dims)], axis=1)
+        norms = np.linalg.norm(normals, axis=1)
+        keep = norms > _ACTIVE_TOL
+        normals = normals[keep] / norms[keep, None]
+        yield np.vstack([normals, -normals])
 
 
 def estimate_sharpness(spec: ProblemSpec, estimate: MultiplierEstimate) -> DecayModel:
@@ -266,9 +285,13 @@ def estimate_sharpness(spec: ProblemSpec, estimate: MultiplierEstimate) -> Decay
     those facing a ray: the weak-sharp-maximum constant (Burke & Ferris,
     SIAM J. Control Optim. 31, 1993).  The maximizer set leaves lam* along
     the complement of their span and inward across each facet through 0,
-    where the hessian is 0.  A quadratic y_i at a box end with its vertex
-    there curves d on one side only and is left out: there the rates bound
-    the decay from below, and the directions may count that side.
+    where the hessian is 0.  Parallel edges count once, and past
+    _FACET_WORK the model counts no facet: both rates
+    are None and the directions are those of the span's complement only,
+    which the set takes but need not be all of them.  A quadratic y_i at a
+    box end with its vertex there curves d on one side only and is left
+    out: there the rates bound the decay from below, and the directions may
+    count that side.
     """
     J, I = spec.constraint_count, spec.dimension
     w, z = estimate.lam[:J], estimate.lam[J:]
@@ -298,13 +321,12 @@ def estimate_sharpness(spec: ProblemSpec, estimate: MultiplierEstimate) -> Decay
         points = ds.points[scores <= scores.min() + ztol * max(1.0, abs(scores.min()))]
         x_gens = np.zeros((0, J + I))
     y_mid = (ylo + yhi) / 2.0
+    centre = np.concatenate([A @ y_mid + b, points[0] - y_mid])
     generators = np.vstack([(cols * (yhi - ylo)).T, x_gens])
     generators = generators[np.any(generators != 0.0, axis=1)]
+    tied_points = points - points[0]
     inner = curvature > 0.0
-    model = DecayModel(centre=np.concatenate([A @ y_mid + b, points[0] - y_mid]),
-                       generators=generators, tied_points=points - points[0],
-                       hessian=(cols[:, inner] / (2.0 * curvature[inner])) @ cols[:, inner].T,
-                       polyhedral=None, smooth=None, directions=np.zeros((0, J + I)))
+    hessian = (cols[:, inner] / (2.0 * curvature[inner])) @ cols[:, inner].T
     # where w_j = 0 the dual only moves to w_j >= 0: the set gains the ray e_j
     at_zero = np.flatnonzero(w <= _ACTIVE_TOL * max(1.0, float(np.max(w, initial=0.0))))
     left, right = np.triu_indices(len(points), 1)
@@ -313,23 +335,34 @@ def estimate_sharpness(spec: ProblemSpec, estimate: MultiplierEstimate) -> Decay
                        np.eye(J + I)[at_zero]])
     lengths = np.linalg.norm(edges, axis=1)
     edges = edges[lengths > 0.0] / lengths[lengths > 0.0, None]
+    # parallel edges give the same normals: keep the first of each direction
+    sign = np.sign(edges[np.arange(len(edges)), np.argmax(np.abs(edges), axis=1)])
+    _, first = np.unique(np.round(edges * sign[:, None], 12), axis=0, return_index=True)
+    edges = edges[np.sort(first)]
     # a zero row keeps the SVD defined without edges
     _, sv, vt = np.linalg.svd(np.vstack([edges, np.zeros(J + I)]))
     rank = int(np.count_nonzero(sv > _ACTIVE_TOL))
-    normals = _facet_normals(edges @ vt[:rank].T) @ vt[:rank] if rank else vt[:0]
-    normals = normals[np.all(normals[:, at_zero] <= _ACTIVE_TOL, axis=1)]
-    support = model.support(normals)
-    radius = float(np.min(support, initial=np.inf))
+    # past _FACET_WORK the facets go uncounted: no rate, and the directions
+    # of the span's complement only
+    counted = rank == 0 or math.comb(len(edges), rank - 1) * rank ** 3 <= _FACET_WORK
+    radius, leaving = math.inf, [vt[rank:]]
+    for normals in _facet_normals(edges @ vt[:rank].T) if rank and counted else ():
+        normals = normals @ vt[:rank]
+        normals = normals[np.all(normals[:, at_zero] <= _ACTIVE_TOL, axis=1)]
+        support = _support(normals, centre, generators, tied_points)
+        radius = min(radius, float(np.min(support, initial=np.inf)))
+        leaving.append(normals[support <= _ACTIVE_TOL])
     # the maximizer set leaves lam* along the complement of the span and
     # inward across each facet through 0, where the hessian is 0
-    _, sv, cone = np.linalg.svd(np.vstack([vt[rank:], normals[support <= _ACTIVE_TOL],
-                                           np.zeros(J + I)]))
+    _, sv, cone = np.linalg.svd(np.vstack(leaving + [np.zeros(J + I)]))
     cone = cone[:np.count_nonzero(sv > _ACTIVE_TOL)]
-    curv, vecs = np.linalg.eigh(cone @ model.hessian @ cone.T)
+    curv, vecs = np.linalg.eigh(cone @ hessian @ cone.T)
     flat = curv <= _ACTIVE_TOL * max(1.0, float(curv.max(initial=0.0)))
-    return replace(model, polyhedral=radius if rank == J + I and radius > _ACTIVE_TOL else None,
-                   smooth=0.5 * float(curv[0]) if len(curv) and not flat.any() else None,
-                   directions=vecs[:, flat].T @ cone)
+    return DecayModel(
+        centre=centre, generators=generators, tied_points=tied_points, hessian=hessian,
+        polyhedral=radius if counted and rank == J + I and radius > _ACTIVE_TOL else None,
+        smooth=0.5 * float(curv[0]) if counted and len(curv) and not flat.any() else None,
+        directions=vecs[:, flat].T @ cone)
 
 
 def estimate_multiplier(spec: ProblemSpec) -> MultiplierEstimate:

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -439,6 +441,53 @@ def test_the_model_and_the_rank_test_agree_on_uniqueness(bench_problem):
         spec = bench_problem("solve-trace", seed)
         est = estimate_multiplier(spec)
         assert (len(estimate_sharpness(spec, est).directions) > 0) == est.possibly_nonunique, seed
+
+
+def _many_tied_points():
+    # the cube's corners and 16 points inside; f = sum (y - 1.5)^2 puts x*
+    # at the cube's centre, so z* = 0 ties all 24 points, and both
+    # constraints are slack (two rays w_j >= 0)
+    corners = [[a, b, c] for a in (0.0, 3.0) for b in (0.0, 3.0) for c in (0.0, 3.0)]
+    inside = np.round(np.random.default_rng(0).uniform(0.25, 2.75, (16, 3)), 2)
+    pts = ExplicitPoints(points=np.vstack([corners, inside]))
+    return ProblemSpec(
+        decision_set=pts, box=tight_box(pts),
+        objective=SeparableConvexObjective(pieces=(QuadraticPiece(1.0, -3.0),) * 3),
+        constraints=(AffineConstraint(coeffs=(-1.0, -1.0, -1.0), offset=-1.0),
+                     AffineConstraint(coeffs=(1.0, -1.0, 0.5), offset=-9.0)))
+
+
+def _linear_grid_12d():
+    # figure 2's form in 12-D: slopes -1 and sum x <= 18 with w* = 1 tie
+    # every y_i and, at z* = 0, every x_i on [0, 3]
+    grid = GridProduct(values=((0.0, 1.0, 2.0, 3.0),) * 12)
+    return ProblemSpec(
+        decision_set=grid, box=tight_box(grid),
+        objective=SeparableConvexObjective(pieces=(LinearPiece(-1.0),) * 12),
+        constraints=(AffineConstraint(coeffs=(1.0,) * 12, offset=-18.0),))
+
+
+@pytest.mark.parametrize("spec_maker,ties", [(_many_tied_points, (24, 0)),
+                                             (_linear_grid_12d, (1, 24))],
+                         ids=["24-points", "12d-grid"])
+def test_a_model_with_too_many_facets_to_count_reports_no_rate(spec_maker, ties):
+    # C(edges, rank - 1) candidate facets: about 2.8e8 four-edge subsets of
+    # the 24 points' 270 edge directions and two rays, and C(24, 12) = 2.7e6
+    # on the grid, each worth gigabytes at once.  Past _FACET_WORK the model
+    # takes no rate, within a bounded time and memory
+    spec = spec_maker()
+    est = estimate_multiplier(spec)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        model = estimate_sharpness(spec, est)
+        elapsed, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(model.tied_points), len(model.generators)) == ties
+    assert model.polyhedral is None and model.smooth is None
+    assert elapsed < 5.0 and peak < 20e6
+    _assert_the_model_is_the_dual_near_lam(spec, est, model)
 
 
 def test_estimate_sharpness_makes_one_dual_evaluation(main_estimates, monkeypatch):
