@@ -218,14 +218,15 @@ def _support(normals, centre, generators, tied_points) -> np.ndarray:
             + np.max(x_part @ tied_points.T, axis=1))
 
 
-# Most work estimate_sharpness spends on facet normals, counted as the
-# (rank - 1)-subsets of the edges times rank^3 for each subset's rank
-# minors (about 0.2 s on a 2-core Xeon), and the subsets taken at a time.
-# The count C(edges, rank - 1) grows without bound: 20 tied 3-D points with
-# two constraints give about 5.6e7 subsets.  Past the limit the model
-# reports no rate.
+# Most work estimate_sharpness spends on facet normals (about 0.1 s on a
+# 2-core Xeon), counted as the entries of the edges plus, for each of the
+# C(edges, rank - 1) subsets, rank^3 for its rank minors and dims * tied
+# points for the support at its normals.  The count grows without bound:
+# 20 tied 3-D points with two constraints give about 5.6e7 subsets.  Past
+# the limit the model reports no rate.  The subsets are taken so that each
+# array holds about _FACET_CHUNK entries.
 _FACET_WORK = 10 ** 7
-_FACET_CHUNK = 4096
+_FACET_CHUNK = 2 ** 18
 
 
 def _tied_interval(piece, c: float, lo: float, hi: float, tol: float):
@@ -248,14 +249,28 @@ def _tied_interval(piece, c: float, lo: float, hi: float, tol: float):
     return (left, right) if right > left else None
 
 
-def _facet_normals(edges: np.ndarray):
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    """The nonzero rows, each divided by its length."""
+    lengths = np.linalg.norm(rows, axis=1)
+    return rows[lengths > 0.0] / lengths[lengths > 0.0, None]
+
+
+def _row_space(rows: np.ndarray, dims: int):
+    """(rank, vt): an orthonormal basis vt of R^dims whose first rank rows
+    span the rows to within _ACTIVE_TOL.  The thin SVD of the rows padded
+    with dims zero rows keeps memory linear in their count."""
+    _, sv, vt = np.linalg.svd(np.vstack([rows, np.zeros((dims, dims))]), full_matrices=False)
+    return int(np.count_nonzero(sv > _ACTIVE_TOL)), vt
+
+
+def _facet_normals(edges: np.ndarray, per_chunk: int):
     """Unit vectors orthogonal to dims - 1 independent rows of edges, both
-    signs, one array per _FACET_CHUNK subsets: every facet normal of a
+    signs, one array per per_chunk subsets: every facet normal of a
     full-dimensional polytope whose edges are parallel to rows of edges
     (Ziegler, Lectures on Polytopes, ch. 7)."""
     dims = edges.shape[1]
     subsets = itertools.combinations(range(len(edges)), dims - 1)
-    while chunk := list(itertools.islice(subsets, _FACET_CHUNK)):
+    while chunk := list(itertools.islice(subsets, per_chunk)):
         rows = edges[np.array(chunk, dtype=int).reshape(len(chunk), dims - 1)]
         # the generalized cross product: signed maximal minors, which a
         # singular subset may leave 0 or nan
@@ -285,13 +300,13 @@ def estimate_sharpness(spec: ProblemSpec, estimate: MultiplierEstimate) -> Decay
     those facing a ray: the weak-sharp-maximum constant (Burke & Ferris,
     SIAM J. Control Optim. 31, 1993).  The maximizer set leaves lam* along
     the complement of their span and inward across each facet through 0,
-    where the hessian is 0.  Parallel edges count once, and past
-    _FACET_WORK the model counts no facet: both rates
-    are None and the directions are those of the span's complement only,
-    which the set takes but need not be all of them.  A quadratic y_i at a
-    box end with its vertex there curves d on one side only and is left
-    out: there the rates bound the decay from below, and the directions may
-    count that side.
+    where the hessian is 0.  Parallel edges are enumerated once, and past
+    _FACET_WORK the model counts no facet: both rates are None and the
+    directions are those of the span's complement only, which the set
+    takes but need not be all of them.  A quadratic y_i at a box end with
+    its vertex there curves d on one side only and is left out: there the
+    rates bound the decay from below, and the directions may count that
+    side.
     """
     J, I = spec.constraint_count, spec.dimension
     w, z = estimate.lam[:J], estimate.lam[J:]
@@ -329,33 +344,35 @@ def estimate_sharpness(spec: ProblemSpec, estimate: MultiplierEstimate) -> Decay
     hessian = (cols[:, inner] / (2.0 * curvature[inner])) @ cols[:, inner].T
     # where w_j = 0 the dual only moves to w_j >= 0: the set gains the ray e_j
     at_zero = np.flatnonzero(w <= _ACTIVE_TOL * max(1.0, float(np.max(w, initial=0.0))))
-    left, right = np.triu_indices(len(points), 1)
-    edges = np.vstack([generators, np.hstack([np.zeros((len(left), J)),
-                                              points[right] - points[left]]),
-                       np.eye(J + I)[at_zero]])
-    lengths = np.linalg.norm(edges, axis=1)
-    edges = edges[lengths > 0.0] / lengths[lengths > 0.0, None]
-    # parallel edges give the same normals: keep the first of each direction
-    sign = np.sign(edges[np.arange(len(edges)), np.argmax(np.abs(edges), axis=1)])
-    _, first = np.unique(np.round(edges * sign[:, None], 12), axis=0, return_index=True)
-    edges = edges[np.sort(first)]
-    # a zero row keeps the SVD defined without edges
-    _, sv, vt = np.linalg.svd(np.vstack([edges, np.zeros(J + I)]))
-    rank = int(np.count_nonzero(sv > _ACTIVE_TOL))
-    # past _FACET_WORK the facets go uncounted: no rate, and the directions
-    # of the span's complement only
-    counted = rank == 0 or math.comb(len(edges), rank - 1) * rank ** 3 <= _FACET_WORK
-    radius, leaving = math.inf, [vt[rank:]]
-    for normals in _facet_normals(edges @ vt[:rank].T) if rank and counted else ():
-        normals = normals @ vt[:rank]
-        normals = normals[np.all(normals[:, at_zero] <= _ACTIVE_TOL, axis=1)]
-        support = _support(normals, centre, generators, tied_points)
-        radius = min(radius, float(np.min(support, initial=np.inf)))
-        leaving.append(normals[support <= _ACTIVE_TOL])
+    rays = np.eye(J + I)[at_zero]
+    x_rows = np.hstack([np.zeros((len(points), J)), tied_points])
+    # the tied points span what their pairwise differences do
+    rank, vt = _row_space(_unit_rows(np.vstack([generators, x_rows, rays])), J + I)
+    # the edges are the generators, the pairwise differences of the tied
+    # points and the rays; past _FACET_WORK the facets go uncounted: no
+    # rate, and the directions of the span's complement only
+    k = len(points)
+    count = len(generators) + k * (k - 1) // 2 + len(rays)
+    counted = rank == 0 or (count * (J + I) + math.comb(count, rank - 1)
+                            * (rank ** 3 + (J + I) * k) <= _FACET_WORK)
     # the maximizer set leaves lam* along the complement of the span and
     # inward across each facet through 0, where the hessian is 0
-    _, sv, cone = np.linalg.svd(np.vstack(leaving + [np.zeros(J + I)]))
-    cone = cone[:np.count_nonzero(sv > _ACTIVE_TOL)]
+    radius, cone = math.inf, vt[rank:]
+    if rank and counted:
+        left, right = np.triu_indices(k, 1)
+        edges = _unit_rows(np.vstack([generators, x_rows[right] - x_rows[left], rays]))
+        # parallel edges give the same normals: keep the first of each direction
+        sign = np.sign(edges[np.arange(len(edges)), np.argmax(np.abs(edges), axis=1)])
+        _, first = np.unique(np.round(edges * sign[:, None], 12), axis=0, return_index=True)
+        edges = edges[np.sort(first)]
+        per_chunk = max(1, _FACET_CHUNK // (rank * rank + 2 * (J + I) + 2 * k))
+        for normals in _facet_normals(edges @ vt[:rank].T, per_chunk):
+            normals = normals @ vt[:rank]
+            normals = normals[np.all(normals[:, at_zero] <= _ACTIVE_TOL, axis=1)]
+            support = _support(normals, centre, generators, tied_points)
+            radius = min(radius, float(np.min(support, initial=np.inf)))
+            dim, basis = _row_space(np.vstack([cone, normals[support <= _ACTIVE_TOL]]), J + I)
+            cone = basis[:dim]
     curv, vecs = np.linalg.eigh(cone @ hessian @ cone.T)
     flat = curv <= _ACTIVE_TOL * max(1.0, float(curv.max(initial=0.0)))
     return DecayModel(

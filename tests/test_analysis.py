@@ -16,6 +16,7 @@ from tavopt import (
     GridProduct,
     InfeasibilityError,
     LinearPiece,
+    MultiplierEstimate,
     PiecewiseLinearPiece,
     ProblemSpec,
     QuadraticPiece,
@@ -471,12 +472,39 @@ def _linear_grid_12d():
                                              (_linear_grid_12d, (1, 24))],
                          ids=["24-points", "12d-grid"])
 def test_a_model_with_too_many_facets_to_count_reports_no_rate(spec_maker, ties):
-    # C(edges, rank - 1) candidate facets: about 2.8e8 four-edge subsets of
-    # the 24 points' 270 edge directions and two rays, and C(24, 12) = 2.7e6
-    # on the grid, each worth gigabytes at once.  Past _FACET_WORK the model
-    # takes no rate, within a bounded time and memory
+    # C(edges, rank - 1) candidate facets: about 2.4e8 four-edge subsets of
+    # the 24 points' 276 pairwise differences and two rays, and
+    # C(24, 12) = 2.7e6 on the grid, each worth gigabytes at once.  Past
+    # _FACET_WORK the model takes no rate, within a bounded time and memory
     spec = spec_maker()
     est = estimate_multiplier(spec)
+    model = _bounded_model(spec, est)
+    assert (len(model.tied_points), len(model.generators)) == ties
+    assert model.polyhedral is None and model.smooth is None
+    _assert_the_model_is_the_dual_near_lam(spec, est, model)
+
+
+def test_a_thousand_tied_points_keep_the_model_bounded():
+    # no constraints and f = sum (y - 1.5)^2 over the cube's corners and 992
+    # points inside: z* = 0 ties all 1000, whose 499500 pairwise differences
+    # the model neither builds nor decomposes.  The points span the dual
+    # space, so no direction leaves lam*
+    corners = [[a, b, c] for a in (0.0, 3.0) for b in (0.0, 3.0) for c in (0.0, 3.0)]
+    inside = np.random.default_rng(1).uniform(0.0, 3.0, (992, 3))
+    pts = ExplicitPoints(points=np.vstack([corners, inside]))
+    spec = ProblemSpec(
+        decision_set=pts, box=tight_box(pts), constraints=(),
+        objective=SeparableConvexObjective(pieces=(QuadraticPiece(1.0, -3.0),) * 3))
+    d_star, _, _ = dual_function(spec, np.zeros(0), np.zeros(3))
+    est = MultiplierEstimate(lam=np.zeros(3), residual=0.0, d_value=d_star, f_opt=d_star)
+    model = _bounded_model(spec, est)
+    assert len(model.tied_points) == 1000 and len(model.directions) == 0
+    assert model.polyhedral is None and model.smooth is None
+    _assert_the_model_is_the_dual_near_lam(spec, est, model)
+
+
+def _bounded_model(spec, est):
+    """estimate_sharpness(spec, est), checked to take under 5 s and 20 MB."""
     tracemalloc.start()
     start = time.perf_counter()
     try:
@@ -484,10 +512,8 @@ def test_a_model_with_too_many_facets_to_count_reports_no_rate(spec_maker, ties)
         elapsed, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (len(model.tied_points), len(model.generators)) == ties
-    assert model.polyhedral is None and model.smooth is None
     assert elapsed < 5.0 and peak < 20e6
-    _assert_the_model_is_the_dual_near_lam(spec, est, model)
+    return model
 
 
 def test_estimate_sharpness_makes_one_dual_evaluation(main_estimates, monkeypatch):
@@ -701,7 +727,6 @@ def test_phase_absorption_on_linear_instance(main_traces, main_estimates):
 
 
 def test_phase_region_never_entered():
-    from tavopt import MultiplierEstimate
 
     spec = build_instance("polyhedral")
     trace = run(spec, SolverConfig(v=MAIN_V, horizon=64))
