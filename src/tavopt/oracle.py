@@ -31,7 +31,16 @@ __all__ = [
 
 FEASIBILITY_TOL = 1e-9
 
+# Points a brute-force scan may visit.  The scans hold one block at a time,
+# so this bounds their time, not their memory: 3.4M grid points take about
+# 0.15 s and 0.9M lattice points about 0.45 s (2-core Xeon).
 _MAX_GRID_POINTS = 4_000_000
+# Doubles in the widest array of one scan block: (rows, max(I, J)) on a
+# grid, (rows, max(points, I, J)) on the lattice.  On the four demos at
+# resolution 0.01 (5,440 or 8,192 rows a block) the grid oracle takes about
+# 3.5 ms a call and, called in a loop, faults no page in; 2**12 takes 5.1 ms,
+# and 2**15 faults pages in again (2-core Xeon).
+_SCAN_BLOCK_ENTRIES = 2 ** 14
 
 # Interior-point stop: each residual entry relative to the summed magnitudes
 # of its terms, and the complementarity relative to the objective, below this.
@@ -77,8 +86,8 @@ def _feasible(spec: ProblemSpec, points: np.ndarray):
 def _best_feasible(spec: ProblemSpec, points: np.ndarray):
     """(value, point) of the best feasible candidate, or None.
 
-    Ties by value resolve to the lexicographically smallest point, which keeps
-    partitioned evaluation deterministic.
+    Ties by value resolve to the lexicographically smallest point, the
+    earliest row among equal ones; so does _scan across its blocks.
     """
     feas = _feasible(spec, points)
     if not np.any(feas):
@@ -91,6 +100,24 @@ def _best_feasible(spec: ProblemSpec, points: np.ndarray):
     return float(best), ties[order[0]].copy()
 
 
+def _blocks(n: int, width: int):
+    """(start, stop) of the consecutive row blocks that cover rows 0..n-1,
+    each of about _SCAN_BLOCK_ENTRIES / width rows.
+
+    A block's matrix products give each row the bits that one product over
+    all n rows gives it only if every block starts where one of the row
+    groups of OpenBLAS's kernels would, hence at multiples of 64 rows, and
+    if no block has one row unless n does: numpy takes a one-row product
+    through gemv or dot, not gemm.  So a one-row tail joins the block
+    before it.
+    """
+    rows = max(64, _SCAN_BLOCK_ENTRIES // width // 64 * 64)
+    starts = list(range(0, n, rows))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return zip(starts, starts[1:] + [n])
+
+
 def _axis_points(lo: float, hi: float, resolution: float) -> np.ndarray:
     if hi <= lo:
         return np.array([lo])
@@ -98,14 +125,30 @@ def _axis_points(lo: float, hi: float, resolution: float) -> np.ndarray:
     return np.linspace(lo, hi, n + 1)
 
 
-def _mesh(axes) -> np.ndarray:
-    total = 1
-    for a in axes:
-        total *= len(a)
+def _scan(spec: ProblemSpec, axes, extra=None):
+    """_best_feasible over the mesh of the axes in C order, then over the
+    point extra if given, one block of rows at a time.
+
+    np.unravel_index gives each mesh point the coordinates meshgrid would,
+    and a block's best replaces the incumbent only when its value is lower,
+    or equal at a lexicographically smaller point, so the result is that of
+    one _best_feasible call over the whole mesh.
+    """
+    shape = tuple(len(a) for a in axes)
+    total = math.prod(shape)
     if total > _MAX_GRID_POINTS:
         raise ValueError(f"grid of {total} points is too large; coarsen the resolution")
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.column_stack([g.ravel() for g in grids])
+    best = None
+    for start, stop in _blocks(total + (extra is not None), max(len(axes), spec.constraint_count)):
+        index = np.unravel_index(np.arange(start, min(stop, total)), shape)
+        points = np.column_stack([a[k] for a, k in zip(axes, index)])
+        if stop > total:
+            points = np.vstack([points, extra[None, :]])
+        found = _best_feasible(spec, points)
+        if found is not None and (best is None or found[0] < best[0]
+                                  or found[0] == best[0] and found[1].tolist() < best[1].tolist()):
+            best = found
+    return best
 
 
 def _certificate(spec: ProblemSpec, x: np.ndarray) -> float:
@@ -115,8 +158,7 @@ def _certificate(spec: ProblemSpec, x: np.ndarray) -> float:
 def _grid_search(spec: ProblemSpec, resolution: float) -> OracleResult:
     lo, hi = spec.decision_set.hull_bounds()
     I = len(lo)
-    incumbent = _best_feasible(spec, _mesh([_axis_points(l, h, resolution)
-                                            for l, h in zip(lo, hi)]))
+    incumbent = _scan(spec, [_axis_points(l, h, resolution) for l, h in zip(lo, hi)])
     if incumbent is None:
         raise InfeasibilityError(
             f"no feasible grid point at resolution {resolution}; "
@@ -132,7 +174,7 @@ def _grid_search(spec: ProblemSpec, resolution: float) -> OracleResult:
         res /= 10.0
         axes = [_axis_points(max(l, p - reach), min(h, p + reach), res)
                 for l, h, p in zip(lo, hi, point)]
-        local = _best_feasible(spec, np.vstack([_mesh(axes), point[None, :]]))
+        local = _scan(spec, axes, point)
         if local is not None and local[0] <= val:
             incumbent = local
     val, point = incumbent
@@ -140,16 +182,20 @@ def _grid_search(spec: ProblemSpec, resolution: float) -> OracleResult:
                         certificate=_certificate(spec, point))
 
 
-def _simplex_compositions(total: int, parts: int) -> np.ndarray:
+def _simplex_compositions(total: int, parts: int, width: int):
     """All nonnegative integer vectors of the given length summing to total,
-    in increasing lexicographic order: the gaps between parts - 1 bars
-    placed among total + parts - 1 slots, and the two ends."""
+    in increasing lexicographic order, in the row blocks _blocks gives: the
+    gaps between parts - 1 bars placed among total + parts - 1 slots, and
+    the two ends.  One part places no bar and has one composition."""
     n, slots = math.comb(total + parts - 1, parts - 1), total + parts - 1
-    bars = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(slots), parts - 1)),
-                       dtype=float, count=n * (parts - 1)).reshape(n, parts - 1)
-    out = np.diff(bars, axis=1, prepend=-1.0, append=float(slots))
-    out -= 1.0
-    return out
+    bars = itertools.combinations(range(slots), parts - 1)
+    for start, stop in _blocks(n, width):
+        rows = stop - start
+        block = np.fromiter(itertools.chain.from_iterable(itertools.islice(bars, rows)),
+                            dtype=float, count=rows * (parts - 1)).reshape(rows, parts - 1)
+        out = np.diff(block, axis=1, prepend=-1.0, append=float(slots))
+        out -= 1.0
+        yield out
 
 
 def _simplex_search(spec: ProblemSpec, resolution: float) -> OracleResult:
@@ -160,17 +206,22 @@ def _simplex_search(spec: ProblemSpec, resolution: float) -> OracleResult:
     steps = max(1, int(round(1.0 / resolution)))
     if math.comb(steps + m - 1, m - 1) > _MAX_GRID_POINTS:
         raise ValueError("simplex lattice too large; coarsen the resolution")
-    weights = _simplex_compositions(steps, m) / steps
-    lattice = weights @ pts
-    feas = _feasible(spec, lattice)
-    if not np.any(feas):
+    # the first least value over the lattice's blocks in order
+    best = None
+    for weights in _simplex_compositions(steps, m, max(m, spec.dimension, spec.constraint_count)):
+        weights /= steps
+        lattice = weights @ pts
+        feas = np.flatnonzero(_feasible(spec, lattice))
+        if not len(feas):
+            continue
+        vals = spec.objective.values(lattice[feas])
+        k = int(np.argmin(vals))
+        if best is None or vals[k] < best[0]:
+            best = float(vals[k]), weights[feas[k]].copy()
+    if best is None:
         raise InfeasibilityError(
             f"no feasible simplex lattice point at resolution {resolution}")
-    vals = np.full(lattice.shape[0], np.inf)
-    vals[feas] = spec.objective.values(np.compress(feas, lattice, axis=0))
-    k = int(np.argmin(vals))
-    val = float(vals[k])
-    wts = weights[k].copy()
+    val, wts = best
 
     # local polish: greedy pairwise mass transfers at two finer step sizes
     for delta in (0.1 / steps, 0.01 / steps):
@@ -205,6 +256,9 @@ def solve_reference(spec: ProblemSpec, resolution: float) -> OracleResult:
     feasible scan at the given resolution, then two local refinements at a
     tenth and a hundredth of it.  Explicit point sets are searched over
     convex-combination weights on a simplex lattice (at most 8 points).
+    Each mesh and lattice is scanned in blocks of about _SCAN_BLOCK_ENTRIES
+    doubles, with the result of one scan over all of it, and may hold at
+    most _MAX_GRID_POINTS points.
     """
     if not resolution > 0.0:
         raise ValueError("resolution must be positive")

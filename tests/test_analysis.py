@@ -581,18 +581,6 @@ def test_grid_estimate_is_exact_on_the_diagnose_grid_problem():
     assert est.residual <= 1e-9
 
 
-@pytest.mark.parametrize("dims", range(1, 9))
-def test_vecdot_keeps_the_per_row_ddot_bits(dims):
-    # a batch of row norms as np.sqrt(np.vecdot(u, u)) has the bits of
-    # np.linalg.norm(u) row by row only while each row's vecdot is the ddot
-    # u @ u
-    rng = np.random.default_rng(dims)
-    u = rng.standard_normal((4096, dims)) * 10.0 ** rng.uniform(-3.0, 3.0, (4096, 1))
-    assert bits(np.vecdot(u, u)) == bits([row @ row for row in u])
-    head = u[:256]
-    assert bits(np.sqrt(np.vecdot(head, head))) == bits([np.linalg.norm(row) for row in head])
-
-
 # ---------------------------------------------------------------------------
 # Bound set
 # ---------------------------------------------------------------------------

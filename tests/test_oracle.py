@@ -1,8 +1,11 @@
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tavopt import (
     AffineConstraint,
@@ -11,6 +14,7 @@ from tavopt import (
     GridProduct,
     InfeasibilityError,
     LinearPiece,
+    PiecewiseLinearPiece,
     ProblemSpec,
     QuadraticPiece,
     SeparableConvexObjective,
@@ -28,10 +32,11 @@ from tavopt import (
 )
 
 import tavopt.oracle
-from tavopt.oracle import _IPM_MARGIN, FEASIBILITY_TOL, _feasible, _simplex_compositions
+from tavopt.oracle import (_IPM_MARGIN, _MAX_GRID_POINTS, FEASIBILITY_TOL, _axis_points,
+                           _best_feasible, _feasible, _simplex_compositions)
 
-from conftest import (GRID_PROBLEM, POINTS_PROBLEM, POINTS_PROBLEM_SEED_11, POINTS_PROBLEM_SEED_28,
-                      build_instance, generated_runs)
+from conftest import (GRID_PROBLEM, POINTS_PROBLEM, POINTS_PROBLEM_SEED_1, POINTS_PROBLEM_SEED_11,
+                      POINTS_PROBLEM_SEED_28, bits, build_instance, generated_runs)
 
 
 def test_grid_oracle_on_linear_instance():
@@ -216,7 +221,7 @@ def test_explicit_points_polish_leaves_the_lattice():
                                                    LinearPiece(0.1))),
         constraints=(AffineConstraint(coeffs=(-1.0, -1.0), offset=0.5),))
     res = solve_reference(spec, resolution=0.1)
-    lattice = _simplex_compositions(10, 3) / 10 @ pts.points
+    lattice = np.vstack(list(_simplex_compositions(10, 3, 3))) / 10 @ pts.points
     A, b = spec.constraint_matrix()
     feasible = lattice[np.all(lattice @ A.T + b <= FEASIBILITY_TOL, axis=1)]
     assert res.f_opt < np.min(spec.objective.values(feasible))
@@ -225,11 +230,18 @@ def test_explicit_points_polish_leaves_the_lattice():
     np.testing.assert_allclose(res.argmin, [0.42, 0.08], atol=1e-9)
 
 
-@pytest.mark.parametrize("total,parts", [(0, 1), (5, 1), (0, 3), (1, 2), (4, 3), (6, 4), (3, 6)])
-def test_simplex_compositions_are_every_composition_in_order(total, parts):
+@pytest.mark.parametrize("total,parts", [(0, 1), (5, 1), (0, 3), (1, 2), (4, 3), (6, 4), (3, 6),
+                                         (64, 2), (65, 2), (10, 4), (3, 8)])
+def test_simplex_compositions_are_every_composition_in_order(total, parts, monkeypatch):
+    # in blocks of 64 rows, the fewest there are: 65 compositions make one
+    # block (a one-row tail joins the block before it), 66 make 64 + 2
+    monkeypatch.setattr(tavopt.oracle, "_SCAN_BLOCK_ENTRIES", 64)
     expected = sorted(p for p in itertools.product(range(total + 1), repeat=parts)
                       if sum(p) == total)
-    got = _simplex_compositions(total, parts)
+    blocks = list(_simplex_compositions(total, parts, parts))
+    *full, last = [len(b) for b in blocks]
+    assert all(size == 64 for size in full) and (last > 1 or len(expected) == 1) and last <= 65
+    got = np.vstack(blocks)
     assert got.shape == (len(expected), parts) and got.dtype == float
     assert got.tolist() == [list(p) for p in expected]
 
@@ -291,9 +303,13 @@ def test_explicit_points_cap():
         solve_reference(spec, resolution=0.1)
 
 
-def test_lattices_past_the_point_cap_are_refused():
+def test_lattices_past_the_point_cap_are_refused(monkeypatch):
     # a 3001 x 3001 grid and the 8-point simplex lattice of step 1/1000 both
-    # hold more than 4M points; each is refused before it is built
+    # hold more than 4M points; each is refused before its first block
+    def no_block(n, width):
+        raise AssertionError(f"a block of {n} points was built past the cap")
+
+    monkeypatch.setattr(tavopt.oracle, "_blocks", no_block)
     with pytest.raises(ValueError, match="grid of 9006001 points is too large"):
         solve_reference(build_instance("polyhedral"), resolution=1e-3)
     pts = ExplicitPoints(points=np.random.default_rng(0).uniform(0.0, 1.0, size=(8, 2)))
@@ -302,6 +318,134 @@ def test_lattices_past_the_point_cap_are_refused():
         objective=SeparableConvexObjective(pieces=(LinearPiece(1.0), LinearPiece(1.0))))
     with pytest.raises(ValueError, match="simplex lattice too large"):
         solve_reference(spec, resolution=1e-3)
+
+
+def _one_shot_grid_search(spec, resolution):
+    """(f_opt, argmin) of the grid oracle with each stage's whole mesh in one
+    _best_feasible call: meshgrid in C order, the incumbent appended last."""
+    def best_on_mesh(axes, *extra):
+        mesh = np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+        return _best_feasible(spec, np.vstack([mesh, *extra]))
+
+    lo, hi = spec.decision_set.hull_bounds()
+    incumbent = best_on_mesh([_axis_points(l, h, resolution) for l, h in zip(lo, hi)])
+    if incumbent is None:
+        raise InfeasibilityError("no feasible grid point")
+    cells = 2.5 if len(lo) <= 3 else (1.0 if len(lo) <= 5 else 0.5)
+    res = resolution
+    for _ in range(2):
+        val, point = incumbent
+        reach = cells * res
+        res /= 10.0
+        local = best_on_mesh([_axis_points(max(l, p - reach), min(h, p + reach), res)
+                              for l, h, p in zip(lo, hi, point)], point[None, :])
+        if local is not None and local[0] <= val:
+            incumbent = local
+    return incumbent
+
+
+_TIE_VALUES = (0.0, 0.0, 0.0, 0.3, 0.5, -0.5, 1.0, -1.0)
+
+
+@st.composite
+def _tied_grid_specs(draw):
+    """Grid specs on one or two axes whose optima often tie: coordinates on
+    a coarse lattice, and slopes and coefficients mostly zero."""
+    I = draw(st.integers(1, 2))
+    coord = st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0])
+    small = st.sampled_from(_TIE_VALUES)
+    grid = GridProduct(values=tuple(
+        tuple(sorted(draw(st.lists(coord, min_size=1, max_size=3, unique=True))))
+        for _ in range(I)))
+    piece = st.one_of(
+        st.builds(LinearPiece, small),
+        st.builds(QuadraticPiece, st.sampled_from([0.0, 0.5]), small),
+        st.builds(lambda s, step: PiecewiseLinearPiece(breakpoints=(0.5,), slopes=(s, s + step)),
+                  small, st.sampled_from([0.0, 0.5])))
+    constraint = st.builds(AffineConstraint, st.lists(small, min_size=I, max_size=I).filter(any),
+                           st.sampled_from([-1.0, -0.35, 0.0, 0.2, 0.45]))
+    return ProblemSpec(decision_set=grid, box=tight_box(grid),
+                       objective=SeparableConvexObjective(pieces=[draw(piece) for _ in range(I)]),
+                       constraints=draw(st.lists(constraint, max_size=2)))
+
+
+def _flat_spec(values, coeffs, offset, slopes):
+    grid = GridProduct(values=values)
+    return ProblemSpec(decision_set=grid, box=tight_box(grid),
+                       objective=SeparableConvexObjective(pieces=tuple(map(LinearPiece, slopes))),
+                       constraints=(AffineConstraint(coeffs=coeffs, offset=offset),))
+
+
+@settings(max_examples=300, deadline=None)
+# the second refinement's incumbent (0.95, 0.5) ties with mesh points a few
+# blocks before it and is lexicographically smaller than each of them
+@example(spec=_flat_spec(((0.0, 0.5, 3.0), (0.5, 1.5)), (-1.0, 1.0), 0.45, (0.0, 1.0)),
+         resolution=0.25, entries=64)
+# a flat objective: every feasible point ties, across every block boundary
+@example(spec=_flat_spec(((-1.0, 3.0), (0.0, 2.0)), (1.0, 1.0), -1.0, (0.0, 0.0)),
+         resolution=0.1, entries=64)
+@given(spec=_tied_grid_specs(), resolution=st.sampled_from([0.5, 0.25, 0.1]),
+       entries=st.sampled_from([64, 256, tavopt.oracle._SCAN_BLOCK_ENTRIES]))
+def test_the_blocked_grid_scan_is_the_one_shot_scan(spec, resolution, entries):
+    """f_opt, argmin and certificate keep the bits of one scan over each
+    whole mesh, in blocks of 64 rows up to the module's size (the coarse
+    meshes here are smaller than one block of that size)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tavopt.oracle, "_SCAN_BLOCK_ENTRIES", entries)
+        try:
+            res = solve_reference(spec, resolution)
+        except InfeasibilityError:
+            with pytest.raises(InfeasibilityError):
+                _one_shot_grid_search(spec, resolution)
+            return
+    f_opt, argmin = _one_shot_grid_search(spec, resolution)
+    assert bits(res.f_opt) == bits(f_opt) and bits(res.argmin) == bits(argmin)
+    assert bits(res.certificate) == bits(max(0.0, spec.max_violation(argmin)))
+
+
+# four points and a flat objective: every feasible lattice point ties
+_FLAT_POINTS_PROBLEM = (
+    '{"dimension": 2, "decision_set": {"points": [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], '
+    '[1.0, 1.0]]}, "objective": [{"kind": "linear", "slope": 0.0}, {"kind": "linear", '
+    '"slope": 0.0}], "constraints": [{"coeffs": [1.0, 1.0], "offset": 1.5, "sense": "<="}]}')
+
+
+@pytest.mark.parametrize("problem,resolution", [(POINTS_PROBLEM, 0.1), (POINTS_PROBLEM, 0.05),
+                                                (POINTS_PROBLEM_SEED_1, 0.1),
+                                                (POINTS_PROBLEM_SEED_11, 0.1),
+                                                (_FLAT_POINTS_PROBLEM, 0.05)],
+                         ids=["seed7-0.1", "seed7-0.05", "seed1-0.1", "seed11-0.1", "flat"])
+def test_the_blocked_lattice_search_is_the_one_shot_search(problem, resolution, monkeypatch):
+    # the first least lattice point over all blocks, in 64-row blocks and in
+    # one block holding the whole lattice; on the flat problem that is the
+    # first feasible composition, (0, 0, 1/2, 1/2)
+    spec = parse_problem_config(problem)
+    results = []
+    for entries in (64, 10 ** 9):
+        monkeypatch.setattr(tavopt.oracle, "_SCAN_BLOCK_ENTRIES", entries)
+        results.append(solve_reference(spec, resolution))
+    blocked, whole = results
+    assert bits(blocked.f_opt) == bits(whole.f_opt) and bits(blocked.argmin) == bits(whole.argmin)
+    if problem == _FLAT_POINTS_PROBLEM:
+        assert blocked.argmin.tolist() == [1.0, 0.5]
+
+
+@pytest.mark.parametrize("problem,resolution,points", [(GRID_PROBLEM, 0.02, 151 ** 3),
+                                                       (POINTS_PROBLEM, 0.05, math.comb(27, 7))],
+                         ids=["grid", "lattice"])
+def test_the_brute_force_scans_run_in_bounded_memory(problem, resolution, points):
+    # 3,442,951 points of the {0..3}^3 grid and 888,030 of the 8-point
+    # lattice, both under the cap: in one piece they peaked at 228.5 MB
+    # and 170.6 MB
+    assert points <= _MAX_GRID_POINTS
+    spec = parse_problem_config(problem)
+    tracemalloc.start()
+    try:
+        solve_reference(spec, resolution)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 class _Cloud:
