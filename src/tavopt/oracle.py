@@ -33,7 +33,7 @@ FEASIBILITY_TOL = 1e-9
 
 # Points a brute-force scan may visit.  The scans hold one block at a time,
 # so this bounds their time, not their memory: 3.4M grid points take about
-# 0.15 s and 0.9M lattice points about 0.45 s (2-core Xeon).
+# 0.2 s and 0.9M lattice points about 0.4 s (2-core Xeon).
 _MAX_GRID_POINTS = 4_000_000
 # Doubles in the widest array of one scan block: (rows, max(I, J)) on a
 # grid, (rows, max(points, I, J)) on the lattice.  On the four demos at

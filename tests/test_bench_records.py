@@ -99,7 +99,7 @@ MUTATIONS = {
 def test_records_are_committed():
     assert ({"BENCH_7.json", "BENCH_9.json", "BENCH_11.json", "BENCH_12.json",
              "BENCH_13.json", "BENCH_18.json", "BENCH_22.json", "BENCH_25.json",
-             "BENCH_29.json", "BENCH_31.json"}
+             "BENCH_29.json", "BENCH_31.json", "BENCH_32.json"}
             <= {path.name for path in RECORDS})
 
 
