@@ -2,10 +2,11 @@ import dataclasses
 import math
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from tavopt import (
     AffineConstraint,
@@ -322,8 +323,11 @@ def _assert_the_model_is_the_dual_near_lam(spec, est, model, t=1e-5):
     from s = t/10^6 on: each minimizer of the dual stays put there, and a
     quadratic y stays inside its box, or at the end, where it is at lam*.
     Ties taken to within the tie tolerance leave g a constant of at most
-    1e-8, and g(2t) = g(t) to within 1e-13, a few roundings of d: the
-    model's second-order term is the dual's to within 1e-13 / (1.5 t^2)."""
+    1e-8.  For g(2t) = g(t) to within 1e-13 the steps are the exact
+    differences lam* + s u - lam* of the points d is taken at, and d is the
+    Lagrangian at d's minimizers in exact arithmetic: the roundings of a
+    float d grow with |lam*| (about 1.5e-13 at lam* = (128, 0, 128)), and
+    the model's second-order term is the dual's to within 1e-13 / (1.5 t^2)."""
     I, J = spec.dimension, spec.constraint_count
     lo, hi = spec.box.lower, spec.box.upper
     u = np.random.default_rng(0).standard_normal((64, len(est.lam)))
@@ -331,10 +335,11 @@ def _assert_the_model_is_the_dual_near_lam(spec, est, model, t=1e-5):
     u = u[np.all(est.lam[:J] + 2.0 * t * u[:, :J] >= 0.0, axis=1)]
     quadratic = np.array([isinstance(p, QuadraticPiece) and p.curvature > 0.0
                           for p in spec.objective.pieces])
-    values, branches = [], []
+    runs, branches = [], []
     for s in (0.0, 1e-6 * t, t, 2.0 * t):
-        d, x, y = dual_function_batch(spec, est.lam + s * u)
-        values.append(d)
+        lam = est.lam + s * u
+        d, x, y = dual_function_batch(spec, lam)
+        runs.append((lam, d, x, y))
         ends = (np.abs(y - lo) <= 1e-9) * 1.0 - (np.abs(y - hi) <= 1e-9)
         branches.append(np.hstack([x, np.where(quadratic, ends, y)]))
     same = (np.all(branches[1] == branches[2], axis=1) & np.all(branches[2] == branches[3], axis=1)
@@ -342,10 +347,30 @@ def _assert_the_model_is_the_dual_near_lam(spec, est, model, t=1e-5):
     u = u[same]
     first, second = model.support(-u), np.einsum("ij,jk,ik->i", u, model.hessian, u)
     gaps = np.array([est.d_value - d[same] - (s * first + 0.5 * s * s * second)
-                     for s, d in ((t, values[2]), (2.0 * t, values[3]))])
+                     for s, (_, d, _, _) in ((t, runs[2]), (2.0 * t, runs[3]))])
     scale = 1.0 + abs(est.d_value)
     assert np.all(np.abs(gaps) <= 1e-8 * scale)
-    assert np.all(np.abs(gaps[1] - gaps[0]) <= 1e-13 * scale)
+    # d* cancels in g(2t) - g(t)
+    exact = []
+    for lam, _, x, y in runs[2:]:
+        steps = lam[same] - est.lam
+        terms = model.support(-steps) + 0.5 * np.einsum("ij,jk,ik->i", steps, model.hessian, steps)
+        exact.append([-_exact_lagrangian(spec, *row) - Fraction(term)
+                      for *row, term in zip(lam[same], x[same], y[same], terms)])
+    assert all(abs(float(g2 - g1)) <= 1e-13 * scale for g1, g2 in zip(*exact))
+
+
+def _exact_lagrangian(spec, lam, x, y):
+    """f(y) + w . (A y + b) + z . (x - y) in exact arithmetic.  A piecewise
+    linear piece's f is its float value, at a y the caller holds fixed."""
+    J = spec.constraint_count
+    y = [Fraction(v) for v in y]
+    f = sum(Fraction(p.curvature) * v * v + Fraction(p.slope) * v if isinstance(p, QuadraticPiece)
+            else Fraction(float(p.values(np.array([float(v)]))[0]))
+            for p, v in zip(spec.objective.pieces, y))
+    g = sum(Fraction(w) * (sum(Fraction(a) * v for a, v in zip(c.coeffs, y)) + Fraction(c.offset))
+            for w, c in zip(lam[:J], spec.constraints))
+    return f + g + sum(Fraction(z) * (Fraction(a) - v) for z, a, v in zip(lam[J:], x, y))
 
 
 # The smallest decay per unit distance that the deleted probed search read
@@ -390,6 +415,22 @@ def test_the_local_model_on_3d_problems(problem, smooth, probed, distance):
 
 @settings(max_examples=60, deadline=None)
 @given(case=generated_runs())
+@example(case=(ProblemSpec(
+    # lam* = (128, -4.8e-13, 128): a float d rounds by up to 1.5e-13 between
+    # the steps, which the exact Lagrangian does not
+    decision_set=GridProduct(values=((-1.0, 0.0), (0.0, 3.0))),
+    box=ExtendedBox(np.array([-1.0, 0.0]), np.array([0.0, 3.0])),
+    objective=SeparableConvexObjective(pieces=(LinearPiece(-1.0), LinearPiece(0.0))),
+    constraints=(AffineConstraint(coeffs=(0.0078125, 1.0), offset=0.001953125),)),
+    SolverConfig(v=1.0, horizon=1)))
+@example(case=(ProblemSpec(
+    # lam* = (8.1e4, 2.3e-14, 1.1e5)
+    decision_set=GridProduct(values=((-0.5, 1.15625), (0.0, 2.6311934766412435))),
+    box=ExtendedBox(np.array([-0.5, 0.0]), np.array([1.15625, 2.6311934766412435])),
+    objective=SeparableConvexObjective(pieces=(LinearPiece(-0.8138760987910718),
+                                               LinearPiece(0.873444773574815))),
+    constraints=(AffineConstraint(coeffs=(1e-05, 1.30223086), offset=1e-11),)),
+    SolverConfig(v=1.0, horizon=1)))
 def test_the_local_model_matches_the_dual_on_generated_specs(case):
     spec, _ = case
     try:
