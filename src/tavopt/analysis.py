@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .engine import RunTrace, _check_v, _dual_columns
-from .oracle import _ACTIVE_TOL, solve_exact
+from .oracle import solve_exact
 from .problem import (GridProduct, PiecewiseLinearPiece, ProblemSpec, QuadraticPiece,
                       evaluate_constraints, squared_norm_bound)
 
@@ -46,6 +46,9 @@ __all__ = [
 
 # Largest accepted multiplier-estimate residual.
 _RESIDUAL_THRESHOLD = 1e-2
+# The local model's tie tolerance, per unit of a value's scale (at least 1):
+# values this close tie, and singular values, curvatures or supports are 0.
+_ACTIVE_TOL = 1e-9
 
 
 class EstimationError(RuntimeError):
@@ -159,14 +162,12 @@ class BoundSet:
 
 @dataclass(frozen=True)
 class MultiplierEstimate:
-    """The exact dual maximizer with its residual f_opt - d(lam), and
-    whether the dual may have other maximizers."""
+    """The exact dual maximizer with its residual f_opt - d(lam)."""
 
     lam: np.ndarray
     residual: float
     d_value: float
     f_opt: float
-    possibly_nonunique: bool = False
 
     @property
     def norm(self) -> float:
@@ -188,12 +189,15 @@ class DecayModel:
     the set of (A y + b, x - y) over the tied minimizers: centre plus the
     segments [-1/2, 1/2] * generators, plus the hull of tied_points in its
     x part.  directions is an orthonormal basis (rows) of the directions in
-    which the maximizer set leaves lam*.  polyhedral is the inradius of the
-    superdifferential about 0, where it spans the dual space; smooth is
-    half the least eigenvalue of the hessian on the directions the set
-    could take, where there are some and none is flat.  Either is None
-    where it is not positive, or where the facets are too many to count
-    (see estimate_sharpness): that geometry has no region.
+    which the maximizer set leaves lam*, empty when the model finds lam*
+    the only maximizer, else "possibly non-unique": a quadratic vertex at
+    a box end is a known false positive (see estimate_sharpness), as at
+    z = 0 on the grid {-1, 0, 1} with f = y^2 + 2y.  polyhedral is the
+    inradius of the superdifferential about 0, where it spans the dual
+    space; smooth is half the least eigenvalue of the hessian on the
+    directions the set could take, where there are some and none is flat.
+    Either is None where it is not positive, or where the facets are too
+    many to count (see estimate_sharpness): that geometry has no region.
     """
 
     centre: np.ndarray
@@ -388,10 +392,13 @@ def estimate_multiplier(spec: ProblemSpec) -> MultiplierEstimate:
     The residual is f_opt - d(estimate), clipped at zero; it must stay below
     1e-2, and d(estimate) may exceed f_opt by no more than
     1e-9 * max(1, |f_opt|), where the solver's f(y*) and the engine's dual
-    meet.  possibly_nonunique is the exact solve's rank test, negated.
+    meet.  An exact solve that fails to converge raises EstimationError too.
     """
     J = spec.constraint_count
-    exact = solve_exact(spec)
+    try:
+        exact = solve_exact(spec)
+    except ValueError as exc:
+        raise EstimationError(str(exc)) from exc
     lam_hat = exact.lam
     lam_hat.setflags(write=False)
     d_value, _, _ = dual_function(spec, lam_hat[:J], lam_hat[J:])
@@ -403,7 +410,7 @@ def estimate_multiplier(spec: ProblemSpec) -> MultiplierEstimate:
         raise EstimationError(f"estimate has residual {residual:.3g} above threshold "
                               f"{_RESIDUAL_THRESHOLD:.3g}")
     return MultiplierEstimate(lam=lam_hat, residual=residual, d_value=d_value,
-                              f_opt=exact.f_opt, possibly_nonunique=not exact.unique)
+                              f_opt=exact.f_opt)
 
 
 # ---------------------------------------------------------------------------

@@ -221,7 +221,6 @@ def _do_diagnose(cfg: ExperimentConfig) -> int:
         "estimate_d": estimate.d_value,
         "estimate_residual": estimate.residual,
         "estimate_lambda": estimate.lam.tolist(),
-        "multiplier_possibly_nonunique": estimate.possibly_nonunique,
         "multiplier_set_dim": len(model.directions),
         "drift_certificate_violations": len(drift.violations),
         "drift_certificate_max_slack": drift.max_slack,
@@ -320,7 +319,6 @@ def _do_reproduce(cfg: ExperimentConfig) -> int:
             "fixed_staggered_start": fixed_start,
             "detected_t_hit": "none" if report is None else report.t_hit,
             "absorbed": "none" if report is None else report.absorbed,
-            "multiplier_possibly_nonunique": estimate.possibly_nonunique,
             "multiplier_set_dim": len(model.directions),
             "f_opt_exact": f_opt,
             **oracles,

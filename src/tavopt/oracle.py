@@ -1,12 +1,11 @@
 """Reference solvers of the hull-relaxed problem, independent of the engine.
 
-solve_exact gives the optimum, its Lagrange multipliers and whether they
-are unique, by a primal-dual interior-point method and a rank test on the
-active rows; accuracy is measured against it, and the multiplier estimate
-is its multipliers.  Two brute-force references cross-check it: the
-grid oracle scans the hull of the decision set directly, and the LP oracle
-enumerates polytope vertices.  None shares machinery with the iterative
-engine.
+solve_exact gives the optimum and its Lagrange multipliers by a
+primal-dual interior-point method; accuracy is measured against it, and
+the multiplier estimate is its multipliers.  Two brute-force references
+cross-check it: the grid oracle scans the hull of the decision set
+directly, and the LP oracle enumerates polytope vertices.  None shares
+machinery with the iterative engine.
 """
 
 from __future__ import annotations
@@ -49,12 +48,6 @@ _IPM_MAX_ITER = 100
 # Least depth, per unit of a row's largest coefficient, by which some hull
 # point holds every constraint row in the final solve.
 _IPM_MARGIN = 1e-11
-# The uniqueness test: a row is active when its slack is below _ACTIVE_TOL
-# per unit of its right-hand side (at least 1); with the active rows scaled
-# to unit length, singular values below _RANK_TOL of the largest are zero,
-# and a null vector moves a multiplier by more than sqrt(_RANK_TOL).
-_ACTIVE_TOL = 1e-9
-_RANK_TOL = 1e-9
 
 
 class InfeasibilityError(RuntimeError):
@@ -75,7 +68,6 @@ class ExactSolution:
     f_opt: float
     argmin: np.ndarray  # x* (= y*)
     lam: np.ndarray  # (w*, z*), a maximizer of the dual, in dual_function's order
-    unique: bool  # False when the dual may have other maximizers
 
 
 def _feasible(spec: ProblemSpec, points: np.ndarray):
@@ -324,13 +316,14 @@ def _interior_point(Q, c, G, h, E, e):
     from an infeasible start: one KKT matrix per iteration, solved for the
     predictor and then for the corrector.  Only ds is eliminated from it:
     eliminating dlam too puts lam / s, whose range grows as the gap closes,
-    into the rows of the dual residual, which its rounding then stalls."""
+    into the rows of the dual residual, which its rounding then stalls.
+    A singular KKT matrix, or no convergence in _IPM_MAX_ITER, raises ValueError."""
     n, m, p = len(c), len(h), len(e)
     v, s, lam, nu = np.zeros(n), np.ones(m), np.ones(m), np.zeros(p)
     aQ, aG, aE = np.abs(Q), np.abs(G), np.abs(E)
     K = np.block([[Q, G.T, E.T], [G, np.zeros((m, m + p))], [E, np.zeros((p, m + p))]])
     lam_block = (np.arange(n, n + m),) * 2  # the diagonal of K's (lam, lam) block
-    for _ in range(_IPM_MAX_ITER):
+    for it in range(_IPM_MAX_ITER):
         r_d = Q @ v + c + G.T @ lam + E.T @ nu
         r_p, r_e = G @ v + s - h, E @ v - e
         gap = lam @ s
@@ -344,7 +337,11 @@ def _interior_point(Q, c, G, h, E, e):
 
         def direction(r_c):
             # the Newton step towards lam * s = r_c's target, with ds eliminated
-            step = np.linalg.solve(K, np.concatenate([-r_d, r_c / lam - r_p, -r_e]))
+            try:
+                step = np.linalg.solve(K, np.concatenate([-r_d, r_c / lam - r_p, -r_e]))
+            except np.linalg.LinAlgError as exc:
+                raise ValueError(f"interior-point solve did not converge: singular Newton "
+                                 f"system at iteration {it + 1}") from exc
             dv = step[:n]
             return dv, -r_p - G @ dv, step[n:n + m], step[n + m:]
 
@@ -437,8 +434,7 @@ def solve_exact(spec: ProblemSpec) -> ExactSolution:
     s below it relaxes the constraints by s, as the brute-force references
     accept such points.  f_opt is the objective at y*.  lam holds the multipliers w* of the
     constraints and z* of y = x: a maximizer of the dual, since strong
-    duality holds for this convex problem with affine constraints.  unique
-    is _multipliers_unique's answer at the solution.
+    duality holds for this convex problem with affine constraints.
     """
     I, J = spec.dimension, spec.constraint_count
     A, b = spec.constraint_matrix()
@@ -471,35 +467,4 @@ def solve_exact(spec: ProblemSpec) -> ExactSolution:
     w = np.zeros(J)
     w[keep] = lam[:len(keep)] / norms
     return ExactSolution(f_opt=spec.objective.value(v[:I]), argmin=v[:I],
-                         lam=np.concatenate([w, nu[:I]]),
-                         unique=_multipliers_unique(spec, keep, G, h, E, v))
-
-
-def _multipliers_unique(spec: ProblemSpec, keep, G, h, E, v) -> bool:
-    """Whether (w*, z*) are the only multipliers at the final solve's v,
-    whose first rows of G are the constraints of keep.
-
-    The multipliers of the rows active at v solve the Lagrangian's
-    stationarity, a linear system over those rows' gradients: the rows of G
-    with no slack, the box ends y* sits at (the dual's y-step runs over the
-    box) and every row of E.  Two solutions differ by a null vector of its
-    transpose, so (w*, z*) is unique when no null vector moves a w or a z
-    (Kyparisis, Math. Programming 32, 1985).  The multipliers' signs may
-    still bar such a vector, and a dropped constraint active at x* has a
-    free w: False reads "possibly non-unique".
-    """
-    I = spec.dimension
-    y = v[:I]
-    A, b = spec.constraint_matrix()
-    dropped = np.ones(len(b), dtype=bool)  # not np.setdiff1d, which imports numpy.ma
-    dropped[keep] = False
-    if np.any(A[dropped] @ y + b[dropped] >= -FEASIBILITY_TOL):
-        return False
-    ys = np.eye(len(v))[:I]
-    G, h = np.vstack([G, -ys, ys]), np.concatenate([h, -spec.box.lower, spec.box.upper])
-    active = np.flatnonzero(h - G @ v <= _ACTIVE_TOL * np.maximum(1.0, np.abs(h)))
-    rows = np.vstack([G[active], E])
-    u, sv, _ = np.linalg.svd(rows / np.linalg.norm(rows, axis=1)[:, None])
-    null = u[:, np.count_nonzero(sv > _RANK_TOL * sv[0]):]
-    moves_wz = np.concatenate([active < len(keep), np.arange(len(E)) < I])
-    return not np.any(np.abs(null[moves_wz]) > _RANK_TOL ** 0.5)
+                         lam=np.concatenate([w, nu[:I]]))

@@ -77,6 +77,15 @@ POINTS_PROBLEM_SEED_28 = (
     '"constraints": [{"coeffs": [1.0, 0.5, 0.5], "offset": 2.624, "sense": ">="}, '
     '{"coeffs": [1.5, 0.5, 2.0], "offset": 6.253, "sense": ">="}]}')
 
+# four copies of the origin and (1, 0, 1), one constraint given twice: the
+# exact solve's Newton system turns singular
+SINGULAR_NEWTON_PROBLEM = (
+    '{"dimension": 3, "decision_set": {"points": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], '
+    '[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 1.0]]}, "objective": [{"kind": "linear", '
+    '"slope": -2.0}, {"kind": "quadratic", "curvature": 1.0, "slope": 0.0}, {"kind": "linear", '
+    '"slope": 0.0}], "constraints": [{"coeffs": [0.0, 1.0, 0.0078125], "offset": 0.0}, '
+    '{"coeffs": [0.0, 1.0, 0.0078125], "offset": 0.0}]}')
+
 # the diagnose-grid benchmark problem of seed 7: the grid {0..3}^3, two
 # quadratic pieces and a linear one, three >= constraints (a 6-D dual)
 GRID_PROBLEM = (

@@ -367,7 +367,7 @@ def test_diagnose_summary_and_certificates(problem_file, tmp_path):
     summary = (out / "summary.txt").read_text()
     for key in ("lipschitz_M", "norm_bound_C", "estimate_residual",
                 "polyhedral_t_hit", "polyhedral_absorbed",
-                "multiplier_possibly_nonunique", "drift_certificate_violations"):
+                "multiplier_set_dim", "drift_certificate_violations"):
         assert key in summary
     assert "drift_certificate_violations: 0" in summary
     cert_lines = (out / "certificates.csv").read_text().splitlines()

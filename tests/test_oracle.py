@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from tavopt import (
     AffineConstraint,
+    EstimationError,
     ExplicitPoints,
     ExtendedBox,
     GridProduct,
@@ -21,6 +23,7 @@ from tavopt import (
     SolverConfig,
     dual_function,
     estimate_multiplier,
+    estimate_sharpness,
     parse_problem_config,
     run,
     run_cli,
@@ -36,7 +39,8 @@ from tavopt.oracle import (_IPM_MARGIN, _MAX_GRID_POINTS, FEASIBILITY_TOL, _axis
                            _best_feasible, _feasible, _simplex_compositions)
 
 from conftest import (GRID_PROBLEM, POINTS_PROBLEM, POINTS_PROBLEM_SEED_1, POINTS_PROBLEM_SEED_11,
-                      POINTS_PROBLEM_SEED_28, bits, build_instance, generated_runs)
+                      POINTS_PROBLEM_SEED_28, SINGULAR_NEWTON_PROBLEM, bits, build_instance,
+                      generated_runs)
 
 
 def test_grid_oracle_on_linear_instance():
@@ -476,6 +480,25 @@ def test_the_interior_point_cap_exits_1(monkeypatch, tmp_path, capsys):
     assert "did not converge in 1 iterations" in capsys.readouterr().err
 
 
+def test_a_singular_newton_system_is_an_estimation_error(tmp_path, capsys):
+    # numpy's LinAlgError is a ValueError too: the solve names its own
+    spec = parse_problem_config(SINGULAR_NEWTON_PROBLEM)
+    with pytest.raises(ValueError) as info:
+        solve_exact(spec)
+    message = str(info.value)
+    assert type(info.value) is ValueError
+    assert re.fullmatch(r"interior-point solve did not converge: singular Newton system "
+                        r"at iteration [1-9]\d*", message)
+    with pytest.raises(EstimationError) as info:
+        estimate_multiplier(spec)
+    assert str(info.value) == message
+    problem = tmp_path / "problem.json"
+    problem.write_text(SINGULAR_NEWTON_PROBLEM)
+    assert run_cli(["diagnose", "--problem", str(problem), "--out", str(tmp_path / "o"),
+                    "--horizon", "64"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_bad_resolution():
     for res in (0.0, -0.1, float("nan")):
         with pytest.raises(ValueError, match="resolution must be positive"):
@@ -542,10 +565,10 @@ def test_exact_solve_on_the_benchmark_generators(workload, bench_problem):
         assert abs(_gap(spec, exact)) <= 1e-9 * max(1.0, abs(exact.f_opt)), seed
 
 
-@pytest.mark.parametrize("problem,seed,unique", [(POINTS_PROBLEM_SEED_11, 11, False),
-                                                 (POINTS_PROBLEM_SEED_28, 28, True)],
+@pytest.mark.parametrize("problem,seed,set_dim", [(POINTS_PROBLEM_SEED_11, 11, 1),
+                                                  (POINTS_PROBLEM_SEED_28, 28, 0)],
                          ids=["11", "28"])
-def test_exact_solve_where_the_reduced_newton_system_stalled(problem, seed, unique,
+def test_exact_solve_where_the_reduced_newton_system_stalled(problem, seed, set_dim,
                                                              bench_problem):
     # with dlam eliminated into the v block, the dual residual stalled above
     # the tolerance until the iteration cap: in phase one on seed 11, in the
@@ -556,7 +579,7 @@ def test_exact_solve_where_the_reduced_newton_system_stalled(problem, seed, uniq
             == serialize_problem_config(bench_problem("solve-trace", seed)))
     exact = solve_exact(spec)
     assert abs(_gap(spec, exact)) <= 1e-9 * max(1.0, abs(exact.f_opt))
-    assert exact.unique == unique
+    assert len(estimate_sharpness(spec, estimate_multiplier(spec)).directions) == set_dim
     assert exact.f_opt <= solve_reference(spec, resolution=0.25).f_opt
 
 
