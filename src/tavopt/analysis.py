@@ -20,7 +20,7 @@ import numpy as np
 from .engine import RunTrace, _check_v, _dual_columns
 from .oracle import solve_exact
 from .problem import (GridProduct, PiecewiseLinearPiece, ProblemSpec, QuadraticPiece,
-                      evaluate_constraints, squared_norm_bound)
+                      _affine_columns, evaluate_constraints, squared_norm_bound)
 
 __all__ = [
     "BoundSet",
@@ -294,10 +294,11 @@ def estimate_sharpness(spec: ProblemSpec, estimate: MultiplierEstimate) -> Decay
     _ACTIVE_TOL: a grid coordinate with z_i = 0 takes every value from its
     lowest to its highest, explicit points tie where their scores z . p
     meet the least, and a linear or piecewise-linear y_i is free on an
-    interval where a slope is -c_i, c = A^T w - z.  Each tie of y_i is a
-    generator a_i * length, a_i = (A[:, i], -e_i), and each tie of a grid's
-    x_i one (0, e_i) * length; a quadratic y_i strictly inside its box adds
-    a_i a_i^T / (2 curvature_i) to the hessian.  Where w_j = 0 the dual
+    interval where a slope is -c_i, c_i = -z_i + w_0*A_0i + ... (the
+    y-step's shift).  Each tie of y_i is a generator a_i * length, a_i =
+    (A[:, i], -e_i), and each tie of a grid's x_i one (0, e_i) * length; a
+    quadratic y_i strictly inside its box adds a_i a_i^T / (2 curvature_i)
+    to the hessian.  Where w_j = 0 the dual
     moves only to w_j >= 0, so the set gains the ray e_j.  The inradius is
     the least support over the facet normals, those orthogonal to rank - 1
     of the generators, the edges between tied points and the rays, less
@@ -315,9 +316,9 @@ def estimate_sharpness(spec: ProblemSpec, estimate: MultiplierEstimate) -> Decay
     J, I = spec.constraint_count, spec.dimension
     w, z = estimate.lam[:J], estimate.lam[J:]
     _, x0, y0 = dual_function(spec, w, z)
-    A, b = spec.constraint_matrix()
+    A = spec.constraint_matrix()[0]
     cols = np.vstack([A, -np.eye(I)])  # column i is a_i
-    c = w @ A - z
+    c = _affine_columns(A.T.tolist(), (-z).tolist(), w)
     lo, hi = spec.box.lower, spec.box.upper
     ylo, yhi, curvature = y0.copy(), y0.copy(), np.zeros(I)
     for i, piece in enumerate(spec.objective.pieces):
@@ -340,7 +341,7 @@ def estimate_sharpness(spec: ProblemSpec, estimate: MultiplierEstimate) -> Decay
         points = ds.points[scores <= scores.min() + ztol * max(1.0, abs(scores.min()))]
         x_gens = np.zeros((0, J + I))
     y_mid = (ylo + yhi) / 2.0
-    centre = np.concatenate([A @ y_mid + b, points[0] - y_mid])
+    centre = np.concatenate([spec.constraint_values(y_mid), points[0] - y_mid])
     generators = np.vstack([(cols * (yhi - ylo)).T, x_gens])
     generators = generators[np.any(generators != 0.0, axis=1)]
     tied_points = points - points[0]
@@ -532,8 +533,7 @@ def convergence_bounds(trace: RunTrace, bounds: BoundSet, start: int, length: in
 def optimality_error(spec: ProblemSpec, points, f_opt: float):
     """Max of objective gap, constraint violations and 0 (0 if optimal): a
     float at one point, an array at the rows of an (n, dimension) batch.
-    A point's gap is row 0 of a one-row batch; its violation keeps the
-    single-point product."""
+    A point's gap is row 0 of a one-row batch."""
     points = np.asarray(points, dtype=float)
     gap = spec.objective.values(points.reshape(-1, points.shape[-1])) - f_opt
     err = np.maximum(np.maximum(gap.reshape(points.shape[:-1]), spec.max_violation(points)), 0.0)

@@ -193,13 +193,15 @@ def _do_sweep(cfg: ExperimentConfig) -> int:
 
 
 def _estimate_bounds(spec: ProblemSpec, cfg: ExperimentConfig):
-    """The multiplier estimate, the dual's local model at it, and the
-    BoundSet of M, C and V with the model's two rates (None for a geometry
-    without a positive rate, which then has no region)."""
+    """M and C, first (one that is not finite raises ValueError), the
+    multiplier estimate, the dual's local model at it, and the BoundSet of
+    M, C and V with the model's two rates (None for a geometry without a
+    positive rate, which then has no region)."""
+    m, c = lipschitz_bound(spec), squared_norm_bound(spec)
     estimate = analysis.estimate_multiplier(spec)
     model = analysis.estimate_sharpness(spec, estimate)
-    bounds = analysis.BoundSet(m=lipschitz_bound(spec), c=squared_norm_bound(spec),
-                               v=cfg.v_list[0], l_poly=model.polyhedral, l_smooth=model.smooth)
+    bounds = analysis.BoundSet(m=m, c=c, v=cfg.v_list[0], l_poly=model.polyhedral,
+                               l_smooth=model.smooth)
     return estimate, model, bounds
 
 
@@ -302,8 +304,7 @@ def _do_reproduce(cfg: ExperimentConfig) -> int:
         fig_csv = os.path.join(cfg.out_dir, f"figure{fig}.csv")
         write_table(fig_csv, header, columns)
 
-        # the last mark is the horizon: the last plain row holds the final average's f and g;
-        # the max is that row's, since max_violation(xbar[-1]) may differ from it in its bits
+        # the last mark is the horizon: the last plain row holds the final average's f and g
         f_final, worst = float(columns[1][-1]), float(np.max(columns[2][-1], initial=-np.inf))
         ok = abs(f_final - f_opt) <= 0.02 and worst <= 0.02
         if not ok:

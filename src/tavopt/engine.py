@@ -21,7 +21,7 @@ import os
 
 import numpy as np
 
-from .problem import ProblemSpec
+from .problem import ProblemSpec, _affine_sum
 
 __all__ = [
     "SolverConfig",
@@ -98,14 +98,14 @@ def y_update(spec: ProblemSpec, w, z) -> np.ndarray:
 
     With affine constraints and a separable objective the problem decouples
     per coordinate and is solved in closed form by _y_columns, the dual
-    formula's y-step, on the entries of w and z; run()'s step loop gives the
-    same bits.
+    formula's y-step, on the entries of w and z as Python floats; run()'s
+    step loop gives the same bits.
     """
     w = np.asarray(w, dtype=float)
     z = np.asarray(z, dtype=float)
     if np.any(w < 0.0):
         raise ValueError("w components must be nonnegative")
-    return np.array(_y_columns(spec, spec.constraint_matrix()[0].tolist(), w, z))
+    return np.array(_y_columns(spec, w.tolist(), z.tolist()))
 
 
 def dual_update(w, z, x, y, g_of_y, v: float) -> tuple[np.ndarray, np.ndarray]:
@@ -223,29 +223,14 @@ class RunTrace:
 _CHUNK_ROWS = 4096
 
 
-def _y_columns(spec: ProblemSpec, A, w, z) -> list:
+def _y_columns(spec: ProblemSpec, w, z) -> list:
     """The I columns y_i of the y-step at multiplier columns w (J) and z
-    (I): each piece's argmin_shifted on its box at c_i = -z_i + w_0*A_0i +
-    ..., summed left to right as step_loop.c sums it.  A is the constraint
-    matrix as lists; w_j and z_i are floats or arrays of one length."""
-    y = []
-    for i, (piece, lo, hi) in enumerate(zip(spec.objective.pieces, spec.box.lower.tolist(),
-                                            spec.box.upper.tolist())):
-        c = -z[i]
-        for wj, Aj in zip(w, A):
-            c = c + wj * Aj[i]
-        y.append(piece.argmin_shifted(c, lo, hi))
-    return y
-
-
-def _constraint_values(A, b, y):
-    """g_j = b_j + A_j0*y_0 + ..., summed left to right as step_loop.c sums
-    it, for each constraint j in turn; y_i are floats or arrays."""
-    for Aj, bj in zip(A, b):
-        g = bj
-        for Aji, yi in zip(Aj, y):
-            g = g + Aji * yi
-        yield g
+    (I): each piece's argmin_shifted on its box at the shift c_i = -z_i +
+    w_0*A_0i + ..., _affine_sum's form, as step_loop.c sums it; w_j and z_i
+    are floats or arrays of one length."""
+    c = _affine_sum(spec.constraint_matrix()[0].T.tolist(), [-zi for zi in z], w)
+    return [piece.argmin_shifted(ci, lo, hi) for piece, ci, lo, hi in
+            zip(spec.objective.pieces, c, spec.box.lower.tolist(), spec.box.upper.tolist())]
 
 
 def _dual_columns(spec: ProblemSpec, w, z, xy=None):
@@ -256,7 +241,7 @@ def _dual_columns(spec: ProblemSpec, w, z, xy=None):
     rows of the z_i, as columns; the rest is elementwise, with the public
     updates' terms: y_i from _y_columns (y_update's y), and d = 0.0 + sum
     value_i(y_i) + sum w_j*g_j + sum z_i*(x_i - y_i) with g_j from
-    _constraint_values (the composed step loop's g).  So every entry has
+    _affine_sum (the constraint map's g).  So every entry has
     the same bits, whatever batch it sits in.  xy, when given, is the pair
     of the I columns of x_update's and y_update's points at (w, z): run()
     passes the points its step loop stepped with, and only the d sum runs.
@@ -268,11 +253,11 @@ def _dual_columns(spec: ProblemSpec, w, z, xy=None):
     if xy is not None:
         x, y = xy
     else:
-        x, y = spec.decision_set.linear_argmin(np.transpose(z)).T, _y_columns(spec, A, w, z)
+        x, y = spec.decision_set.linear_argmin(np.transpose(z)).T, _y_columns(spec, w, z)
     d = 0.0
     for piece, yi in zip(spec.objective.pieces, y):
         d = d + piece.values(yi)
-    for wj, g in zip(w, _constraint_values(A, b, y)):
+    for wj, g in zip(w, _affine_sum(A, b, y)):
         d = d + wj * g
     for zi, xi, yi in zip(z, x, y):
         d = d + zi * (xi - yi)
@@ -385,14 +370,14 @@ def _kernel():
 
 def _composed_steps(spec, A, b, v, state, rows, start, stop):
     """The step loop without the kernel: x_update and y_update composed
-    with the dual formula's g and the kernel's dual step, in Python floats
-    in its order."""
+    with the constraint map's g and the kernel's dual step, in Python
+    floats in its order."""
     J = len(b)
     w, z = state[:J].tolist(), state[J:].tolist()
     for t in range(start, stop):
         x, y = x_update(spec, z).tolist(), y_update(spec, w, z).tolist()
         rows[t] = w + z + x + y
-        w = [max(0.0, wj + g / v) for wj, g in zip(w, _constraint_values(A, b, y))]
+        w = [max(0.0, wj + g / v) for wj, g in zip(w, _affine_sum(A, b, y))]
         z = [zi + (xi - yi) / v for zi, xi, yi in zip(z, x, y)]
     state[:] = w + z
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import ExplicitPoints, GridProduct, LinearPiece, PiecewiseLinearPiece, ProblemSpec
+from .problem import (ExplicitPoints, GridProduct, LinearPiece, PiecewiseLinearPiece, ProblemSpec,
+                      _affine_columns)
 
 __all__ = [
     "OracleResult",
@@ -94,20 +95,11 @@ def _best_feasible(spec: ProblemSpec, points: np.ndarray):
 
 def _blocks(n: int, width: int):
     """(start, stop) of the consecutive row blocks that cover rows 0..n-1,
-    each of about _SCAN_BLOCK_ENTRIES / width rows.
-
-    A block's matrix products give each row the bits that one product over
-    all n rows gives it only if every block starts where one of the row
-    groups of OpenBLAS's kernels would, hence at multiples of 64 rows, and
-    if no block has one row unless n does: numpy takes a one-row product
-    through gemv or dot, not gemm.  So a one-row tail joins the block
-    before it.
-    """
-    rows = max(64, _SCAN_BLOCK_ENTRIES // width // 64 * 64)
-    starts = list(range(0, n, rows))
-    if len(starts) > 1 and n - starts[-1] == 1:
-        starts.pop()
-    return zip(starts, starts[1:] + [n])
+    each but the last of _SCAN_BLOCK_ENTRIES // width rows (at least one).
+    Every sum over a row is elementwise, so a row has the same bits in any
+    block."""
+    rows = max(1, _SCAN_BLOCK_ENTRIES // width)
+    return ((start, min(start + rows, n)) for start in range(0, n, rows))
 
 
 def _axis_points(lo: float, hi: float, resolution: float) -> np.ndarray:
@@ -117,26 +109,20 @@ def _axis_points(lo: float, hi: float, resolution: float) -> np.ndarray:
     return np.linspace(lo, hi, n + 1)
 
 
-def _scan(spec: ProblemSpec, axes, extra=None):
-    """_best_feasible over the mesh of the axes in C order, then over the
-    point extra if given, one block of rows at a time.
-
-    np.unravel_index gives each mesh point the coordinates meshgrid would,
-    and a block's best replaces the incumbent only when its value is lower,
-    or equal at a lexicographically smaller point, so the result is that of
-    one _best_feasible call over the whole mesh.
-    """
+def _scan(spec: ProblemSpec, axes, best=None):
+    """The better of best, a (value, point) pair if given, and
+    _best_feasible over the mesh of the axes in C order, one block of rows
+    at a time: np.unravel_index gives each mesh point meshgrid's
+    coordinates, and a block's best replaces the incumbent only when its
+    value is lower, or equal at a lexicographically smaller point, so the
+    result is one _best_feasible call's over the mesh and best's point."""
     shape = tuple(len(a) for a in axes)
     total = math.prod(shape)
     if total > _MAX_GRID_POINTS:
         raise ValueError(f"grid of {total} points is too large; coarsen the resolution")
-    best = None
-    for start, stop in _blocks(total + (extra is not None), max(len(axes), spec.constraint_count)):
-        index = np.unravel_index(np.arange(start, min(stop, total)), shape)
-        points = np.column_stack([a[k] for a, k in zip(axes, index)])
-        if stop > total:
-            points = np.vstack([points, extra[None, :]])
-        found = _best_feasible(spec, points)
+    for start, stop in _blocks(total, max(len(axes), spec.constraint_count)):
+        index = np.unravel_index(np.arange(start, stop), shape)
+        found = _best_feasible(spec, np.column_stack([a[k] for a, k in zip(axes, index)]))
         if found is not None and (best is None or found[0] < best[0]
                                   or found[0] == best[0] and found[1].tolist() < best[1].tolist()):
             best = found
@@ -161,14 +147,11 @@ def _grid_search(spec: ProblemSpec, resolution: float) -> OracleResult:
     cells = 2.5 if I <= 3 else (1.0 if I <= 5 else 0.5)
     res = resolution
     for _ in range(2):
-        val, point = incumbent
         reach = cells * res
         res /= 10.0
         axes = [_axis_points(max(l, p - reach), min(h, p + reach), res)
-                for l, h, p in zip(lo, hi, point)]
-        local = _scan(spec, axes, point)
-        if local is not None and local[0] <= val:
-            incumbent = local
+                for l, h, p in zip(lo, hi, incumbent[1])]
+        incumbent = _scan(spec, axes, incumbent)
     val, point = incumbent
     return OracleResult(f_opt=val, argmin=point, grid_resolution=resolution,
                         certificate=_certificate(spec, point))
@@ -190,6 +173,12 @@ def _simplex_compositions(total: int, parts: int, width: int):
         yield out
 
 
+def _hull_points(pts: np.ndarray, weights) -> np.ndarray:
+    """weights_0*p_0 + weights_1*p_1 + ... at one weight vector or at each
+    row of a batch: _affine_sum with b = 0, a row's bits in any block."""
+    return _affine_columns(pts.T.tolist(), [0.0] * pts.shape[1], weights).T
+
+
 def _simplex_search(spec: ProblemSpec, resolution: float) -> OracleResult:
     pts = spec.decision_set.points
     m = pts.shape[0]
@@ -202,7 +191,7 @@ def _simplex_search(spec: ProblemSpec, resolution: float) -> OracleResult:
     best = None
     for weights in _simplex_compositions(steps, m, max(m, spec.dimension, spec.constraint_count)):
         weights /= steps
-        lattice = weights @ pts
+        lattice = _hull_points(pts, weights)
         feas = np.flatnonzero(_feasible(spec, lattice))
         if not len(feas):
             continue
@@ -230,13 +219,13 @@ def _simplex_search(spec: ProblemSpec, resolution: float) -> OracleResult:
                     trial = wts.copy()
                     trial[src] -= delta
                     trial[dst] += delta
-                    x = trial @ pts
+                    x = _hull_points(pts, trial)
                     if not _feasible(spec, x):
                         continue
                     v = spec.objective.value(x)
                     if v < val - 1e-15:
                         val, wts, improved = v, trial, True
-    point = wts @ pts
+    point = _hull_points(pts, wts)
     return OracleResult(f_opt=val, argmin=point, grid_resolution=resolution,
                         certificate=_certificate(spec, point))
 

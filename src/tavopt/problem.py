@@ -410,9 +410,6 @@ class AffineConstraint:
         if not np.any(c != 0.0):
             raise ValueError("constraint needs at least one nonzero coefficient")
 
-    def gradient_norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
 
 @dataclass(frozen=True)
 class ProblemSpec:
@@ -461,24 +458,44 @@ class ProblemSpec:
 
     def constraint_values(self, points) -> np.ndarray:
         """g(x) = A x + b at one point (shape (J,)) or at each row of an
-        (n, dimension) batch (shape (n, J)), as points @ A.T + b.  At one
-        point this has the bits of A @ x + b; a row of a batch may not have
-        the bits of the same point alone, so a caller keeps to one form."""
+        (n, dimension) batch (shape (n, J)), by _affine_sum: a row of a
+        batch has the bits of the same point alone."""
         A, b = self._matrix
-        return points @ A.T + b
+        return _affine_columns(A.tolist(), b.tolist(), points).T
 
     def max_violation(self, points):
         """Largest constraint value at one point (a NumPy float) or at each row
-        of a batch; -inf without constraints.  A running maximum over the
-        columns of points @ A.T plus b_j, with no second (n, J) array: np.max
-        along a last axis of three is 6x slower on a grid oracle block of
-        5,440 rows."""
+        of a batch; -inf without constraints.  The max runs down the (J, n)
+        array: along a last axis of three it is 6x slower."""
         A, b = self._matrix
-        lhs = points @ A.T
-        worst = np.full(lhs.shape[:-1], -np.inf)
-        for j in range(len(b)):
-            np.maximum(worst, lhs[..., j] + b[j], out=worst)
-        return worst[()]
+        return np.max(_affine_columns(A.tolist(), b.tolist(), points), axis=0, initial=-np.inf)
+
+
+def _affine_sum(A, b, u) -> list:
+    """r_j = b_j + A_j0*u_0 + A_j1*u_1 + ..., summed left to right, for each
+    row A_j of A (lists of floats): the one form of every affine map whose
+    bits reach a result (g, the y-step's shift c, the hull points).  b_j and
+    u_i are floats or arrays of one shape, taken elementwise, so a point
+    alone, any row of any batch and step_loop.c give the same bits."""
+    out = []
+    for Aj, r in zip(A, b):
+        for Aji, ui in zip(Aj, u):
+            r = r + Aji * ui
+        out.append(r)
+    return out
+
+
+def _affine_columns(A, b, points) -> np.ndarray:
+    """_affine_sum at one point (shape (J,)), on its entries as Python
+    floats (numpy scalars give the same bits in 5x the time), or at each
+    row of an (n, I) batch (shape (J, n)), on its columns.  An overflow
+    gives inf or nan without a warning, as in a matrix product."""
+    points = np.asarray(points, dtype=float)
+    out = np.empty((len(b),) + points.shape[:-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, r in enumerate(_affine_sum(A, b, points.tolist() if points.ndim == 1 else points.T)):
+            out[j] = r
+    return out
 
 
 def _require_in_box(spec: ProblemSpec, x) -> np.ndarray:
@@ -505,12 +522,12 @@ def lipschitz_bound(spec: ProblemSpec) -> float:
 
     For the separable objective the supremum gradient norm decouples per
     coordinate and is attained at box endpoints; for an affine constraint it
-    is the coefficient norm.
+    is the coefficient norm.  A constant that overflows raises ValueError.
     """
-    m = spec.objective.max_gradient_norm(spec.box.lower, spec.box.upper)
-    for g in spec.constraints:
-        m = max(m, g.gradient_norm())
-    return m
+    with np.errstate(over="ignore"):
+        m = spec.objective.max_gradient_norm(spec.box.lower, spec.box.upper)
+    norms = [float(np.linalg.norm(g.coeffs)) for g in spec.constraints]
+    return _finite(max([m, *norms]), "the Lipschitz constant M")
 
 
 def squared_norm_bound(spec: ProblemSpec) -> float:
@@ -518,13 +535,21 @@ def squared_norm_bound(spec: ProblemSpec) -> float:
 
     Both suprema are maxima of convex functions, hence attained at vertices:
     the box vertices for ||g(y)||^2, and hull-vertex/box-vertex pairs for
-    ||x - y||^2.  Floored at EPS_C for degenerate single-point problems.
+    ||x - y||^2.  Floored at EPS_C for degenerate single-point problems.  A
+    constant that overflows raises ValueError.
     """
     box_verts = spec.box.vertices()
     # without constraints each row of gv is empty, with squared norm 0.0
     gv = spec.constraint_values(box_verts)
-    sup_g = float(np.max(np.sum(gv * gv, axis=1)))
     hull_verts = spec.decision_set.hull_vertices()
-    diff = hull_verts[:, None, :] - box_verts[None, :, :]
-    sup_dist = float(np.max(np.sum(diff * diff, axis=2)))
-    return max(sup_g, sup_dist, EPS_C)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = hull_verts[:, None, :] - box_verts[None, :, :]
+        sup_g = float(np.max(np.sum(gv * gv, axis=1)))
+        sup_dist = float(np.max(np.sum(diff * diff, axis=2)))
+    return max(_finite(sup_g, "the norm bound C"), _finite(sup_dist, "the norm bound C"), EPS_C)
+
+
+def _finite(value: float, name: str) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} is not finite ({value}): the box or coefficients are too large")
+    return value

@@ -184,6 +184,43 @@ def test_batch_x_on_explicit_points_is_linear_argmin_of_each_row():
         assert bits(x[k]) == bits(spec.decision_set.linear_argmin(lam[k, J:]))
 
 
+def test_the_subgradient_has_the_dual_formulas_g():
+    # dual_subgradient takes g at one point, the dual formula on the
+    # columns of a batch: both are the constraint map's one sum, so g has
+    # the bits the dual's value is summed with.  A one-point matrix product
+    # and that sum differ in most of these draws
+    rng = np.random.default_rng(35)
+    for _ in range(300):
+        I, J = int(rng.integers(1, 9)), int(rng.integers(1, 6))
+        grid = GridProduct(values=tuple(tuple(np.unique(rng.uniform(-2.0, 2.0, 3)))
+                                        for _ in range(I)))
+        spec = ProblemSpec(
+            decision_set=grid, box=tight_box(grid),
+            objective=SeparableConvexObjective(pieces=[
+                QuadraticPiece(float(rng.uniform(0.1, 2.0)), float(rng.uniform(-1.0, 1.0)))
+                for _ in range(I)]),
+            constraints=[AffineConstraint(coeffs=rng.uniform(-2.0, 2.0, I),
+                                          offset=float(rng.uniform(-1.0, 1.0))) for _ in range(J)])
+        w, z = rng.uniform(0.0, 2.0, J), rng.standard_normal(I)
+        d, x, y = dual_function(spec, w, z)
+        sub = dual_subgradient(spec, w, z)
+        g = sub[:J]
+        # the multiplier as the last row of a batch
+        lam = np.vstack([sample_multipliers(spec, 1.0, 5, seed=1), np.concatenate([w, z])])
+        _, _, y_batch = dual_function_batch(spec, lam)
+        assert bits(g) == bits(spec.constraint_values(y_batch)[-1])
+        np.testing.assert_array_equal(sub[J:], x - y)
+        # d = 0.0 + sum value_i(y_i) + sum w_j*g_j + sum z_i*(x_i - y_i)
+        total = 0.0
+        for piece, yi in zip(spec.objective.pieces, y):
+            total += float(piece.values(np.array([yi]))[0])
+        for wj, gj in zip(w.tolist(), g.tolist()):
+            total += wj * gj
+        for zi, xi, yi in zip(z.tolist(), x.tolist(), y.tolist()):
+            total += zi * (xi - yi)
+        assert total == d
+
+
 def test_zero_problem_subgradient_is_zero():
     grid = GridProduct(values=((0.0,), (0.0,)))
     spec = ProblemSpec(

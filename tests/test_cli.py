@@ -608,6 +608,22 @@ def test_config_errors_the_parser_cannot_reach():
         reference_instance("cubic")
 
 
+def test_diagnose_refuses_constants_that_are_not_finite(tmp_path, capsys):
+    # on the box [-1e308, 1e308] M and C overflow, and a drift certificate
+    # against max_slack -inf would pass vacuously: one error line, no files
+    doc = {"dimension": 1, "decision_set": {"points": [[0.0], [1.0]]},
+           "box": {"lower": [-1e308], "upper": [1e308]},
+           "objective": [{"kind": "quadratic", "curvature": 1.0, "slope": 0.0}]}
+    path = tmp_path / "huge_box.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(["diagnose", "--problem", str(path), "--out", str(tmp_path / "o"),
+                    "--horizon", "64"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the Lipschitz constant M is not finite (inf)")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_a_horizon_past_the_address_space_exits_1(problem_file, tmp_path, capsys):
     # 10**15 rows need petabytes, more than a 47-bit address space holds, so
     # the allocation fails at once without touching memory

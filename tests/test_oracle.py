@@ -36,7 +36,7 @@ from tavopt import (
 
 import tavopt.oracle
 from tavopt.oracle import (_IPM_MARGIN, _MAX_GRID_POINTS, FEASIBILITY_TOL, _axis_points,
-                           _best_feasible, _feasible, _simplex_compositions)
+                           _best_feasible, _feasible, _hull_points, _simplex_compositions)
 
 from conftest import (GRID_PROBLEM, POINTS_PROBLEM, POINTS_PROBLEM_SEED_1, POINTS_PROBLEM_SEED_11,
                       POINTS_PROBLEM_SEED_28, SINGULAR_NEWTON_PROBLEM, bits, build_instance,
@@ -237,15 +237,11 @@ def test_explicit_points_polish_leaves_the_lattice():
 @pytest.mark.parametrize("total,parts", [(0, 1), (5, 1), (0, 3), (1, 2), (4, 3), (6, 4), (3, 6),
                                          (64, 2), (65, 2), (10, 4), (3, 8)])
 def test_simplex_compositions_are_every_composition_in_order(total, parts, monkeypatch):
-    # in blocks of 64 rows, the fewest there are: 65 compositions make one
-    # block (a one-row tail joins the block before it), 66 make 64 + 2
+    # in blocks of 64 // parts rows, joined in order
     monkeypatch.setattr(tavopt.oracle, "_SCAN_BLOCK_ENTRIES", 64)
     expected = sorted(p for p in itertools.product(range(total + 1), repeat=parts)
                       if sum(p) == total)
-    blocks = list(_simplex_compositions(total, parts, parts))
-    *full, last = [len(b) for b in blocks]
-    assert all(size == 64 for size in full) and (last > 1 or len(expected) == 1) and last <= 65
-    got = np.vstack(blocks)
+    got = np.vstack(list(_simplex_compositions(total, parts, parts)))
     assert got.shape == (len(expected), parts) and got.dtype == float
     assert got.tolist() == [list(p) for p in expected]
 
@@ -388,12 +384,15 @@ def _flat_spec(values, coeffs, offset, slopes):
 # a flat objective: every feasible point ties, across every block boundary
 @example(spec=_flat_spec(((-1.0, 3.0), (0.0, 2.0)), (1.0, 1.0), -1.0, (0.0, 0.0)),
          resolution=0.1, entries=64)
+@example(spec=_flat_spec(((-1.0, 3.0), (0.0, 2.0)), (1.0, 1.0), -1.0, (0.0, 0.0)),
+         resolution=0.1, entries=7)
 @given(spec=_tied_grid_specs(), resolution=st.sampled_from([0.5, 0.25, 0.1]),
-       entries=st.sampled_from([64, 256, tavopt.oracle._SCAN_BLOCK_ENTRIES]))
+       entries=st.sampled_from([7, 64, 100, 256, tavopt.oracle._SCAN_BLOCK_ENTRIES]))
 def test_the_blocked_grid_scan_is_the_one_shot_scan(spec, resolution, entries):
     """f_opt, argmin and certificate keep the bits of one scan over each
-    whole mesh, in blocks of 64 rows up to the module's size (the coarse
-    meshes here are smaller than one block of that size)."""
+    whole mesh, in blocks of entries // max(I, J) rows, from one row up to
+    the module's size (the coarse meshes here are smaller than one block of
+    that size)."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tavopt.oracle, "_SCAN_BLOCK_ENTRIES", entries)
         try:
@@ -414,24 +413,48 @@ _FLAT_POINTS_PROBLEM = (
     '"slope": 0.0}], "constraints": [{"coeffs": [1.0, 1.0], "offset": 1.5, "sense": "<="}]}')
 
 
-@pytest.mark.parametrize("problem,resolution", [(POINTS_PROBLEM, 0.1), (POINTS_PROBLEM, 0.05),
-                                                (POINTS_PROBLEM_SEED_1, 0.1),
-                                                (POINTS_PROBLEM_SEED_11, 0.1),
-                                                (_FLAT_POINTS_PROBLEM, 0.05)],
-                         ids=["seed7-0.1", "seed7-0.05", "seed1-0.1", "seed11-0.1", "flat"])
-def test_the_blocked_lattice_search_is_the_one_shot_search(problem, resolution, monkeypatch):
-    # the first least lattice point over all blocks, in 64-row blocks and in
-    # one block holding the whole lattice; on the flat problem that is the
-    # first feasible composition, (0, 0, 1/2, 1/2)
+@pytest.mark.parametrize("problem,resolution,sizes", [
+    (POINTS_PROBLEM, 0.1, (7, 64, 100)), (POINTS_PROBLEM, 0.05, (520,)),
+    (POINTS_PROBLEM_SEED_1, 0.1, (100,)), (POINTS_PROBLEM_SEED_11, 0.1, (100,)),
+    (_FLAT_POINTS_PROBLEM, 0.05, (7, 64, 100))],
+    ids=["seed7-0.1", "seed7-0.05", "seed1-0.1", "seed11-0.1", "flat"])
+def test_the_blocked_lattice_search_is_the_one_shot_search(problem, resolution, sizes,
+                                                           monkeypatch):
+    # the first least lattice point over all blocks, in blocks of
+    # entries // max(points, I, J) rows (1 to 65, none a multiple of 64)
+    # and in one block holding the whole lattice; on the flat problem that
+    # is the first feasible composition, (0, 0, 1/2, 1/2).  The 888,030
+    # points at 0.05 take 12 s in 8-row blocks, so they get 65-row blocks
     spec = parse_problem_config(problem)
     results = []
-    for entries in (64, 10 ** 9):
+    for entries in (*sizes, 10 ** 9):
         monkeypatch.setattr(tavopt.oracle, "_SCAN_BLOCK_ENTRIES", entries)
         results.append(solve_reference(spec, resolution))
-    blocked, whole = results
-    assert bits(blocked.f_opt) == bits(whole.f_opt) and bits(blocked.argmin) == bits(whole.argmin)
+    *blocked, whole = results
+    for res in blocked:
+        assert bits(res.f_opt) == bits(whole.f_opt) and bits(res.argmin) == bits(whole.argmin)
+        assert bits(res.certificate) == bits(whole.certificate)
     if problem == _FLAT_POINTS_PROBLEM:
-        assert blocked.argmin.tolist() == [1.0, 0.5]
+        assert whole.argmin.tolist() == [1.0, 0.5]
+
+
+@pytest.mark.parametrize("problem", [POINTS_PROBLEM, POINTS_PROBLEM_SEED_1,
+                                     POINTS_PROBLEM_SEED_11, _FLAT_POINTS_PROBLEM],
+                         ids=["seed7", "seed1", "seed11", "flat"])
+def test_a_weight_rows_hull_point_is_its_row_of_a_lattice_block(problem):
+    # the lattice's batch and the polish's single weight vector take one
+    # sum, so a composition's point does not depend on its block, and the
+    # oracle's f_opt is the objective at its argmin, bit for bit
+    spec = parse_problem_config(problem)
+    pts = spec.decision_set.points
+    for weights in _simplex_compositions(10, len(pts), 64):
+        weights /= 10
+        block = _hull_points(pts, weights)
+        assert block.shape == (len(weights), spec.dimension)
+        for row, point in zip(weights, block):
+            assert bits(_hull_points(pts, row)) == bits(point)
+    res = solve_reference(spec, 0.1)
+    assert bits(res.f_opt) == bits(spec.objective.value(res.argmin))
 
 
 @pytest.mark.parametrize("problem,resolution,points", [(GRID_PROBLEM, 0.02, 151 ** 3),

@@ -290,6 +290,16 @@ def test_constraint_matrix_without_constraints():
     assert A.shape == (0, 2) and b.shape == (0,)
 
 
+def _left_to_right(A, b, x) -> list:
+    """b_j + A_j0*x_0 + A_j1*x_1 + ... in Python floats, for each row j."""
+    out = []
+    for Aj, r in zip(A.tolist(), b.tolist()):
+        for a, u in zip(Aj, x.tolist()):
+            r = r + a * u
+        out.append(r)
+    return out
+
+
 @settings(max_examples=100, deadline=None)
 @given(case=generated_runs())
 def test_constraint_map_at_points_and_on_batches(case):
@@ -300,20 +310,18 @@ def test_constraint_map_at_points_and_on_batches(case):
                         np.random.default_rng(0).uniform(box.lower, box.upper, (8, spec.dimension))])
     # and a row with a nan coordinate
     points = np.vstack([points, np.where(np.arange(spec.dimension) == 0, np.nan, box.lower)])
-    # one point at a time: the bits of A @ x + b, and its max a NumPy float
-    with np.errstate(invalid="ignore"):
-        for x in points:
-            assert bits(spec.constraint_values(x)) == bits(A @ x + b)
-            worst = spec.max_violation(x)
-            assert type(worst) is np.float64
-            assert bits(worst) == bits(np.max(A @ x + b, initial=-np.inf))
-        # a batch: each row's max of the batch's values; -inf without constraints
-        worst, values = spec.max_violation(points), spec.constraint_values(points)
+    worst, values = spec.max_violation(points), spec.constraint_values(points)
     assert values.shape == (len(points), spec.constraint_count)
-    if spec.constraint_count:
-        assert bits(worst) == bits([np.max(row) for row in values])
-    else:
-        assert np.all(worst == -np.inf) and spec.max_violation(points[0]) == -np.inf
+    # one point at a time: the left-to-right sum in Python floats, which
+    # each row of the batch has too, and its max a NumPy float
+    for x, row, row_worst in zip(points, values, worst):
+        g = _left_to_right(A, b, x)
+        assert bits(spec.constraint_values(x)) == bits(g) == bits(row)
+        one = spec.max_violation(x)
+        assert type(one) is np.float64
+        assert bits(one) == bits(row_worst) == bits(np.max(g, initial=-np.inf))
+    if not spec.constraint_count:
+        assert np.all(worst == -np.inf)
 
 
 def test_points_outside_box_rejected():
@@ -412,6 +420,23 @@ def test_squared_norm_bound_degenerate_floor():
         box=ExtendedBox(lower=(1.0, 1.0), upper=(1.0, 1.0)),
         objective=SeparableConvexObjective(pieces=(LinearPiece(0.0), LinearPiece(0.0))))
     assert squared_norm_bound(spec) == EPS_C
+
+
+def test_constants_that_overflow_raise_without_a_warning():
+    # on the box [-1e308, 1e308] M = 2e308 and C = (1e308 + 1)^2 overflow,
+    # and a certificate against them would hold vacuously; RuntimeWarnings
+    # are errors in this suite
+    pts = ExplicitPoints(points=[[0.0], [1.0]])
+    spec = ProblemSpec(decision_set=pts, box=ExtendedBox(lower=(-1e308,), upper=(1e308,)),
+                       objective=SeparableConvexObjective(pieces=(QuadraticPiece(1.0, 0.0),)))
+    with pytest.raises(ValueError, match="the Lipschitz constant M is not finite"):
+        lipschitz_bound(spec)
+    with pytest.raises(ValueError, match="the norm bound C is not finite"):
+        squared_norm_bound(spec)
+    linear = replace(spec, objective=SeparableConvexObjective(pieces=(LinearPiece(2.0),)))
+    assert lipschitz_bound(linear) == 2.0
+    with pytest.raises(ValueError, match="the norm bound C is not finite"):
+        squared_norm_bound(linear)
 
 
 def test_squared_norm_bound_matches_grid_sampling_oracle():
